@@ -2,8 +2,14 @@
 
 Implements the inverse normal CDF (Wichura's PPND16 rational
 approximations) and the Brownian-bridge path builder.  The Cython backend
-mirrors these routines operation-for-operation; both follow the stream
-layout documented in :mod:`ccemfg.rng`.
+implements the same algorithms with the same draw layout; both follow the
+stream layout documented in :mod:`ccemfg.rng`.
+
+The inverse CDF evaluates each tail branch only on the elements that take
+it, and the bridge is filled time-major (one contiguous row of all streams
+per grid point).  Every element still gets the same floating-point
+operations in the same order as a whole-array, row-major evaluation, so
+the outputs are bit-identical to it.
 
 The bridge draws the terminal value first (draw 0 of each stream), then
 fills interior grid points by recursive bisection.  The terminal value is
@@ -46,33 +52,51 @@ _F = (1.0, 5.99832206555887937690e-1, 1.36929880922735805310e-1,
 
 
 def _poly(coeffs, r):
-    acc = np.full_like(r, coeffs[7])
-    for c in (coeffs[6], coeffs[5], coeffs[4], coeffs[3],
-              coeffs[2], coeffs[1], coeffs[0]):
-        acc = acc * r + c
+    """Horner evaluation, highest coefficient first, updated in place."""
+    acc = r * coeffs[7]
+    acc += coeffs[6]
+    for c in (coeffs[5], coeffs[4], coeffs[3], coeffs[2], coeffs[1],
+              coeffs[0]):
+        acc *= r
+        acc += c
     return acc
 
 
 def norm_quantile(p: np.ndarray) -> np.ndarray:
-    """Inverse standard normal CDF for p strictly inside (0, 1)."""
-    p = np.asarray(p, dtype=np.float64)
-    q = p - 0.5
-    central = np.abs(q) <= 0.425
+    """Inverse standard normal CDF for p strictly inside (0, 1).
 
-    r_c = 0.180625 - q * q
-    out = q * _poly(_A, r_c) / _poly(_B, r_c)
+    The central rational is evaluated on every element: |q| <= 0.5 keeps
+    its argument in [-0.07, 0.18], where it is finite.  The tail rationals
+    are evaluated only on the elements outside |q| <= 0.425 (about 15% of
+    uniform draws), the far tail only where r > 5.  Each element gets the
+    same operations as a whole-array evaluation of its own branch.
+    """
+    p = np.asarray(p, dtype=np.float64)
+    flat = p.reshape(-1)
+    q = flat - 0.5
+
+    r = q * q
+    np.subtract(0.180625, r, out=r)
+    out = _poly(_A, r)
+    out *= q
+    out /= _poly(_B, r)
 
     # tails: r = sqrt(-log(min(p, 1 - p)))
-    pt = np.where(q < 0.0, p, 1.0 - p)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r_t = np.sqrt(-np.log(np.where(central, 0.5, pt)))
-    near = r_t <= 5.0
-    z_near = _poly(_C, r_t - 1.6) / _poly(_D, r_t - 1.6)
-    z_far = _poly(_E, r_t - 5.0) / _poly(_F, r_t - 5.0)
-    z_tail = np.where(near, z_near, z_far)
-    z_tail = np.where(q < 0.0, -z_tail, z_tail)
-
-    return np.where(central, out, z_tail)
+    tail = np.flatnonzero(np.abs(q) > 0.425)
+    if tail.size:
+        lower = q[tail] < 0.0
+        pt = flat[tail]
+        pt = np.where(lower, pt, 1.0 - pt)
+        r = np.sqrt(-np.log(pt))
+        z = _poly(_C, r - 1.6)
+        z /= _poly(_D, r - 1.6)
+        far = np.flatnonzero(r > 5.0)
+        if far.size:
+            rf = r[far] - 5.0
+            z[far] = _poly(_E, rf) / _poly(_F, rf)
+        np.negative(z, out=z, where=lower)
+        out[tail] = z
+    return out.reshape(p.shape)
 
 
 def bridge_plan(steps: int, dt: float):
@@ -106,15 +130,23 @@ def brownian_paths(keys: np.ndarray, steps: int, horizon: float) -> np.ndarray:
     """Brownian paths on the uniform grid, one per stream key.
 
     Returns an array of shape ``keys.shape + (steps + 1,)`` with W[..., 0] = 0.
+    The paths are filled time-major, one contiguous row of all keys per grid
+    point, so the result is a view with time on the last axis that is not
+    C-contiguous.  Shape and values are the contract, not the strides.
     """
     keys = np.asarray(keys, dtype=np.uint64)
+    flat = keys.reshape(-1)
     dt = horizon / steps
     lo, mid, hi, frac, sd = bridge_plan(steps, dt)
 
-    w = np.zeros(keys.shape + (steps + 1,), dtype=np.float64)
-    w[..., steps] = np.sqrt(horizon) * norm_quantile(uniforms(keys, 0))
+    w = np.zeros((steps + 1, flat.size), dtype=np.float64)
+    w[steps] = np.sqrt(horizon) * norm_quantile(uniforms(flat, 0))
     for n in range(lo.shape[0]):
-        z = norm_quantile(uniforms(keys, n + 1))
-        w_lo = w[..., lo[n]]
-        w[..., mid[n]] = w_lo + frac[n] * (w[..., hi[n]] - w_lo) + sd[n] * z
-    return w
+        z = norm_quantile(uniforms(flat, n + 1))
+        z *= sd[n]
+        row = w[mid[n]]
+        np.subtract(w[hi[n]], w[lo[n]], out=row)
+        row *= frac[n]
+        row += w[lo[n]]
+        row += z
+    return np.moveaxis(w.reshape((steps + 1,) + keys.shape), 0, -1)

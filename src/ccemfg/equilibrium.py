@@ -13,6 +13,7 @@ payoff an exact quadratic in the candidate action for the shipped model.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -63,6 +64,15 @@ def default_deviation_grid(model: ModelSpec, size: int = 21) -> np.ndarray:
     if size < 3:
         raise ValueError("deviation grid needs at least 3 candidates")
     return np.linspace(model.actions.lo.min(), model.actions.hi.max(), size)
+
+
+def _check_run(model: ModelSpec, grid: TimeGrid, reps: int) -> None:
+    """Reject run parameters at the entry point instead of deep inside."""
+    if reps < 1:
+        raise ValueError(f"reps must be at least 1, got {reps}")
+    if not math.isclose(grid.horizon, model.horizon, rel_tol=1e-12):
+        raise ValueError(f"grid.horizon ({grid.horizon:g}) must equal "
+                         f"model.horizon ({model.horizon:g})")
 
 
 def _chunks(total: int, chunk: int):
@@ -304,6 +314,7 @@ def cce_gap_nplayer(model: ModelSpec, device: CorrelationDevice, N: int,
     if N < 2:
         raise ValueError("N must be at least 2")
     grid = grid or TimeGrid(model.horizon, 200)
+    _check_run(model, grid, reps)
     candidates = (default_deviation_grid(model, deviations)
                   if np.isscalar(deviations) else np.asarray(deviations,
                                                             dtype=np.float64))
@@ -379,6 +390,7 @@ def mean_field_gap_mc(model: ModelSpec, device: CorrelationDevice,
     """Deviation gap of the representative player against the device's
     exogenous flows (mean field optimality check)."""
     grid = grid or TimeGrid(model.horizon, 200)
+    _check_run(model, grid, reps)
     candidates = (default_deviation_grid(model, deviations)
                   if np.isscalar(deviations) else np.asarray(deviations,
                                                             dtype=np.float64))
@@ -457,6 +469,7 @@ def poc_curve(model: ModelSpec, device: CorrelationDevice,
     if list(Ns) != sorted(Ns):
         raise ValueError("Ns must be increasing")
     grid = grid or TimeGrid(model.horizon, 200)
+    _check_run(model, grid, reps)
     workers = workers or default_workers()
     jobs = [(model, device, grid, int(N), reps, seed) for N in Ns]
     parts = _map_jobs(_poc_for_n, jobs, workers)

@@ -175,3 +175,28 @@ def test_poc_curve_decay_and_classes():
     assert res.per_time[25].shape == (51,)
     with pytest.raises(ValueError):
         poc_curve(MODEL, dev, [100, 25], reps=10, seed=0, grid=grid)
+
+
+def test_gap_estimators_reject_zero_reps():
+    device = build_example_device(BLACK, -1.0, 1.0)
+    grid = TimeGrid(2.0, 10)
+    with pytest.raises(ValueError, match="reps"):
+        cce_gap_nplayer(MODEL, device, 5, reps=0, grid=grid)
+    with pytest.raises(ValueError, match="reps"):
+        mean_field_gap_mc(MODEL, device, reps=0, grid=grid)
+
+
+def test_poc_curve_rejects_zero_reps():
+    device = build_example_device(WHITE, -1.0, 1.0)
+    with pytest.raises(ValueError, match="reps"):
+        poc_curve(MODEL, device, [5, 10], reps=0, grid=TimeGrid(2.0, 10))
+
+
+def test_estimators_reject_grid_horizon_mismatch():
+    device = build_example_device(BLACK, -1.0, 1.0)
+    grid = TimeGrid(3.0, 20)
+    for run in (lambda: cce_gap_nplayer(MODEL, device, 5, reps=4, grid=grid),
+                lambda: mean_field_gap_mc(MODEL, device, reps=4, grid=grid),
+                lambda: poc_curve(MODEL, device, [5], reps=4, grid=grid)):
+        with pytest.raises(ValueError, match="grid.horizon"):
+            run()

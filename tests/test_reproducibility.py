@@ -1,0 +1,62 @@
+"""Pinned output digests of the Monte Carlo subcommands.
+
+Each case runs ``ccemfg.cli.main`` at a tiny size with a fixed seed and
+hashes every CSV file it writes with SHA-256, skipping the ``#`` config
+header lines (they hold the output path).  The digests pin the whole chain
+from the counter RNG through the inverse normal CDF, the Brownian bridge,
+the Euler step and the estimators down to the last printed digit.
+
+A kernel rewrite that keeps the arithmetic must leave every digest
+unchanged.  A deliberate change to the draw layout or to the arithmetic
+bumps the affected digests: update the table in the same change and say in
+CHANGES.md which outputs moved and why.
+
+The digests were taken on x86-64 with numpy 2.4 and the numpy backend.  A
+``log`` that differs in the last ulp can change them: numpy's AVX-512
+float64 ``log`` and its baseline one disagree on about 0.35% of inputs,
+which moves about one normal draw in 80,000 by one ulp.  These cases give
+the same digests under both (``NPY_DISABLE_CPU_FEATURES="X86_V4
+AVX512_ICL AVX512_SPR"``).  The compiled backend is checked against the
+numpy one by tolerance in ``test_rng.py`` instead.
+"""
+
+import hashlib
+
+import pytest
+
+from ccemfg import backend
+from ccemfg.cli import main
+
+CASES = {
+    "gap": (["--p", "0.5,0.3,0.2,0", "--N", "10,40", "--reps", "100"],
+            "40885aacdfd7197f4117d3243ec44f1426ab88adb82ce81ca082163d2abf7d40"),
+    "mfgap": (["--p", "0.5,0.3,0.2,0", "--reps", "100"],
+              "97e34b1460588ac8df271ec667bf409c77cd4e74c5dbe306a9ceddb574190755"),
+    "poc": (["--p", "1,0,0,0", "--N", "10,20,40", "--reps", "50"],
+            "4deb8a5b8590d325230164fc4caa45c76a8e47de5bc538bdbdbaf06a656d16a9"),
+    "consistency": (["--p", "0.5,0,0,0.5", "--reps", "100"],
+                    "2ede5aaf07d407d1a1ea3be211349105ce92d7fa324f95403c9eaca9c24d42e5"),
+    "mkv": (["--particles", "100", "--max-iters", "5"],
+            "69e634887c37026ddcee710a630a5b54157785292119615bf98518c969066d3b"),
+}
+
+
+def output_digest(command, args, out_dir) -> str:
+    """SHA-256 over the header-less bodies of the CSVs one call writes."""
+    rc = main([command, *args, "--steps", "20", "--seed", "11",
+               "--workers", "1", "--out", str(out_dir / "out")])
+    assert rc == 0
+    h = hashlib.sha256()
+    for path in sorted(out_dir.glob("*.csv")):
+        h.update(path.name.encode() + b"\n")
+        for line in path.read_bytes().splitlines(keepends=True):
+            if not line.startswith(b"#"):
+                h.update(line)
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("command", sorted(CASES))
+def test_pinned_output_digest(command, tmp_path):
+    with backend.use_backend("python"):
+        got = output_digest(command, CASES[command][0], tmp_path)
+    assert got == CASES[command][1]

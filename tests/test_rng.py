@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ccemfg import rng
+from ccemfg import _pathgen_py, rng
 from ccemfg import backend
 
 
@@ -132,3 +132,88 @@ def test_env_backend_selection(monkeypatch):
     with pytest.raises(ValueError):
         with backend.use_backend("fortran"):
             pass
+
+
+# --- reference kernels: whole-array PPND16 and the row-major bisection fill.
+# The fast numpy kernels must reproduce these bit for bit.
+
+def _ref_poly(coeffs, r):
+    acc = np.full_like(r, coeffs[7])
+    for c in (coeffs[6], coeffs[5], coeffs[4], coeffs[3],
+              coeffs[2], coeffs[1], coeffs[0]):
+        acc = acc * r + c
+    return acc
+
+
+def _ref_norm_quantile(p):
+    A, B, C, D, E, F = (_pathgen_py._A, _pathgen_py._B, _pathgen_py._C,
+                        _pathgen_py._D, _pathgen_py._E, _pathgen_py._F)
+    p = np.asarray(p, dtype=np.float64)
+    q = p - 0.5
+    central = np.abs(q) <= 0.425
+    r_c = 0.180625 - q * q
+    out = q * _ref_poly(A, r_c) / _ref_poly(B, r_c)
+    pt = np.where(q < 0.0, p, 1.0 - p)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r_t = np.sqrt(-np.log(np.where(central, 0.5, pt)))
+        near = r_t <= 5.0
+        z_near = _ref_poly(C, r_t - 1.6) / _ref_poly(D, r_t - 1.6)
+        z_far = _ref_poly(E, r_t - 5.0) / _ref_poly(F, r_t - 5.0)
+    z_tail = np.where(near, z_near, z_far)
+    z_tail = np.where(q < 0.0, -z_tail, z_tail)
+    return np.where(central, out, z_tail)
+
+
+def _ref_brownian_paths(keys, steps, horizon):
+    keys = np.asarray(keys, dtype=np.uint64)
+    lo, mid, hi, frac, sd = _pathgen_py.bridge_plan(steps, horizon / steps)
+    w = np.zeros(keys.shape + (steps + 1,))
+    w[..., steps] = np.sqrt(horizon) * _ref_norm_quantile(rng.uniforms(keys, 0))
+    for n in range(lo.shape[0]):
+        z = _ref_norm_quantile(rng.uniforms(keys, n + 1))
+        w_lo = w[..., lo[n]]
+        w[..., mid[n]] = w_lo + frac[n] * (w[..., hi[n]] - w_lo) + sd[n] * z
+    return w
+
+
+def test_norm_quantile_bit_identical_on_counter_uniforms():
+    u = rng.uniforms(rng.stream_key(13, rng.TAG_PROBE), np.arange(1 << 20))
+    assert np.array_equal(_pathgen_py.norm_quantile(u), _ref_norm_quantile(u))
+
+
+def test_norm_quantile_bit_identical_at_branch_edges():
+    edges = [2.0**-54,            # smallest uniform rng.uniforms emits
+             2.0**-53, 1 - 2.0**-53, 0.5, 0.075, 0.925, 0.5 - 0.425,
+             0.5 + 0.425, np.exp(-25.0), 1 - np.exp(-25.0)]
+    edges = np.array(edges)
+    p = np.concatenate([edges, np.nextafter(edges, 0.0),
+                        np.nextafter(edges, 1.0)])
+    p = p[p < 1.0]
+    assert np.array_equal(_pathgen_py.norm_quantile(p), _ref_norm_quantile(p))
+    # 1 - 2**-54 rounds to 1.0, which the top raw draw also maps to
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert np.array_equal(_pathgen_py.norm_quantile([1 - 2.0**-54]),
+                              _ref_norm_quantile([1 - 2.0**-54]),
+                              equal_nan=True)
+
+
+@pytest.mark.parametrize("p", [0.3, 0.99, np.float64(0.01), np.array(0.7),
+                               np.array([]), np.array([[0.01, 0.5, 0.97],
+                                                       [0.2, 1e-12, 0.6]])])
+def test_norm_quantile_input_shapes(p):
+    got = _pathgen_py.norm_quantile(p)
+    ref = _ref_norm_quantile(p)
+    assert isinstance(got, np.ndarray)
+    assert got.shape == ref.shape == np.shape(p)
+    assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("steps", [1, 2, 3, 7, 64, 200])
+@pytest.mark.parametrize("shape", [(5,), (4, 3)])
+def test_brownian_paths_bit_identical_to_row_major_fill(steps, shape):
+    keys = rng.stream_keys(17, rng.TAG_NOISE,
+                           np.arange(np.prod(shape)).reshape(shape))
+    w = _pathgen_py.brownian_paths(keys, steps, 2.0)
+    assert w.shape == shape + (steps + 1,)
+    assert np.all(w[..., 0] == 0.0)
+    assert np.array_equal(w, _ref_brownian_paths(keys, steps, 2.0))
