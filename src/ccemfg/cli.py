@@ -107,6 +107,7 @@ def parse_config(data: dict) -> RunConfig:
         check("steps", merged["steps"] >= 1, "must be at least 1")
         check("resolution", merged["resolution"] >= 2, "must be at least 2")
         check("deviations", merged["deviations"] >= 3, "must be at least 3")
+        check("max_iters", merged["max_iters"] >= 1, "must be at least 1")
         check("workers", merged["workers"] >= 0, "must be nonnegative")
         check("tol", merged["tol"] > 0.0, "must be positive")
     try:

@@ -16,7 +16,8 @@ import numpy as np
 
 from . import rng
 from .analytic import DeviceProbs, consistency_weights
-from .engine import TimeGrid, as_action_fn, simulate_representative
+from .engine import (TimeGrid, as_action_fn, check_run,
+                     simulate_representative)
 from .flows import GaussianMixtureFlow, device_flow
 from .metrics import empirical_quantiles
 from .model import ModelSpec
@@ -145,6 +146,7 @@ def verify_consistency(model: ModelSpec, device: CorrelationDevice,
     paths are pooled by flow class.  A positive-probability class with no
     samples raises; classes with fewer than 100 samples are flagged.
     """
+    check_run(model, grid, reps=reps)
     draws = sample_scenario(device, seed, reps)
     times = grid.times
     classes = device.flow_classes()

@@ -14,6 +14,7 @@ Conventions:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -52,6 +53,18 @@ class TimeGrid:
     @property
     def times(self) -> np.ndarray:
         return np.linspace(0.0, self.horizon, self.steps + 1)
+
+
+def check_run(model: ModelSpec, grid: TimeGrid, **counts: int) -> None:
+    """Reject run parameters at a library entry point instead of deep
+    inside: every named count must be at least 1, and the grid must end at
+    the model's horizon."""
+    for name, value in counts.items():
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
+    if not math.isclose(grid.horizon, model.horizon, rel_tol=1e-12):
+        raise ValueError(f"grid.horizon ({grid.horizon:g}) must equal "
+                         f"model.horizon ({model.horizon:g})")
 
 
 @dataclass(frozen=True)
@@ -234,6 +247,7 @@ def mckean_vlasov_fixed_point(model: ModelSpec, grid: TimeGrid, strategy,
     empirical flow, until the sup-in-time W2 between successive flows drops
     below ``tol``.  Non-convergence is flagged, not fatal.
     """
+    check_run(model, grid, max_iters=max_iters)
     if particles < 100:
         raise ValueError("need at least 100 particles")
     if not tol > 0:

@@ -13,7 +13,6 @@ payoff an exact quadratic in the candidate action for the shipped model.
 
 from __future__ import annotations
 
-import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -24,7 +23,7 @@ import numpy as np
 from . import backend, rng
 from .correlation import CorrelationDevice
 from .engine import (SimulationBatch, TimeGrid, _euler, as_action_fn,
-                     initial_states, noise_keys)
+                     check_run, initial_states, noise_keys)
 from .model import MeasureView, ModelSpec
 
 CHUNK_ELEMS = 20_000_000     # cap on states held in memory per chunk
@@ -64,15 +63,6 @@ def default_deviation_grid(model: ModelSpec, size: int = 21) -> np.ndarray:
     if size < 3:
         raise ValueError("deviation grid needs at least 3 candidates")
     return np.linspace(model.actions.lo.min(), model.actions.hi.max(), size)
-
-
-def _check_run(model: ModelSpec, grid: TimeGrid, reps: int) -> None:
-    """Reject run parameters at the entry point instead of deep inside."""
-    if reps < 1:
-        raise ValueError(f"reps must be at least 1, got {reps}")
-    if not math.isclose(grid.horizon, model.horizon, rel_tol=1e-12):
-        raise ValueError(f"grid.horizon ({grid.horizon:g}) must equal "
-                         f"model.horizon ({model.horizon:g})")
 
 
 def _chunks(total: int, chunk: int):
@@ -314,7 +304,7 @@ def cce_gap_nplayer(model: ModelSpec, device: CorrelationDevice, N: int,
     if N < 2:
         raise ValueError("N must be at least 2")
     grid = grid or TimeGrid(model.horizon, 200)
-    _check_run(model, grid, reps)
+    check_run(model, grid, reps=reps)
     candidates = (default_deviation_grid(model, deviations)
                   if np.isscalar(deviations) else np.asarray(deviations,
                                                             dtype=np.float64))
@@ -390,7 +380,7 @@ def mean_field_gap_mc(model: ModelSpec, device: CorrelationDevice,
     """Deviation gap of the representative player against the device's
     exogenous flows (mean field optimality check)."""
     grid = grid or TimeGrid(model.horizon, 200)
-    _check_run(model, grid, reps)
+    check_run(model, grid, reps=reps)
     candidates = (default_deviation_grid(model, deviations)
                   if np.isscalar(deviations) else np.asarray(deviations,
                                                             dtype=np.float64))
@@ -419,9 +409,7 @@ class PocResult:
 
 
 def _poc_for_n(args):
-    (model, device, grid, N, reps, seed) = args
-    tables = {lab: entry["flow"].quantile_table(grid.times)
-              for lab, entry in device.flow_classes().items()}
+    (model, device, grid, N, reps, seed, tables) = args
     labels = list(tables)
 
     chunk = max(1, CHUNK_ELEMS // (N * (grid.steps + 1)))
@@ -469,14 +457,15 @@ def poc_curve(model: ModelSpec, device: CorrelationDevice,
     if list(Ns) != sorted(Ns):
         raise ValueError("Ns must be increasing")
     grid = grid or TimeGrid(model.horizon, 200)
-    _check_run(model, grid, reps)
+    check_run(model, grid, reps=reps)
     workers = workers or default_workers()
-    jobs = [(model, device, grid, int(N), reps, seed) for N in Ns]
+    tables = {lab: entry["flow"].quantile_table(grid.times)
+              for lab, entry in device.flow_classes().items()}
+    jobs = [(model, device, grid, int(N), reps, seed, tables) for N in Ns]
     parts = _map_jobs(_poc_for_n, jobs, workers)
     overall = np.array([float(np.max(pt)) for pt, _ in parts])
-    labels = list(device.flow_classes())
     per_class = {lab: np.array([float(np.nanmax(pc[lab])) for _, pc in parts])
-                 for lab in labels}
+                 for lab in tables}
     per_time = {int(N): parts[i][0] for i, N in enumerate(Ns)}
     return PocResult(Ns=tuple(int(N) for N in Ns), overall=overall,
                      per_class=per_class, per_time=per_time)

@@ -88,48 +88,72 @@ class GaussianMixture1D:
     def quantiles(self, q: np.ndarray) -> np.ndarray:
         """Quantile function by bisection to BISECT_TOL (handles atoms)."""
         q = np.asarray(q, dtype=np.float64)
-        span = float(np.max(np.abs(self.means)) + 10.0 * np.max(self.sigmas) + 1.0)
-        lo = np.full(q.shape, -span)
-        hi = np.full(q.shape, span)
-        while np.max(hi - lo) > BISECT_TOL:
-            mid = 0.5 * (lo + hi)
-            below = self.cdf(mid) < q
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        return 0.5 * (lo + hi)
+        x = _bisect_quantiles(self.weights, self.means[None, :],
+                              self.sigmas[None, :], q.reshape(1, -1))
+        return x.reshape(q.shape)
 
 
 def mixture_quantile_table(weights, means_by_t, sigmas_by_t,
                            n_points: int = QUANTILE_POINTS) -> np.ndarray:
     """Quantiles of a family of mixtures sharing weights.
 
-    means_by_t, sigmas_by_t: arrays (n_t, K).  Returns (n_t, n_points).
-    One vectorized bisection for the whole family (used per flow class to
-    avoid re-bisection at every time point).
+    means_by_t, sigmas_by_t: arrays (n_t, K).  Returns (n_t, n_points) at
+    the midpoints (i + 0.5) / n_points.  One vectorized bisection for the
+    whole family (used per flow class to avoid re-bisection at every time
+    point).
+
+    Two invariants keep every entry bit-identical to a bisection that
+    evaluates ``sum(w * cdf_k)`` over all components with ``np.sum``:
+    the bracket ``span`` is taken over all components, zero-weight ones
+    included, so no midpoint moves; and zero-weight components are
+    skipped, since each would add exactly 0 to a nonnegative sum.  The
+    components are summed in order, which is how ``np.sum`` reduces fewer
+    than 8 terms (it sums 8 or more pairwise).
     """
-    w = np.asarray(weights, dtype=np.float64)
-    m = np.asarray(means_by_t, dtype=np.float64)
-    s = np.asarray(sigmas_by_t, dtype=np.float64)
-    q = ((np.arange(n_points) + 0.5) / n_points)[None, :, None]
+    q = (np.arange(n_points) + 0.5) / n_points
+    return _bisect_quantiles(np.asarray(weights, dtype=np.float64),
+                             np.asarray(means_by_t, dtype=np.float64),
+                             np.asarray(sigmas_by_t, dtype=np.float64), q)
+
+
+def _bisect_quantiles(w, m, s, q) -> np.ndarray:
+    """Bisection for the quantiles ``q`` of the mixtures in the rows of
+    ``m``/``s`` (T, K) with weights ``w`` (K,).  ``q`` broadcasts against
+    (T, 1); zero-sigma components are point masses."""
     span = float(np.max(np.abs(m)) + 10.0 * np.max(s) + 1.0)
-    lo = np.full((m.shape[0], n_points), -span)
-    hi = np.full((m.shape[0], n_points), span)
-    pos = s > 0.0
-    s_safe = np.where(pos, s, 1.0)
-
-    def cdf(x):
-        xx = x[:, :, None]
-        comp = np.where(pos[:, None, :],
-                        ndtr((xx - m[:, None, :]) / s_safe[:, None, :]),
-                        (xx >= m[:, None, :]).astype(np.float64))
-        return np.sum(w * comp, axis=-1)
-
-    while np.max(hi - lo) > BISECT_TOL:
-        mid = 0.5 * (lo + hi)
-        below = cdf(mid) < q[:, :, 0]
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return 0.5 * (lo + hi)
+    shape = np.broadcast_shapes((m.shape[0], 1), q.shape)
+    # ``mid`` becomes the result: allocated first, it sits below the scratch
+    # buffers on the heap, so those free as one block instead of leaving
+    # holes around a long-lived table
+    mid = np.empty(shape)
+    lo = np.full(shape, -span)
+    hi = np.full(shape, span)
+    cdf = np.empty(shape)
+    term = np.empty(shape)
+    below = np.empty(shape, dtype=bool)
+    # per nonzero-weight component: weight, mean and divisor as (T, 1)
+    # columns, and the rows where it is a point mass
+    comps = []
+    for k in np.flatnonzero(w > 0.0):
+        pos = s[:, k] > 0.0
+        comps.append((w[k], m[:, k, None], np.where(pos, s[:, k], 1.0)[:, None],
+                      np.flatnonzero(~pos)))
+    while np.max(np.subtract(hi, lo, out=term)) > BISECT_TOL:
+        np.multiply(np.add(lo, hi, out=mid), 0.5, out=mid)
+        for i, (wk, mk, sk, atoms) in enumerate(comps):
+            c = term if i else cdf      # first term in place, later ones added
+            np.subtract(mid, mk, out=c)
+            np.divide(c, sk, out=c)
+            ndtr(c, out=c)
+            if atoms.size:
+                c[atoms] = mid[atoms] >= mk[atoms]
+            np.multiply(c, wk, out=c)
+            if i:
+                np.add(cdf, c, out=cdf)
+        np.less(cdf, q, out=below)
+        np.copyto(lo, mid, where=below)
+        np.copyto(hi, mid, where=np.logical_not(below, out=below))
+    return np.multiply(np.add(lo, hi, out=mid), 0.5, out=mid)
 
 
 def empirical_quantiles(sorted_x: np.ndarray,

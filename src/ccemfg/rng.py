@@ -13,7 +13,8 @@ Layout conventions (documented, load-bearing for reproducibility):
   ``mix64(seed ^ SEED_SALT)``.
 * draw ``n`` of stream ``k`` is ``mix64(k + GOLDEN * (n + 1))``.
 * uniforms use the top 53 bits, offset by half an ulp so the result lies
-  strictly inside (0, 1).
+  strictly inside (0, 1); the top value, which that offset rounds up to
+  1.0, is clamped to the largest double below 1.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ TAG_PROBE = 5       # diagnostic probes (Lipschitz validator)
 _G = np.uint64(GOLDEN)
 _C1 = np.uint64(0xBF58476D1CE4E5B9)
 _C2 = np.uint64(0x94D049BB133111EB)
+_BELOW_ONE = np.nextafter(1.0, 0.0)
 
 
 def mix64(x):
@@ -78,10 +80,23 @@ def raw64(key, index) -> np.ndarray:
         return mix64(key + _G * (index + np.uint64(1)))
 
 
+def bits_to_uniform(bits) -> np.ndarray:
+    """Map 53-bit integers to uniforms strictly inside (0, 1).
+
+    ``(bits + 0.5) * 2**-53`` rounds to exactly 1.0 for ``bits = 2**53 - 1``
+    (the half ulp is lost once ``bits >= 2**52``), so that one value is
+    clamped to the largest double below 1.  Every other value is unchanged.
+    """
+    u = np.asarray(bits, dtype=np.uint64).astype(np.float64)
+    u += 0.5
+    u *= 2.0**-53
+    np.minimum(u, _BELOW_ONE, out=u)
+    return u if u.ndim else u[()]
+
+
 def uniforms(key, index) -> np.ndarray:
     """Uniform draws strictly inside (0, 1)."""
-    bits = raw64(key, index) >> np.uint64(11)
-    return (bits.astype(np.float64) + 0.5) * 2.0**-53
+    return bits_to_uniform(raw64(key, index) >> np.uint64(11))
 
 
 def normals(key, index) -> np.ndarray:

@@ -48,6 +48,14 @@ def test_invalid_config_exits_2(tmp_path, capsys):
     assert rc == 2
 
 
+def test_zero_max_iters_rejected(capsys):
+    with pytest.raises(ConfigError) as err:
+        parse_config({"command": "mkv", "max_iters": 0})
+    assert [f for f, _ in err.value.problems] == ["max_iters"]
+    assert run_cli(["mkv", "--max-iters", "0"]) == 2
+    assert "config error: max_iters" in capsys.readouterr().err
+
+
 def test_runtime_failure_exits_1(tmp_path, capsys):
     rc = run_cli(["region", "--resolution", "5",
                   "--out", str(tmp_path / "no_such_dir" / "x")])

@@ -139,3 +139,15 @@ def test_null_band_scale():
     dev = build_example_device(DeviceProbs(1, 0, 0, 0), -1.0, 1.0)
     rep = verify_consistency(MODEL, dev, TimeGrid(2.0, 25), reps=2000, seed=5)
     assert rep.classes[0].sup_w2 <= band
+
+
+def test_verify_consistency_rejects_zero_reps():
+    dev = build_example_device(DeviceProbs(1, 0, 0, 0), -1.0, 1.0)
+    with pytest.raises(ValueError, match="reps"):
+        verify_consistency(MODEL, dev, TimeGrid(2.0, 10), reps=0, seed=0)
+
+
+def test_verify_consistency_rejects_grid_horizon_mismatch():
+    dev = build_example_device(DeviceProbs(1, 0, 0, 0), -1.0, 1.0)
+    with pytest.raises(ValueError, match="grid.horizon"):
+        verify_consistency(MODEL, dev, TimeGrid(3.0, 10), reps=100, seed=0)

@@ -150,7 +150,8 @@ def test_mckean_vlasov_constant_strategies():
 
 def test_mckean_vlasov_zero_drift():
     zero = dataclasses.replace(MODEL,
-                               drift=lambda t, x, m, a: np.zeros(np.shape(x)))
+                               drift=lambda t, x, m, a: np.zeros(np.shape(x)),
+                               horizon=1.0)
     g = TimeGrid(1.0, 50)
     res = mckean_vlasov_fixed_point(zero, g, 0.0, particles=4000,
                                     max_iters=10, tol=0.05, seed=1)
@@ -174,3 +175,17 @@ def test_mckean_vlasov_flags_nonconvergence():
     with pytest.raises(ValueError):
         mckean_vlasov_fixed_point(MODEL, g, 1.0, particles=10,
                                   max_iters=2, tol=0.1, seed=2)
+
+
+def test_mckean_vlasov_rejects_zero_iterations():
+    with pytest.raises(ValueError, match="max_iters"):
+        mckean_vlasov_fixed_point(MODEL, TimeGrid(2.0, 10), 1.0,
+                                  particles=200, max_iters=0, tol=0.1,
+                                  seed=0)
+
+
+def test_mckean_vlasov_rejects_grid_horizon_mismatch():
+    with pytest.raises(ValueError, match="grid.horizon"):
+        mckean_vlasov_fixed_point(MODEL, TimeGrid(3.0, 10), 1.0,
+                                  particles=200, max_iters=2, tol=0.1,
+                                  seed=0)

@@ -200,3 +200,20 @@ def test_estimators_reject_grid_horizon_mismatch():
                 lambda: poc_curve(MODEL, device, [5], reps=4, grid=grid)):
         with pytest.raises(ValueError, match="grid.horizon"):
             run()
+
+
+def test_poc_curve_builds_each_class_table_once(monkeypatch):
+    from ccemfg import flows
+
+    calls = []
+    build = flows.mixture_quantile_table
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(flows, "mixture_quantile_table", counting)
+    dev = build_example_device(DeviceProbs(0.5, 0, 0, 0.5), -1.0, 1.0)
+    poc_curve(MODEL, dev, [5, 10, 20], reps=10, seed=0,
+              grid=TimeGrid(2.0, 10), workers=1)
+    assert len(calls) == len(dev.flow_classes()) == 2

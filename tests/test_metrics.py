@@ -6,9 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 
-from ccemfg.metrics import (GaussianMixture1D, empirical_quantiles,
-                            mixture_quantile_table, moments, w2_empirical_1d,
+from ccemfg.analytic import DeviceProbs
+from ccemfg.correlation import build_example_device
+from ccemfg.engine import TimeGrid
+from ccemfg.metrics import (BISECT_TOL, GaussianMixture1D,
+                            empirical_quantiles, mixture_quantile_table,
+                            moments, w2_empirical_1d,
                             w2_vs_gaussian_mixture_1d)
 from ccemfg import rng
 
@@ -154,3 +159,100 @@ def test_empirical_quantiles_midpoint_rule():
     q = empirical_quantiles(x, 5)
     # midpoints of 5 blocks over 10 sorted points -> elements 1,3,5,7,9
     assert np.array_equal(q, x[[1, 3, 5, 7, 9]])
+
+
+# Reference copies of the earlier bisections, which evaluated every
+# component on a (T, P, K) array and summed with np.sum.  The kernel in
+# ccemfg.metrics must reproduce them bit for bit.
+
+def _ref_mixture_quantile_table(weights, means_by_t, sigmas_by_t,
+                                n_points=512):
+    w = np.asarray(weights, dtype=np.float64)
+    m = np.asarray(means_by_t, dtype=np.float64)
+    s = np.asarray(sigmas_by_t, dtype=np.float64)
+    q = ((np.arange(n_points) + 0.5) / n_points)[None, :, None]
+    span = float(np.max(np.abs(m)) + 10.0 * np.max(s) + 1.0)
+    lo = np.full((m.shape[0], n_points), -span)
+    hi = np.full((m.shape[0], n_points), span)
+    pos = s > 0.0
+    s_safe = np.where(pos, s, 1.0)
+
+    def cdf(x):
+        xx = x[:, :, None]
+        comp = np.where(pos[:, None, :],
+                        ndtr((xx - m[:, None, :]) / s_safe[:, None, :]),
+                        (xx >= m[:, None, :]).astype(np.float64))
+        return np.sum(w * comp, axis=-1)
+
+    while np.max(hi - lo) > BISECT_TOL:
+        mid = 0.5 * (lo + hi)
+        below = cdf(mid) < q[:, :, 0]
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def _ref_quantiles(mix, q):
+    q = np.asarray(q, dtype=np.float64)
+    span = float(np.max(np.abs(mix.means)) + 10.0 * np.max(mix.sigmas) + 1.0)
+    lo = np.full(q.shape, -span)
+    hi = np.full(q.shape, span)
+    while np.max(hi - lo) > BISECT_TOL:
+        mid = 0.5 * (lo + hi)
+        below = mix.cdf(mid) < q
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def _flow_inputs(flow, times):
+    means = flow.x0 + np.multiply.outer(times, flow.drift_rates)
+    return flow.weights, means, np.sqrt(times)[:, None] * np.ones_like(means)
+
+
+@pytest.mark.parametrize("p", [(0.5, 0, 0, 0.5), (1, 0, 0, 0),
+                               (0.5, 0.3, 0.2, 0)])
+def test_quantile_table_bit_identical_on_device_flows(p):
+    times = TimeGrid(2.0, 200).times           # row 0 holds the t = 0 atoms
+    device = build_example_device(DeviceProbs(*p), -1.0, 1.0)
+    for entry in device.flow_classes().values():
+        flow = entry["flow"]
+        args = _flow_inputs(flow, times)
+        table = mixture_quantile_table(*args)
+        assert np.array_equal(table, _ref_mixture_quantile_table(*args))
+        assert np.array_equal(flow.quantile_table(times), table)
+
+
+@pytest.mark.parametrize("n_points", [128, 512])
+def test_quantile_table_bit_identical_n_points(n_points):
+    flow = build_example_device(DeviceProbs(0.5, 0.3, 0.2, 0), -1.0,
+                                1.0).flow_classes()["mu1"]["flow"]
+    args = _flow_inputs(flow, TimeGrid(2.0, 50).times)
+    assert np.array_equal(mixture_quantile_table(*args, n_points),
+                          _ref_mixture_quantile_table(*args, n_points))
+
+
+@pytest.mark.parametrize("weights", [[0.2, 0.5, 0.3], [0.0, 0.4, 0.6],
+                                     [0.7, 0.0, 0.3]])
+def test_quantile_table_bit_identical_atoms_and_zero_weights(weights):
+    # row 0: all atoms (t = 0); rows 1-2: one zero-sigma component at t > 0
+    means = np.array([[0.0, 0.0, 0.0], [1.0, -1.0, 0.5], [2.0, 3.0, -2.0]])
+    sigmas = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.7], [1.4, 2.0, 0.0]])
+    for n_points in (128, 512):
+        got = mixture_quantile_table(weights, means, sigmas, n_points)
+        assert np.array_equal(got, _ref_mixture_quantile_table(
+            weights, means, sigmas, n_points))
+
+
+def test_mixture_quantiles_bit_identical():
+    q2 = rng.uniforms(rng.stream_key(9, rng.TAG_PROBE),
+                      np.arange(4096)).reshape(64, 64)
+    for w, m, s in [([0.4, 0.6], [-1.0, 3.0], [0.5, 2.0]),
+                    ([0.3, 0.0, 0.7], [0.0, 5.0, 1.0], [1.0, 0.0, 0.0]),
+                    ([1.0], [2.5], [0.0])]:
+        mix = GaussianMixture1D(weights=np.array(w), means=np.array(m),
+                                sigmas=np.array(s))
+        got = mix.quantiles(q2)
+        assert got.shape == q2.shape
+        assert np.array_equal(got, _ref_quantiles(mix, q2))
+        assert np.array_equal(mix.quantiles(0.3), _ref_quantiles(mix, 0.3))

@@ -56,6 +56,18 @@ def test_uniforms_open_interval_and_deterministic():
     assert np.array_equal(part, u[50:80])
 
 
+def test_bits_to_uniform_stays_inside_open_interval():
+    top = np.array([2**53 - 1, 2**53 - 2, 2**52, 2**52 + 1, 0],
+                   dtype=np.uint64)
+    u = rng.bits_to_uniform(top)
+    assert np.all(u > 0.0) and np.all(u < 1.0)
+    assert u[0] == np.nextafter(1.0, 0.0)
+    assert np.all(np.isfinite(_pathgen_py.norm_quantile(u)))
+    # only the top value is clamped; all others keep (bits + 0.5) * 2**-53
+    assert np.array_equal(u[1:], (top[1:].astype(np.float64) + 0.5) * 2.0**-53)
+    assert rng.bits_to_uniform(2**53 - 1) == np.nextafter(1.0, 0.0)
+
+
 def test_uniforms_pass_moment_checks():
     key = rng.stream_key(3, rng.TAG_PROBE)
     u = rng.uniforms(key, np.arange(10**6))
