@@ -6,15 +6,24 @@ implements the same algorithms with the same draw layout; both follow the
 stream layout documented in :mod:`ccemfg.rng`.
 
 The inverse CDF evaluates each tail branch only on the elements that take
-it, and the bridge is filled time-major (one contiguous row of all streams
-per grid point).  Every element still gets the same floating-point
-operations in the same order as a whole-array, row-major evaluation, so
-the outputs are bit-identical to it.
+it.  Every element still gets the same floating-point operations in the
+same order as a whole-array evaluation, so the outputs are bit-identical
+to it.
 
 The bridge draws the terminal value first (draw 0 of each stream), then
 fills interior grid points by recursive bisection.  The terminal value is
 therefore independent of the number of steps, which keeps coarse and fine
-discretizations consistent at the horizon.
+discretizations consistent at the horizon.  :func:`bridge_plan` numbers
+the bisection nodes breadth-first, and node ``n`` consumes draw ``n + 1``.
+
+:func:`brownian_rows` walks that tree in order (depth-first, left subtree,
+node, right subtree), so the values of W come out in time order, one flat
+row over all streams per grid point.  Each node uses its breadth-first
+draw and the same four in-place operations on its endpoints, so every row
+is bit-identical to the matching time slice of a breadth-first fill, while
+only the rows on the current root-to-leaf path (about log2(steps) + 2) are
+alive.  :func:`brownian_paths` collects these rows when whole paths are
+needed.
 """
 
 from __future__ import annotations
@@ -126,27 +135,51 @@ def bridge_plan(steps: int, dt: float):
     return lo, mid, hi, frac, sd
 
 
+def brownian_rows(keys: np.ndarray, steps: int, horizon: float):
+    """Yield W(t_0), ..., W(t_steps) in time order, each a flat float64 row
+    over ``keys.reshape(-1)``; the first row is zeros.
+
+    The bisection tree of :func:`bridge_plan` is walked in order.  A row is
+    held only while a later row still interpolates from it, so at most
+    about log2(steps) + 2 rows of the walk are alive at once.
+    """
+    flat = np.asarray(keys, dtype=np.uint64).reshape(-1)
+    lo, mid, hi, frac, sd = bridge_plan(steps, horizon / steps)
+    node = {(l, h): n for n, (l, h) in enumerate(zip(lo.tolist(), hi.tolist()))}
+
+    def interior(l, h, w_l, w_h):
+        """Rows strictly between grid points l and h, in time order."""
+        n = node.get((l, h))
+        if n is None:                      # h - l < 2: no interior point
+            return
+        z = norm_quantile(uniforms(flat, n + 1))
+        z *= sd[n]
+        w_m = np.subtract(w_h, w_l)
+        w_m *= frac[n]
+        w_m += w_l
+        w_m += z
+        m = int(mid[n])
+        yield from interior(l, m, w_l, w_m)
+        yield w_m
+        yield from interior(m, h, w_m, w_h)
+
+    w_0 = np.zeros(flat.size)
+    w_T = np.sqrt(horizon) * norm_quantile(uniforms(flat, 0))
+    yield w_0
+    yield from interior(0, steps, w_0, w_T)
+    yield w_T
+
+
 def brownian_paths(keys: np.ndarray, steps: int, horizon: float) -> np.ndarray:
     """Brownian paths on the uniform grid, one per stream key.
 
-    Returns an array of shape ``keys.shape + (steps + 1,)`` with W[..., 0] = 0.
-    The paths are filled time-major, one contiguous row of all keys per grid
-    point, so the result is a view with time on the last axis that is not
-    C-contiguous.  Shape and values are the contract, not the strides.
+    Returns an array of shape ``keys.shape + (steps + 1,)`` with W[..., 0] = 0,
+    collected from :func:`brownian_rows` into a time-major buffer, so the
+    result is a view with time on the last axis that is not C-contiguous.
+    Shape and values are the contract, not the strides.
     """
     keys = np.asarray(keys, dtype=np.uint64)
-    flat = keys.reshape(-1)
-    dt = horizon / steps
-    lo, mid, hi, frac, sd = bridge_plan(steps, dt)
-
-    w = np.zeros((steps + 1, flat.size), dtype=np.float64)
-    w[steps] = np.sqrt(horizon) * norm_quantile(uniforms(flat, 0))
-    for n in range(lo.shape[0]):
-        z = norm_quantile(uniforms(flat, n + 1))
-        z *= sd[n]
-        row = w[mid[n]]
-        np.subtract(w[hi[n]], w[lo[n]], out=row)
-        row *= frac[n]
-        row += w[lo[n]]
-        row += z
+    w = np.empty((steps + 1, keys.size))
+    for i, row in enumerate(brownian_rows(keys, steps, horizon)):
+        w[i] = row
     return np.moveaxis(w.reshape((steps + 1,) + keys.shape), 0, -1)

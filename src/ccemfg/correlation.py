@@ -9,8 +9,8 @@ flows; devices with a continuum of flows are out of scope.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -111,6 +111,9 @@ class ClassReport:
     times: np.ndarray
     w2: np.ndarray
     flagged: bool = False        # fewer than 100 pooled samples
+    # quantile table of the declared flow on ``times`` (None for particles)
+    table: Optional[np.ndarray] = field(default=None, repr=False,
+                                        compare=False)
 
     @property
     def sup_w2(self) -> float:
@@ -173,11 +176,15 @@ def verify_consistency(model: ModelSpec, device: CorrelationDevice,
                                  "increase reps")
             continue
         pool = np.concatenate(pooled, axis=0)
-        w2 = _pooled_w2_vs_flow(pool, entry["flow"], times)
+        flow = entry["flow"]
+        table = (flow.quantile_table(times)
+                 if isinstance(flow, GaussianMixtureFlow) else None)
+        w2 = _pooled_w2_vs_flow(pool, flow, times, table)
         reports.append(ClassReport(label=label,
                                    probability=float(entry["probability"]),
                                    count=int(pool.shape[0]), times=times,
-                                   w2=w2, flagged=pool.shape[0] < 100))
+                                   w2=w2, flagged=pool.shape[0] < 100,
+                                   table=table))
     return ConsistencyReport(classes=tuple(reports), reps=reps, seed=seed)
 
 
@@ -194,10 +201,11 @@ def _simulate_selected(model, grid, scenario, rep_ids, seed):
     return _euler(model, grid, x0, w, action_fn, lambda i, x: views[i])
 
 
-def _pooled_w2_vs_flow(pool: np.ndarray, flow, times: np.ndarray) -> np.ndarray:
-    """Per-time W2 between pooled samples (R, T) and an analytic flow."""
-    if isinstance(flow, GaussianMixtureFlow):
-        table = flow.quantile_table(times)            # (T, 512)
+def _pooled_w2_vs_flow(pool: np.ndarray, flow, times: np.ndarray,
+                       table: Optional[np.ndarray]) -> np.ndarray:
+    """Per-time W2 between pooled samples (R, T) and a flow, given by its
+    (T, 512) quantile table when it has one."""
+    if table is not None:
         sorted_pool = np.sort(pool, axis=0)           # (R, T)
         eq = empirical_quantiles(sorted_pool.T)       # (T, 512)
         return np.sqrt(np.mean((eq - table) ** 2, axis=1))
@@ -223,10 +231,13 @@ def strategy_flow_marginals(device: CorrelationDevice):
 
 
 def null_band(flow: GaussianMixtureFlow, times: np.ndarray, count: int,
-              seed: int, pilots: int = 20, factor: float = 3.0) -> float:
+              seed: int, pilots: int = 20, factor: float = 3.0, *,
+              table: Optional[np.ndarray] = None) -> float:
     """Pilot-calibrated threshold for sup-t W2 under the null (samples drawn
-    from the flow itself).  Returns ``factor`` times the pilot median."""
-    table = flow.quantile_table(times)
+    from the flow itself).  Returns ``factor`` times the pilot median.
+    ``table``: the flow's quantile table on ``times``, if already built."""
+    if table is None:
+        table = flow.quantile_table(times)
     sups = []
     for p in range(pilots):
         key = rng.stream_key(seed, rng.TAG_PROBE, p)

@@ -10,17 +10,26 @@ Conventions:
   noise, so results are bit-identical however the work is chunked, and the
   terminal Brownian value does not depend on the step count (bridge
   construction, see :mod:`ccemfg._pathgen_py`).
+
+:func:`euler_step` is the one Euler kernel.  :func:`_euler` applies it to
+whole stored paths (the representative simulators and the McKean-Vlasov
+solver).  :func:`stream_ensemble` applies it to a player-major ``(N, R)``
+state, one grid point at a time: the Brownian values come from the
+in-order bisection walk of :func:`ccemfg._pathgen_py.brownian_rows`, and
+the estimators reduce each state as it goes by, so a chunk holds
+O(R * N * log(steps)) numbers instead of its whole ``(R, N, steps + 1)``
+paths.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from . import backend, rng
+from . import _pathgen_py, backend, rng
 from .flows import ParticleFlow
 from .model import MeasureView, ModelSpec
 
@@ -118,10 +127,25 @@ def _check_actions(model: ModelSpec, a, step: int) -> None:
         raise ValueError(f"action outside the admissible box at step {step}")
 
 
+def euler_step(model: ModelSpec, step: int, t: float, dt: float,
+               x: np.ndarray, mv: MeasureView, a, dw: np.ndarray) -> np.ndarray:
+    """One left-point Euler step of the states ``x`` at time ``t`` under the
+    actions ``a`` against the measure view ``mv``, driven by the Brownian
+    increment ``dw``.  Checks the actions and the new states; ``step``
+    labels the errors."""
+    _check_actions(model, a, step)
+    drift = model.drift(t, x, mv, a)
+    x_new = x + np.asarray(drift) * dt + dw
+    if not np.all(np.isfinite(x_new)):
+        raise SimulationError(step)
+    return x_new
+
+
 def _euler(model: ModelSpec, grid: TimeGrid, x0: np.ndarray, w: np.ndarray,
            action_fn: Callable, measure_fn: Callable) -> np.ndarray:
-    """Shared Euler loop.  ``w``: Brownian paths with shape
-    ``x0.shape + (steps+1,)``; ``measure_fn(i, x)`` returns the time-t view."""
+    """Euler paths from stored Brownian paths.  ``w``: Brownian paths with
+    shape ``x0.shape + (steps+1,)``; ``measure_fn(i, x)`` returns the
+    time-t view."""
     steps = grid.steps
     dt = grid.dt
     times = grid.times
@@ -131,12 +155,61 @@ def _euler(model: ModelSpec, grid: TimeGrid, x0: np.ndarray, w: np.ndarray,
         xi = x[..., i]
         mv = measure_fn(i, xi)
         a = action_fn(times[i], xi, mv)
-        _check_actions(model, a, i)
-        drift = model.drift(times[i], xi, mv, a)
-        x[..., i + 1] = xi + np.asarray(drift) * dt + (w[..., i + 1] - w[..., i])
-        if not np.all(np.isfinite(x[..., i + 1])):
-            raise SimulationError(i)
+        x[..., i + 1] = euler_step(model, i, times[i], dt, xi, mv, a,
+                                   w[..., i + 1] - w[..., i])
     return x
+
+
+def sum_rows(x: np.ndarray) -> np.ndarray:
+    """``x.sum(axis=-2, keepdims=True)`` with the rows added in order.
+
+    On a C-contiguous array numpy adds the rows in order while the last
+    axis has more than one element (that axis is its inner loop); with one
+    column the summed axis becomes the inner loop and numpy adds pairwise.
+    ``add.accumulate`` adds in order at every shape, so it covers that case.
+    """
+    if x.shape[-1] > 1:
+        return x.sum(axis=-2, keepdims=True)
+    return np.add.accumulate(x, axis=-2)[..., -1:, :]
+
+
+class EnsembleState(NamedTuple):
+    """One grid point of a streamed ensemble (see :func:`stream_ensemble`)."""
+
+    step: int
+    x: np.ndarray                # (..., N, R) states at times[step]
+    sums: np.ndarray             # (..., 1, R) sums of x over the players
+    sq_sums: np.ndarray          # (..., 1, R) sums of x**2 over the players
+    dw: Optional[np.ndarray]     # (N, R) W(t_step+1) - W(t_step); None at T
+
+
+def stream_ensemble(model: ModelSpec, grid: TimeGrid, x0: np.ndarray,
+                    actions: np.ndarray, keys: np.ndarray):
+    """Step player-major N-player ensembles through the Euler scheme
+    without storing their paths.
+
+    ``keys``: noise stream keys of shape (N, R), player-major.  ``x0`` and
+    ``actions``: C-contiguous arrays of shape (..., N, R); every leading
+    index is one ensemble of constant actions, and all ensembles share the
+    noise of ``keys``.  Yields an :class:`EnsembleState` at each grid
+    point, in time order, before the step from it is taken.  The drift sees
+    the empirical measure with mean ``sums / N`` and second moment
+    ``sq_sums / N``, where the sums add the players in order.
+    """
+    steps, dt, times = grid.steps, grid.dt, grid.times
+    N = keys.shape[0]
+    rows = _pathgen_py.brownian_rows(keys, steps, grid.horizon)
+    w_prev = next(rows)
+    x = x0
+    for i in range(steps):
+        s1, s2 = sum_rows(x), sum_rows(x * x)
+        w_next = next(rows)
+        dw = (w_next - w_prev).reshape(keys.shape)
+        yield EnsembleState(i, x, s1, s2, dw)
+        mv = MeasureView(mean=s1 / N, second_moment=s2 / N)
+        x = euler_step(model, i, times[i], dt, x, mv, actions, dw)
+        w_prev = w_next
+    yield EnsembleState(steps, x, sum_rows(x), sum_rows(x * x), None)
 
 
 def _empirical_measure(i: int, x: np.ndarray) -> MeasureView:

@@ -23,10 +23,15 @@ import numpy as np
 from . import backend, rng
 from .correlation import CorrelationDevice
 from .engine import (SimulationBatch, TimeGrid, _euler, as_action_fn,
-                     check_run, initial_states, noise_keys)
+                     check_run, euler_step, initial_states, noise_keys,
+                     stream_ensemble, sum_rows)
 from .model import MeasureView, ModelSpec
 
-CHUNK_ELEMS = 20_000_000     # cap on states held in memory per chunk
+# Sets the replications per chunk: CHUNK_ELEMS // (states of one replication
+# over the whole grid).  It caps the states held only where whole paths are
+# stored (mean-field gap); the streamed N-player estimators hold about
+# log2(steps) + 2 grid points of a chunk at a time.
+CHUNK_ELEMS = 20_000_000
 
 
 @dataclass(frozen=True)
@@ -190,74 +195,64 @@ def recommended_actions(device: CorrelationDevice, seed: int, rep_ids,
 # N-player gap
 # ---------------------------------------------------------------------------
 
+def _player_major(model, seed, rep_ids, N):
+    """Noise keys and initial states of the N-player ensemble, (N, R)."""
+    keys = noise_keys(seed, rep_ids, np.arange(N)).T
+    x0 = initial_states(model, seed, rep_ids, np.arange(N)).T
+    return keys, np.ascontiguousarray(x0)
+
+
 def _nplayer_chunk(args):
+    """Costs of the recommendation and of every candidate for player 0.
+
+    The recommended ensemble is streamed with the candidates next to it:
+    when the drift ignores the measure only player 0 is re-simulated, as
+    one (G, R) state driven by player 0's increments, and the player sums
+    are patched with its state; otherwise each candidate is a whole
+    deviated ensemble stepping in the same stream.
+    """
     (model, device, grid, N, seed, candidates, off, count) = args
     rep_ids = off + np.arange(count)
     actions, cls = recommended_actions(device, seed, rep_ids, N)
-
-    w = backend.brownian_paths(noise_keys(seed, rep_ids, np.arange(N)),
-                               grid.steps, grid.horizon)
-    x0 = initial_states(model, seed, rep_ids, np.arange(N))
-
-    def const_fn(t, x, mv, _a=actions):
-        return _a
-
-    from .engine import _empirical_measure
-
-    x = _euler(model, grid, x0, w, const_fn, _empirical_measure)
-    sums = x.sum(axis=1)                  # (R, steps+1)
-    sq_sums = np.sum(x**2, axis=1)
-
-    j_rec = _player_cost(model, grid, x[:, 0, :], actions[:, 0],
-                         sums / N, sq_sums / N)
-
+    actions = np.ascontiguousarray(actions.T)             # (N, R)
+    keys, x0 = _player_major(model, seed, rep_ids, N)
     G = candidates.shape[0]
-    j_dev = np.empty((count, G))
-    if not model.drift_uses_measure:
-        j_dev[:] = _deviations_fast(model, grid, N, candidates,
-                                    x[:, 0, :], w[:, 0, :], x0[:, 0],
-                                    sums, sq_sums)
+    times, dt = grid.times, grid.dt
+
+    fast = not model.drift_uses_measure
+    if fast:
+        xd = np.repeat(x0[:1], G, axis=0)                 # (G, R)
+        a_dev = np.broadcast_to(candidates[:, None], xd.shape)
+        run_dev = np.zeros(xd.shape)
     else:
-        for g, m in enumerate(candidates):
-            dev_actions = actions.copy()
-            dev_actions[:, 0] = m
-
-            def dev_fn(t, xx, mv, _a=dev_actions):
-                return _a
-
-            xd = _euler(model, grid, x0, w, dev_fn, _empirical_measure)
-            s1 = xd.sum(axis=1)
-            s2 = np.sum(xd**2, axis=1)
-            j_dev[:, g] = _player_cost(model, grid, xd[:, 0, :],
-                                       np.full(count, m), s1 / N, s2 / N)
-    return j_rec, j_dev, cls
-
-
-def _deviations_fast(model, grid, N, candidates, x0_rec, w0, x0_init,
-                     sums, sq_sums):
-    """Deviation payoffs when the drift ignores the measure: only player 0
-    is re-simulated, and the empirical summaries are patched in place."""
-    count = x0_rec.shape[0]
-    times = grid.times
-    dt = grid.dt
-    out = np.empty((count, candidates.shape[0]))
-    for g, m in enumerate(candidates):
-        a = np.full(count, m)
-        xd = np.empty_like(x0_rec)
-        xd[:, 0] = x0_init
-        run = np.zeros(count)
-        for i in range(grid.steps):
-            mean_i = (sums[:, i] - x0_rec[:, i] + xd[:, i]) / N
-            m2_i = (sq_sums[:, i] - x0_rec[:, i]**2 + xd[:, i]**2) / N
-            mv = MeasureView(mean=mean_i, second_moment=m2_i)
-            run = run + np.asarray(model.running_cost(times[i], xd[:, i], mv, a))
-            drift = np.asarray(model.drift(times[i], xd[:, i], mv, a))
-            xd[:, i + 1] = xd[:, i] + drift * dt + (w0[:, i + 1] - w0[:, i])
-        mean_T = (sums[:, -1] - x0_rec[:, -1] + xd[:, -1]) / N
-        m2_T = (sq_sums[:, -1] - x0_rec[:, -1]**2 + xd[:, -1]**2) / N
-        mv_T = MeasureView(mean=mean_T, second_moment=m2_T)
-        out[:, g] = run * dt + np.asarray(model.terminal_cost(xd[:, -1], mv_T))
-    return out
+        actions = np.repeat(actions[None], G + 1, axis=0)  # (1 + G, N, R)
+        actions[1:, 0] = candidates[:, None]
+        x0 = np.repeat(x0[None], G + 1, axis=0)
+    a_0 = actions[..., 0, :]
+    run = np.zeros(a_0.shape)
+    for st in stream_ensemble(model, grid, x0, actions, keys):
+        t = times[st.step]
+        x_0 = st.x[..., 0, :]
+        s1, s2 = st.sums[..., 0, :], st.sq_sums[..., 0, :]
+        mv = MeasureView(mean=s1 / N, second_moment=s2 / N)
+        if fast:
+            mv_dev = MeasureView(mean=(s1 - x_0 + xd) / N,
+                                 second_moment=(s2 - x_0**2 + xd**2) / N)
+        if st.dw is None:
+            break
+        run = run + np.asarray(model.running_cost(t, x_0, mv, a_0))
+        if fast:
+            run_dev = run_dev + np.asarray(
+                model.running_cost(t, xd, mv_dev, a_dev))
+            xd = euler_step(model, st.step, t, dt, xd, mv_dev, a_dev,
+                            st.dw[0])
+    cost = run * dt + np.asarray(model.terminal_cost(x_0, mv))
+    if fast:
+        j_rec = cost
+        j_dev = run_dev * dt + np.asarray(model.terminal_cost(xd, mv_dev))
+    else:
+        j_rec, j_dev = cost[0], cost[1:]
+    return j_rec, np.ascontiguousarray(j_dev.T), cls
 
 
 def _assemble_gap(model, j_rec, j_dev, candidates, oracle=None) -> GapReport:
@@ -409,12 +404,19 @@ class PocResult:
 
 
 def _poc_for_n(args):
+    """Mean W2^2 per time between the empirical measure and the class flow.
+
+    Each streamed state is sorted over the players, and its quantiles are
+    compared with that time's row of the class table; one replication's
+    W2^2 curve is kept per chunk, no paths.
+    """
     (model, device, grid, N, reps, seed, tables) = args
     labels = list(tables)
+    n_pts = tables[labels[0]].shape[1]
+    q_idx = np.minimum(((np.arange(n_pts) + 0.5) / n_pts * N).astype(np.int64),
+                       N - 1)
 
     chunk = max(1, CHUNK_ELEMS // (N * (grid.steps + 1)))
-    from .engine import _empirical_measure
-
     d2_sum = np.zeros(grid.steps + 1)
     class_sum = {lab: np.zeros(grid.steps + 1) for lab in labels}
     class_cnt = {lab: 0 for lab in labels}
@@ -422,30 +424,31 @@ def _poc_for_n(args):
     for off, cnt in _chunks(reps, chunk):
         rep_ids = off + np.arange(cnt)
         actions, cls = recommended_actions(device, seed, rep_ids, N)
-        w = backend.brownian_paths(noise_keys(seed, rep_ids, np.arange(N)),
-                                   grid.steps, grid.horizon)
-        x0 = initial_states(model, seed, rep_ids, np.arange(N))
-        x = _euler(model, grid, x0, w,
-                   lambda t, s, mv, _a=actions: _a, _empirical_measure)
-        xs = np.sort(x, axis=1)                        # (R, N, T)
-        n_pts = tables[labels[0]].shape[1]
-        q_idx = np.minimum(((np.arange(n_pts) + 0.5) / n_pts * N).astype(np.int64),
-                           N - 1)
-        eq = xs[:, q_idx, :]                           # (R, 512, T)
-        for ci, lab in enumerate(labels):
-            mask = cls == ci
-            if not np.any(mask):
-                continue
-            diff2 = (eq[mask] - tables[lab].T[None]) ** 2
-            d2 = diff2.mean(axis=1)                    # (Rc, T)
-            class_sum[lab] += d2.sum(axis=0)
-            class_cnt[lab] += int(mask.sum())
-            d2_sum += d2.sum(axis=0)
+        keys, x0 = _player_major(model, seed, rep_ids, N)
+        masks = {lab: cls == ci for ci, lab in enumerate(labels)}
+        masks = {lab: m for lab, m in masks.items() if np.any(m)}
+        d2 = {lab: np.empty((int(m.sum()), grid.steps + 1))
+              for lab, m in masks.items()}                  # (Rc, T)
+        for st in stream_ensemble(model, grid, x0,
+                                  np.ascontiguousarray(actions.T), keys):
+            eq = np.sort(st.x, axis=0)[q_idx]               # (512, R)
+            for lab, mask in masks.items():
+                diff2 = np.ascontiguousarray(eq[:, mask])
+                diff2 -= tables[lab][st.step][:, None]
+                np.square(diff2, out=diff2)
+                d2[lab][:, st.step] = sum_rows(diff2)[0] / n_pts
+        for lab in masks:
+            part = d2[lab].sum(axis=0)
+            class_sum[lab] += part
+            class_cnt[lab] += d2[lab].shape[0]
+            d2_sum += part
         total += cnt
+    for lab in labels:
+        if not class_cnt[lab]:
+            raise ValueError(f"flow class {lab} received no samples at "
+                             f"N={N}; increase reps")
     per_time = d2_sum / total
-    per_class = {lab: (class_sum[lab] / class_cnt[lab]
-                       if class_cnt[lab] else np.full(grid.steps + 1, np.nan))
-                 for lab in labels}
+    per_class = {lab: class_sum[lab] / class_cnt[lab] for lab in labels}
     return per_time, per_class
 
 
@@ -453,7 +456,8 @@ def poc_curve(model: ModelSpec, device: CorrelationDevice,
               Ns: Sequence[int], reps: int = 200, seed: int = 0,
               grid: Optional[TimeGrid] = None, workers: int = 0) -> PocResult:
     """sup_t of the replication-averaged squared W2 between the empirical
-    measure flow and the scenario's declared flow, for each N."""
+    measure flow and the scenario's declared flow, for each N.  A flow
+    class that no replication draws raises ``ValueError``."""
     if list(Ns) != sorted(Ns):
         raise ValueError("Ns must be increasing")
     grid = grid or TimeGrid(model.horizon, 200)
@@ -464,7 +468,7 @@ def poc_curve(model: ModelSpec, device: CorrelationDevice,
     jobs = [(model, device, grid, int(N), reps, seed, tables) for N in Ns]
     parts = _map_jobs(_poc_for_n, jobs, workers)
     overall = np.array([float(np.max(pt)) for pt, _ in parts])
-    per_class = {lab: np.array([float(np.nanmax(pc[lab])) for _, pc in parts])
+    per_class = {lab: np.array([float(np.max(pc[lab])) for _, pc in parts])
                  for lab in tables}
     per_time = {int(N): parts[i][0] for i, N in enumerate(Ns)}
     return PocResult(Ns=tuple(int(N) for N in Ns), overall=overall,

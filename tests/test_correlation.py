@@ -151,3 +151,32 @@ def test_verify_consistency_rejects_grid_horizon_mismatch():
     dev = build_example_device(DeviceProbs(1, 0, 0, 0), -1.0, 1.0)
     with pytest.raises(ValueError, match="grid.horizon"):
         verify_consistency(MODEL, dev, TimeGrid(3.0, 10), reps=100, seed=0)
+
+
+def test_null_band_reuses_a_given_table():
+    flow = device_flow(5 / 7, -1.0, 1.0)
+    times = TimeGrid(2.0, 20).times
+    built = null_band(flow, times, 300, seed=4)
+    given = null_band(flow, times, 300, seed=4,
+                      table=flow.quantile_table(times))
+    assert given == built
+
+
+def test_consistency_builds_each_class_table_once(monkeypatch, tmp_path,
+                                                 capsys):
+    from ccemfg import flows
+    from ccemfg.cli import main
+
+    calls = []
+    build = flows.mixture_quantile_table
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(flows, "mixture_quantile_table", counting)
+    rc = main(["consistency", "--p", "0.5,0,0,0.5", "--reps", "200",
+               "--steps", "10", "--out", str(tmp_path / "c.csv")])
+    assert rc == 0
+    assert capsys.readouterr().out.count("null band") == 2
+    assert len(calls) == 2          # one per flow class, shared with the band

@@ -217,3 +217,18 @@ def test_poc_curve_builds_each_class_table_once(monkeypatch):
     poc_curve(MODEL, dev, [5, 10, 20], reps=10, seed=0,
               grid=TimeGrid(2.0, 10), workers=1)
     assert len(calls) == len(dev.flow_classes()) == 2
+
+
+def test_poc_curve_rejects_a_flow_class_without_samples(tmp_path, capsys):
+    dev = build_example_device(BLACK, -1.0, 1.0)
+    with pytest.raises(ValueError, match="mu2"):
+        poc_curve(MODEL, dev, [10, 20], reps=2, seed=0,
+                  grid=TimeGrid(2.0, 10), workers=1)
+    from ccemfg.cli import main
+
+    out = tmp_path / "poc.csv"
+    rc = main(["poc", "--p", "0.5,0.3,0.2,0", "--N", "10,20", "--reps", "2",
+               "--steps", "10", "--seed", "0", "--out", str(out)])
+    assert rc == 1
+    assert "mu2" in capsys.readouterr().err
+    assert not out.exists()

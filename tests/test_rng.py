@@ -229,3 +229,14 @@ def test_brownian_paths_bit_identical_to_row_major_fill(steps, shape):
     assert w.shape == shape + (steps + 1,)
     assert np.all(w[..., 0] == 0.0)
     assert np.array_equal(w, _ref_brownian_paths(keys, steps, 2.0))
+
+
+@pytest.mark.parametrize("steps", [1, 2, 3, 7, 64, 200])
+def test_brownian_rows_in_time_order_match_row_major_fill(steps):
+    keys = rng.stream_keys(19, rng.TAG_NOISE, np.arange(6)[:, None],
+                           np.arange(4)[None, :])
+    rows = list(_pathgen_py.brownian_rows(keys, steps, 2.0))
+    assert len(rows) == steps + 1
+    assert all(r.shape == (keys.size,) for r in rows)
+    ref = _ref_brownian_paths(keys, steps, 2.0).reshape(keys.size, steps + 1)
+    assert np.array_equal(np.stack(rows, axis=1), ref)

@@ -1,0 +1,252 @@
+"""The streamed N-player estimators against the path-storing code they
+replaced.
+
+The reference copies below are the estimator kernels as they were before
+the engine streamed: they build whole ``(R, N, steps + 1)`` Brownian paths,
+run the row-major Euler loop over them and reduce afterwards.  The streamed
+``_nplayer_chunk`` and ``_poc_for_n`` must reproduce them bit for bit at
+every chunk size, including one replication, where numpy would otherwise
+sum the players pairwise.  A ``tracemalloc`` test bounds the peak memory of
+the two streamed estimators.
+"""
+
+import dataclasses
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import ccemfg.equilibrium as eq
+from ccemfg import _pathgen_py
+from ccemfg.analytic import DeviceProbs
+from ccemfg.correlation import build_example_device
+from ccemfg.engine import (SimulationError, TimeGrid, _check_actions,
+                           initial_states, noise_keys)
+from ccemfg.equilibrium import (_assemble_gap, _chunks, cce_gap_nplayer,
+                                default_deviation_grid, poc_curve,
+                                recommended_actions)
+from ccemfg.model import MeasureView, build_bang_bang_model
+
+MODEL = build_bang_bang_model(-1.0, 1.0, 1.0, 2.0)
+DEVICES = [(1, 0, 0, 0), (0.5, 0.3, 0.2, 0), (0.5, 0, 0, 0.5)]
+CHUNK_REPS = [1, 2, 3, 7]
+PLAYERS = [2, 10, 40]
+STEPS = [1, 2, 3, 20]
+
+
+# --- reference copies of the path-storing kernels --------------------------
+
+def _ref_euler(model, grid, x0, w, action_fn, measure_fn):
+    steps = grid.steps
+    dt = grid.dt
+    times = grid.times
+    x = np.empty(x0.shape + (steps + 1,))
+    x[..., 0] = x0
+    for i in range(steps):
+        xi = x[..., i]
+        mv = measure_fn(i, xi)
+        a = action_fn(times[i], xi, mv)
+        _check_actions(model, a, i)
+        drift = model.drift(times[i], xi, mv, a)
+        x[..., i + 1] = xi + np.asarray(drift) * dt + (w[..., i + 1] - w[..., i])
+        if not np.all(np.isfinite(x[..., i + 1])):
+            raise SimulationError(i)
+    return x
+
+
+def _ref_empirical_measure(i, x):
+    return MeasureView(mean=x.mean(axis=-1, keepdims=True),
+                       second_moment=np.mean(x**2, axis=-1, keepdims=True))
+
+
+def _ref_player_cost(model, grid, xp, ap, means, m2s):
+    times = grid.times
+    run = np.zeros(xp.shape[0])
+    for i in range(grid.steps):
+        mv = MeasureView(mean=means[:, i], second_moment=m2s[:, i])
+        a_i = ap[:, i] if ap.ndim == 2 else ap
+        run = run + np.asarray(model.running_cost(times[i], xp[:, i], mv, a_i))
+    mv_T = MeasureView(mean=means[:, -1], second_moment=m2s[:, -1])
+    return run * grid.dt + np.asarray(model.terminal_cost(xp[:, -1], mv_T))
+
+
+def _ref_nplayer_chunk(args):
+    (model, device, grid, N, seed, candidates, off, count) = args
+    rep_ids = off + np.arange(count)
+    actions, cls = recommended_actions(device, seed, rep_ids, N)
+
+    w = _pathgen_py.brownian_paths(noise_keys(seed, rep_ids, np.arange(N)),
+                                   grid.steps, grid.horizon)
+    x0 = initial_states(model, seed, rep_ids, np.arange(N))
+
+    def const_fn(t, x, mv, _a=actions):
+        return _a
+
+    x = _ref_euler(model, grid, x0, w, const_fn, _ref_empirical_measure)
+    sums = x.sum(axis=1)                  # (R, steps+1)
+    sq_sums = np.sum(x**2, axis=1)
+
+    j_rec = _ref_player_cost(model, grid, x[:, 0, :], actions[:, 0],
+                             sums / N, sq_sums / N)
+
+    G = candidates.shape[0]
+    j_dev = np.empty((count, G))
+    if not model.drift_uses_measure:
+        j_dev[:] = _ref_deviations_fast(model, grid, N, candidates,
+                                        x[:, 0, :], w[:, 0, :], x0[:, 0],
+                                        sums, sq_sums)
+    else:
+        for g, m in enumerate(candidates):
+            dev_actions = actions.copy()
+            dev_actions[:, 0] = m
+
+            def dev_fn(t, xx, mv, _a=dev_actions):
+                return _a
+
+            xd = _ref_euler(model, grid, x0, w, dev_fn, _ref_empirical_measure)
+            s1 = xd.sum(axis=1)
+            s2 = np.sum(xd**2, axis=1)
+            j_dev[:, g] = _ref_player_cost(model, grid, xd[:, 0, :],
+                                           np.full(count, m), s1 / N, s2 / N)
+    return j_rec, j_dev, cls
+
+
+def _ref_deviations_fast(model, grid, N, candidates, x0_rec, w0, x0_init,
+                         sums, sq_sums):
+    count = x0_rec.shape[0]
+    times = grid.times
+    dt = grid.dt
+    out = np.empty((count, candidates.shape[0]))
+    for g, m in enumerate(candidates):
+        a = np.full(count, m)
+        xd = np.empty_like(x0_rec)
+        xd[:, 0] = x0_init
+        run = np.zeros(count)
+        for i in range(grid.steps):
+            mean_i = (sums[:, i] - x0_rec[:, i] + xd[:, i]) / N
+            m2_i = (sq_sums[:, i] - x0_rec[:, i]**2 + xd[:, i]**2) / N
+            mv = MeasureView(mean=mean_i, second_moment=m2_i)
+            run = run + np.asarray(model.running_cost(times[i], xd[:, i], mv, a))
+            drift = np.asarray(model.drift(times[i], xd[:, i], mv, a))
+            xd[:, i + 1] = xd[:, i] + drift * dt + (w0[:, i + 1] - w0[:, i])
+        mean_T = (sums[:, -1] - x0_rec[:, -1] + xd[:, -1]) / N
+        m2_T = (sq_sums[:, -1] - x0_rec[:, -1]**2 + xd[:, -1]**2) / N
+        mv_T = MeasureView(mean=mean_T, second_moment=m2_T)
+        out[:, g] = run * dt + np.asarray(model.terminal_cost(xd[:, -1], mv_T))
+    return out
+
+
+def _ref_poc_for_n(args):
+    (model, device, grid, N, reps, seed, tables) = args
+    labels = list(tables)
+
+    chunk = max(1, eq.CHUNK_ELEMS // (N * (grid.steps + 1)))
+    d2_sum = np.zeros(grid.steps + 1)
+    class_sum = {lab: np.zeros(grid.steps + 1) for lab in labels}
+    class_cnt = {lab: 0 for lab in labels}
+    total = 0
+    for off, cnt in _chunks(reps, chunk):
+        rep_ids = off + np.arange(cnt)
+        actions, cls = recommended_actions(device, seed, rep_ids, N)
+        w = _pathgen_py.brownian_paths(
+            noise_keys(seed, rep_ids, np.arange(N)), grid.steps, grid.horizon)
+        x0 = initial_states(model, seed, rep_ids, np.arange(N))
+        x = _ref_euler(model, grid, x0, w,
+                       lambda t, s, mv, _a=actions: _a, _ref_empirical_measure)
+        xs = np.sort(x, axis=1)                        # (R, N, T)
+        n_pts = tables[labels[0]].shape[1]
+        q_idx = np.minimum(((np.arange(n_pts) + 0.5) / n_pts * N).astype(np.int64),
+                           N - 1)
+        eq_ = xs[:, q_idx, :]                          # (R, 512, T)
+        for ci, lab in enumerate(labels):
+            mask = cls == ci
+            if not np.any(mask):
+                continue
+            diff2 = (eq_[mask] - tables[lab].T[None]) ** 2
+            d2 = diff2.mean(axis=1)                    # (Rc, T)
+            class_sum[lab] += d2.sum(axis=0)
+            class_cnt[lab] += int(mask.sum())
+            d2_sum += d2.sum(axis=0)
+        total += cnt
+    per_time = d2_sum / total
+    per_class = {lab: (class_sum[lab] / class_cnt[lab]
+                       if class_cnt[lab] else np.full(grid.steps + 1, np.nan))
+                 for lab in labels}
+    return per_time, per_class
+
+
+# --- bit-identity ------------------------------------------------------------
+
+@pytest.mark.parametrize("measure", [False, True],
+                         ids=["fast", "measure-dependent"])
+@pytest.mark.parametrize("steps", STEPS)
+@pytest.mark.parametrize("p", DEVICES)
+def test_nplayer_chunk_matches_path_storing_reference(p, steps, measure):
+    model = dataclasses.replace(MODEL, drift_uses_measure=measure)
+    device = build_example_device(DeviceProbs(*p), -1.0, 1.0)
+    grid = TimeGrid(2.0, steps)
+    candidates = default_deviation_grid(model)
+    for N in PLAYERS:
+        for R in CHUNK_REPS:
+            args = (model, device, grid, N, 3, candidates, 5, R)
+            j_rec, j_dev, cls = eq._nplayer_chunk(args)
+            r_rec, r_dev, r_cls = _ref_nplayer_chunk(args)
+            assert np.array_equal(j_rec, r_rec), (N, R)
+            assert np.array_equal(j_dev, r_dev), (N, R)
+            assert np.array_equal(cls, r_cls)
+            got = _assemble_gap(model, j_rec, j_dev, candidates)
+            ref = _assemble_gap(model, r_rec, r_dev, candidates)
+            assert np.array_equal(got.improvement_means, ref.improvement_means)
+            assert np.array_equal(got.improvement_ses, ref.improvement_ses,
+                                  equal_nan=True)
+
+
+@pytest.mark.parametrize("steps", STEPS)
+@pytest.mark.parametrize("p", DEVICES)
+def test_poc_matches_path_storing_reference(p, steps, monkeypatch):
+    device = build_example_device(DeviceProbs(*p), -1.0, 1.0)
+    grid = TimeGrid(2.0, steps)
+    tables = {lab: entry["flow"].quantile_table(grid.times)
+              for lab, entry in device.flow_classes().items()}
+    reps, seed = 15, 3
+    # every class must be drawn, or the streamed code rightly refuses
+    cls = recommended_actions(device, seed, np.arange(reps), 2)[1]
+    assert set(cls.tolist()) == set(range(len(tables)))
+    for N in PLAYERS:
+        for R in CHUNK_REPS:       # 15 replications in chunks of R
+            monkeypatch.setattr(eq, "CHUNK_ELEMS", R * N * (steps + 1))
+            args = (MODEL, device, grid, N, reps, seed, tables)
+            per_time, per_class = eq._poc_for_n(args)
+            r_time, r_class = _ref_poc_for_n(args)
+            assert np.array_equal(per_time, r_time), (N, R)
+            for lab in tables:
+                assert np.array_equal(per_class[lab], r_class[lab]), (N, R)
+
+
+# --- memory ------------------------------------------------------------------
+
+PEAK_BOUND = 32 * 2**20
+
+
+def _traced_peak(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_streamed_gap_peak_memory():
+    device = build_example_device(DeviceProbs(0.5, 0.3, 0.2, 0), -1.0, 1.0)
+    peak = _traced_peak(lambda: cce_gap_nplayer(
+        MODEL, device, N=200, reps=200, seed=0, grid=TimeGrid(2.0, 200),
+        workers=1))
+    assert peak < PEAK_BOUND, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_streamed_poc_peak_memory():
+    device = build_example_device(DeviceProbs(1, 0, 0, 0), -1.0, 1.0)
+    peak = _traced_peak(lambda: poc_curve(MODEL, device, [400], reps=100,
+                                          seed=0, workers=1))
+    assert peak < PEAK_BOUND, f"peak {peak / 2**20:.1f} MiB"
