@@ -7,7 +7,6 @@ from .analytic import (AffineCoeffs, DeviceProbs, RegionGrid, cce_margin,
                        consistency_weights, diagonal_hk, finite_n_gap_oracle,
                        hk_coefficients, mean_field_payoffs, region_sweep,
                        worst_case_deviation)
-from .backend import active_backend, available_backends, use_backend
 from .correlation import (ConsistencyReport, CorrelationDevice, Scenario,
                           build_example_device, null_band, sample_scenario,
                           verify_consistency)

@@ -1,9 +1,8 @@
-"""Pure-numpy path generation backend.
+"""Path generation kernels, in numpy: the only implementation.
 
 Implements the inverse normal CDF (Wichura's PPND16 rational
-approximations) and the Brownian-bridge path builder.  The Cython backend
-implements the same algorithms with the same draw layout; both follow the
-stream layout documented in :mod:`ccemfg.rng`.
+approximations) and the Brownian-bridge path builder, following the stream
+layout documented in :mod:`ccemfg.rng`.
 
 The inverse CDF evaluates each tail branch only on the elements that take
 it.  Every element still gets the same floating-point operations in the

@@ -10,14 +10,14 @@ flows; devices with a continuum of flows are out of scope.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from . import rng
 from .analytic import DeviceProbs, consistency_weights
-from .engine import (TimeGrid, as_action_fn, check_run,
-                     simulate_representative)
+from .engine import (TimeGrid, check_run, flow_views, representative_noise,
+                     step_against_flow)
 from .flows import GaussianMixtureFlow, device_flow
 from .metrics import empirical_quantiles
 from .model import ModelSpec
@@ -92,12 +92,17 @@ def build_example_device(p: DeviceProbs, a: float, b: float) -> CorrelationDevic
 
 
 def sample_scenario(device: CorrelationDevice, seed: int,
-                    count: int) -> np.ndarray:
-    """i.i.d. scenario indices from the lottery (dedicated counter stream)."""
-    if count < 1:
-        raise ValueError("count must be at least 1")
+                    rep_ids) -> np.ndarray:
+    """The lottery: i.i.d. scenario indices, one per replication id.
+
+    Replication r takes draw r of a dedicated counter stream, so its
+    scenario does not depend on which other ids are drawn with it.
+    """
+    rep_ids = np.asarray(rep_ids)
+    if rep_ids.size < 1:
+        raise ValueError("need at least one replication id")
     key = rng.stream_key(seed, rng.TAG_SCENARIO)
-    u = rng.uniforms(key, np.arange(count))
+    u = rng.uniforms(key, rep_ids)
     edges = np.cumsum(device.probabilities)
     edges[-1] = 1.0 + 1e-15
     return np.searchsorted(edges, u, side="right").astype(np.int64)
@@ -150,7 +155,7 @@ def verify_consistency(model: ModelSpec, device: CorrelationDevice,
     samples raises; classes with fewer than 100 samples are flagged.
     """
     check_run(model, grid, reps=reps)
-    draws = sample_scenario(device, seed, reps)
+    draws = sample_scenario(device, seed, np.arange(reps))
     times = grid.times
     classes = device.flow_classes()
 
@@ -161,10 +166,10 @@ def verify_consistency(model: ModelSpec, device: CorrelationDevice,
         rep_ids = np.nonzero(draws == idx)[0]
         if rep_ids.size == 0:
             continue
-        w_ids = rep_ids
-        # simulate only the selected replications; rep ids address streams
-        paths = _simulate_selected(model, grid, scenario, w_ids, seed)
-        paths_by_scenario[idx] = paths
+        x0, w = representative_noise(model, grid, seed, rep_ids)
+        paths_by_scenario[idx] = step_against_flow(
+            model, grid, x0, w, scenario.strategy,
+            flow_views(scenario.flow, grid))
 
     reports = []
     for label, entry in classes.items():
@@ -186,19 +191,6 @@ def verify_consistency(model: ModelSpec, device: CorrelationDevice,
                                    w2=w2, flagged=pool.shape[0] < 100,
                                    table=table))
     return ConsistencyReport(classes=tuple(reports), reps=reps, seed=seed)
-
-
-def _simulate_selected(model, grid, scenario, rep_ids, seed):
-    """Representative simulation restricted to the given replication ids."""
-    from . import backend
-    from .engine import _euler, initial_states, noise_keys
-
-    w = backend.brownian_paths(noise_keys(seed, rep_ids, [0]),
-                               grid.steps, grid.horizon)[:, 0, :]
-    x0 = initial_states(model, seed, rep_ids, [0])[:, 0]
-    views = [scenario.flow.view(t) for t in grid.times[:-1]]
-    action_fn = as_action_fn(scenario.strategy)
-    return _euler(model, grid, x0, w, action_fn, lambda i, x: views[i])
 
 
 def _pooled_w2_vs_flow(pool: np.ndarray, flow, times: np.ndarray,

@@ -12,10 +12,13 @@ Conventions:
   construction, see :mod:`ccemfg._pathgen_py`).
 
 :func:`euler_step` is the one Euler kernel.  :func:`_euler` applies it to
-whole stored paths (the representative simulators and the McKean-Vlasov
-solver).  :func:`stream_ensemble` applies it to a player-major ``(N, R)``
-state, one grid point at a time: the Brownian values come from the
-in-order bisection walk of :func:`ccemfg._pathgen_py.brownian_rows`, and
+whole stored paths.  Every simulation of the representative player against
+an exogenous flow (:func:`simulate_representative`, the consistency check,
+the mean-field gap, the McKean-Vlasov solver) draws its noise with
+:func:`representative_noise` and steps it with :func:`step_against_flow`.
+:func:`stream_ensemble` applies the Euler kernel to a player-major
+``(N, R)`` state, one grid point at a time: the Brownian values come from
+the in-order bisection walk of :func:`ccemfg._pathgen_py.brownian_rows`, and
 the estimators reduce each state as it goes by, so a chunk holds
 O(R * N * log(steps)) numbers instead of its whole ``(R, N, steps + 1)``
 paths.
@@ -29,7 +32,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from . import _pathgen_py, backend, rng
+from . import _pathgen_py, rng
 from .flows import ParticleFlow
 from .model import MeasureView, ModelSpec
 
@@ -213,9 +216,16 @@ def stream_ensemble(model: ModelSpec, grid: TimeGrid, x0: np.ndarray,
 
 
 def _empirical_measure(i: int, x: np.ndarray) -> MeasureView:
-    """Per-replication empirical view over the player axis (last axis)."""
-    return MeasureView(mean=x.mean(axis=-1, keepdims=True),
-                       second_moment=np.mean(x**2, axis=-1, keepdims=True))
+    """Per-replication empirical view over the player axis (last axis).
+
+    The players are added in order, as in :func:`stream_ensemble`, so both
+    engines show a measure-dependent drift the same measure to the last
+    bit (``mean`` would add a strided player axis pairwise).
+    """
+    N = x.shape[-1]
+    s1 = np.add.accumulate(x, axis=-1)[..., -1:]
+    s2 = np.add.accumulate(x * x, axis=-1)[..., -1:]
+    return MeasureView(mean=s1 / N, second_moment=s2 / N)
 
 
 def simulate_ensemble(model: ModelSpec, grid: TimeGrid, actions, N: int,
@@ -230,8 +240,8 @@ def simulate_ensemble(model: ModelSpec, grid: TimeGrid, actions, N: int,
         raise ValueError("N must be at least 1")
     rep_ids = rep_offset + np.arange(reps)
     player_ids = np.arange(N)
-    w = backend.brownian_paths(noise_keys(seed, rep_ids, player_ids),
-                               grid.steps, grid.horizon)
+    w = _pathgen_py.brownian_paths(noise_keys(seed, rep_ids, player_ids),
+                                   grid.steps, grid.horizon)
     x0 = initial_states(model, seed, rep_ids, player_ids)
     if callable(actions):
         action_fn = actions
@@ -274,12 +284,42 @@ def simulate_n_player(model: ModelSpec, grid: TimeGrid, strategies, N: int,
 
     rep_ids = np.array([rep])
     player_ids = np.arange(N)
-    w = backend.brownian_paths(noise_keys(seed, rep_ids, player_ids),
-                               grid.steps, grid.horizon)
+    w = _pathgen_py.brownian_paths(noise_keys(seed, rep_ids, player_ids),
+                                   grid.steps, grid.horizon)
     x0 = initial_states(model, seed, rep_ids, player_ids)
     x = _euler(model, grid, x0, w, recording_fn, _empirical_measure)
     return SimulationBatch(paths=x[0], actions=np.stack(recorded, axis=1),
                            noise_seed=seed, scenario_index=scenario_index)
+
+
+def representative_noise(model: ModelSpec, grid: TimeGrid, seed: int,
+                         rep_ids) -> tuple[np.ndarray, np.ndarray]:
+    """Initial states (R,) and Brownian paths (R, steps+1) of the
+    representative player in the replications ``rep_ids``.
+
+    Replication r uses the streams of player 0 of replication r in the
+    N-player engine, which is what makes common-random-number comparisons
+    possible, and a replication's draws do not depend on which other ids
+    are drawn with it.
+    """
+    w = _pathgen_py.brownian_paths(noise_keys(seed, rep_ids, [0]),
+                                   grid.steps, grid.horizon)[:, 0, :]
+    x0 = initial_states(model, seed, rep_ids, [0])[:, 0]
+    return x0, w
+
+
+def flow_views(flow, grid: TimeGrid) -> list:
+    """The views of ``flow`` at the grid points the Euler steps start from."""
+    return [flow.view(t) for t in grid.times[:-1]]
+
+
+def step_against_flow(model: ModelSpec, grid: TimeGrid, x0: np.ndarray,
+                      w: np.ndarray, strategy, views: list) -> np.ndarray:
+    """Euler paths (R, steps+1) of representative players started at ``x0``
+    and driven by ``w``, following ``strategy`` against an exogenous flow
+    given by its :func:`flow_views`."""
+    return _euler(model, grid, x0, w, as_action_fn(strategy),
+                  lambda i, x: views[i])
 
 
 def simulate_representative(model: ModelSpec, grid: TimeGrid, flow,
@@ -287,17 +327,14 @@ def simulate_representative(model: ModelSpec, grid: TimeGrid, flow,
                             rep_offset: int = 0) -> np.ndarray:
     """Independent replications of the single SDE against an exogenous flow.
 
-    Returns paths of shape (reps, steps+1).  Replication r uses the same
-    noise stream as player 0 of replication r in the N-player engine, which
-    is what makes common-random-number comparisons possible.
+    Returns paths of shape (reps, steps+1); replication r is the
+    representative player of replication ``rep_offset + r`` (see
+    :func:`representative_noise`).
     """
-    rep_ids = rep_offset + np.arange(reps)
-    w = backend.brownian_paths(noise_keys(seed, rep_ids, [0]),
-                               grid.steps, grid.horizon)[:, 0, :]
-    x0 = initial_states(model, seed, rep_ids, [0])[:, 0]
-    views = [flow.view(t) for t in grid.times[:-1]]
-    action_fn = as_action_fn(strategy)
-    return _euler(model, grid, x0, w, action_fn, lambda i, x: views[i])
+    x0, w = representative_noise(model, grid, seed,
+                                 rep_offset + np.arange(reps))
+    return step_against_flow(model, grid, x0, w, strategy,
+                             flow_views(flow, grid))
 
 
 @dataclass(frozen=True)
@@ -326,19 +363,15 @@ def mckean_vlasov_fixed_point(model: ModelSpec, grid: TimeGrid, strategy,
     if not tol > 0:
         raise ValueError("tol must be positive")
     times = grid.times
-    rep_ids = np.arange(particles)
-    w = backend.brownian_paths(noise_keys(seed, rep_ids, [0]),
-                               grid.steps, grid.horizon)[:, 0, :]
-    x0 = initial_states(model, seed, rep_ids, [0])[:, 0]
+    x0, w = representative_noise(model, grid, seed, np.arange(particles))
     flow = ParticleFlow(times=times,
                         particles=np.repeat(x0[:, None], grid.steps + 1, axis=1))
-    action_fn = as_action_fn(strategy)
 
     distances = []
     converged = False
     for _ in range(max_iters):
-        views = [flow.view(t) for t in times[:-1]]
-        x = _euler(model, grid, x0, w, action_fn, lambda i, s: views[i])
+        x = step_against_flow(model, grid, x0, w, strategy,
+                              flow_views(flow, grid))
         new_flow = ParticleFlow(times=times, particles=x)
         gap = float(np.max(np.sqrt(np.mean(
             (np.sort(x, axis=0) - flow._sorted) ** 2, axis=0))))

@@ -20,10 +20,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import backend, rng
-from .correlation import CorrelationDevice
-from .engine import (SimulationBatch, TimeGrid, _euler, as_action_fn,
-                     check_run, euler_step, initial_states, noise_keys,
+from . import rng
+from .correlation import CorrelationDevice, sample_scenario
+from .engine import (SimulationBatch, TimeGrid, as_action_fn, check_run,
+                     euler_step, flow_views, initial_states, noise_keys,
+                     representative_noise, step_against_flow,
                      stream_ensemble, sum_rows)
 from .model import MeasureView, ModelSpec
 
@@ -68,6 +69,17 @@ def default_deviation_grid(model: ModelSpec, size: int = 21) -> np.ndarray:
     if size < 3:
         raise ValueError("deviation grid needs at least 3 candidates")
     return np.linspace(model.actions.lo.min(), model.actions.hi.max(), size)
+
+
+def _candidates(model: ModelSpec, deviations) -> np.ndarray:
+    """The deviation candidates of an estimator: a size passed to
+    :func:`default_deviation_grid`, or the constant actions themselves."""
+    if np.isscalar(deviations):
+        return default_deviation_grid(model, deviations)
+    candidates = np.asarray(deviations, dtype=np.float64)
+    if candidates.size < 3:
+        raise ValueError("deviation grid needs at least 3 candidates")
+    return candidates
 
 
 def _chunks(total: int, chunk: int):
@@ -164,12 +176,7 @@ def recommended_actions(device: CorrelationDevice, seed: int, rep_ids,
         for si in classes[lab]["scenarios"]:
             scen_to_class[si] = ci
 
-    key = rng.stream_key(seed, rng.TAG_SCENARIO)
-    u_rep = rng.uniforms(key, rep_ids)
-    edges = np.cumsum([s.probability for s in device.scenarios])
-    edges[-1] = 1.0 + 1e-15
-    scen = np.searchsorted(edges, u_rep, side="right")
-    cls = scen_to_class[scen]
+    cls = scen_to_class[sample_scenario(device, seed, rep_ids)]
 
     rec_keys = rng.stream_keys(seed, rng.TAG_RECOMMEND, rep_ids)
     u = rng.uniforms(rec_keys[:, None], np.arange(N)[None, :])
@@ -300,11 +307,7 @@ def cce_gap_nplayer(model: ModelSpec, device: CorrelationDevice, N: int,
         raise ValueError("N must be at least 2")
     grid = grid or TimeGrid(model.horizon, 200)
     check_run(model, grid, reps=reps)
-    candidates = (default_deviation_grid(model, deviations)
-                  if np.isscalar(deviations) else np.asarray(deviations,
-                                                            dtype=np.float64))
-    if candidates.size < 3:
-        raise ValueError("deviation grid needs at least 3 candidates")
+    candidates = _candidates(model, deviations)
     workers = workers or default_workers()
     chunk = max(1, CHUNK_ELEMS // (N * (grid.steps + 1)))
     jobs = [(model, device, grid, N, seed, candidates, off, cnt)
@@ -322,15 +325,8 @@ def cce_gap_nplayer(model: ModelSpec, device: CorrelationDevice, N: int,
 def _mf_chunk(args):
     (model, device, grid, seed, candidates, off, count) = args
     rep_ids = off + np.arange(count)
-    key = rng.stream_key(seed, rng.TAG_SCENARIO)
-    u = rng.uniforms(key, rep_ids)
-    edges = np.cumsum([s.probability for s in device.scenarios])
-    edges[-1] = 1.0 + 1e-15
-    scen = np.searchsorted(edges, u, side="right")
-
-    w = backend.brownian_paths(noise_keys(seed, rep_ids, [0]),
-                               grid.steps, grid.horizon)[:, 0, :]
-    x0 = initial_states(model, seed, rep_ids, [0])[:, 0]
+    scen = sample_scenario(device, seed, rep_ids)
+    x0, w = representative_noise(model, grid, seed, rep_ids)
 
     j_rec = np.empty(count)
     j_dev = np.empty((count, candidates.shape[0]))
@@ -338,12 +334,12 @@ def _mf_chunk(args):
         mask = scen == idx
         if not np.any(mask):
             continue
-        flow = scenario.flow
-        views = [flow.view(t) for t in grid.times[:-1]]
-        vT = flow.view(grid.times[-1])
+        x0_s, w_s = x0[mask], w[mask]
+        views = flow_views(scenario.flow, grid)     # once for all candidates
+        vT = scenario.flow.view(grid.times[-1])
         means = np.array([v.mean for v in views] + [vT.mean])
         m2s = np.array([v.second_moment for v in views] + [vT.second_moment])
-        means = np.broadcast_to(means, (int(mask.sum()), means.shape[0]))
+        means = np.broadcast_to(means, (x0_s.size, means.shape[0]))
         m2s = np.broadcast_to(m2s, means.shape)
 
         fn = as_action_fn(scenario.strategy)
@@ -354,17 +350,14 @@ def _mf_chunk(args):
             _rec.append(np.array(a))
             return a
 
-        x = _euler(model, grid, x0[mask], w[mask], rec_fn,
-                   lambda i, s, _v=views: _v[i])
+        x = step_against_flow(model, grid, x0_s, w_s, rec_fn, views)
         a_rec = np.stack(rec, axis=1)                 # (Rc, steps)
         j_rec[mask] = _player_cost(model, grid, x, a_rec, means, m2s)
 
         for g, m in enumerate(candidates):
-            xd = _euler(model, grid, x0[mask], w[mask],
-                        as_action_fn(float(m)), lambda i, s, _v=views: _v[i])
+            xd = step_against_flow(model, grid, x0_s, w_s, float(m), views)
             j_dev[mask, g] = _player_cost(model, grid, xd,
-                                          np.full(int(mask.sum()), m),
-                                          means, m2s)
+                                          np.full(x0_s.size, m), means, m2s)
     return j_rec, j_dev, scen
 
 
@@ -376,9 +369,7 @@ def mean_field_gap_mc(model: ModelSpec, device: CorrelationDevice,
     exogenous flows (mean field optimality check)."""
     grid = grid or TimeGrid(model.horizon, 200)
     check_run(model, grid, reps=reps)
-    candidates = (default_deviation_grid(model, deviations)
-                  if np.isscalar(deviations) else np.asarray(deviations,
-                                                            dtype=np.float64))
+    candidates = _candidates(model, deviations)
     workers = workers or default_workers()
     chunk = max(1, CHUNK_ELEMS // (candidates.size * (grid.steps + 1)))
     jobs = [(model, device, grid, seed, candidates, off, cnt)

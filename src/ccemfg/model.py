@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import rng
+from . import _pathgen_py, rng
 
 
 @dataclass(frozen=True)
@@ -91,9 +91,7 @@ class GaussianInitial:
     std: float = 1.0
 
     def from_uniform(self, u: np.ndarray) -> np.ndarray:
-        from . import backend
-
-        return self.mean + self.std * backend.norm_quantile(u)
+        return self.mean + self.std * _pathgen_py.norm_quantile(u)
 
 
 @dataclass(frozen=True)

@@ -100,7 +100,8 @@ def uniforms(key, index) -> np.ndarray:
 
 
 def normals(key, index) -> np.ndarray:
-    """Standard normal draws via the inverse-CDF of the active backend."""
-    from . import backend
+    """Standard normal draws: :func:`uniforms` mapped through the PPND16
+    inverse CDF of :mod:`ccemfg._pathgen_py`."""
+    from . import _pathgen_py           # imports this module
 
-    return backend.norm_quantile(uniforms(key, index))
+    return _pathgen_py.norm_quantile(uniforms(key, index))

@@ -7,6 +7,7 @@ from ccemfg.correlation import (CorrelationDevice, Scenario,
                                 sample_scenario, strategy_flow_marginals,
                                 verify_consistency)
 from ccemfg.engine import TimeGrid
+from ccemfg.equilibrium import recommended_actions
 from ccemfg.flows import device_flow
 from ccemfg.model import build_bang_bang_model
 
@@ -56,21 +57,39 @@ def test_scenario_and_flow_marginals():
 
 def test_sample_scenario_frequencies():
     dev = build_example_device(DeviceProbs(1, 0, 0, 0), -1.0, 1.0)
-    assert np.all(sample_scenario(dev, 0, 1000) == 0)
+    assert np.all(sample_scenario(dev, 0, np.arange(1000)) == 0)
 
     dev = build_example_device(DeviceProbs(0.5, 0, 0, 0.5), -1.0, 1.0)
-    draws = sample_scenario(dev, 1, 10**5)
+    draws = sample_scenario(dev, 1, np.arange(10**5))
     freq0 = np.mean(draws == 0)
     assert abs(freq0 - 0.5) < 0.01
 
     dev = build_example_device(DeviceProbs(0.5, 0.3, 0.2, 0.0), -1.0, 1.0)
-    draws = sample_scenario(dev, 2, 10**5)
+    draws = sample_scenario(dev, 2, np.arange(10**5))
     for idx, s in enumerate(dev.scenarios):
         f = np.mean(draws == idx)
         sd = np.sqrt(s.probability * (1 - s.probability) / 10**5)
         assert abs(f - s.probability) < 3.5 * sd
     # determinism
-    assert np.array_equal(draws, sample_scenario(dev, 2, 10**5))
+    assert np.array_equal(draws, sample_scenario(dev, 2, np.arange(10**5)))
+    with pytest.raises(ValueError):
+        sample_scenario(dev, 2, np.arange(0))
+
+
+def test_lottery_does_not_depend_on_chunking():
+    """Replication r always takes draw r of the lottery: any block of ids
+    gets that slice of the whole draw, and the N-player recommendations
+    use the same lottery."""
+    dev = build_example_device(DeviceProbs(0.5, 0.3, 0.2, 0.0), -1.0, 1.0)
+    whole = sample_scenario(dev, 4, np.arange(500))
+    for a, b in [(0, 1), (7, 8), (13, 200), (0, 500), (499, 500)]:
+        assert np.array_equal(sample_scenario(dev, 4, np.arange(a, b)),
+                              whole[a:b])
+    scen_to_class = {s: ci for ci, entry in
+                     enumerate(dev.flow_classes().values())
+                     for s in entry["scenarios"]}
+    _, cls = recommended_actions(dev, 4, np.arange(13, 200), 5)
+    assert np.array_equal(cls, [scen_to_class[s] for s in whole[13:200]])
 
 
 def test_verify_consistency_single_flow():
@@ -86,7 +105,7 @@ def test_verify_consistency_single_flow():
 def test_verify_consistency_black_device_class_mean():
     dev = build_example_device(DeviceProbs(0.5, 0.3, 0.2, 0.0), -1.0, 1.0)
     grid = TimeGrid(2.0, 50)
-    draws = sample_scenario(dev, 3, 6000)
+    draws = sample_scenario(dev, 3, np.arange(6000))
     rep = verify_consistency(MODEL, dev, grid, reps=6000, seed=3)
     by_label = {c.label: c for c in rep.classes}
     assert set(by_label) == {"mu1", "mu2"}

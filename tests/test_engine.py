@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from ccemfg.engine import (ConstantStrategy, SimulationError, TimeGrid,
-                           mckean_vlasov_fixed_point, simulate_ensemble,
-                           simulate_n_player, simulate_representative)
+                           initial_states, mckean_vlasov_fixed_point,
+                           noise_keys, simulate_ensemble, simulate_n_player,
+                           simulate_representative, stream_ensemble)
 from ccemfg.flows import GaussianMixtureFlow, device_flow
-from ccemfg.model import build_bang_bang_model
+from ccemfg.model import GaussianInitial, build_bang_bang_model
 
 MODEL = build_bang_bang_model(-1.0, 1.0, 1.0, 2.0)
 
@@ -28,6 +29,29 @@ def test_all_b_terminal_mean():
     mean_T = x[0, :, -1].mean()
     assert abs(mean_T - 2.0) < 3 * np.sqrt(2.0 / 10**4)
     assert abs(x[0, :, -1].var() - 2.0) < 0.15
+
+
+@pytest.mark.parametrize("R", [1, 3])
+@pytest.mark.parametrize("N", [2, 10, 40])
+def test_stored_and_streamed_ensembles_see_the_same_measure(N, R):
+    """Both engines add the players in order, so a drift that reads the
+    empirical measure steps them to the same bits."""
+    model = dataclasses.replace(
+        MODEL, initial_law=GaussianInitial(0.0, 1.0), drift_uses_measure=True,
+        drift=lambda t, x, m, a: a + 0.7 * m.mean - 0.3 * m.second_moment)
+    grid = TimeGrid(2.0, 20)
+    seed, offset = 5, 2
+    actions = np.where(np.arange(R * N).reshape(R, N) % 2, -1.0, 1.0)
+    x = simulate_ensemble(model, grid, actions, N, R, seed, rep_offset=offset)
+    rep_ids, players = offset + np.arange(R), np.arange(N)
+    keys = noise_keys(seed, rep_ids, players).T
+    x0 = np.ascontiguousarray(initial_states(model, seed, rep_ids, players).T)
+    steps = 0
+    for st in stream_ensemble(model, grid, x0, np.ascontiguousarray(actions.T),
+                              keys):
+        assert np.array_equal(st.x, x[..., st.step].T), st.step
+        steps += 1
+    assert steps == grid.steps + 1
 
 
 def test_zero_drift_terminal_mean():

@@ -161,8 +161,15 @@ def test_gap_input_validation():
     dev = build_example_device(WHITE, -1.0, 1.0)
     with pytest.raises(ValueError):
         cce_gap_nplayer(MODEL, dev, N=1, reps=10)
-    with pytest.raises(ValueError):
-        cce_gap_nplayer(MODEL, dev, N=10, deviations=2, reps=10)
+    # both estimators need 3 candidates, given as a grid size or as actions
+    grid = TimeGrid(2.0, 10)
+    for deviations in (2, np.array([0.5]), np.array([-1.0, 1.0])):
+        with pytest.raises(ValueError, match="3 candidates"):
+            cce_gap_nplayer(MODEL, dev, N=10, deviations=deviations, reps=10,
+                            grid=grid)
+        with pytest.raises(ValueError, match="3 candidates"):
+            mean_field_gap_mc(MODEL, dev, deviations=deviations, reps=10,
+                              grid=grid)
 
 
 def test_poc_curve_decay_and_classes():

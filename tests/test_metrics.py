@@ -87,9 +87,9 @@ def test_moments_gaussian_draws():
 def test_w2_vs_single_gaussian_closed_form():
     # reference N(0,1) samples on an exact quantile grid, target N(mu, s^2)
     q = (np.arange(20000) + 0.5) / 20000
-    from ccemfg import backend
+    from ccemfg import _pathgen_py
 
-    z = backend.norm_quantile(q)
+    z = _pathgen_py.norm_quantile(q)
     for s in (0.5, 1.0, 1.5, 2.0):
         for mu in (-1.0, 0.0, 2.0):
             mix = GaussianMixture1D(weights=np.array([1.0]),

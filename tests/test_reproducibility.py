@@ -11,20 +11,19 @@ unchanged.  A deliberate change to the draw layout or to the arithmetic
 bumps the affected digests: update the table in the same change and say in
 CHANGES.md which outputs moved and why.
 
-The digests were taken on x86-64 with numpy 2.4 and the numpy backend.  A
-``log`` that differs in the last ulp can change them: numpy's AVX-512
-float64 ``log`` and its baseline one disagree on about 0.35% of inputs,
-which moves about one normal draw in 80,000 by one ulp.  These cases give
-the same digests under both (``NPY_DISABLE_CPU_FEATURES="X86_V4
-AVX512_ICL AVX512_SPR"``).  The compiled backend is checked against the
-numpy one by tolerance in ``test_rng.py`` instead.
+The digests were taken on x86-64 with numpy 2.4; the package's one
+implementation of path generation is the numpy kernels of
+``ccemfg._pathgen_py``.  A ``log`` that differs in the last ulp can change
+them: numpy's AVX-512 float64 ``log`` and its baseline one disagree on
+about 0.35% of inputs, which moves about one normal draw in 80,000 by one
+ulp.  These cases give the same digests under both
+(``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"``).
 """
 
 import hashlib
 
 import pytest
 
-from ccemfg import backend
 from ccemfg.cli import main
 
 CASES = {
@@ -57,6 +56,5 @@ def output_digest(command, args, out_dir) -> str:
 
 @pytest.mark.parametrize("command", sorted(CASES))
 def test_pinned_output_digest(command, tmp_path):
-    with backend.use_backend("python"):
-        got = output_digest(command, CASES[command][0], tmp_path)
+    got = output_digest(command, CASES[command][0], tmp_path)
     assert got == CASES[command][1]

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from ccemfg import _pathgen_py, rng
-from ccemfg import backend
 
 
 def _splitmix64_oracle(x):
@@ -88,40 +87,20 @@ def test_norm_quantile_against_scipy():
 
     p = np.concatenate([np.linspace(1e-12, 1 - 1e-12, 2001),
                         [1e-15, 1 - 1e-15, 0.5]])
-    got = backend.norm_quantile(p)
+    got = _pathgen_py.norm_quantile(p)
     ref = norm.ppf(p)
     assert np.max(np.abs(got - ref)) < 1e-8
     # symmetry
     q = np.linspace(1e-6, 0.5, 500)
-    assert np.allclose(backend.norm_quantile(q),
-                       -backend.norm_quantile(1 - q), atol=1e-11)
-
-
-@pytest.mark.skipif(len(backend.available_backends()) < 2,
-                    reason="compiled backend not built")
-def test_backends_agree():
-    p = np.linspace(1e-9, 1 - 1e-9, 10001)
-    with backend.use_backend("python"):
-        a = backend.norm_quantile(p)
-    with backend.use_backend("cython"):
-        b = backend.norm_quantile(p)
-    assert np.max(np.abs(a - b)) < 1e-12
-
-    keys = rng.stream_keys(11, rng.TAG_NOISE, np.arange(8)[:, None],
-                           np.arange(4)[None, :])
-    with backend.use_backend("python"):
-        wa = backend.brownian_paths(keys, 64, 2.0)
-    with backend.use_backend("cython"):
-        wb = backend.brownian_paths(keys, 64, 2.0)
-    assert wa.shape == wb.shape == (8, 4, 65)
-    assert np.max(np.abs(wa - wb)) < 1e-12
+    assert np.allclose(_pathgen_py.norm_quantile(q),
+                       -_pathgen_py.norm_quantile(1 - q), atol=1e-11)
 
 
 def test_brownian_terminal_independent_of_steps():
     keys = rng.stream_keys(2, rng.TAG_NOISE, np.arange(20)[:, None],
                            np.arange(1)[None, :])
-    w_coarse = backend.brownian_paths(keys, 25, 2.0)
-    w_fine = backend.brownian_paths(keys, 200, 2.0)
+    w_coarse = _pathgen_py.brownian_paths(keys, 25, 2.0)
+    w_fine = _pathgen_py.brownian_paths(keys, 200, 2.0)
     assert np.array_equal(w_coarse[..., -1], w_fine[..., -1])
     assert np.all(w_coarse[..., 0] == 0.0)
 
@@ -129,21 +108,13 @@ def test_brownian_terminal_independent_of_steps():
 def test_brownian_increment_statistics():
     keys = rng.stream_keys(9, rng.TAG_NOISE, np.arange(2000)[:, None],
                            np.arange(1)[None, :])
-    w = backend.brownian_paths(keys, 50, 2.0)[:, 0, :]
+    w = _pathgen_py.brownian_paths(keys, 50, 2.0)[:, 0, :]
     inc = np.diff(w, axis=1)
     dt = 2.0 / 50
     assert abs(inc.var() - dt) < 0.01 * dt * 10
     assert abs(inc.mean()) < 3 * np.sqrt(dt / inc.size)
     # terminal variance ~ T
     assert abs(w[:, -1].var() - 2.0) < 0.3
-
-
-def test_env_backend_selection(monkeypatch):
-    with backend.use_backend("python"):
-        assert backend.active_backend() == "python"
-    with pytest.raises(ValueError):
-        with backend.use_backend("fortran"):
-            pass
 
 
 # --- reference kernels: whole-array PPND16 and the row-major bisection fill.
