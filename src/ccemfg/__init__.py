@@ -10,12 +10,11 @@ from .analytic import (AffineCoeffs, DeviceProbs, RegionGrid, cce_margin,
 from .correlation import (ConsistencyReport, CorrelationDevice, Scenario,
                           build_example_device, null_band, sample_scenario,
                           verify_consistency)
-from .engine import (ConstantStrategy, MkvResult, SimulationBatch,
-                     SimulationError, TimeGrid, mckean_vlasov_fixed_point,
-                     simulate_ensemble, simulate_n_player,
+from .engine import (ConstantStrategy, MkvResult, SimulationError, TimeGrid,
+                     mckean_vlasov_fixed_point, simulate_ensemble,
                      simulate_representative)
 from .equilibrium import (CostEstimate, GapReport, PocResult, cce_gap_nplayer,
-                          estimate_cost, mean_field_gap_mc, poc_curve)
+                          mean_field_gap_mc, poc_curve)
 from .flows import GaussianMixtureFlow, ParticleFlow, device_flow
 from .metrics import (GaussianMixture1D, w2_empirical_1d,
                       w2_vs_gaussian_mixture_1d)

@@ -13,9 +13,11 @@ Conventions:
 
 :func:`euler_step` is the one Euler kernel.  :func:`_euler` applies it to
 whole stored paths.  Every simulation of the representative player against
-an exogenous flow (:func:`simulate_representative`, the consistency check,
-the mean-field gap, the McKean-Vlasov solver) draws its noise with
-:func:`representative_noise` and steps it with :func:`step_against_flow`.
+an exogenous flow draws its noise with :func:`representative_noise`;
+:func:`simulate_representative`, the consistency check and the
+McKean-Vlasov solver step it with :func:`step_against_flow`, and the
+mean-field gap steps the recommendation and its deviation candidates as one
+state with :func:`euler_step`, keeping no paths.
 :func:`stream_ensemble` applies the Euler kernel to a player-major
 ``(N, R)`` state, one grid point at a time: the Brownian values come from
 the in-order bisection walk of :func:`ccemfg._pathgen_py.brownian_rows`, and
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -94,16 +96,6 @@ def as_action_fn(strategy) -> Callable:
     if callable(strategy):
         return strategy
     return ConstantStrategy(float(strategy))
-
-
-@dataclass(frozen=True)
-class SimulationBatch:
-    """One replication of the N-player system."""
-
-    paths: np.ndarray            # (N, steps+1)
-    actions: np.ndarray          # (N, steps)
-    noise_seed: int
-    scenario_index: int = 0
 
 
 def noise_keys(seed: int, rep_ids, player_ids) -> np.ndarray:
@@ -255,43 +247,6 @@ def simulate_ensemble(model: ModelSpec, grid: TimeGrid, actions, N: int,
     return _euler(model, grid, x0, w, action_fn, _empirical_measure)
 
 
-def simulate_n_player(model: ModelSpec, grid: TimeGrid, strategies, N: int,
-                      seed: int, scenario_index: int = 0,
-                      rep: int = 0) -> SimulationBatch:
-    """One replication of the N-player system under per-player strategies.
-
-    ``strategies``: one rule for all players, or a length-N sequence of
-    rules/constants.  The rules see the synchronously updated empirical
-    measure of the current states.
-    """
-    if isinstance(strategies, Sequence) and not isinstance(strategies, str):
-        if len(strategies) != N:
-            raise ValueError("need one strategy per player")
-        fns = [as_action_fn(s) for s in strategies]
-
-        def action_fn(t, x, mv):
-            return np.stack([np.broadcast_to(f(t, x[:, j], mv), x[:, j].shape)
-                             for j, f in enumerate(fns)], axis=1)
-    else:
-        action_fn = as_action_fn(strategies)
-
-    recorded = []
-
-    def recording_fn(t, x, mv):
-        a = np.broadcast_to(action_fn(t, x, mv), x.shape)
-        recorded.append(np.array(a[0]))
-        return a
-
-    rep_ids = np.array([rep])
-    player_ids = np.arange(N)
-    w = _pathgen_py.brownian_paths(noise_keys(seed, rep_ids, player_ids),
-                                   grid.steps, grid.horizon)
-    x0 = initial_states(model, seed, rep_ids, player_ids)
-    x = _euler(model, grid, x0, w, recording_fn, _empirical_measure)
-    return SimulationBatch(paths=x[0], actions=np.stack(recorded, axis=1),
-                           noise_seed=seed, scenario_index=scenario_index)
-
-
 def representative_noise(model: ModelSpec, grid: TimeGrid, seed: int,
                          rep_ids) -> tuple[np.ndarray, np.ndarray]:
     """Initial states (R,) and Brownian paths (R, steps+1) of the
@@ -372,9 +327,9 @@ def mckean_vlasov_fixed_point(model: ModelSpec, grid: TimeGrid, strategy,
     for _ in range(max_iters):
         x = step_against_flow(model, grid, x0, w, strategy,
                               flow_views(flow, grid))
-        new_flow = ParticleFlow(times=times, particles=x)
+        new_flow = ParticleFlow(times=times, particles=x)   # sorts x
         gap = float(np.max(np.sqrt(np.mean(
-            (np.sort(x, axis=0) - flow._sorted) ** 2, axis=0))))
+            (new_flow._sorted - flow._sorted) ** 2, axis=0))))
         distances.append(gap)
         flow = new_flow
         if gap < tol:

@@ -22,16 +22,16 @@ import numpy as np
 
 from . import rng
 from .correlation import CorrelationDevice, sample_scenario
-from .engine import (SimulationBatch, TimeGrid, as_action_fn, check_run,
-                     euler_step, flow_views, initial_states, noise_keys,
-                     representative_noise, step_against_flow,
-                     stream_ensemble, sum_rows)
+from .engine import (TimeGrid, as_action_fn, check_run, euler_step,
+                     flow_views, initial_states, noise_keys,
+                     representative_noise, stream_ensemble, sum_rows)
 from .model import MeasureView, ModelSpec
 
-# Sets the replications per chunk: CHUNK_ELEMS // (states of one replication
-# over the whole grid).  It caps the states held only where whole paths are
-# stored (mean-field gap); the streamed N-player estimators hold about
-# log2(steps) + 2 grid points of a chunk at a time.
+# Sets the replications per chunk: CHUNK_ELEMS // (numbers one replication
+# counts for).  The mean-field gap stores one noise path per replication
+# (steps + 1 numbers) next to its 1 + G streamed candidate states, and no
+# candidate paths; the streamed N-player estimators count N * (steps + 1)
+# but hold only about log2(steps) + 2 grid points of a chunk at a time.
 CHUNK_ELEMS = 20_000_000
 
 
@@ -98,48 +98,6 @@ def _map_jobs(fn, jobs, workers: int):
 
 def default_workers() -> int:
     return int(os.environ.get("CCEMFG_WORKERS", "1"))
-
-
-def _player_cost(model: ModelSpec, grid: TimeGrid, xp: np.ndarray,
-                 ap: np.ndarray, means: np.ndarray, m2s: np.ndarray) -> np.ndarray:
-    """Cost of one player across replications.
-
-    xp: (R, steps+1) states; ap: (R,) constant or (R, steps) actions;
-    means/m2s: (R, steps+1) measure summaries seen by that player.
-    """
-    times = grid.times
-    run = np.zeros(xp.shape[0])
-    for i in range(grid.steps):
-        mv = MeasureView(mean=means[:, i], second_moment=m2s[:, i])
-        a_i = ap[:, i] if ap.ndim == 2 else ap
-        run = run + np.asarray(model.running_cost(times[i], xp[:, i], mv, a_i))
-    mv_T = MeasureView(mean=means[:, -1], second_moment=m2s[:, -1])
-    return run * grid.dt + np.asarray(model.terminal_cost(xp[:, -1], mv_T))
-
-
-def estimate_cost(model: ModelSpec, grid: TimeGrid, batches,
-                  player: int = 0) -> CostEstimate:
-    """Monte Carlo cost of one player over one or more simulation batches
-    (left-endpoint Riemann sum of the running cost plus terminal cost,
-    against the batch's empirical measure)."""
-    if isinstance(batches, SimulationBatch):
-        batches = [batches]
-    vals = []
-    for b in batches:
-        x = np.asarray(b.paths)                       # (N, steps+1)
-        means = x.mean(axis=0, keepdims=True)
-        m2s = np.mean(x**2, axis=0, keepdims=True)
-        ap = np.asarray(b.actions)[player][None, :]
-        vals.append(float(_player_cost(model, grid, x[player][None, :],
-                                       ap, means, m2s)[0]))
-    vals = np.asarray(vals)
-    n = vals.size
-    if n < 2:
-        return CostEstimate(mean=float(vals.mean()), std_error=float("nan"),
-                            reps=n, flagged=True)
-    return CostEstimate(mean=float(vals.mean()),
-                        std_error=float(vals.std(ddof=1) / np.sqrt(n)),
-                        reps=n)
 
 
 # ---------------------------------------------------------------------------
@@ -323,10 +281,20 @@ def cce_gap_nplayer(model: ModelSpec, device: CorrelationDevice, N: int,
 # ---------------------------------------------------------------------------
 
 def _mf_chunk(args):
+    """Costs of the recommendation and of every candidate for the
+    representative player against the flows of the drawn scenarios.
+
+    Per scenario, the recommendation (row 0) and the G constant candidates
+    step as one (1 + G, Rc) state driven by player 0's increments, against
+    flow views built once; the running cost is added per step.  No
+    candidate paths are stored: only the noise paths of
+    :func:`representative_noise`.
+    """
     (model, device, grid, seed, candidates, off, count) = args
     rep_ids = off + np.arange(count)
     scen = sample_scenario(device, seed, rep_ids)
     x0, w = representative_noise(model, grid, seed, rep_ids)
+    times, dt = grid.times, grid.dt
 
     j_rec = np.empty(count)
     j_dev = np.empty((count, candidates.shape[0]))
@@ -334,30 +302,22 @@ def _mf_chunk(args):
         mask = scen == idx
         if not np.any(mask):
             continue
-        x0_s, w_s = x0[mask], w[mask]
+        w_s = w[mask]
         views = flow_views(scenario.flow, grid)     # once for all candidates
-        vT = scenario.flow.view(grid.times[-1])
-        means = np.array([v.mean for v in views] + [vT.mean])
-        m2s = np.array([v.second_moment for v in views] + [vT.second_moment])
-        means = np.broadcast_to(means, (x0_s.size, means.shape[0]))
-        m2s = np.broadcast_to(m2s, means.shape)
-
         fn = as_action_fn(scenario.strategy)
-        rec = []
-
-        def rec_fn(t, xx, mv, _f=fn, _rec=rec):
-            a = np.broadcast_to(_f(t, xx, mv), np.shape(xx))
-            _rec.append(np.array(a))
-            return a
-
-        x = step_against_flow(model, grid, x0_s, w_s, rec_fn, views)
-        a_rec = np.stack(rec, axis=1)                 # (Rc, steps)
-        j_rec[mask] = _player_cost(model, grid, x, a_rec, means, m2s)
-
-        for g, m in enumerate(candidates):
-            xd = step_against_flow(model, grid, x0_s, w_s, float(m), views)
-            j_dev[mask, g] = _player_cost(model, grid, xd,
-                                          np.full(x0_s.size, m), means, m2s)
+        x = np.broadcast_to(x0[mask], (candidates.shape[0] + 1, w_s.shape[0]))
+        a = np.empty(x.shape)
+        a[1:] = candidates[:, None]
+        run = np.zeros(x.shape)
+        for i, mv in enumerate(views):
+            a[0] = fn(times[i], x[0], mv)
+            run = run + np.asarray(model.running_cost(times[i], x, mv, a))
+            x = euler_step(model, i, times[i], dt, x, mv, a,
+                           w_s[:, i + 1] - w_s[:, i])
+        vT = scenario.flow.view(times[-1])
+        cost = run * dt + np.asarray(model.terminal_cost(x, vT))
+        j_rec[mask] = cost[0]
+        j_dev[mask] = cost[1:].T
     return j_rec, j_dev, scen
 
 
@@ -366,12 +326,19 @@ def mean_field_gap_mc(model: ModelSpec, device: CorrelationDevice,
                       grid: Optional[TimeGrid] = None, workers: int = 0,
                       oracle: Optional[float] = None) -> GapReport:
     """Deviation gap of the representative player against the device's
-    exogenous flows (mean field optimality check)."""
+    exogenous flows (mean field optimality check).
+
+    Each replication draws a scenario and the noise of player 0 of that
+    replication in the N-player engine; the recommendation and the G
+    constant candidates share that noise and are stepped together, with
+    their costs accumulated as they go (see :func:`_mf_chunk`).  A chunk
+    holds one noise path per replication.
+    """
     grid = grid or TimeGrid(model.horizon, 200)
     check_run(model, grid, reps=reps)
     candidates = _candidates(model, deviations)
     workers = workers or default_workers()
-    chunk = max(1, CHUNK_ELEMS // (candidates.size * (grid.steps + 1)))
+    chunk = max(1, CHUNK_ELEMS // (grid.steps + candidates.size + 2))
     jobs = [(model, device, grid, seed, candidates, off, cnt)
             for off, cnt in _chunks(reps, chunk)]
     parts = _map_jobs(_mf_chunk, jobs, workers)

@@ -38,13 +38,25 @@ _C2 = np.uint64(0x94D049BB133111EB)
 _BELOW_ONE = np.nextafter(1.0, 0.0)
 
 
-def mix64(x):
-    """splitmix64 finalizer, vectorized over uint64 arrays."""
-    z = np.asarray(x, dtype=np.uint64)
+def _finalize(z: np.ndarray) -> np.ndarray:
+    """The splitmix64 finalizer applied to the uint64 array ``z`` in place,
+    with one scratch array."""
+    s = np.empty_like(z)
     with np.errstate(over="ignore"):    # modular wraparound is intended
-        z = (z ^ (z >> np.uint64(30))) * _C1
-        z = (z ^ (z >> np.uint64(27))) * _C2
-    return z ^ (z >> np.uint64(31))
+        for shift, mult in ((30, _C1), (27, _C2)):
+            np.right_shift(z, np.uint64(shift), out=s)
+            z ^= s
+            z *= mult
+        np.right_shift(z, np.uint64(31), out=s)
+        z ^= s
+    return z
+
+
+def mix64(x):
+    """splitmix64 finalizer, vectorized over uint64 arrays; ``x`` itself is
+    left unchanged."""
+    z = _finalize(np.array(x, dtype=np.uint64))
+    return z if z.ndim else z[()]
 
 
 def _mix64_int(z: int) -> int:
@@ -72,12 +84,27 @@ def stream_keys(seed: int, *tags) -> np.ndarray:
     return k
 
 
-def raw64(key, index) -> np.ndarray:
-    """Draw ``index`` of stream ``key`` as raw uint64 (both broadcast)."""
+def _raw64(key, index) -> np.ndarray:
+    """:func:`raw64` as an array of the broadcast shape (0-d for scalars).
+
+    ``(index + 1) * GOLDEN + key`` is built in one buffer and finalized in
+    place; the arithmetic is modulo 2**64, so the order of the terms does
+    not change the bits.
+    """
     key = np.asarray(key, dtype=np.uint64)
     index = np.asarray(index, dtype=np.uint64)
+    z = np.empty(np.broadcast_shapes(key.shape, index.shape), dtype=np.uint64)
     with np.errstate(over="ignore"):
-        return mix64(key + _G * (index + np.uint64(1)))
+        np.add(index, np.uint64(1), out=z)
+        z *= _G
+        z += key
+    return _finalize(z)
+
+
+def raw64(key, index) -> np.ndarray:
+    """Draw ``index`` of stream ``key`` as raw uint64 (both broadcast)."""
+    z = _raw64(key, index)
+    return z if z.ndim else z[()]
 
 
 def bits_to_uniform(bits) -> np.ndarray:
@@ -96,7 +123,9 @@ def bits_to_uniform(bits) -> np.ndarray:
 
 def uniforms(key, index) -> np.ndarray:
     """Uniform draws strictly inside (0, 1)."""
-    return bits_to_uniform(raw64(key, index) >> np.uint64(11))
+    z = _raw64(key, index)
+    z >>= np.uint64(11)
+    return bits_to_uniform(z)
 
 
 def normals(key, index) -> np.ndarray:

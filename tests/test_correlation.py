@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ccemfg import rng
 from ccemfg.analytic import DeviceProbs
 from ccemfg.correlation import (CorrelationDevice, Scenario,
                                 build_example_device, null_band,
@@ -9,6 +10,7 @@ from ccemfg.correlation import (CorrelationDevice, Scenario,
 from ccemfg.engine import TimeGrid
 from ccemfg.equilibrium import recommended_actions
 from ccemfg.flows import device_flow
+from ccemfg.metrics import empirical_quantiles
 from ccemfg.model import build_bang_bang_model
 
 MODEL = build_bang_bang_model(-1.0, 1.0, 1.0, 2.0)
@@ -179,6 +181,37 @@ def test_null_band_reuses_a_given_table():
     given = null_band(flow, times, 300, seed=4,
                       table=flow.quantile_table(times))
     assert given == built
+
+
+def _ref_null_band(flow, times, count, seed, pilots=20, factor=3.0,
+                   table=None):
+    """Reference copy: gathers every sampled float and sorts the floats."""
+    if table is None:
+        table = flow.quantile_table(times)
+    sups = []
+    for p in range(pilots):
+        key = rng.stream_key(seed, rng.TAG_PROBE, p)
+        u = rng.uniforms(key, np.arange(count * times.shape[0]))
+        u = u.reshape(count, times.shape[0])
+        idx = np.minimum((u * table.shape[1]).astype(np.int64),
+                         table.shape[1] - 1)
+        samples = table[np.arange(times.shape[0])[None, :], idx]
+        eq = empirical_quantiles(np.sort(samples, axis=0).T)
+        sups.append(float(np.max(np.sqrt(np.mean((eq - table) ** 2, axis=1)))))
+    return factor * float(np.median(sups))
+
+
+@pytest.mark.parametrize("steps", [1, 20, 200])
+@pytest.mark.parametrize("weight", [1.0, 5 / 7, 0.5, 0.0])
+def test_null_band_matches_float_sort_reference(weight, steps):
+    flow = device_flow(weight, -1.0, 1.0)
+    times = TimeGrid(2.0, steps).times
+    table = flow.quantile_table(times)
+    # sorting indices is exact only because every table row is nondecreasing
+    assert np.all(np.diff(table, axis=1) >= 0.0)
+    for count in (1, 2, 300, 2003):
+        got = null_band(flow, times, count, seed=11, table=table)
+        assert got == _ref_null_band(flow, times, count, 11, table=table), count
 
 
 def test_consistency_builds_each_class_table_once(monkeypatch, tmp_path,

@@ -3,10 +3,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from ccemfg.engine import (ConstantStrategy, SimulationError, TimeGrid,
-                           initial_states, mckean_vlasov_fixed_point,
-                           noise_keys, simulate_ensemble, simulate_n_player,
-                           simulate_representative, stream_ensemble)
+from ccemfg.engine import (SimulationError, TimeGrid, initial_states,
+                           mckean_vlasov_fixed_point, noise_keys,
+                           simulate_ensemble, simulate_representative,
+                           stream_ensemble)
 from ccemfg.flows import GaussianMixtureFlow, device_flow
 from ccemfg.model import GaussianInitial, build_bang_bang_model
 
@@ -119,19 +119,6 @@ def test_nonfinite_state_aborts_with_step():
     with pytest.raises(SimulationError) as err:
         simulate_ensemble(bad, g, 0.0, N=3, reps=2, seed=0)
     assert err.value.step == 3          # first grid time past 0.5 is t=0.6
-
-
-def test_simulate_n_player_records_actions():
-    g = TimeGrid(2.0, 20)
-    batch = simulate_n_player(MODEL, g, [1.0, -1.0, ConstantStrategy(0.0)],
-                              N=3, seed=2)
-    assert batch.paths.shape == (3, 21)
-    assert batch.actions.shape == (3, 20)
-    assert np.all(batch.actions[0] == 1.0)
-    assert np.all(batch.actions[1] == -1.0)
-    assert np.all(batch.actions[2] == 0.0)
-    with pytest.raises(ValueError):
-        simulate_n_player(MODEL, g, [1.0, -1.0], N=3, seed=2)
 
 
 def test_representative_terminal_law():

@@ -5,45 +5,14 @@ import pytest
 
 from ccemfg.analytic import DeviceProbs, finite_n_gap_oracle
 from ccemfg.correlation import build_example_device
-from ccemfg.engine import TimeGrid, simulate_n_player
-from ccemfg.equilibrium import (cce_gap_nplayer, estimate_cost,
-                                mean_field_gap_mc, poc_curve,
+from ccemfg.engine import TimeGrid
+from ccemfg.equilibrium import (cce_gap_nplayer, mean_field_gap_mc, poc_curve,
                                 recommended_actions)
 from ccemfg.model import build_bang_bang_model
 
 MODEL = build_bang_bang_model(-1.0, 1.0, 1.0, 2.0)
 WHITE = DeviceProbs(1, 0, 0, 0)
 BLACK = DeviceProbs(0.5, 0.3, 0.2, 0.0)
-
-
-def test_estimate_cost_degenerate_models():
-    g = TimeGrid(2.0, 40)
-    zero = dataclasses.replace(
-        MODEL, terminal_cost=lambda x, m: np.zeros(np.shape(x)))
-    batches = [simulate_n_player(zero, g, 1.0, N=4, seed=s) for s in range(3)]
-    est = estimate_cost(zero, g, batches)
-    assert est.mean == 0.0 and est.std_error == 0.0 and not est.flagged
-
-    unit_run = dataclasses.replace(
-        zero, running_cost=lambda t, x, m, a: np.ones(np.shape(x)))
-    batches = [simulate_n_player(unit_run, g, 1.0, N=4, seed=s)
-               for s in range(3)]
-    est = estimate_cost(unit_run, g, batches)
-    assert abs(est.mean - 2.0) < 1e-12 and est.std_error < 1e-12
-
-
-def test_estimate_cost_single_batch_flagged():
-    g = TimeGrid(2.0, 20)
-    est = estimate_cost(MODEL, g, simulate_n_player(MODEL, g, 1.0, N=4, seed=0))
-    assert est.flagged and est.reps == 1 and np.isnan(est.std_error)
-
-
-def test_estimate_cost_corner_payoff():
-    g = TimeGrid(2.0, 50)
-    batches = [simulate_n_player(MODEL, g, 1.0, N=100, seed=s)
-               for s in range(60)]
-    est = estimate_cost(MODEL, g, batches)
-    assert abs(est.mean - 4.0) < 3 * max(est.std_error, 1e-12) + 0.1
 
 
 def test_recommended_actions_distribution():

@@ -211,3 +211,62 @@ def test_brownian_rows_in_time_order_match_row_major_fill(steps):
     assert all(r.shape == (keys.size,) for r in rows)
     ref = _ref_brownian_paths(keys, steps, 2.0).reshape(keys.size, steps + 1)
     assert np.array_equal(np.stack(rows, axis=1), ref)
+
+
+# --- reference counter hash: the temporaries-per-operation version that the
+# in-place raw64 / mix64 / uniforms must reproduce bit for bit.
+
+def _ref_mix64(x):
+    z = np.asarray(x, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def _ref_raw64(key, index):
+    key = np.asarray(key, dtype=np.uint64)
+    index = np.asarray(index, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        return _ref_mix64(key + np.uint64(rng.GOLDEN) * (index + np.uint64(1)))
+
+
+def _ref_uniforms(key, index):
+    return rng.bits_to_uniform(_ref_raw64(key, index) >> np.uint64(11))
+
+
+_KEYS = rng.stream_keys(23, rng.TAG_NOISE, np.arange(6))
+_TOP = np.uint64((1 << 64) - 1)
+
+
+@pytest.mark.parametrize("key, index", [
+    (_KEYS[0], 3),                                    # scalar / scalar
+    (_KEYS[1], np.uint64((1 << 64) - 1)),             # index + 1 wraps to 0
+    (_KEYS[2], np.arange(1000)),                      # scalar / array
+    (_TOP, np.array([0, 1, (1 << 63) + 5], dtype=np.uint64)),
+    (_KEYS, 7),                                       # array / scalar
+    (_KEYS[:, None], np.arange(9)[None, :]),          # (R, 1) / (1, N)
+], ids=["scalar-scalar", "scalar-wrap", "scalar-array", "top-key",
+        "array-scalar", "column-row"])
+def test_hash_matches_reference(key, index):
+    for fn, ref in ((rng.raw64, _ref_raw64), (rng.uniforms, _ref_uniforms)):
+        got, want = fn(key, index), ref(key, index)
+        assert np.shape(got) == np.shape(want)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        if not np.shape(want):          # scalar inputs give a scalar
+            assert not isinstance(got, np.ndarray)
+            assert type(got) is type(want)
+
+
+def test_mix64_matches_reference_and_keeps_its_input():
+    x = rng.stream_keys(29, rng.TAG_PROBE, np.arange(500))
+    x_before = x.copy()
+    assert np.array_equal(rng.mix64(x), _ref_mix64(x))
+    assert np.array_equal(x, x_before)
+    assert np.array_equal(rng.mix64(x.reshape(20, 25)),
+                          _ref_mix64(x).reshape(20, 25))
+    scalar = rng.mix64(np.uint64(12345))
+    assert not isinstance(scalar, np.ndarray)
+    assert scalar == _ref_mix64(np.uint64(12345))
+    assert rng.mix64(7) == _ref_mix64(7)

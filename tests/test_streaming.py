@@ -1,13 +1,13 @@
-"""The streamed N-player estimators against the path-storing code they
-replaced.
+"""The streamed estimators against the path-storing code they replaced.
 
 The reference copies below are the estimator kernels as they were before
 the engine streamed: they build whole ``(R, N, steps + 1)`` Brownian paths,
-run the row-major Euler loop over them and reduce afterwards.  The streamed
-``_nplayer_chunk`` and ``_poc_for_n`` must reproduce them bit for bit at
-every chunk size, including one replication, where numpy would otherwise
-sum the players pairwise.  A ``tracemalloc`` test bounds the peak memory of
-the two streamed estimators.
+or one stored path per deviation candidate in the mean field, run the
+row-major Euler loop over them and reduce afterwards.  The streamed
+``_nplayer_chunk``, ``_poc_for_n`` and ``_mf_chunk`` must reproduce them
+bit for bit at every chunk size, including one replication, where numpy
+would otherwise sum the players pairwise.  A ``tracemalloc`` test bounds
+the peak memory of the streamed estimators.
 """
 
 import dataclasses
@@ -19,12 +19,14 @@ import pytest
 import ccemfg.equilibrium as eq
 from ccemfg import _pathgen_py
 from ccemfg.analytic import DeviceProbs
-from ccemfg.correlation import build_example_device
+from ccemfg.correlation import (CorrelationDevice, build_example_device,
+                                sample_scenario)
 from ccemfg.engine import (SimulationError, TimeGrid, _check_actions,
-                           initial_states, noise_keys)
+                           as_action_fn, flow_views, initial_states,
+                           noise_keys, representative_noise)
 from ccemfg.equilibrium import (_assemble_gap, _chunks, cce_gap_nplayer,
-                                default_deviation_grid, poc_curve,
-                                recommended_actions)
+                                default_deviation_grid, mean_field_gap_mc,
+                                poc_curve, recommended_actions)
 from ccemfg.model import MeasureView, build_bang_bang_model
 
 MODEL = build_bang_bang_model(-1.0, 1.0, 1.0, 2.0)
@@ -175,6 +177,50 @@ def _ref_poc_for_n(args):
     return per_time, per_class
 
 
+def _ref_mf_chunk(args):
+    (model, device, grid, seed, candidates, off, count) = args
+    rep_ids = off + np.arange(count)
+    scen = sample_scenario(device, seed, rep_ids)
+    x0, w = representative_noise(model, grid, seed, rep_ids)
+
+    j_rec = np.empty(count)
+    j_dev = np.empty((count, candidates.shape[0]))
+    for idx, scenario in enumerate(device.scenarios):
+        mask = scen == idx
+        if not np.any(mask):
+            continue
+        x0_s, w_s = x0[mask], w[mask]
+        views = flow_views(scenario.flow, grid)
+        vT = scenario.flow.view(grid.times[-1])
+        means = np.array([v.mean for v in views] + [vT.mean])
+        m2s = np.array([v.second_moment for v in views] + [vT.second_moment])
+        means = np.broadcast_to(means, (x0_s.size, means.shape[0]))
+        m2s = np.broadcast_to(m2s, means.shape)
+
+        fn = as_action_fn(scenario.strategy)
+        rec = []
+
+        def rec_fn(t, xx, mv, _f=fn, _rec=rec):
+            a = np.broadcast_to(_f(t, xx, mv), np.shape(xx))
+            _rec.append(np.array(a))
+            return a
+
+        def flow_fn(i, x, _v=views):
+            return _v[i]
+
+        x = _ref_euler(model, grid, x0_s, w_s, rec_fn, flow_fn)
+        a_rec = np.stack(rec, axis=1)                 # (Rc, steps)
+        j_rec[mask] = _ref_player_cost(model, grid, x, a_rec, means, m2s)
+
+        for g, m in enumerate(candidates):
+            xd = _ref_euler(model, grid, x0_s, w_s,
+                            lambda t, xx, mv, _m=float(m): np.full_like(xx, _m),
+                            flow_fn)
+            j_dev[mask, g] = _ref_player_cost(model, grid, xd,
+                                              np.full(x0_s.size, m), means, m2s)
+    return j_rec, j_dev, scen
+
+
 # --- bit-identity ------------------------------------------------------------
 
 @pytest.mark.parametrize("measure", [False, True],
@@ -223,6 +269,44 @@ def test_poc_matches_path_storing_reference(p, steps, monkeypatch):
                 assert np.array_equal(per_class[lab], r_class[lab]), (N, R)
 
 
+class _Feedback:
+    """State feedback ``clip(value - x, -1, 1)``: reads the state, so the
+    recommendation differs from one replication and step to the next."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __call__(self, t, x, mv):
+        return np.clip(self.value - x, -1.0, 1.0)
+
+
+def _with_feedback(device):
+    return CorrelationDevice(scenarios=tuple(
+        dataclasses.replace(s, strategy=_Feedback(s.strategy))
+        for s in device.scenarios))
+
+
+@pytest.mark.parametrize("variant", ["bang-bang", "running-cost-feedback"])
+@pytest.mark.parametrize("steps", STEPS)
+@pytest.mark.parametrize("p", DEVICES)
+def test_mf_chunk_matches_path_storing_reference(p, steps, variant):
+    model = MODEL
+    device = build_example_device(DeviceProbs(*p), -1.0, 1.0)
+    if variant != "bang-bang":
+        model = dataclasses.replace(
+            MODEL, running_cost=lambda t, x, m, a: 0.5 * a**2 - x * m.mean)
+        device = _with_feedback(device)
+    grid = TimeGrid(2.0, steps)
+    candidates = default_deviation_grid(model)
+    for R in CHUNK_REPS:
+        args = (model, device, grid, 3, candidates, 5, R)
+        j_rec, j_dev, scen = eq._mf_chunk(args)
+        r_rec, r_dev, r_scen = _ref_mf_chunk(args)
+        assert np.array_equal(j_rec, r_rec), R
+        assert np.array_equal(j_dev, r_dev), R
+        assert np.array_equal(scen, r_scen)
+
+
 # --- memory ------------------------------------------------------------------
 
 PEAK_BOUND = 32 * 2**20
@@ -249,4 +333,11 @@ def test_streamed_poc_peak_memory():
     device = build_example_device(DeviceProbs(1, 0, 0, 0), -1.0, 1.0)
     peak = _traced_peak(lambda: poc_curve(MODEL, device, [400], reps=100,
                                           seed=0, workers=1))
+    assert peak < PEAK_BOUND, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_streamed_mfgap_peak_memory():
+    device = build_example_device(DeviceProbs(0.5, 0.3, 0.2, 0), -1.0, 1.0)
+    peak = _traced_peak(lambda: mean_field_gap_mc(
+        MODEL, device, reps=4000, seed=0, grid=TimeGrid(2.0, 200), workers=1))
     assert peak < PEAK_BOUND, f"peak {peak / 2**20:.1f} MiB"
