@@ -18,9 +18,8 @@ from .equilibrium import (CostEstimate, GapReport, PocResult, cce_gap_nplayer,
 from .flows import GaussianMixtureFlow, ParticleFlow, device_flow
 from .metrics import (GaussianMixture1D, w2_empirical_1d,
                       w2_vs_gaussian_mixture_1d)
-from .model import (ActionBox, GaussianInitial, LipschitzReport, MeasureView,
-                    ModelSpec, PointMass, build_bang_bang_model,
-                    validate_lipschitz)
+from .model import (ActionBox, GaussianInitial, MeasureView, ModelSpec,
+                    PointMass, build_bang_bang_model)
 
 __version__ = "0.1.0"
 

@@ -139,6 +139,20 @@ def worst_case_deviation(coeffs: AffineCoeffs, a: float, b: float) -> float:
 DEFAULT_ALPHAS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
+_CSV_BLOCK = 2048                # cells per write in RegionGrid.to_csv
+_SHADES = np.array(["0", "255", "128"], dtype=object)   # not, cce, infeasible
+
+
+def _format_17g(values: np.ndarray) -> np.ndarray:
+    """``.17g`` strings of a float64 array, each distinct value formatted
+    once.  Values are told apart by bit pattern, not by ``==``: -0.0 and
+    0.0 compare equal but print as "-0" and "0"."""
+    keys, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    table = np.array([f"{v:.17g}" for v in keys.view(np.float64).tolist()],
+                     dtype=object)
+    return table[inverse.reshape(values.shape)]
+
+
 @dataclass(frozen=True)
 class RegionGrid:
     """Equilibrium-region sweep over (p11, p22) at a fixed mixing alpha.
@@ -165,37 +179,50 @@ class RegionGrid:
         return self.feasible & (self.margin >= -MARGIN_TOL)
 
     def to_csv(self, path, header: Optional[dict] = None) -> None:
+        """One row per feasible cell, in i-major (p11-major) order.
+
+        Every float is printed with ``.17g``, so the file round-trips
+        exactly; ``is_cce`` is 0 or 1.  Rows go out in blocks of
+        ``_CSV_BLOCK`` cells.  Within a block each distinct float is
+        formatted once: the lookup is keyed on the float's bit pattern, so
+        -0.0 stays "-0" next to "0".
+        """
+        feas = self.feasible
+        cols = np.stack([c[feas] for c in (self.p11, self.p22, self.p12,
+                                            self.p21, self.h, self.k,
+                                            self.margin)], dtype=np.float64)
+        cce = self.is_cce[feas].view(np.uint8)
+        alpha = f"{self.alpha:.17g}"
         with open(path, "w") as fh:
             if header is not None:
                 fh.write("# " + json.dumps(header, sort_keys=True) + "\n")
             fh.write("p11,p22,p12,p21,alpha,h,k,margin,is_cce\n")
-            cce = self.is_cce
-            n = self.resolution
-            for i in range(n):
-                for j in range(n):
-                    if not self.feasible[i, j]:
-                        continue
-                    fh.write(f"{self.p11[i, j]:.17g},{self.p22[i, j]:.17g},"
-                             f"{self.p12[i, j]:.17g},{self.p21[i, j]:.17g},"
-                             f"{self.alpha:.17g},{self.h[i, j]:.17g},"
-                             f"{self.k[i, j]:.17g},{self.margin[i, j]:.17g},"
-                             f"{int(cce[i, j])}\n")
+            for s in range(0, cce.size, _CSV_BLOCK):
+                blk = slice(s, s + _CSV_BLOCK)
+                p11, p22, p12, p21, h, k, margin = _format_17g(
+                    cols[:, blk]).tolist()
+                fh.write("".join([
+                    f"{v11},{v22},{v12},{v21},{alpha},{vh},{vk},{vm},{c}\n"
+                    for v11, v22, v12, v21, vh, vk, vm, c in zip(
+                        p11, p22, p12, p21, h, k, margin, cce[blk].tolist())]))
 
     def to_pgm(self, path, header: Optional[dict] = None) -> None:
         """ASCII (P2) raster: white=equilibrium, black=not, gray=infeasible.
 
-        Rows run from p22 = 1 at the top down to p22 = 0, so the image is
-        oriented like a standard plot of the (p11, p22) square.
+        Shades are 255, 0 and 128, space-separated, one image row per
+        line.  Rows run from p22 = 1 at the top down to p22 = 0 and columns
+        from p11 = 0 to 1, so the image is oriented like a standard plot of
+        the (p11, p22) square.
         """
         n = self.resolution
-        shade = np.where(self.feasible, np.where(self.is_cce, 255, 0), 128)
+        shade = np.where(self.feasible, self.is_cce.view(np.uint8), 2)
         with open(path, "w") as fh:
             fh.write("P2\n")
             if header is not None:
                 fh.write("# " + json.dumps(header, sort_keys=True) + "\n")
             fh.write(f"{n} {n}\n255\n")
-            for j in range(n - 1, -1, -1):
-                fh.write(" ".join(str(int(shade[i, j])) for i in range(n)) + "\n")
+            fh.writelines(" ".join(row) + "\n"
+                          for row in _SHADES[shade.T[::-1]].tolist())
 
 
 def region_sweep(resolution: int, alpha: float, a: float, b: float) -> RegionGrid:

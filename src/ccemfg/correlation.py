@@ -210,18 +210,6 @@ def _pooled_w2_vs_flow(pool: np.ndarray, flow, times: np.ndarray,
     return out
 
 
-def strategy_flow_marginals(device: CorrelationDevice):
-    """(strategy marginal, flow marginal) as label -> probability dicts."""
-    strat: dict = {}
-    flow: dict = {}
-    for s in device.scenarios:
-        s_lab = s.label.split(",")[0].strip("(") if s.label else str(s.strategy)
-        strat[s_lab] = strat.get(s_lab, 0.0) + s.probability
-        f_lab = getattr(s.flow, "label", "") or str(id(s.flow))
-        flow[f_lab] = flow.get(f_lab, 0.0) + s.probability
-    return strat, flow
-
-
 def null_band(flow: GaussianMixtureFlow, times: np.ndarray, count: int,
               seed: int, pilots: int = 20, factor: float = 3.0, *,
               table: Optional[np.ndarray] = None) -> float:

@@ -319,8 +319,10 @@ def mckean_vlasov_fixed_point(model: ModelSpec, grid: TimeGrid, strategy,
         raise ValueError("tol must be positive")
     times = grid.times
     x0, w = representative_noise(model, grid, seed, np.arange(particles))
-    flow = ParticleFlow(times=times,
-                        particles=np.repeat(x0[:, None], grid.steps + 1, axis=1))
+    # every column of the starting flow is x0, so sort it once
+    cols = grid.steps + 1
+    flow = ParticleFlow(times=times, particles=np.repeat(x0[:, None], cols, 1),
+                        _sorted=np.repeat(np.sort(x0)[:, None], cols, 1))
 
     distances = []
     converged = False

@@ -68,7 +68,12 @@ class GaussianMixtureFlow:
 
 @dataclass(frozen=True)
 class ParticleFlow:
-    """Empirical flow carried by particle paths on a fixed time grid."""
+    """Empirical flow carried by particle paths on a fixed time grid.
+
+    ``_sorted`` holds each time's particles in ascending order.  A caller
+    that already has it may pass it in; it is trusted, and only its shape
+    is checked.
+    """
 
     times: np.ndarray
     particles: np.ndarray          # (P, len(times))
@@ -80,9 +85,15 @@ class ParticleFlow:
         x = np.asarray(self.particles, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != t.shape[0]:
             raise ValueError("particles must have shape (P, len(times))")
+        if self._sorted is None:
+            srt = np.sort(x, axis=0)
+        else:
+            srt = np.asarray(self._sorted, dtype=np.float64)
+            if srt.shape != x.shape:
+                raise ValueError("_sorted must have the particles' shape")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "particles", x)
-        object.__setattr__(self, "_sorted", np.sort(x, axis=0))
+        object.__setattr__(self, "_sorted", srt)
 
     def _index(self, t: float) -> int:
         i = int(np.argmin(np.abs(self.times - t)))

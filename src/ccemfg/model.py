@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import _pathgen_py, rng
+from . import _pathgen_py
 
 
 @dataclass(frozen=True)
@@ -50,27 +50,6 @@ class MeasureView:
     mean: np.ndarray | float
     second_moment: np.ndarray | float
     particles: Optional[np.ndarray] = None
-
-    @classmethod
-    def from_particles(cls, points: np.ndarray, keep: bool = True) -> "MeasureView":
-        points = np.asarray(points, dtype=np.float64)
-        return cls(mean=points.mean(axis=-1),
-                   second_moment=np.mean(points**2, axis=-1),
-                   particles=points if keep else None)
-
-    def validate(self, tol: float = 1e-12) -> None:
-        mean = np.asarray(self.mean, dtype=np.float64)
-        m2 = np.asarray(self.second_moment, dtype=np.float64)
-        if np.any(m2 < -tol):
-            raise ValueError("second moment must be nonnegative")
-        # Cauchy-Schwarz for the aggregate 1-d summaries
-        if np.any(mean**2 > m2 + tol * (1.0 + np.abs(m2))):
-            raise ValueError("mean^2 exceeds second moment")
-        if self.particles is not None:
-            ref = MeasureView.from_particles(self.particles, keep=False)
-            if (np.max(np.abs(mean - ref.mean)) > tol
-                    or np.max(np.abs(m2 - ref.second_moment)) > tol):
-                raise ValueError("particle summaries disagree with stored summaries")
 
 
 @dataclass(frozen=True)
@@ -181,64 +160,3 @@ def build_bang_bang_model(a_lo: float, b_hi: float, c: float, T: float) -> Model
         drift_uses_measure=False,
         params={"a": float(a_lo), "b": float(b_hi), "c": float(c), "T": float(T)},
     )
-
-
-@dataclass(frozen=True)
-class LipschitzReport:
-    """Empirical Lipschitz quotients of the drift in action, state and mean."""
-
-    quotient_action: float
-    quotient_state: dict        # scale -> max quotient at that probe scale
-    quotient_mean: dict
-    growth_flag: bool           # True if quotients grow with probe scale
-
-
-def validate_lipschitz(model: ModelSpec, probe_count: int, seed: int,
-                       scales=(1.0, 10.0, 100.0)) -> LipschitzReport:
-    """Probe the drift with random pairs and report max difference quotients.
-
-    Diagnostic only: the quotients are empirical, no constant is certified.
-    A growth flag is raised when the state- or mean-quotient at the largest
-    probe scale exceeds twice the value at the smallest scale.
-    """
-    if probe_count < 2:
-        raise ValueError("probe_count must be at least 2")
-    key = rng.stream_key(seed, rng.TAG_PROBE)
-    u = rng.uniforms(key, np.arange(probe_count * 8)).reshape(8, probe_count)
-    lo, hi = model.actions.lo.min(), model.actions.hi.max()
-    a1 = lo + (hi - lo) * u[0]
-    a2 = lo + (hi - lo) * u[1]
-    t = model.horizon * u[2]
-
-    def q(fa, fb, xa, xb):
-        num = np.abs(np.asarray(fa, dtype=np.float64)
-                     - np.asarray(fb, dtype=np.float64))
-        den = np.abs(xa - xb)
-        ok = den > 1e-12
-        return float(np.max(num[ok] / den[ok])) if np.any(ok) else 0.0
-
-    mv0 = MeasureView(mean=0.0, second_moment=1.0)
-    x0 = np.zeros(probe_count)
-    qa = q(model.drift(t, x0, mv0, a1), model.drift(t, x0, mv0, a2), a1, a2)
-
-    qx, qm = {}, {}
-    for s in scales:
-        x1 = s * (2.0 * u[3] - 1.0)
-        x2 = s * (2.0 * u[4] - 1.0)
-        am = lo + (hi - lo) * u[5]
-        qx[s] = q(model.drift(t, x1, mv0, am), model.drift(t, x2, mv0, am), x1, x2)
-        m1 = s * (2.0 * u[6] - 1.0)
-        m2 = s * (2.0 * u[7] - 1.0)
-        fa = np.array([np.asarray(model.drift(ti, 0.0,
-                       MeasureView(mean=mi, second_moment=mi**2), ai)).item()
-                       for ti, mi, ai in zip(t, m1, am)])
-        fb = np.array([np.asarray(model.drift(ti, 0.0,
-                       MeasureView(mean=mi, second_moment=mi**2), ai)).item()
-                       for ti, mi, ai in zip(t, m2, am)])
-        qm[s] = q(fa, fb, m1, m2)
-
-    smin, smax = min(scales), max(scales)
-    growth = (qx[smax] > 2.0 * qx[smin] + 1e-12
-              or qm[smax] > 2.0 * qm[smin] + 1e-12)
-    return LipschitzReport(quotient_action=qa, quotient_state=qx,
-                           quotient_mean=qm, growth_flag=growth)

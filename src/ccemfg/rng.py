@@ -30,7 +30,7 @@ TAG_NOISE = 1       # Brownian increments, per (replication, player)
 TAG_SCENARIO = 2    # correlation-device lottery, per run
 TAG_RECOMMEND = 3   # per-player strategy draws, per replication
 TAG_INIT = 4        # initial-state sampling, per (replication, player)
-TAG_PROBE = 5       # diagnostic probes (Lipschitz validator)
+TAG_PROBE = 5       # diagnostic probes (consistency null band)
 
 _G = np.uint64(GOLDEN)
 _C1 = np.uint64(0xBF58476D1CE4E5B9)

@@ -1,6 +1,7 @@
 """Closed-form example machinery, cross-checked against an independent
 rational-arithmetic evaluation of the raw slope/intercept formulas."""
 
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from ccemfg.analytic import (DeviceProbs, cce_margin, consistency_weights,
                              diagonal_hk, finite_n_gap_oracle, hk_coefficients,
                              mean_field_payoffs, region_sweep,
-                             worst_case_deviation, AffineCoeffs)
+                             worst_case_deviation, AffineCoeffs, RegionGrid)
 
 
 def hk_rational(p11, p12, p21, p22, a, b):
@@ -296,3 +297,70 @@ def test_region_csv_and_pgm_serialization(tmp_path):
     vals = np.array(" ".join(body[4:]).split(), dtype=int)
     assert set(np.unique(vals)) <= {0, 128, 255}
     assert (vals == 128).sum() == 121 - int(grid.feasible.sum())
+
+
+def _ref_to_csv(grid, path, header):
+    """The cell-by-cell CSV writer the block writer replaced (reference)."""
+    with open(path, "w") as fh:
+        fh.write("# " + json.dumps(header, sort_keys=True) + "\n")
+        fh.write("p11,p22,p12,p21,alpha,h,k,margin,is_cce\n")
+        cce = grid.is_cce
+        n = grid.resolution
+        for i in range(n):
+            for j in range(n):
+                if not grid.feasible[i, j]:
+                    continue
+                fh.write(f"{grid.p11[i, j]:.17g},{grid.p22[i, j]:.17g},"
+                         f"{grid.p12[i, j]:.17g},{grid.p21[i, j]:.17g},"
+                         f"{grid.alpha:.17g},{grid.h[i, j]:.17g},"
+                         f"{grid.k[i, j]:.17g},{grid.margin[i, j]:.17g},"
+                         f"{int(cce[i, j])}\n")
+
+
+def _ref_to_pgm(grid, path, header):
+    """The cell-by-cell PGM writer the row writer replaced (reference)."""
+    n = grid.resolution
+    shade = np.where(grid.feasible, np.where(grid.is_cce, 255, 0), 128)
+    with open(path, "w") as fh:
+        fh.write("P2\n")
+        fh.write("# " + json.dumps(header, sort_keys=True) + "\n")
+        fh.write(f"{n} {n}\n255\n")
+        for j in range(n - 1, -1, -1):
+            fh.write(" ".join(str(int(shade[i, j])) for i in range(n)) + "\n")
+
+
+def _assert_writers_match_reference(grid, tmp_path):
+    header = {"alpha": [grid.alpha], "seed": 0}
+    for ext, new, ref in (("csv", grid.to_csv, _ref_to_csv),
+                          ("pgm", grid.to_pgm, _ref_to_pgm)):
+        got, want = tmp_path / f"got.{ext}", tmp_path / f"want.{ext}"
+        new(got, header=header)
+        ref(grid, want, header)
+        assert got.read_bytes() == want.read_bytes(), ext
+
+
+@pytest.mark.parametrize("resolution", [2, 3, 11, 201])
+@pytest.mark.parametrize("alpha", [0.0, 0.3, 1.0])
+def test_region_writers_match_cell_by_cell_reference(resolution, alpha,
+                                                     tmp_path):
+    grid = region_sweep(resolution, alpha, -1.0, 1.0)
+    _assert_writers_match_reference(grid, tmp_path)
+
+
+def test_region_writers_keep_signed_zero_and_adjacent_floats(tmp_path):
+    """-0.0 and 0.0 compare equal but print as "-0" and "0"; the smallest
+    subnormals and two floats one ulp apart must not collapse either."""
+    vals = np.array([-0.0, 0.0, 5e-324, -5e-324, 0.1,
+                     np.nextafter(0.1, 1.0), 1.0 / 3.0, -1.0 / 3.0, 1.0])
+    rng = np.random.default_rng(3)
+    cols = {name: rng.permutation(vals).reshape(3, 3)
+            for name in ("p11", "p22", "p12", "p21", "h", "k", "margin")}
+    feasible = np.array([[True, True, True], [True, False, True],
+                         [True, True, False]])
+    grid = RegionGrid(resolution=3, alpha=0.5, a=-1.0, b=1.0,
+                      feasible=feasible, **cols)
+    _assert_writers_match_reference(grid, tmp_path)
+    body = (tmp_path / "got.csv").read_text().splitlines()[2:]
+    fields = {v for line in body for v in line.split(",")}
+    assert {"-0", "0", "0.10000000000000001",
+            "0.10000000000000002"} <= fields

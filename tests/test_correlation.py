@@ -5,8 +5,7 @@ from ccemfg import rng
 from ccemfg.analytic import DeviceProbs
 from ccemfg.correlation import (CorrelationDevice, Scenario,
                                 build_example_device, null_band,
-                                sample_scenario, strategy_flow_marginals,
-                                verify_consistency)
+                                sample_scenario, verify_consistency)
 from ccemfg.engine import TimeGrid
 from ccemfg.equilibrium import recommended_actions
 from ccemfg.flows import device_flow
@@ -48,13 +47,6 @@ def test_build_example_device_diagonal():
     classes = dev.flow_classes()
     assert set(classes) == {"mu1", "mu2"}
     assert abs(classes["mu1"]["probability"] - 0.5) < 1e-15
-
-
-def test_scenario_and_flow_marginals():
-    dev = build_example_device(DeviceProbs(0.5, 0.3, 0.2, 0.0), -1.0, 1.0)
-    strat, flow = strategy_flow_marginals(dev)
-    assert abs(strat["u+"] - 0.8) < 1e-15 and abs(strat["u-"] - 0.2) < 1e-15
-    assert abs(flow["mu1"] - 0.7) < 1e-15 and abs(flow["mu2"] - 0.3) < 1e-15
 
 
 def test_sample_scenario_frequencies():

@@ -55,3 +55,15 @@ def test_particle_flow():
     assert np.array_equal(flow.sorted_at(1.0), np.sort(pts[:, 4]))
     with pytest.raises(ValueError):
         flow.mean(0.37)          # off the grid
+
+
+def test_particle_flow_takes_presorted_columns():
+    times = np.linspace(0.0, 1.0, 4)
+    x0 = np.array([0.3, -1.0, 2.0, 0.3, -0.5])
+    pts = np.repeat(x0[:, None], 4, 1)
+    given = ParticleFlow(times=times, particles=pts,
+                         _sorted=np.repeat(np.sort(x0)[:, None], 4, 1))
+    built = ParticleFlow(times=times, particles=pts)
+    assert np.array_equal(given._sorted, built._sorted)
+    with pytest.raises(ValueError):
+        ParticleFlow(times=times, particles=pts, _sorted=np.sort(x0))

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccemfg.model import (ActionBox, GaussianInitial, MeasureView, ModelSpec,
-                          PointMass, build_bang_bang_model, validate_lipschitz)
+                          PointMass, build_bang_bang_model)
 
 
 def test_action_box_validation():
@@ -63,18 +63,6 @@ def test_terminal_reward_bilinear(alpha, x, mbar):
     assert abs(g_scaled_m - alpha * g) < 1e-9 * (1 + abs(g))
 
 
-def test_measure_view_validation():
-    MeasureView(mean=1.0, second_moment=2.0).validate()
-    with pytest.raises(ValueError):
-        MeasureView(mean=2.0, second_moment=1.0).validate()
-    with pytest.raises(ValueError):
-        MeasureView(mean=0.0, second_moment=-1.0).validate()
-    pts = np.array([0.0, 2.0])
-    MeasureView.from_particles(pts).validate()
-    with pytest.raises(ValueError):
-        MeasureView(mean=0.5, second_moment=2.0, particles=pts).validate()
-
-
 def test_initial_laws():
     assert np.all(PointMass(1.5).from_uniform(np.full(4, 0.3)) == 1.5)
     g = GaussianInitial(mean=2.0, std=3.0)
@@ -92,29 +80,3 @@ def test_model_spec_validation():
         dataclasses.replace(m, horizon=-1.0)
     with pytest.raises(ValueError):
         dataclasses.replace(m, dim=0)
-
-
-def test_lipschitz_probe_bang_bang():
-    m = build_bang_bang_model(-1.0, 1.0, 1.0, 2.0)
-    rep = validate_lipschitz(m, probe_count=200, seed=0)
-    assert abs(rep.quotient_action - 1.0) < 1e-12
-    assert all(q == 0.0 for q in rep.quotient_state.values())
-    assert all(q == 0.0 for q in rep.quotient_mean.values())
-    assert not rep.growth_flag
-
-
-def test_lipschitz_probe_flags_superlinear_drift():
-    m = build_bang_bang_model(-1.0, 1.0, 1.0, 2.0)
-
-    def quad_drift(t, x, mv, a):
-        return np.asarray(x) ** 2
-
-    bad = dataclasses.replace(m, drift=quad_drift)
-    rep = validate_lipschitz(bad, probe_count=200, seed=0)
-    assert rep.growth_flag
-
-    const = dataclasses.replace(m, drift=lambda t, x, mv, a: np.zeros(np.shape(x)))
-    rep0 = validate_lipschitz(const, probe_count=200, seed=0)
-    assert rep0.quotient_action == 0.0
-    assert all(q == 0.0 for q in rep0.quotient_state.values())
-    assert not rep0.growth_flag

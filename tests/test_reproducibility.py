@@ -1,10 +1,12 @@
-"""Pinned output digests of the Monte Carlo subcommands.
+"""Pinned output digests of the CLI subcommands.
 
 Each case runs ``ccemfg.cli.main`` at a tiny size with a fixed seed and
 hashes every CSV file it writes with SHA-256, skipping the ``#`` config
 header lines (they hold the output path).  The digests pin the whole chain
 from the counter RNG through the inverse normal CDF, the Brownian bridge,
-the Euler step and the estimators down to the last printed digit.
+the Euler step and the estimators down to the last printed digit.  The
+``region`` cases have no Monte Carlo; they pin the exact sweep and its
+writers, hashing the PGM rasters along with the CSVs.
 
 A kernel rewrite that keeps the arithmetic must leave every digest
 unchanged.  A deliberate change to the draw layout or to the arithmetic
@@ -39,14 +41,23 @@ CASES = {
             "69e634887c37026ddcee710a630a5b54157785292119615bf98518c969066d3b"),
 }
 
+REGION_CASES = {
+    "default": (["--resolution", "201", "--alpha", "0,0.5,1"],
+                "44cc933a3aa22a51731175708f5fc99ea3086906efd3b4948a1ab5abec6e981c"),
+    "a-2_b0.5": (["--resolution", "201", "--alpha", "0,0.5,1",
+                  "--a", "-2", "--b", "0.5"],
+                 "2dec7902947385c908a3cbf4d6bef92402bb8f9542db58f64318c8f53f37f436"),
+}
 
-def output_digest(command, args, out_dir) -> str:
-    """SHA-256 over the header-less bodies of the CSVs one call writes."""
+
+def output_digest(command, args, out_dir, globs=("*.csv",)) -> str:
+    """SHA-256 over the header-less bodies of the files one call writes
+    that match ``globs``, taken in sorted name order."""
     rc = main([command, *args, "--steps", "20", "--seed", "11",
                "--workers", "1", "--out", str(out_dir / "out")])
     assert rc == 0
     h = hashlib.sha256()
-    for path in sorted(out_dir.glob("*.csv")):
+    for path in sorted(p for g in globs for p in out_dir.glob(g)):
         h.update(path.name.encode() + b"\n")
         for line in path.read_bytes().splitlines(keepends=True):
             if not line.startswith(b"#"):
@@ -58,3 +69,10 @@ def output_digest(command, args, out_dir) -> str:
 def test_pinned_output_digest(command, tmp_path):
     got = output_digest(command, CASES[command][0], tmp_path)
     assert got == CASES[command][1]
+
+
+@pytest.mark.parametrize("case", sorted(REGION_CASES))
+def test_pinned_region_digest(case, tmp_path):
+    args, want = REGION_CASES[case]
+    assert output_digest("region", args, tmp_path,
+                         globs=("*.csv", "*.pgm")) == want
