@@ -17,10 +17,10 @@ import numpy as np
 from . import rng
 from .analytic import DeviceProbs, consistency_weights
 from .engine import (TimeGrid, check_run, flow_views, representative_noise,
-                     step_against_flow)
+                     strategy_rule, stream_against_flow)
 from .flows import GaussianMixtureFlow, device_flow
 from .metrics import empirical_quantiles
-from .model import ModelSpec
+from .model import MeasureView, ModelSpec
 
 PROB_TOL = 1e-12
 
@@ -116,7 +116,7 @@ class ClassReport:
     times: np.ndarray
     w2: np.ndarray
     flagged: bool = False        # fewer than 100 pooled samples
-    # quantile table of the declared flow on ``times`` (None for particles)
+    # quantile table of the declared flow on ``times``
     table: Optional[np.ndarray] = field(default=None, repr=False,
                                         compare=False)
 
@@ -144,70 +144,80 @@ class ConsistencyReport:
                              f"{t:.17g},{d:.17g}\n")
 
 
+def follow_scenarios(model: ModelSpec, grid: TimeGrid,
+                     device: CorrelationDevice, scen: np.ndarray,
+                     x0: np.ndarray, w_rows, candidates=()):
+    """Step the representative player of every replication, in one
+    (1 + G, R) state, through the scenario the lottery drew for it.
+
+    ``scen``: each replication's scenario; ``x0``, ``w_rows``: their
+    :func:`representative_noise`.  Row 0 follows the scenario strategy and
+    rows 1..G the constant ``candidates``, on the same noise.  Views are
+    gathered per step from a (steps + 1, S) table of the drawn scenarios'
+    moments; a strategy sees its own flow's view.  Yields as
+    :func:`ccemfg.engine.stream_against_flow`; the yielded actions are
+    overwritten at the next step.
+    """
+    candidates = np.asarray(candidates, dtype=np.float64)
+    drawn = np.unique(scen)
+    col = np.searchsorted(drawn, scen)              # table column per rep
+    views = [flow_views(device.scenarios[s].flow, grid) for s in drawn]
+    means = np.array([[v.mean for v in vs] for vs in views]).T
+    seconds = np.array([[v.second_moment for v in vs] for vs in views]).T
+    rules = [(np.flatnonzero(col == c),
+              strategy_rule(device.scenarios[s].strategy, grid), views[c])
+             for c, s in enumerate(drawn)]
+    a = np.empty((1 + candidates.size, scen.size))
+    a[1:] = candidates[:, None]
+
+    def recommend(i, x, mv):
+        for idx, rule, vs in rules:
+            a[0, idx] = rule(i, x[0, idx], vs[i])
+        return a
+
+    gathered = (MeasureView(mean=m[col], second_moment=m2[col])
+                for m, m2 in zip(means, seconds))
+    return stream_against_flow(model, grid, np.broadcast_to(x0, a.shape),
+                               w_rows, recommend, gathered)
+
+
 def verify_consistency(model: ModelSpec, device: CorrelationDevice,
                        grid: TimeGrid, reps: int, seed: int) -> ConsistencyReport:
     """Compare, per flow class and per time, the pooled law of the
     representative state against the declared flow (1-d W2).
 
-    Each replication draws a scenario, then simulates the representative
-    player following the recommended strategy against the scenario's flow;
-    paths are pooled by flow class.  A positive-probability class with no
-    samples raises; classes with fewer than 100 samples are flagged.
+    Each replication follows its drawn scenario (:func:`follow_scenarios`);
+    at each grid point a class's states are sorted and compared with that
+    time's row of its flow's quantile table.  A flow without one raises, so
+    does a positive-probability class with no samples; classes with fewer
+    than 100 samples are flagged.
     """
     check_run(model, grid, reps=reps)
-    draws = sample_scenario(device, seed, np.arange(reps))
+    scen = sample_scenario(device, seed, np.arange(reps))
     times = grid.times
-    classes = device.flow_classes()
-
-    # simulate scenario groups separately (replication ids stay global, so
-    # results are independent of the grouping order)
-    paths_by_scenario = {}
-    for idx, scenario in enumerate(device.scenarios):
-        rep_ids = np.nonzero(draws == idx)[0]
-        if rep_ids.size == 0:
-            continue
-        x0, w = representative_noise(model, grid, seed, rep_ids)
-        paths_by_scenario[idx] = step_against_flow(
-            model, grid, x0, w, scenario.strategy,
-            flow_views(scenario.flow, grid))
-
-    reports = []
-    for label, entry in classes.items():
-        pooled = [paths_by_scenario[i] for i in entry["scenarios"]
-                  if i in paths_by_scenario]
-        if not pooled:
+    reports, members_of = [], []
+    for label, entry in device.flow_classes().items():
+        if not hasattr(entry["flow"], "quantile_table"):
+            raise ValueError(f"flow class {label} has no quantile table")
+        members = np.flatnonzero(np.isin(scen, entry["scenarios"]))
+        if members.size == 0:
             if entry["probability"] > 0:
                 raise ValueError(f"flow class {label} received no samples; "
                                  "increase reps")
             continue
-        pool = np.concatenate(pooled, axis=0)
-        flow = entry["flow"]
-        table = (flow.quantile_table(times)
-                 if isinstance(flow, GaussianMixtureFlow) else None)
-        w2 = _pooled_w2_vs_flow(pool, flow, times, table)
-        reports.append(ClassReport(label=label,
-                                   probability=float(entry["probability"]),
-                                   count=int(pool.shape[0]), times=times,
-                                   w2=w2, flagged=pool.shape[0] < 100,
-                                   table=table))
+        reports.append(ClassReport(
+            label=label, probability=float(entry["probability"]),
+            count=members.size, times=times, w2=np.empty(times.size),
+            flagged=members.size < 100,
+            table=entry["flow"].quantile_table(times)))
+        members_of.append(members)
+
+    x0, rows = representative_noise(model, grid, seed, np.arange(reps))
+    for i, x, _, _ in follow_scenarios(model, grid, device, scen, x0, rows):
+        for cl, members in zip(reports, members_of):
+            eq = empirical_quantiles(np.sort(x[0, members]))
+            cl.w2[i] = np.sqrt(np.mean((eq - cl.table[i]) ** 2))
     return ConsistencyReport(classes=tuple(reports), reps=reps, seed=seed)
-
-
-def _pooled_w2_vs_flow(pool: np.ndarray, flow, times: np.ndarray,
-                       table: Optional[np.ndarray]) -> np.ndarray:
-    """Per-time W2 between pooled samples (R, T) and a flow, given by its
-    (T, 512) quantile table when it has one."""
-    if table is not None:
-        sorted_pool = np.sort(pool, axis=0)           # (R, T)
-        eq = empirical_quantiles(sorted_pool.T)       # (T, 512)
-        return np.sqrt(np.mean((eq - table) ** 2, axis=1))
-    # particle reference flow: order-statistics coupling per time
-    out = np.empty(times.shape[0])
-    for i, t in enumerate(times):
-        ref = flow.sorted_at(t)
-        eq = empirical_quantiles(np.sort(pool[:, i]), ref.shape[0])
-        out[i] = np.sqrt(np.mean((eq - ref) ** 2))
-    return out
 
 
 def null_band(flow: GaussianMixtureFlow, times: np.ndarray, count: int,

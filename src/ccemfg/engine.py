@@ -11,19 +11,15 @@ Conventions:
   terminal Brownian value does not depend on the step count (bridge
   construction, see :mod:`ccemfg._pathgen_py`).
 
-:func:`euler_step` is the one Euler kernel.  :func:`_euler` applies it to
-whole stored paths.  Every simulation of the representative player against
-an exogenous flow draws its noise with :func:`representative_noise`;
-:func:`simulate_representative`, the consistency check and the
-McKean-Vlasov solver step it with :func:`step_against_flow`, and the
-mean-field gap steps the recommendation and its deviation candidates as one
-state with :func:`euler_step`, keeping no paths.
-:func:`stream_ensemble` applies the Euler kernel to a player-major
-``(N, R)`` state, one grid point at a time: the Brownian values come from
-the in-order bisection walk of :func:`ccemfg._pathgen_py.brownian_rows`, and
-the estimators reduce each state as it goes by, so a chunk holds
-O(R * N * log(steps)) numbers instead of its whole ``(R, N, steps + 1)``
-paths.
+:func:`euler_step` is the one Euler kernel.  Two time loops apply it one
+grid point at a time, taking the Brownian values in time order from the
+bisection walk of :func:`ccemfg._pathgen_py.brownian_rows`, so they store
+no paths: :func:`stream_ensemble` steps a player-major ``(N, R)`` state of
+N-player ensembles against their empirical measure, and
+:func:`stream_against_flow` steps representative players (player 0's
+noise, :func:`representative_noise`) against an exogenous flow.  Paths are
+kept only where they are the output: :func:`simulate_ensemble`,
+:func:`simulate_representative` and each McKean-Vlasov iterate.
 """
 
 from __future__ import annotations
@@ -136,25 +132,6 @@ def euler_step(model: ModelSpec, step: int, t: float, dt: float,
     return x_new
 
 
-def _euler(model: ModelSpec, grid: TimeGrid, x0: np.ndarray, w: np.ndarray,
-           action_fn: Callable, measure_fn: Callable) -> np.ndarray:
-    """Euler paths from stored Brownian paths.  ``w``: Brownian paths with
-    shape ``x0.shape + (steps+1,)``; ``measure_fn(i, x)`` returns the
-    time-t view."""
-    steps = grid.steps
-    dt = grid.dt
-    times = grid.times
-    x = np.empty(x0.shape + (steps + 1,))
-    x[..., 0] = x0
-    for i in range(steps):
-        xi = x[..., i]
-        mv = measure_fn(i, xi)
-        a = action_fn(times[i], xi, mv)
-        x[..., i + 1] = euler_step(model, i, times[i], dt, xi, mv, a,
-                                   w[..., i + 1] - w[..., i])
-    return x
-
-
 def sum_rows(x: np.ndarray) -> np.ndarray:
     """``x.sum(axis=-2, keepdims=True)`` with the rows added in order.
 
@@ -207,74 +184,87 @@ def stream_ensemble(model: ModelSpec, grid: TimeGrid, x0: np.ndarray,
     yield EnsembleState(steps, x, sum_rows(x), sum_rows(x * x), None)
 
 
-def _empirical_measure(i: int, x: np.ndarray) -> MeasureView:
-    """Per-replication empirical view over the player axis (last axis).
-
-    The players are added in order, as in :func:`stream_ensemble`, so both
-    engines show a measure-dependent drift the same measure to the last
-    bit (``mean`` would add a strided player axis pairwise).
-    """
-    N = x.shape[-1]
-    s1 = np.add.accumulate(x, axis=-1)[..., -1:]
-    s2 = np.add.accumulate(x * x, axis=-1)[..., -1:]
-    return MeasureView(mean=s1 / N, second_moment=s2 / N)
-
-
 def simulate_ensemble(model: ModelSpec, grid: TimeGrid, actions, N: int,
                       reps: int, seed: int, rep_offset: int = 0) -> np.ndarray:
     """Simulate ``reps`` independent N-player replications.
 
-    ``actions``: array broadcastable to (reps, N) of constant actions, or a
-    callable rule (t, x, mview) -> (reps, N) applied to all players.
-    Returns states of shape (reps, N, steps+1).
+    ``actions``: array broadcastable to (reps, N) of constant actions.
+    Returns states of shape (reps, N, steps+1), collected from
+    :func:`stream_ensemble`.
     """
-    if N < 1:
-        raise ValueError("N must be at least 1")
-    rep_ids = rep_offset + np.arange(reps)
-    player_ids = np.arange(N)
-    w = _pathgen_py.brownian_paths(noise_keys(seed, rep_ids, player_ids),
-                                   grid.steps, grid.horizon)
-    x0 = initial_states(model, seed, rep_ids, player_ids)
-    if callable(actions):
-        action_fn = actions
-    else:
-        const = np.broadcast_to(np.asarray(actions, dtype=np.float64), (reps, N))
-        _check_actions(model, const, 0)
-
-        def action_fn(t, x, mv, _c=const):
-            return _c
-
-    return _euler(model, grid, x0, w, action_fn, _empirical_measure)
+    check_run(model, grid, N=N, reps=reps)
+    rep_ids, players = rep_offset + np.arange(reps), np.arange(N)
+    keys = noise_keys(seed, rep_ids, players).T
+    x0 = np.ascontiguousarray(initial_states(model, seed, rep_ids, players).T)
+    const = np.broadcast_to(np.asarray(actions, dtype=np.float64), (reps, N))
+    x = np.empty((reps, N, grid.steps + 1))
+    for st in stream_ensemble(model, grid, x0, np.ascontiguousarray(const.T),
+                              keys):
+        x[..., st.step] = st.x.T
+    return x
 
 
 def representative_noise(model: ModelSpec, grid: TimeGrid, seed: int,
-                         rep_ids) -> tuple[np.ndarray, np.ndarray]:
-    """Initial states (R,) and Brownian paths (R, steps+1) of the
-    representative player in the replications ``rep_ids``.
+                         rep_ids):
+    """Initial states (R,) of the representative player in the
+    replications ``rep_ids``, and the walk of its Brownian values: one
+    (R,) row per grid point, in time order (see
+    :func:`ccemfg._pathgen_py.brownian_rows`).
 
     Replication r uses the streams of player 0 of replication r in the
     N-player engine, which is what makes common-random-number comparisons
     possible, and a replication's draws do not depend on which other ids
     are drawn with it.
     """
-    w = _pathgen_py.brownian_paths(noise_keys(seed, rep_ids, [0]),
-                                   grid.steps, grid.horizon)[:, 0, :]
+    rows = _pathgen_py.brownian_rows(noise_keys(seed, rep_ids, [0]),
+                                     grid.steps, grid.horizon)
     x0 = initial_states(model, seed, rep_ids, [0])[:, 0]
-    return x0, w
+    return x0, rows
 
 
 def flow_views(flow, grid: TimeGrid) -> list:
-    """The views of ``flow`` at the grid points the Euler steps start from."""
-    return [flow.view(t) for t in grid.times[:-1]]
+    """The views of ``flow`` at the grid points."""
+    return [flow.view(t) for t in grid.times]
 
 
-def step_against_flow(model: ModelSpec, grid: TimeGrid, x0: np.ndarray,
-                      w: np.ndarray, strategy, views: list) -> np.ndarray:
-    """Euler paths (R, steps+1) of representative players started at ``x0``
-    and driven by ``w``, following ``strategy`` against an exogenous flow
-    given by its :func:`flow_views`."""
-    return _euler(model, grid, x0, w, as_action_fn(strategy),
-                  lambda i, x: views[i])
+def strategy_rule(strategy, grid: TimeGrid) -> Callable:
+    """``strategy`` as the action rule ``(i, x, mv)`` of
+    :func:`stream_against_flow`: the strategy at time ``times[i]``."""
+    fn, times = as_action_fn(strategy), grid.times
+    return lambda i, x, mv: fn(times[i], x, mv)
+
+
+def stream_against_flow(model: ModelSpec, grid: TimeGrid, x: np.ndarray,
+                        w_rows, actions: Callable, views):
+    """Step representative players against an exogenous flow without
+    storing their paths.
+
+    ``x``: initial states, (R,) or (K, R).  ``w_rows``: iterator over the
+    (R,) Brownian rows at the grid points, in time order.  ``views``: the
+    flow's measure views at the grid points, in time order (any iterable).
+    ``actions(i, x, mv)`` gives the actions at grid point ``i``.  Yields
+    ``(i, x, mv, a)`` before the Euler step from grid point ``i``, and
+    ``(steps, x, mv, None)`` at the horizon.
+    """
+    steps, dt, times = grid.steps, grid.dt, grid.times
+    views = iter(views)
+    w_prev = next(w_rows)
+    for i in range(steps):
+        mv = next(views)
+        a = actions(i, x, mv)
+        yield i, x, mv, a
+        w_next = next(w_rows)
+        x = euler_step(model, i, times[i], dt, x, mv, a, w_next - w_prev)
+        w_prev = w_next
+    yield steps, x, next(views), None
+
+
+def _collect(stream, x0: np.ndarray, steps: int) -> np.ndarray:
+    """The paths (R, steps+1) of a :func:`stream_against_flow`."""
+    x = np.empty(x0.shape + (steps + 1,))
+    for i, xi, _, _ in stream:
+        x[:, i] = xi
+    return x
 
 
 def simulate_representative(model: ModelSpec, grid: TimeGrid, flow,
@@ -286,10 +276,13 @@ def simulate_representative(model: ModelSpec, grid: TimeGrid, flow,
     representative player of replication ``rep_offset + r`` (see
     :func:`representative_noise`).
     """
-    x0, w = representative_noise(model, grid, seed,
-                                 rep_offset + np.arange(reps))
-    return step_against_flow(model, grid, x0, w, strategy,
-                             flow_views(flow, grid))
+    check_run(model, grid, reps=reps)
+    x0, rows = representative_noise(model, grid, seed,
+                                    rep_offset + np.arange(reps))
+    return _collect(stream_against_flow(model, grid, x0, rows,
+                                        strategy_rule(strategy, grid),
+                                        flow_views(flow, grid)),
+                    x0, grid.steps)
 
 
 @dataclass(frozen=True)
@@ -318,7 +311,9 @@ def mckean_vlasov_fixed_point(model: ModelSpec, grid: TimeGrid, strategy,
     if not tol > 0:
         raise ValueError("tol must be positive")
     times = grid.times
-    x0, w = representative_noise(model, grid, seed, np.arange(particles))
+    x0, rows = representative_noise(model, grid, seed, np.arange(particles))
+    w_rows = list(rows)           # every iteration reuses the same noise
+    actions = strategy_rule(strategy, grid)
     # every column of the starting flow is x0, so sort it once
     cols = grid.steps + 1
     flow = ParticleFlow(times=times, particles=np.repeat(x0[:, None], cols, 1),
@@ -327,8 +322,9 @@ def mckean_vlasov_fixed_point(model: ModelSpec, grid: TimeGrid, strategy,
     distances = []
     converged = False
     for _ in range(max_iters):
-        x = step_against_flow(model, grid, x0, w, strategy,
-                              flow_views(flow, grid))
+        x = _collect(stream_against_flow(model, grid, x0, iter(w_rows),
+                                         actions, flow_views(flow, grid)),
+                     x0, grid.steps)
         new_flow = ParticleFlow(times=times, particles=x)   # sorts x
         gap = float(np.max(np.sqrt(np.mean(
             (new_flow._sorted - flow._sorted) ** 2, axis=0))))

@@ -21,17 +21,17 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import rng
-from .correlation import CorrelationDevice, sample_scenario
-from .engine import (TimeGrid, as_action_fn, check_run, euler_step,
-                     flow_views, initial_states, noise_keys,
-                     representative_noise, stream_ensemble, sum_rows)
+from .correlation import CorrelationDevice, follow_scenarios, sample_scenario
+from .engine import (TimeGrid, check_run, euler_step, initial_states,
+                     noise_keys, representative_noise, stream_ensemble,
+                     sum_rows)
 from .model import MeasureView, ModelSpec
 
 # Sets the replications per chunk: CHUNK_ELEMS // (numbers one replication
-# counts for).  The mean-field gap stores one noise path per replication
-# (steps + 1 numbers) next to its 1 + G streamed candidate states, and no
-# candidate paths; the streamed N-player estimators count N * (steps + 1)
-# but hold only about log2(steps) + 2 grid points of a chunk at a time.
+# counts for).  No estimator stores a path; the bridge walk holds about
+# log2(steps) + 2 rows.  The mean-field gap counts its 1 + G streamed rows
+# four times (state, action, running cost, one temporary); the N-player
+# estimators count N * (steps + 1), more than the O(N * log2(steps)) held.
 CHUNK_ELEMS = 20_000_000
 
 
@@ -284,41 +284,24 @@ def _mf_chunk(args):
     """Costs of the recommendation and of every candidate for the
     representative player against the flows of the drawn scenarios.
 
-    Per scenario, the recommendation (row 0) and the G constant candidates
-    step as one (1 + G, Rc) state driven by player 0's increments, against
-    flow views built once; the running cost is added per step.  No
-    candidate paths are stored: only the noise paths of
-    :func:`representative_noise`.
+    The recommendation (row 0) and the G constant candidates of every
+    replication step as one (1 + G, R) state on player 0's noise
+    (:func:`ccemfg.correlation.follow_scenarios`), and the running cost is
+    added per step; no paths are stored.
     """
     (model, device, grid, seed, candidates, off, count) = args
     rep_ids = off + np.arange(count)
     scen = sample_scenario(device, seed, rep_ids)
-    x0, w = representative_noise(model, grid, seed, rep_ids)
-    times, dt = grid.times, grid.dt
+    x0, rows = representative_noise(model, grid, seed, rep_ids)
+    times = grid.times
 
-    j_rec = np.empty(count)
-    j_dev = np.empty((count, candidates.shape[0]))
-    for idx, scenario in enumerate(device.scenarios):
-        mask = scen == idx
-        if not np.any(mask):
-            continue
-        w_s = w[mask]
-        views = flow_views(scenario.flow, grid)     # once for all candidates
-        fn = as_action_fn(scenario.strategy)
-        x = np.broadcast_to(x0[mask], (candidates.shape[0] + 1, w_s.shape[0]))
-        a = np.empty(x.shape)
-        a[1:] = candidates[:, None]
-        run = np.zeros(x.shape)
-        for i, mv in enumerate(views):
-            a[0] = fn(times[i], x[0], mv)
+    run = np.zeros((1 + candidates.size, count))
+    for i, x, mv, a in follow_scenarios(model, grid, device, scen, x0, rows,
+                                        candidates):
+        if a is not None:
             run = run + np.asarray(model.running_cost(times[i], x, mv, a))
-            x = euler_step(model, i, times[i], dt, x, mv, a,
-                           w_s[:, i + 1] - w_s[:, i])
-        vT = scenario.flow.view(times[-1])
-        cost = run * dt + np.asarray(model.terminal_cost(x, vT))
-        j_rec[mask] = cost[0]
-        j_dev[mask] = cost[1:].T
-    return j_rec, j_dev, scen
+    cost = run * grid.dt + np.asarray(model.terminal_cost(x, mv))
+    return cost[0], np.ascontiguousarray(cost[1:].T), scen
 
 
 def mean_field_gap_mc(model: ModelSpec, device: CorrelationDevice,
@@ -332,13 +315,14 @@ def mean_field_gap_mc(model: ModelSpec, device: CorrelationDevice,
     replication in the N-player engine; the recommendation and the G
     constant candidates share that noise and are stepped together, with
     their costs accumulated as they go (see :func:`_mf_chunk`).  A chunk
-    holds one noise path per replication.
+    holds no paths.
     """
     grid = grid or TimeGrid(model.horizon, 200)
     check_run(model, grid, reps=reps)
     candidates = _candidates(model, deviations)
     workers = workers or default_workers()
-    chunk = max(1, CHUNK_ELEMS // (grid.steps + candidates.size + 2))
+    chunk = max(1, CHUNK_ELEMS // (4 * (1 + candidates.size)
+                                   + grid.steps.bit_length() + 2))
     jobs = [(model, device, grid, seed, candidates, off, cnt)
             for off, cnt in _chunks(reps, chunk)]
     parts = _map_jobs(_mf_chunk, jobs, workers)
@@ -416,18 +400,20 @@ def poc_curve(model: ModelSpec, device: CorrelationDevice,
     """sup_t of the replication-averaged squared W2 between the empirical
     measure flow and the scenario's declared flow, for each N.  A flow
     class that no replication draws raises ``ValueError``."""
-    if list(Ns) != sorted(Ns):
-        raise ValueError("Ns must be increasing")
+    Ns = [int(N) for N in Ns]
+    if not Ns or Ns[0] < 1 or any(m >= n for m, n in zip(Ns, Ns[1:])):
+        raise ValueError("Ns must be a nonempty, strictly increasing "
+                         f"sequence of player counts >= 1, got {Ns}")
     grid = grid or TimeGrid(model.horizon, 200)
     check_run(model, grid, reps=reps)
     workers = workers or default_workers()
     tables = {lab: entry["flow"].quantile_table(grid.times)
               for lab, entry in device.flow_classes().items()}
-    jobs = [(model, device, grid, int(N), reps, seed, tables) for N in Ns]
+    jobs = [(model, device, grid, N, reps, seed, tables) for N in Ns]
     parts = _map_jobs(_poc_for_n, jobs, workers)
     overall = np.array([float(np.max(pt)) for pt, _ in parts])
     per_class = {lab: np.array([float(np.max(pc[lab])) for _, pc in parts])
                  for lab in tables}
-    per_time = {int(N): parts[i][0] for i, N in enumerate(Ns)}
-    return PocResult(Ns=tuple(int(N) for N in Ns), overall=overall,
+    per_time = {N: parts[i][0] for i, N in enumerate(Ns)}
+    return PocResult(Ns=tuple(Ns), overall=overall,
                      per_class=per_class, per_time=per_time)

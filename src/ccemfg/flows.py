@@ -119,11 +119,7 @@ class ParticleFlow:
                                second_moment=np.mean(cols**2, axis=1))
         col = self.particles[:, self._index(float(t))]
         return MeasureView(mean=float(col.mean()),
-                           second_moment=float(np.mean(col**2)),
-                           particles=col)
-
-    def sorted_at(self, t: float) -> np.ndarray:
-        return self._sorted[:, self._index(t)]
+                           second_moment=float(np.mean(col**2)))
 
 
 def device_flow(weight_plus, a: float, b: float, label: str = "",

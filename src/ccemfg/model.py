@@ -10,7 +10,7 @@ analysis in :mod:`ccemfg.analytic` relies on that.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -44,12 +44,11 @@ class ActionBox:
 
 @dataclass(frozen=True)
 class MeasureView:
-    """Summary view of a probability measure: mean, second moment and,
-    optionally, the particles behind them.  Fields may be batched arrays."""
+    """Summary view of a probability measure: mean and second moment.
+    Fields may be batched arrays."""
 
     mean: np.ndarray | float
     second_moment: np.ndarray | float
-    particles: Optional[np.ndarray] = None
 
 
 @dataclass(frozen=True)

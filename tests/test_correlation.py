@@ -8,7 +8,7 @@ from ccemfg.correlation import (CorrelationDevice, Scenario,
                                 sample_scenario, verify_consistency)
 from ccemfg.engine import TimeGrid
 from ccemfg.equilibrium import recommended_actions
-from ccemfg.flows import device_flow
+from ccemfg.flows import ParticleFlow, device_flow
 from ccemfg.metrics import empirical_quantiles
 from ccemfg.model import build_bang_bang_model
 
@@ -164,6 +164,15 @@ def test_verify_consistency_rejects_grid_horizon_mismatch():
     dev = build_example_device(DeviceProbs(1, 0, 0, 0), -1.0, 1.0)
     with pytest.raises(ValueError, match="grid.horizon"):
         verify_consistency(MODEL, dev, TimeGrid(3.0, 10), reps=100, seed=0)
+
+
+def test_verify_consistency_rejects_a_flow_without_quantile_table():
+    grid = TimeGrid(2.0, 10)
+    flow = ParticleFlow(times=grid.times, particles=np.zeros((5, 11)),
+                        label="particles")
+    dev = CorrelationDevice(scenarios=(Scenario(1.0, 0.0, flow),))
+    with pytest.raises(ValueError, match="quantile table"):
+        verify_consistency(MODEL, dev, grid, reps=100, seed=0)
 
 
 def test_null_band_reuses_a_given_table():

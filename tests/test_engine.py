@@ -3,12 +3,12 @@ import dataclasses
 import numpy as np
 import pytest
 
+from ccemfg import _pathgen_py
 from ccemfg.engine import (SimulationError, TimeGrid, initial_states,
                            mckean_vlasov_fixed_point, noise_keys,
-                           simulate_ensemble, simulate_representative,
-                           stream_ensemble)
+                           simulate_ensemble, simulate_representative)
 from ccemfg.flows import GaussianMixtureFlow, device_flow
-from ccemfg.model import GaussianInitial, build_bang_bang_model
+from ccemfg.model import GaussianInitial, MeasureView, build_bang_bang_model
 
 MODEL = build_bang_bang_model(-1.0, 1.0, 1.0, 2.0)
 
@@ -31,11 +31,30 @@ def test_all_b_terminal_mean():
     assert abs(x[0, :, -1].var() - 2.0) < 0.15
 
 
+def _ref_ensemble(model, grid, actions, N, R, seed, offset):
+    """Row-major Euler paths (R, N, steps+1) from stored Brownian paths,
+    against the empirical measure with the players added in order."""
+    rep_ids, players = offset + np.arange(R), np.arange(N)
+    w = _pathgen_py.brownian_paths(noise_keys(seed, rep_ids, players),
+                                   grid.steps, grid.horizon)
+    x = np.empty((R, N, grid.steps + 1))
+    x[..., 0] = initial_states(model, seed, rep_ids, players)
+    for i, t in enumerate(grid.times[:-1]):
+        xi = x[..., i]
+        mv = MeasureView(
+            mean=np.add.accumulate(xi, axis=-1)[..., -1:] / N,
+            second_moment=np.add.accumulate(xi * xi, axis=-1)[..., -1:] / N)
+        drift = np.asarray(model.drift(t, xi, mv, actions))
+        x[..., i + 1] = xi + drift * grid.dt + (w[..., i + 1] - w[..., i])
+    return x
+
+
 @pytest.mark.parametrize("R", [1, 3])
 @pytest.mark.parametrize("N", [2, 10, 40])
 def test_stored_and_streamed_ensembles_see_the_same_measure(N, R):
-    """Both engines add the players in order, so a drift that reads the
-    empirical measure steps them to the same bits."""
+    """The collected stream adds the players in order, so a drift that
+    reads the empirical measure steps it to the same bits as stored paths
+    against an in-order measure."""
     model = dataclasses.replace(
         MODEL, initial_law=GaussianInitial(0.0, 1.0), drift_uses_measure=True,
         drift=lambda t, x, m, a: a + 0.7 * m.mean - 0.3 * m.second_moment)
@@ -43,15 +62,8 @@ def test_stored_and_streamed_ensembles_see_the_same_measure(N, R):
     seed, offset = 5, 2
     actions = np.where(np.arange(R * N).reshape(R, N) % 2, -1.0, 1.0)
     x = simulate_ensemble(model, grid, actions, N, R, seed, rep_offset=offset)
-    rep_ids, players = offset + np.arange(R), np.arange(N)
-    keys = noise_keys(seed, rep_ids, players).T
-    x0 = np.ascontiguousarray(initial_states(model, seed, rep_ids, players).T)
-    steps = 0
-    for st in stream_ensemble(model, grid, x0, np.ascontiguousarray(actions.T),
-                              keys):
-        assert np.array_equal(st.x, x[..., st.step].T), st.step
-        steps += 1
-    assert steps == grid.steps + 1
+    ref = _ref_ensemble(model, grid, actions, N, R, seed, offset)
+    assert np.array_equal(x, ref)
 
 
 def test_zero_drift_terminal_mean():
@@ -119,6 +131,28 @@ def test_nonfinite_state_aborts_with_step():
     with pytest.raises(SimulationError) as err:
         simulate_ensemble(bad, g, 0.0, N=3, reps=2, seed=0)
     assert err.value.step == 3          # first grid time past 0.5 is t=0.6
+
+
+_FLOW = device_flow(1.0, -1.0, 1.0)
+_REJECTED_RUNS = {
+    "ensemble-horizon": ("grid.horizon", lambda: simulate_ensemble(
+        MODEL, TimeGrid(3.0, 10), 1.0, N=3, reps=2, seed=0)),
+    "ensemble-reps": ("reps", lambda: simulate_ensemble(
+        MODEL, TimeGrid(2.0, 10), 1.0, N=3, reps=0, seed=0)),
+    "ensemble-N": ("N must", lambda: simulate_ensemble(
+        MODEL, TimeGrid(2.0, 10), 1.0, N=0, reps=2, seed=0)),
+    "representative-horizon": ("grid.horizon", lambda: simulate_representative(
+        MODEL, TimeGrid(3.0, 10), _FLOW, 1.0, reps=2, seed=0)),
+    "representative-reps": ("reps", lambda: simulate_representative(
+        MODEL, TimeGrid(2.0, 10), _FLOW, 1.0, reps=0, seed=0)),
+}
+
+
+@pytest.mark.parametrize("case", list(_REJECTED_RUNS))
+def test_stored_path_entry_points_check_their_run(case):
+    match, run = _REJECTED_RUNS[case]
+    with pytest.raises(ValueError, match=match):
+        run()
 
 
 def test_representative_terminal_law():

@@ -153,6 +153,14 @@ def test_poc_curve_decay_and_classes():
         poc_curve(MODEL, dev, [100, 25], reps=10, seed=0, grid=grid)
 
 
+@pytest.mark.parametrize("Ns", [[], [0], [0, 5], [5, 5], [10, 5],
+                                [5, 10, 10]])
+def test_poc_curve_rejects_bad_player_counts(Ns):
+    dev = build_example_device(DeviceProbs(1, 0, 0, 0), -1.0, 1.0)
+    with pytest.raises(ValueError, match="Ns must"):
+        poc_curve(MODEL, dev, Ns, reps=4, seed=0, grid=TimeGrid(2.0, 10))
+
+
 def test_gap_estimators_reject_zero_reps():
     device = build_example_device(BLACK, -1.0, 1.0)
     grid = TimeGrid(2.0, 10)

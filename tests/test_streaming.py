@@ -4,10 +4,12 @@ The reference copies below are the estimator kernels as they were before
 the engine streamed: they build whole ``(R, N, steps + 1)`` Brownian paths,
 or one stored path per deviation candidate in the mean field, run the
 row-major Euler loop over them and reduce afterwards.  The streamed
-``_nplayer_chunk``, ``_poc_for_n`` and ``_mf_chunk`` must reproduce them
-bit for bit at every chunk size, including one replication, where numpy
-would otherwise sum the players pairwise.  A ``tracemalloc`` test bounds
-the peak memory of the streamed estimators.
+``_nplayer_chunk``, ``_poc_for_n``, ``_mf_chunk`` and
+``verify_consistency`` must reproduce them bit for bit at every chunk
+size, including one replication, where numpy would otherwise sum the
+players pairwise; so must the path collectors ``simulate_representative``
+and ``mckean_vlasov_fixed_point``.  A ``tracemalloc`` test bounds the peak
+memory of the streamed estimators.
 """
 
 import dataclasses
@@ -20,14 +22,17 @@ import ccemfg.equilibrium as eq
 from ccemfg import _pathgen_py
 from ccemfg.analytic import DeviceProbs
 from ccemfg.correlation import (CorrelationDevice, build_example_device,
-                                sample_scenario)
+                                sample_scenario, verify_consistency)
 from ccemfg.engine import (SimulationError, TimeGrid, _check_actions,
-                           as_action_fn, flow_views, initial_states,
-                           noise_keys, representative_noise)
+                           as_action_fn, initial_states,
+                           mckean_vlasov_fixed_point, noise_keys,
+                           simulate_representative)
 from ccemfg.equilibrium import (_assemble_gap, _chunks, cce_gap_nplayer,
                                 default_deviation_grid, mean_field_gap_mc,
                                 poc_curve, recommended_actions)
-from ccemfg.model import MeasureView, build_bang_bang_model
+from ccemfg.flows import ParticleFlow, device_flow
+from ccemfg.metrics import empirical_quantiles
+from ccemfg.model import GaussianInitial, MeasureView, build_bang_bang_model
 
 MODEL = build_bang_bang_model(-1.0, 1.0, 1.0, 2.0)
 DEVICES = [(1, 0, 0, 0), (0.5, 0.3, 0.2, 0), (0.5, 0, 0, 0.5)]
@@ -54,6 +59,21 @@ def _ref_euler(model, grid, x0, w, action_fn, measure_fn):
         if not np.all(np.isfinite(x[..., i + 1])):
             raise SimulationError(i)
     return x
+
+
+def _ref_representative_noise(model, grid, seed, rep_ids):
+    w = _pathgen_py.brownian_paths(noise_keys(seed, rep_ids, [0]),
+                                   grid.steps, grid.horizon)[:, 0, :]
+    return initial_states(model, seed, rep_ids, [0])[:, 0], w
+
+
+def _ref_flow_views(flow, grid):
+    return [flow.view(t) for t in grid.times[:-1]]
+
+
+def _ref_step_against_flow(model, grid, x0, w, strategy, views):
+    return _ref_euler(model, grid, x0, w, as_action_fn(strategy),
+                      lambda i, x: views[i])
 
 
 def _ref_empirical_measure(i, x):
@@ -181,7 +201,7 @@ def _ref_mf_chunk(args):
     (model, device, grid, seed, candidates, off, count) = args
     rep_ids = off + np.arange(count)
     scen = sample_scenario(device, seed, rep_ids)
-    x0, w = representative_noise(model, grid, seed, rep_ids)
+    x0, w = _ref_representative_noise(model, grid, seed, rep_ids)
 
     j_rec = np.empty(count)
     j_dev = np.empty((count, candidates.shape[0]))
@@ -190,7 +210,7 @@ def _ref_mf_chunk(args):
         if not np.any(mask):
             continue
         x0_s, w_s = x0[mask], w[mask]
-        views = flow_views(scenario.flow, grid)
+        views = _ref_flow_views(scenario.flow, grid)
         vT = scenario.flow.view(grid.times[-1])
         means = np.array([v.mean for v in views] + [vT.mean])
         m2s = np.array([v.second_moment for v in views] + [vT.second_moment])
@@ -219,6 +239,54 @@ def _ref_mf_chunk(args):
             j_dev[mask, g] = _ref_player_cost(model, grid, xd,
                                               np.full(x0_s.size, m), means, m2s)
     return j_rec, j_dev, scen
+
+
+def _ref_verify_consistency(model, device, grid, reps, seed):
+    """label -> (w2, count, table), pooling stored per-scenario paths."""
+    draws = sample_scenario(device, seed, np.arange(reps))
+    times = grid.times
+    paths_by_scenario = {}
+    for idx, scenario in enumerate(device.scenarios):
+        rep_ids = np.nonzero(draws == idx)[0]
+        if rep_ids.size == 0:
+            continue
+        x0, w = _ref_representative_noise(model, grid, seed, rep_ids)
+        paths_by_scenario[idx] = _ref_step_against_flow(
+            model, grid, x0, w, scenario.strategy,
+            _ref_flow_views(scenario.flow, grid))
+    out = {}
+    for label, entry in device.flow_classes().items():
+        pooled = [paths_by_scenario[i] for i in entry["scenarios"]
+                  if i in paths_by_scenario]
+        if not pooled:
+            continue
+        pool = np.concatenate(pooled, axis=0)
+        table = entry["flow"].quantile_table(times)
+        sorted_pool = np.sort(pool, axis=0)           # (R, T)
+        eq_ = empirical_quantiles(sorted_pool.T)      # (T, 512)
+        w2 = np.sqrt(np.mean((eq_ - table) ** 2, axis=1))
+        out[label] = (w2, pool.shape[0], table)
+    return out
+
+
+def _ref_mckean_vlasov(model, grid, strategy, particles, max_iters, tol,
+                       seed):
+    times = grid.times
+    x0, w = _ref_representative_noise(model, grid, seed, np.arange(particles))
+    flow = ParticleFlow(times=times,
+                        particles=np.repeat(x0[:, None], grid.steps + 1, 1))
+    distances = []
+    for _ in range(max_iters):
+        x = _ref_step_against_flow(model, grid, x0, w, strategy,
+                                   _ref_flow_views(flow, grid))
+        new_flow = ParticleFlow(times=times, particles=x)
+        gap = float(np.max(np.sqrt(np.mean(
+            (new_flow._sorted - flow._sorted) ** 2, axis=0))))
+        distances.append(gap)
+        flow = new_flow
+        if gap < tol:
+            break
+    return flow, distances
 
 
 # --- bit-identity ------------------------------------------------------------
@@ -307,6 +375,69 @@ def test_mf_chunk_matches_path_storing_reference(p, steps, variant):
         assert np.array_equal(scen, r_scen)
 
 
+def _measure_feedback_model():
+    """A drift that reads the measure and a Gaussian start, so the views,
+    the states and their order all differ between replications."""
+    return dataclasses.replace(
+        MODEL, initial_law=GaussianInitial(0.0, 1.0), drift_uses_measure=True,
+        drift=lambda t, x, m, a: a + 0.7 * m.mean - 0.3 * m.second_moment)
+
+
+@pytest.mark.parametrize("variant", ["bang-bang", "measure-feedback"])
+@pytest.mark.parametrize("steps", STEPS)
+@pytest.mark.parametrize("p", DEVICES)
+def test_consistency_matches_path_storing_reference(p, steps, variant):
+    model = MODEL
+    device = build_example_device(DeviceProbs(*p), -1.0, 1.0)
+    if variant != "bang-bang":
+        model = _measure_feedback_model()
+        device = _with_feedback(device)
+    grid = TimeGrid(2.0, steps)
+    for reps in (1, 7, 150):
+        drawn = set(sample_scenario(device, 4, np.arange(reps)).tolist())
+        classes = device.flow_classes()
+        if any(entry["probability"] > 0
+               and not drawn.intersection(entry["scenarios"])
+               for entry in classes.values()):
+            with pytest.raises(ValueError, match="no samples"):
+                verify_consistency(model, device, grid, reps=reps, seed=4)
+            continue
+        rep = verify_consistency(model, device, grid, reps=reps, seed=4)
+        ref = _ref_verify_consistency(model, device, grid, reps, 4)
+        assert [c.label for c in rep.classes] == list(ref)
+        for cl in rep.classes:
+            w2, count, table = ref[cl.label]
+            assert np.array_equal(cl.w2, w2), (reps, cl.label)
+            assert cl.count == count
+            assert np.array_equal(cl.table, table)
+
+
+@pytest.mark.parametrize("variant", ["bang-bang", "measure-feedback"])
+@pytest.mark.parametrize("steps", STEPS)
+def test_representative_collectors_match_stored_euler(steps, variant):
+    model, strategy = MODEL, 1.0
+    if variant != "bang-bang":
+        model, strategy = _measure_feedback_model(), _Feedback(0.5)
+    grid = TimeGrid(2.0, steps)
+    flow = device_flow(0.3, -1.0, 1.0)
+    for reps, offset in ((1, 0), (9, 4)):
+        x = simulate_representative(model, grid, flow, strategy, reps, seed=6,
+                                    rep_offset=offset)
+        x0, w = _ref_representative_noise(model, grid, 6,
+                                          offset + np.arange(reps))
+        ref = _ref_step_against_flow(model, grid, x0, w, strategy,
+                                     _ref_flow_views(flow, grid))
+        assert np.array_equal(x, ref), (reps, offset)
+
+    res = mckean_vlasov_fixed_point(model, grid, strategy, particles=150,
+                                    max_iters=3, tol=1e-12, seed=6)
+    flow_ref, distances = _ref_mckean_vlasov(model, grid, strategy, 150, 3,
+                                             1e-12, 6)
+    assert np.array_equal(res.flow.particles, flow_ref.particles)
+    assert np.array_equal(res.flow._sorted, flow_ref._sorted)
+    assert res.distances == distances
+
+
 # --- memory ------------------------------------------------------------------
 
 PEAK_BOUND = 32 * 2**20
@@ -340,4 +471,11 @@ def test_streamed_mfgap_peak_memory():
     device = build_example_device(DeviceProbs(0.5, 0.3, 0.2, 0), -1.0, 1.0)
     peak = _traced_peak(lambda: mean_field_gap_mc(
         MODEL, device, reps=4000, seed=0, grid=TimeGrid(2.0, 200), workers=1))
+    assert peak < PEAK_BOUND, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_streamed_consistency_peak_memory():
+    device = build_example_device(DeviceProbs(0.5, 0, 0, 0.5), -1.0, 1.0)
+    peak = _traced_peak(lambda: verify_consistency(
+        MODEL, device, TimeGrid(2.0, 200), reps=40_000, seed=0))
     assert peak < PEAK_BOUND, f"peak {peak / 2**20:.1f} MiB"
