@@ -134,6 +134,27 @@ def bridge_plan(steps: int, dt: float):
     return lo, mid, hi, frac, sd
 
 
+def _interior_rows(flat, plan, node, l, h, w_l, w_h):
+    """The rows of :func:`brownian_rows` strictly between grid points l and
+    h, in time order.  A module function, not a closure: a closure that
+    calls itself is a reference cycle, which would keep ``flat`` alive
+    after the walk until the garbage collector runs."""
+    n = node.get((l, h))
+    if n is None:                          # h - l < 2: no interior point
+        return
+    _, mid, _, frac, sd = plan
+    z = norm_quantile(uniforms(flat, n + 1))
+    z *= sd[n]
+    w_m = np.subtract(w_h, w_l)
+    w_m *= frac[n]
+    w_m += w_l
+    w_m += z
+    m = int(mid[n])
+    yield from _interior_rows(flat, plan, node, l, m, w_l, w_m)
+    yield w_m
+    yield from _interior_rows(flat, plan, node, m, h, w_m, w_h)
+
+
 def brownian_rows(keys: np.ndarray, steps: int, horizon: float):
     """Yield W(t_0), ..., W(t_steps) in time order, each a flat float64 row
     over ``keys.reshape(-1)``; the first row is zeros.
@@ -143,29 +164,13 @@ def brownian_rows(keys: np.ndarray, steps: int, horizon: float):
     about log2(steps) + 2 rows of the walk are alive at once.
     """
     flat = np.asarray(keys, dtype=np.uint64).reshape(-1)
-    lo, mid, hi, frac, sd = bridge_plan(steps, horizon / steps)
+    plan = bridge_plan(steps, horizon / steps)
+    lo, _, hi, _, _ = plan
     node = {(l, h): n for n, (l, h) in enumerate(zip(lo.tolist(), hi.tolist()))}
-
-    def interior(l, h, w_l, w_h):
-        """Rows strictly between grid points l and h, in time order."""
-        n = node.get((l, h))
-        if n is None:                      # h - l < 2: no interior point
-            return
-        z = norm_quantile(uniforms(flat, n + 1))
-        z *= sd[n]
-        w_m = np.subtract(w_h, w_l)
-        w_m *= frac[n]
-        w_m += w_l
-        w_m += z
-        m = int(mid[n])
-        yield from interior(l, m, w_l, w_m)
-        yield w_m
-        yield from interior(m, h, w_m, w_h)
-
     w_0 = np.zeros(flat.size)
     w_T = np.sqrt(horizon) * norm_quantile(uniforms(flat, 0))
     yield w_0
-    yield from interior(0, steps, w_0, w_T)
+    yield from _interior_rows(flat, plan, node, 0, steps, w_0, w_T)
     yield w_T
 
 

@@ -234,8 +234,14 @@ def null_band(flow: GaussianMixtureFlow, times: np.ndarray, count: int,
     equal values.  Hence only the ``n_pts`` order statistics that
     :func:`empirical_quantiles` would pick are gathered, after an integer
     sort, and the band is the same to the last bit as sorting the gathered
-    floats.
+    floats.  Raises ``ValueError`` unless ``count`` and ``pilots`` are at
+    least 1 and ``factor`` is positive.
     """
+    for name, value in (("count", count), ("pilots", pilots)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
+    if not factor > 0:
+        raise ValueError(f"factor must be positive, got {factor}")
     if table is None:
         table = flow.quantile_table(times)
     n_t, n_pts = table.shape

@@ -9,6 +9,13 @@ therefore a lower bound on the true one.
 All candidates within one replication share that replication's noise
 (common random numbers), which is what makes the per-replication deviation
 payoff an exact quadratic in the candidate action for the shipped model.
+
+When one Euler step gives the exact terminal state under a constant
+action (:func:`ccemfg.model.exact_terminal`; the shipped model's rules
+do), the gap estimators step every constant action once across [0, T]
+instead of along the grid.  That step is driven by W(T), which is the
+Brownian walk's terminal value at every step count, so a gap costs one
+normal per player and does not depend on the grid's steps.
 """
 
 from __future__ import annotations
@@ -22,16 +29,20 @@ import numpy as np
 
 from . import rng
 from .correlation import CorrelationDevice, follow_scenarios, sample_scenario
-from .engine import (TimeGrid, check_run, euler_step, initial_states,
-                     noise_keys, representative_noise, stream_ensemble,
-                     sum_rows)
-from .model import MeasureView, ModelSpec
+from .engine import (ConstantStrategy, TimeGrid, check_run, euler_step,
+                     initial_states, noise_keys, representative_noise,
+                     stream_ensemble, sum_rows)
+from .model import MeasureView, ModelSpec, exact_terminal
 
 # Sets the replications per chunk: CHUNK_ELEMS // (numbers one replication
 # counts for).  No estimator stores a path; the bridge walk holds about
 # log2(steps) + 2 rows.  The mean-field gap counts its 1 + G streamed rows
 # four times (state, action, running cost, one temporary); the N-player
 # estimators count N * (steps + 1), more than the O(N * log2(steps)) held.
+# The gaps that take one step across [0, T] count the (R,) rows alive at
+# their peak, measured with tracemalloc and rounded up: the N-player gap
+# 11 per player and 8 per candidate, the mean-field gap 5 per row of its
+# (1 + G, R) state and 8 more.
 CHUNK_ELEMS = 20_000_000
 
 
@@ -104,15 +115,15 @@ def default_workers() -> int:
 # recommendation sampling for the N-player game
 # ---------------------------------------------------------------------------
 
-def _constant_of(strategy) -> float:
-    from .engine import ConstantStrategy
+def _is_constant(strategy) -> bool:
+    return isinstance(strategy, ConstantStrategy) or np.isscalar(strategy)
 
-    if isinstance(strategy, ConstantStrategy):
-        return float(strategy.value)
-    if np.isscalar(strategy):
-        return float(strategy)
-    raise NotImplementedError(
-        "N-player recommendation sampling supports constant strategies only")
+
+def _constant_of(strategy) -> float:
+    if not _is_constant(strategy):
+        raise NotImplementedError("N-player recommendation sampling "
+                                  "supports constant strategies only")
+    return float(getattr(strategy, "value", strategy))
 
 
 def recommended_actions(device: CorrelationDevice, seed: int, rep_ids,
@@ -259,7 +270,9 @@ def cce_gap_nplayer(model: ModelSpec, device: CorrelationDevice, N: int,
 
     By symmetry only player 1 (index 0) deviates.  The G constant-action
     candidates reuse each replication's noise; when the model's drift is
-    measure-free only the deviator's path is re-simulated.
+    measure-free only the deviator's path is re-simulated.  When
+    :func:`ccemfg.model.exact_terminal` holds, every player takes one step
+    across [0, T], whatever ``grid``'s step count.
     """
     if N < 2:
         raise ValueError("N must be at least 2")
@@ -267,9 +280,13 @@ def cce_gap_nplayer(model: ModelSpec, device: CorrelationDevice, N: int,
     check_run(model, grid, reps=reps)
     candidates = _candidates(model, deviations)
     workers = workers or default_workers()
-    chunk = max(1, CHUNK_ELEMS // (N * (grid.steps + 1)))
+    if exact_terminal(model):
+        grid = TimeGrid(grid.horizon, 1)
+        per_rep = 11 * N + 8 * candidates.size
+    else:
+        per_rep = N * (grid.steps + 1)
     jobs = [(model, device, grid, N, seed, candidates, off, cnt)
-            for off, cnt in _chunks(reps, chunk)]
+            for off, cnt in _chunks(reps, max(1, CHUNK_ELEMS // per_rep))]
     parts = _map_jobs(_nplayer_chunk, jobs, workers)
     j_rec = np.concatenate([p[0] for p in parts])
     j_dev = np.concatenate([p[1] for p in parts])
@@ -315,16 +332,21 @@ def mean_field_gap_mc(model: ModelSpec, device: CorrelationDevice,
     replication in the N-player engine; the recommendation and the G
     constant candidates share that noise and are stepped together, with
     their costs accumulated as they go (see :func:`_mf_chunk`).  A chunk
-    holds no paths.
+    holds no paths.  When :func:`ccemfg.model.exact_terminal` holds and
+    every scenario strategy is a constant, the state takes one step across
+    [0, T], whatever ``grid``'s step count.
     """
     grid = grid or TimeGrid(model.horizon, 200)
     check_run(model, grid, reps=reps)
     candidates = _candidates(model, deviations)
     workers = workers or default_workers()
-    chunk = max(1, CHUNK_ELEMS // (4 * (1 + candidates.size)
-                                   + grid.steps.bit_length() + 2))
+    per_rep = 4 * (1 + candidates.size) + grid.steps.bit_length() + 2
+    if exact_terminal(model) and all(_is_constant(s.strategy)
+                                     for s in device.scenarios):
+        grid = TimeGrid(grid.horizon, 1)
+        per_rep = 5 * (1 + candidates.size) + 8
     jobs = [(model, device, grid, seed, candidates, off, cnt)
-            for off, cnt in _chunks(reps, chunk)]
+            for off, cnt in _chunks(reps, max(1, CHUNK_ELEMS // per_rep))]
     parts = _map_jobs(_mf_chunk, jobs, workers)
     j_rec = np.concatenate([p[0] for p in parts])
     j_dev = np.concatenate([p[1] for p in parts])

@@ -82,6 +82,10 @@ class ModelSpec:
     the functional is minimized or maximized; gap computations read it and
     flip signs uniformly.  ``drift_uses_measure=False`` unlocks a fast
     deviation path in the equilibrium estimators.
+
+    :func:`exact_terminal` reads from the rules whether a constant action
+    reaches the horizon exactly in one Euler step; the deviation-gap
+    estimators then skip the time grid.
     """
 
     dim: int
@@ -121,6 +125,19 @@ class _ActionDrift:
 class _ZeroRunningCost:
     def __call__(self, t, x, m, a):
         return np.zeros(np.shape(x))
+
+
+def exact_terminal(model: ModelSpec) -> bool:
+    """Whether one Euler step across [0, T] gives a player's exact state
+    and cost at the horizon under every constant action.
+
+    True when the drift is the action itself and the running cost is zero,
+    the rules of :func:`build_bang_bang_model`: the action ``a`` then gives
+    ``X_T = x0 + a * T + W_T`` and the cost is the terminal cost alone.
+    Other rules are opaque callables and count as not exact.
+    """
+    return (isinstance(model.drift, _ActionDrift)
+            and isinstance(model.running_cost, _ZeroRunningCost))
 
 
 @dataclass(frozen=True)

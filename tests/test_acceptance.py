@@ -1,6 +1,13 @@
-"""End-to-end acceptance checks: ten criteria, one pass/fail line each
-(run with ``pytest -s tests/test_acceptance.py`` to see the lines)."""
+"""End-to-end acceptance checks: eleven criteria, one pass/fail line each
+(run with ``pytest -s tests/test_acceptance.py`` to see the lines).
 
+Criteria 05 and 06 run the gap estimators along the Euler grid
+(``EULER``); criterion 11 runs the one step across [0, T] that the
+shipped model's rules allow, at a player count the Euler grid cannot
+reach in a test."""
+
+import dataclasses
+import functools
 import itertools
 
 import numpy as np
@@ -16,6 +23,10 @@ from ccemfg.metrics import w2_empirical_1d
 from ccemfg.model import build_bang_bang_model
 
 MODEL = build_bang_bang_model(-1.0, 1.0, 1.0, 2.0)
+# the same game with its drift wrapped, which hides from exact_terminal
+# that the drift is the action: the gap estimators then step it along the
+# grid (a partial pickles, so worker pools can run it)
+EULER = dataclasses.replace(MODEL, drift=functools.partial(MODEL.drift))
 GRID = TimeGrid(2.0, 200)
 
 
@@ -103,7 +114,7 @@ def test_criterion_05_nplayer_gap_vs_oracle():
         device = build_example_device(p, -1.0, 1.0)
         for N in (50, 200, 500):
             oracle = finite_n_gap_oracle(p, -1, 1, 1, 2, N)
-            rep = cce_gap_nplayer(MODEL, device, N=N, deviations=21,
+            rep = cce_gap_nplayer(EULER, device, N=N, deviations=21,
                                   reps=2000, seed=11, grid=GRID)
             dev = abs(rep.raw_gap - oracle)
             hit = dev <= 2 * rep.raw_se + 1e-14
@@ -125,7 +136,7 @@ def test_criterion_06_mean_field_gap_vs_margin():
         margin = cce_margin(p, -1.0, 1.0)
         target = 4.0 * max(0.0, -margin)
         device = build_example_device(p, -1.0, 1.0)
-        rep = mean_field_gap_mc(MODEL, device, reps=4000, seed=29, grid=GRID)
+        rep = mean_field_gap_mc(EULER, device, reps=4000, seed=29, grid=GRID)
         hit = abs(rep.raw_gap - target) <= 2 * rep.raw_se + 1e-12
         ok = ok and hit
         lines.append(f"p={p.as_tuple()}: raw {rep.raw_gap:.4f} "
@@ -193,3 +204,17 @@ def test_criterion_10_metric_oracle():
     _report(10, worst < 1e-12,
             f"sorted coupling = assignment optimum on 1000 instances; "
             f"max dev {worst:.2e}")
+
+
+def test_criterion_11_large_n_gap_exact_terminal():
+    p = DeviceProbs(0.5, 0.3, 0.2, 0.0)
+    N = 10_000
+    device = build_example_device(p, -1.0, 1.0)
+    oracle = finite_n_gap_oracle(p, -1, 1, 1, 2, N)
+    rep = cce_gap_nplayer(MODEL, device, N=N, deviations=21, reps=1000,
+                          seed=11, grid=GRID)
+    z = (rep.raw_gap - oracle) / rep.raw_se
+    _report(11, abs(z) <= 3,
+            f"black(.5,.3,.2,0) N={N} sampled at the horizon: est "
+            f"{rep.raw_gap:.4f} oracle {oracle:.4f} (24/35 = "
+            f"{24 / 35:.4f}), z = {z:.2f}, |z| <= 3")

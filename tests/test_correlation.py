@@ -175,6 +175,19 @@ def test_verify_consistency_rejects_a_flow_without_quantile_table():
         verify_consistency(MODEL, dev, grid, reps=100, seed=0)
 
 
+@pytest.mark.parametrize("bad, match", [
+    ({"count": 0}, "count"), ({"count": -3}, "count"),
+    ({"pilots": 0}, "pilots"),
+    ({"factor": 0.0}, "factor"), ({"factor": -1.0}, "factor"),
+    ({"factor": float("nan")}, "factor")])
+def test_null_band_rejects_bad_arguments(bad, match):
+    flow = device_flow(1.0, -1.0, 1.0)
+    times = TimeGrid(2.0, 10).times
+    args = {"count": 100, "seed": 0, **bad}
+    with pytest.raises(ValueError, match=match):
+        null_band(flow, times, **args)
+
+
 def test_null_band_reuses_a_given_table():
     flow = device_flow(5 / 7, -1.0, 1.0)
     times = TimeGrid(2.0, 20).times

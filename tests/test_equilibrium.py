@@ -1,16 +1,22 @@
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
 
 from ccemfg.analytic import DeviceProbs, finite_n_gap_oracle
-from ccemfg.correlation import build_example_device
-from ccemfg.engine import TimeGrid
+from ccemfg.correlation import (CorrelationDevice, Scenario,
+                                build_example_device)
+from ccemfg.engine import ConstantStrategy, SimulationError, TimeGrid
 from ccemfg.equilibrium import (cce_gap_nplayer, mean_field_gap_mc, poc_curve,
                                 recommended_actions)
-from ccemfg.model import build_bang_bang_model
+from ccemfg.model import PointMass, build_bang_bang_model
 
 MODEL = build_bang_bang_model(-1.0, 1.0, 1.0, 2.0)
+# the same game with its drift wrapped, which hides from exact_terminal
+# that the drift is the action: the gap estimators then step it along the
+# grid (a partial pickles, so worker pools can run it)
+EULER = dataclasses.replace(MODEL, drift=functools.partial(MODEL.drift))
 WHITE = DeviceProbs(1, 0, 0, 0)
 BLACK = DeviceProbs(0.5, 0.3, 0.2, 0.0)
 
@@ -57,11 +63,11 @@ def test_white_device_gap_is_zero():
 def test_gap_deterministic_and_chunk_independent(monkeypatch):
     dev = build_example_device(BLACK, -1.0, 1.0)
     grid = TimeGrid(2.0, 25)
-    rep1 = cce_gap_nplayer(MODEL, dev, N=10, reps=64, seed=5, grid=grid)
+    rep1 = cce_gap_nplayer(EULER, dev, N=10, reps=64, seed=5, grid=grid)
     import ccemfg.equilibrium as eq
 
     monkeypatch.setattr(eq, "CHUNK_ELEMS", 10 * 26 * 7)   # force many chunks
-    rep2 = cce_gap_nplayer(MODEL, dev, N=10, reps=64, seed=5, grid=grid)
+    rep2 = cce_gap_nplayer(EULER, dev, N=10, reps=64, seed=5, grid=grid)
     assert np.array_equal(rep1.improvement_means, rep2.improvement_means)
     assert rep1.raw_gap == rep2.raw_gap
 
@@ -69,9 +75,9 @@ def test_gap_deterministic_and_chunk_independent(monkeypatch):
 def test_gap_worker_pool_identical():
     dev = build_example_device(BLACK, -1.0, 1.0)
     grid = TimeGrid(2.0, 25)
-    serial = cce_gap_nplayer(MODEL, dev, N=10, reps=64, seed=5, grid=grid,
+    serial = cce_gap_nplayer(EULER, dev, N=10, reps=64, seed=5, grid=grid,
                              workers=1)
-    pooled = cce_gap_nplayer(MODEL, dev, N=10, reps=64, seed=5, grid=grid,
+    pooled = cce_gap_nplayer(EULER, dev, N=10, reps=64, seed=5, grid=grid,
                              workers=2)
     assert np.array_equal(serial.improvement_means, pooled.improvement_means)
 
@@ -79,12 +85,112 @@ def test_gap_worker_pool_identical():
 def test_fast_and_slow_deviation_paths_agree():
     dev = build_example_device(BLACK, -1.0, 1.0)
     grid = TimeGrid(2.0, 25)
-    fast = cce_gap_nplayer(MODEL, dev, N=10, reps=64, seed=2, grid=grid)
-    slow_model = dataclasses.replace(MODEL, drift_uses_measure=True)
+    fast = cce_gap_nplayer(EULER, dev, N=10, reps=64, seed=2, grid=grid)
+    slow_model = dataclasses.replace(EULER, drift_uses_measure=True)
     slow = cce_gap_nplayer(slow_model, dev, N=10, reps=64, seed=2, grid=grid)
     assert np.max(np.abs(fast.improvement_means
                          - slow.improvement_means)) < 1e-12
     assert abs(fast.raw_gap - slow.raw_gap) < 1e-12
+
+
+# --- exact terminal sampling ---------------------------------------------
+
+DEVICES = {"white": WHITE, "black": BLACK}
+
+
+def _assert_agree(got, ref, tol=1e-12):
+    assert np.max(np.abs(got.improvement_means
+                         - ref.improvement_means)) < tol
+    assert abs(got.j_rec.mean - ref.j_rec.mean) < tol
+    assert abs(got.j_rec.std_error - ref.j_rec.std_error) < tol
+    assert abs(got.raw_se - ref.raw_se) < tol
+    assert got.best_deviation == ref.best_deviation
+
+
+@pytest.mark.parametrize("N", [2, 7, 50])
+@pytest.mark.parametrize("name", sorted(DEVICES))
+def test_exact_terminal_nplayer_gap_matches_euler(name, N):
+    dev = build_example_device(DEVICES[name], -1.0, 1.0)
+    exact = cce_gap_nplayer(MODEL, dev, N=N, reps=300, seed=8)
+    euler = cce_gap_nplayer(EULER, dev, N=N, reps=300, seed=8)
+    _assert_agree(exact, euler)
+
+
+@pytest.mark.parametrize("name", sorted(DEVICES))
+def test_exact_terminal_mean_field_gap_matches_euler(name):
+    dev = build_example_device(DEVICES[name], -1.0, 1.0)
+    exact = mean_field_gap_mc(MODEL, dev, reps=1000, seed=8)
+    euler = mean_field_gap_mc(EULER, dev, reps=1000, seed=8)
+    _assert_agree(exact, euler)
+
+
+def test_exact_terminal_bit_identical_across_workers_chunks_and_steps(
+        monkeypatch):
+    import ccemfg.equilibrium as eq
+
+    dev = build_example_device(BLACK, -1.0, 1.0)
+    runs = {
+        "gap": lambda workers, steps: cce_gap_nplayer(
+            MODEL, dev, N=10, reps=64, seed=5, grid=TimeGrid(2.0, steps),
+            workers=workers),
+        "mfgap": lambda workers, steps: mean_field_gap_mc(
+            MODEL, dev, reps=64, seed=5, grid=TimeGrid(2.0, steps),
+            workers=workers)}
+    for name, run in runs.items():
+        ref = run(1, 200)
+        for workers, steps in ((2, 200), (1, 1), (1, 7)):
+            got = run(workers, steps)
+            assert np.array_equal(got.improvement_means,
+                                  ref.improvement_means), (name, workers)
+            assert np.array_equal(got.improvement_ses, ref.improvement_ses)
+        monkeypatch.setattr(eq, "CHUNK_ELEMS", 1000)   # 22 and 8 chunks
+        for workers in (1, 2):
+            got = run(workers, 200)
+            assert np.array_equal(got.improvement_means,
+                                  ref.improvement_means), (name, workers)
+            assert np.array_equal(got.improvement_ses, ref.improvement_ses)
+        monkeypatch.undo()
+
+
+def test_exact_terminal_keeps_the_action_box_and_finite_checks():
+    dev = build_example_device(BLACK, -1.0, 1.0)
+    grid = TimeGrid(2.0, 20)
+    outside = np.array([-1.0, 0.0, 1.5])
+    with pytest.raises(ValueError, match="admissible box"):
+        cce_gap_nplayer(MODEL, dev, N=5, deviations=outside, reps=4,
+                        grid=grid)
+    with pytest.raises(ValueError, match="admissible box"):
+        mean_field_gap_mc(MODEL, dev, deviations=outside, reps=4, grid=grid)
+
+    # the rules stay exact, so the one step across [0, T] meets the inf
+    blowup = dataclasses.replace(MODEL, initial_law=PointMass(np.inf))
+    with np.errstate(invalid="ignore"), pytest.raises(SimulationError):
+        cce_gap_nplayer(blowup, dev, N=5, reps=4, grid=grid, workers=1)
+    with pytest.raises(SimulationError):
+        mean_field_gap_mc(blowup, dev, reps=4, grid=grid, workers=1)
+
+
+def test_mean_field_gap_steps_a_non_constant_strategy():
+    """A recommendation that is a rule, not a constant, is stepped along
+    the grid even when the model's rules are exact at the horizon."""
+    dev = build_example_device(BLACK, -1.0, 1.0)
+
+    def rule(t, x, mv):
+        return np.clip(0.5 - x, -1.0, 1.0)
+
+    ruled = CorrelationDevice(scenarios=tuple(
+        dataclasses.replace(s, strategy=rule) for s in dev.scenarios))
+    grid = TimeGrid(2.0, 20)
+    got = mean_field_gap_mc(MODEL, ruled, reps=64, seed=1, grid=grid)
+    ref = mean_field_gap_mc(EULER, ruled, reps=64, seed=1, grid=grid)
+    assert np.array_equal(got.improvement_means, ref.improvement_means)
+    # a ConstantStrategy is a constant: it takes one step across [0, T]
+    const = CorrelationDevice(scenarios=(
+        Scenario(1.0, ConstantStrategy(1.0), dev.scenarios[0].flow),))
+    a = mean_field_gap_mc(MODEL, const, reps=64, seed=1, grid=grid)
+    b = mean_field_gap_mc(MODEL, const, reps=64, seed=1,
+                          grid=TimeGrid(2.0, 3))
+    assert np.array_equal(a.improvement_means, b.improvement_means)
 
 
 def test_sense_flip_negates_improvements():

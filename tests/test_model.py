@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccemfg.model import (ActionBox, GaussianInitial, MeasureView, ModelSpec,
-                          PointMass, build_bang_bang_model)
+                          PointMass, build_bang_bang_model, exact_terminal)
 
 
 def test_action_box_validation():
@@ -47,6 +47,15 @@ def test_drift_is_measure_free():
     m2 = MeasureView(mean=100.0, second_moment=10001.0)
     assert np.array_equal(m.drift(0.5, x, m1, a), m.drift(0.5, x, m2, a))
     assert np.array_equal(m.drift(0.5, x, m1, a), a)
+
+
+def test_exact_terminal_is_read_from_the_rules():
+    m = build_bang_bang_model(-1.0, 1.0, 1.0, 2.0)
+    assert exact_terminal(m)
+    assert exact_terminal(dataclasses.replace(m, initial_law=PointMass(1.0)))
+    zero = lambda t, x, mv, a: np.zeros(np.shape(x))   # noqa: E731
+    assert not exact_terminal(dataclasses.replace(m, drift=zero))
+    assert not exact_terminal(dataclasses.replace(m, running_cost=zero))
 
 
 @given(alpha=st.floats(-10, 10), x=st.floats(-10, 10), mbar=st.floats(-10, 10))

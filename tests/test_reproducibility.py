@@ -30,9 +30,9 @@ from ccemfg.cli import main
 
 CASES = {
     "gap": (["--p", "0.5,0.3,0.2,0", "--N", "10,40", "--reps", "100"],
-            "40885aacdfd7197f4117d3243ec44f1426ab88adb82ce81ca082163d2abf7d40"),
+            "8c34a89583f75ff086647b2750b67da087bf87bc3caee4377b39cdd8e4e80fca"),
     "mfgap": (["--p", "0.5,0.3,0.2,0", "--reps", "100"],
-              "97e34b1460588ac8df271ec667bf409c77cd4e74c5dbe306a9ceddb574190755"),
+              "4fafd84ba960612a5154763259fd130b739b0abc6d16dbf61694959e331335c6"),
     "poc": (["--p", "1,0,0,0", "--N", "10,20,40", "--reps", "50"],
             "4deb8a5b8590d325230164fc4caa45c76a8e47de5bc538bdbdbaf06a656d16a9"),
     "consistency": (["--p", "0.5,0,0,0.5", "--reps", "100"],

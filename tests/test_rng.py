@@ -1,5 +1,7 @@
 """Counter-based RNG: determinism, stream independence, distributional checks."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -211,6 +213,23 @@ def test_brownian_rows_in_time_order_match_row_major_fill(steps):
     assert all(r.shape == (keys.size,) for r in rows)
     ref = _ref_brownian_paths(keys, steps, 2.0).reshape(keys.size, steps + 1)
     assert np.array_equal(np.stack(rows, axis=1), ref)
+
+
+@pytest.mark.parametrize("taken", [1, 2, 9])
+def test_brownian_rows_frees_its_walk_without_the_garbage_collector(taken):
+    """A walk dropped part way or at its end leaves no reference cycle,
+    which would keep its copy of the keys alive until a collection."""
+    keys = rng.stream_keys(19, rng.TAG_NOISE, np.arange(6))
+    gc.collect()
+    gc.disable()
+    try:
+        walk = _pathgen_py.brownian_rows(keys, 8, 2.0)
+        for _ in range(taken):
+            next(walk)
+        del walk
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # --- reference counter hash: the temporaries-per-operation version that the

@@ -8,11 +8,13 @@ row-major Euler loop over them and reduce afterwards.  The streamed
 ``verify_consistency`` must reproduce them bit for bit at every chunk
 size, including one replication, where numpy would otherwise sum the
 players pairwise; so must the path collectors ``simulate_representative``
-and ``mckean_vlasov_fixed_point``.  A ``tracemalloc`` test bounds the peak
-memory of the streamed estimators.
+and ``mckean_vlasov_fixed_point``.  ``tracemalloc`` tests bound the peak
+memory of the streamed estimators, and check that the gaps that take one
+step across [0, T] stay inside their chunk budget.
 """
 
 import dataclasses
+import functools
 import tracemalloc
 
 import numpy as np
@@ -35,6 +37,10 @@ from ccemfg.metrics import empirical_quantiles
 from ccemfg.model import GaussianInitial, MeasureView, build_bang_bang_model
 
 MODEL = build_bang_bang_model(-1.0, 1.0, 1.0, 2.0)
+# the same game with its drift wrapped, which hides from exact_terminal
+# that the drift is the action: the gap estimators then step it along the
+# grid (a partial pickles, so worker pools can run it)
+EULER = dataclasses.replace(MODEL, drift=functools.partial(MODEL.drift))
 DEVICES = [(1, 0, 0, 0), (0.5, 0.3, 0.2, 0), (0.5, 0, 0, 0.5)]
 CHUNK_REPS = [1, 2, 3, 7]
 PLAYERS = [2, 10, 40]
@@ -455,7 +461,7 @@ def _traced_peak(run):
 def test_streamed_gap_peak_memory():
     device = build_example_device(DeviceProbs(0.5, 0.3, 0.2, 0), -1.0, 1.0)
     peak = _traced_peak(lambda: cce_gap_nplayer(
-        MODEL, device, N=200, reps=200, seed=0, grid=TimeGrid(2.0, 200),
+        EULER, device, N=200, reps=200, seed=0, grid=TimeGrid(2.0, 200),
         workers=1))
     assert peak < PEAK_BOUND, f"peak {peak / 2**20:.1f} MiB"
 
@@ -470,7 +476,7 @@ def test_streamed_poc_peak_memory():
 def test_streamed_mfgap_peak_memory():
     device = build_example_device(DeviceProbs(0.5, 0.3, 0.2, 0), -1.0, 1.0)
     peak = _traced_peak(lambda: mean_field_gap_mc(
-        MODEL, device, reps=4000, seed=0, grid=TimeGrid(2.0, 200), workers=1))
+        EULER, device, reps=4000, seed=0, grid=TimeGrid(2.0, 200), workers=1))
     assert peak < PEAK_BOUND, f"peak {peak / 2**20:.1f} MiB"
 
 
@@ -479,3 +485,26 @@ def test_streamed_consistency_peak_memory():
     peak = _traced_peak(lambda: verify_consistency(
         MODEL, device, TimeGrid(2.0, 200), reps=40_000, seed=0))
     assert peak < PEAK_BOUND, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_exact_terminal_gaps_stay_inside_the_chunk_budget(monkeypatch):
+    """With a budget of CHUNK_ELEMS numbers, each chunk of the gaps that
+    take one step across [0, T] peaks below that many float64 values, plus
+    128 KiB for numpy's ufunc buffers and the chunk's few small arrays."""
+    budget = 1_000_000
+    peaks = []
+
+    def traced_map(fn, jobs, workers):
+        out = []
+        for job in jobs:
+            peaks.append(_traced_peak(lambda: out.append(fn(job))))
+        return out
+
+    monkeypatch.setattr(eq, "CHUNK_ELEMS", budget)
+    monkeypatch.setattr(eq, "_map_jobs", traced_map)
+    device = build_example_device(DeviceProbs(0.5, 0.3, 0.2, 0), -1.0, 1.0)
+    cce_gap_nplayer(MODEL, device, N=20_000, reps=30, seed=0)
+    cce_gap_nplayer(MODEL, device, N=2, reps=5_000, seed=0, deviations=201)
+    mean_field_gap_mc(MODEL, device, reps=5_000, seed=0, deviations=201)
+    assert len(peaks) == 8 + 9 + 6
+    assert max(peaks) < 8 * budget + 2**17, f"peaks {peaks}"
