@@ -103,11 +103,17 @@ def noise_keys(seed: int, rep_ids, player_ids) -> np.ndarray:
 
 
 def initial_states(model: ModelSpec, seed: int, rep_ids, player_ids) -> np.ndarray:
-    keys = rng.stream_keys(seed, rng.TAG_INIT,
-                           np.asarray(rep_ids)[:, None],
-                           np.asarray(player_ids)[None, :])
-    u = rng.uniforms(keys, 0)
-    return model.initial_law.from_uniform(u)
+    """Initial states (R, N): the initial law applied to draw 0 of each
+    (replication, player) stream, which is drawn only if the law asks for
+    it (a point mass does not)."""
+    rep_ids = np.asarray(rep_ids)[:, None]
+    player_ids = np.asarray(player_ids)[None, :]
+
+    def uniforms():
+        keys = rng.stream_keys(seed, rng.TAG_INIT, rep_ids, player_ids)
+        return rng.uniforms(keys, 0)
+
+    return model.initial_law.sample(uniforms, (rep_ids.size, player_ids.size))
 
 
 def _check_actions(model: ModelSpec, a, step: int) -> None:

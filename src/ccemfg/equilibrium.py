@@ -36,13 +36,13 @@ from .model import MeasureView, ModelSpec, exact_terminal
 
 # Sets the replications per chunk: CHUNK_ELEMS // (numbers one replication
 # counts for).  No estimator stores a path; the bridge walk holds about
-# log2(steps) + 2 rows.  The mean-field gap counts its 1 + G streamed rows
-# four times (state, action, running cost, one temporary); the N-player
-# estimators count N * (steps + 1), more than the O(N * log2(steps)) held.
-# The gaps that take one step across [0, T] count the (R,) rows alive at
-# their peak, measured with tracemalloc and rounded up: the N-player gap
-# 11 per player and 8 per candidate, the mean-field gap 5 per row of its
-# (1 + G, R) state and 8 more.
+# log2(steps) + 2 rows.  The counts cover the (R,) rows alive at the peak
+# of a chunk, measured with tracemalloc and rounded up.  On the grid: the
+# N-player ensembles N * (steps + 1), more than the O(N * log2(steps))
+# held, plus 7 per deviation candidate for the gap and one curve of
+# steps + 1 per N for poc; the mean-field gap 6 per row of its (1 + G, R)
+# state plus the walk.  In one step across [0, T]: the N-player gap 11 per
+# player and 8 per candidate, the mean-field gap 5 per row and 8 more.
 CHUNK_ELEMS = 20_000_000
 
 
@@ -101,10 +101,13 @@ def _chunks(total: int, chunk: int):
 
 
 def _map_jobs(fn, jobs, workers: int):
+    """``fn`` over ``jobs``, in a pool of ``workers`` processes when there
+    is more than one; yields the results in job order as they arrive."""
     if workers <= 1:
-        return [fn(j) for j in jobs]
+        yield from map(fn, jobs)
+        return
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, jobs))
+        yield from pool.map(fn, jobs)
 
 
 def default_workers() -> int:
@@ -138,32 +141,33 @@ def recommended_actions(device: CorrelationDevice, seed: int, rep_ids,
     Returns (actions (R, N), flow-class index per replication (R,)).
     """
     rep_ids = np.asarray(rep_ids)
-    classes = device.flow_classes()
-    labels = list(classes)
+    classes = list(device.flow_classes().values())
+    # per class: the thresholds of its cumulative conditional probabilities
+    # (the last, which no uniform reaches, dropped; padded with inf) and
+    # the strategy values they select
+    width = max(len(c["scenarios"]) for c in classes)
+    thresholds = np.full((len(classes), width - 1), np.inf)
+    values = np.zeros((len(classes), width))
     scen_to_class = np.empty(len(device.scenarios), dtype=np.int64)
-    for ci, lab in enumerate(labels):
-        for si in classes[lab]["scenarios"]:
-            scen_to_class[si] = ci
+    for ci, entry in enumerate(classes):
+        scens = entry["scenarios"]
+        scen_to_class[scens] = ci
+        probs = np.array([device.scenarios[s].probability for s in scens])
+        probs = probs / probs.sum()
+        thresholds[ci, :len(scens) - 1] = np.cumsum(probs)[:-1]
+        values[ci, :len(scens)] = [_constant_of(device.scenarios[s].strategy)
+                                   for s in scens]
 
     cls = scen_to_class[sample_scenario(device, seed, rep_ids)]
 
     rec_keys = rng.stream_keys(seed, rng.TAG_RECOMMEND, rep_ids)
     u = rng.uniforms(rec_keys[:, None], np.arange(N)[None, :])
 
-    actions = np.empty((rep_ids.size, N))
-    for ci, lab in enumerate(labels):
-        mask = cls == ci
-        if not np.any(mask):
-            continue
-        scens = classes[lab]["scenarios"]
-        probs = np.array([device.scenarios[s].probability for s in scens])
-        probs = probs / probs.sum()
-        values = np.array([_constant_of(device.scenarios[s].strategy)
-                           for s in scens])
-        cum = np.cumsum(probs)
-        cum[-1] = 1.0 + 1e-15
-        pick = np.searchsorted(cum, u[mask], side="right")
-        actions[mask] = values[pick]
+    # the pick is the number of the class's thresholds at or below u
+    pick = np.zeros(u.shape, dtype=np.intp)
+    for th in thresholds[cls].T:
+        pick += th[:, None] <= u
+    actions = values[cls[:, None], pick]
     return actions, cls
 
 
@@ -284,10 +288,10 @@ def cce_gap_nplayer(model: ModelSpec, device: CorrelationDevice, N: int,
         grid = TimeGrid(grid.horizon, 1)
         per_rep = 11 * N + 8 * candidates.size
     else:
-        per_rep = N * (grid.steps + 1)
+        per_rep = N * (grid.steps + 1) + 7 * candidates.size
     jobs = [(model, device, grid, N, seed, candidates, off, cnt)
             for off, cnt in _chunks(reps, max(1, CHUNK_ELEMS // per_rep))]
-    parts = _map_jobs(_nplayer_chunk, jobs, workers)
+    parts = list(_map_jobs(_nplayer_chunk, jobs, workers))
     j_rec = np.concatenate([p[0] for p in parts])
     j_dev = np.concatenate([p[1] for p in parts])
     return _assemble_gap(model, j_rec, j_dev, candidates, oracle=oracle)
@@ -340,14 +344,14 @@ def mean_field_gap_mc(model: ModelSpec, device: CorrelationDevice,
     check_run(model, grid, reps=reps)
     candidates = _candidates(model, deviations)
     workers = workers or default_workers()
-    per_rep = 4 * (1 + candidates.size) + grid.steps.bit_length() + 2
+    per_rep = 6 * (1 + candidates.size) + grid.steps.bit_length() + 2
     if exact_terminal(model) and all(_is_constant(s.strategy)
                                      for s in device.scenarios):
         grid = TimeGrid(grid.horizon, 1)
         per_rep = 5 * (1 + candidates.size) + 8
     jobs = [(model, device, grid, seed, candidates, off, cnt)
             for off, cnt in _chunks(reps, max(1, CHUNK_ELEMS // per_rep))]
-    parts = _map_jobs(_mf_chunk, jobs, workers)
+    parts = list(_map_jobs(_mf_chunk, jobs, workers))
     j_rec = np.concatenate([p[0] for p in parts])
     j_dev = np.concatenate([p[1] for p in parts])
     return _assemble_gap(model, j_rec, j_dev, candidates, oracle=oracle)
@@ -367,53 +371,36 @@ class PocResult:
     per_time: dict                      # N -> (steps+1,) mean W2^2 curves
 
 
-def _poc_for_n(args):
-    """Mean W2^2 per time between the empirical measure and the class flow.
+def _poc_chunk(args):
+    """Per-replication W2^2 curves between the empirical measures of the
+    ensembles at every N in ``Ns`` and the drawn class's flow.
 
-    Each streamed state is sorted over the players, and its quantiles are
-    compared with that time's row of the class table; one replication's
-    W2^2 curve is kept per chunk, no paths.
+    Every random input of player j in replication r is keyed by (seed, r,
+    j), so the ensemble at N is the first N players of the ensemble at
+    max(Ns) whenever the drift does not read the measure.  One ensemble of
+    max(Ns) players is streamed; at each grid point each prefix
+    ``x[:N]`` is sorted over the players, and its quantiles are compared
+    with that time's row of the class table.  ``table`` is (steps + 1,
+    points, classes).  Returns the curves, (len(Ns), R, steps + 1), and
+    the class of each replication; no paths are kept.
     """
-    (model, device, grid, N, reps, seed, tables) = args
-    labels = list(tables)
-    n_pts = tables[labels[0]].shape[1]
-    q_idx = np.minimum(((np.arange(n_pts) + 0.5) / n_pts * N).astype(np.int64),
-                       N - 1)
-
-    chunk = max(1, CHUNK_ELEMS // (N * (grid.steps + 1)))
-    d2_sum = np.zeros(grid.steps + 1)
-    class_sum = {lab: np.zeros(grid.steps + 1) for lab in labels}
-    class_cnt = {lab: 0 for lab in labels}
-    total = 0
-    for off, cnt in _chunks(reps, chunk):
-        rep_ids = off + np.arange(cnt)
-        actions, cls = recommended_actions(device, seed, rep_ids, N)
-        keys, x0 = _player_major(model, seed, rep_ids, N)
-        masks = {lab: cls == ci for ci, lab in enumerate(labels)}
-        masks = {lab: m for lab, m in masks.items() if np.any(m)}
-        d2 = {lab: np.empty((int(m.sum()), grid.steps + 1))
-              for lab, m in masks.items()}                  # (Rc, T)
-        for st in stream_ensemble(model, grid, x0,
-                                  np.ascontiguousarray(actions.T), keys):
-            eq = np.sort(st.x, axis=0)[q_idx]               # (512, R)
-            for lab, mask in masks.items():
-                diff2 = np.ascontiguousarray(eq[:, mask])
-                diff2 -= tables[lab][st.step][:, None]
-                np.square(diff2, out=diff2)
-                d2[lab][:, st.step] = sum_rows(diff2)[0] / n_pts
-        for lab in masks:
-            part = d2[lab].sum(axis=0)
-            class_sum[lab] += part
-            class_cnt[lab] += d2[lab].shape[0]
-            d2_sum += part
-        total += cnt
-    for lab in labels:
-        if not class_cnt[lab]:
-            raise ValueError(f"flow class {lab} received no samples at "
-                             f"N={N}; increase reps")
-    per_time = d2_sum / total
-    per_class = {lab: class_sum[lab] / class_cnt[lab] for lab in labels}
-    return per_time, per_class
+    (model, device, grid, Ns, seed, table, off, count) = args
+    rep_ids = off + np.arange(count)
+    actions, cls = recommended_actions(device, seed, rep_ids, Ns[-1])
+    keys, x0 = _player_major(model, seed, rep_ids, Ns[-1])
+    n_pts = table.shape[1]
+    q = (np.arange(n_pts) + 0.5) / n_pts
+    q_idx = [np.minimum((q * N).astype(np.int64), N - 1) for N in Ns]
+    d2 = np.empty((len(Ns), count, grid.steps + 1))
+    for st in stream_ensemble(model, grid, x0,
+                              np.ascontiguousarray(actions.T), keys):
+        ref = table[st.step][:, cls]                        # (points, R)
+        for k, N in enumerate(Ns):
+            diff2 = np.sort(st.x[:N], axis=0)[q_idx[k]]     # (points, R)
+            diff2 -= ref
+            np.square(diff2, out=diff2)
+            d2[k, :, st.step] = sum_rows(diff2)[0] / n_pts
+    return d2, cls
 
 
 def poc_curve(model: ModelSpec, device: CorrelationDevice,
@@ -421,7 +408,16 @@ def poc_curve(model: ModelSpec, device: CorrelationDevice,
               grid: Optional[TimeGrid] = None, workers: int = 0) -> PocResult:
     """sup_t of the replication-averaged squared W2 between the empirical
     measure flow and the scenario's declared flow, for each N.  A flow
-    class that no replication draws raises ``ValueError``."""
+    class that no replication draws raises ``ValueError``.
+
+    When the drift does not read the measure, one ensemble of max(Ns)
+    players serves every N (see :func:`_poc_chunk`); otherwise each N is
+    streamed on its own.  The jobs split the replications into
+    ``ceil(reps / workers)`` chunks, fewer if ``CHUNK_ELEMS`` requires it,
+    and each replication's curve is added to its class's sum in
+    replication order, so the result does not depend on the chunking or
+    on the number of workers.
+    """
     Ns = [int(N) for N in Ns]
     if not Ns or Ns[0] < 1 or any(m >= n for m, n in zip(Ns, Ns[1:])):
         raise ValueError("Ns must be a nonempty, strictly increasing "
@@ -429,13 +425,38 @@ def poc_curve(model: ModelSpec, device: CorrelationDevice,
     grid = grid or TimeGrid(model.horizon, 200)
     check_run(model, grid, reps=reps)
     workers = workers or default_workers()
-    tables = {lab: entry["flow"].quantile_table(grid.times)
-              for lab, entry in device.flow_classes().items()}
-    jobs = [(model, device, grid, N, reps, seed, tables) for N in Ns]
-    parts = _map_jobs(_poc_for_n, jobs, workers)
-    overall = np.array([float(np.max(pt)) for pt, _ in parts])
-    per_class = {lab: np.array([float(np.max(pc[lab])) for _, pc in parts])
-                 for lab in tables}
-    per_time = {N: parts[i][0] for i, N in enumerate(Ns)}
+    classes = device.flow_classes()
+    labels = list(classes)
+    table = np.stack([classes[lab]["flow"].quantile_table(grid.times)
+                      for lab in labels], axis=-1)   # (steps + 1, points, C)
+    # the slices of Ns that share one ensemble
+    groups = ([slice(i, i + 1) for i in range(len(Ns))]
+              if model.drift_uses_measure else [slice(0, len(Ns))])
+    jobs, rows = [], []
+    for g in groups:
+        per_rep = (Ns[g][-1] + len(Ns[g])) * (grid.steps + 1)
+        chunk = min(-(-reps // max(1, workers)),
+                    max(1, CHUNK_ELEMS // per_rep))
+        for off, cnt in _chunks(reps, chunk):
+            jobs.append((model, device, grid, Ns[g], seed, table, off, cnt))
+            rows.append(g)
+
+    # per (N, class): the sum of the curves, added in replication order
+    # (``add.at`` is unbuffered), and the number of replications
+    sums = np.zeros((len(Ns), len(labels), grid.steps + 1))
+    counts = np.zeros((len(Ns), len(labels)), dtype=np.int64)
+    for g, (d2, cls) in zip(rows, _map_jobs(_poc_chunk, jobs, workers)):
+        np.add.at(sums[g], (slice(None), cls), d2)
+        counts[g] += np.bincount(cls, minlength=len(labels))
+    for lab, cnt in zip(labels, counts[0]):
+        if not cnt:
+            raise ValueError(f"flow class {lab} received no samples; "
+                             "increase reps")
+    # all classes: their sums added in label order
+    per_time = sum_rows(sums)[:, 0] / reps                # (len(Ns), steps + 1)
+    per_class = sums / counts[..., None]
+    overall = per_time.max(axis=1)
     return PocResult(Ns=tuple(Ns), overall=overall,
-                     per_class=per_class, per_time=per_time)
+                     per_class={lab: per_class[:, ci].max(axis=1)
+                                for ci, lab in enumerate(labels)},
+                     per_time={N: per_time[i] for i, N in enumerate(Ns)})

@@ -130,7 +130,9 @@ def _bisect_quantiles(w, m, s, q) -> np.ndarray:
     hi = np.full(shape, span)
     cdf = np.empty(shape)
     term = np.empty(shape)
-    below = np.empty(shape, dtype=bool)
+    # int64 views for the select; ``below`` reuses ``cdf`` once it is read
+    lo_bits, hi_bits, mid_bits, below, scratch = (
+        a.view(np.int64) for a in (lo, hi, mid, cdf, term))
     # per nonzero-weight component: weight, mean and divisor as (T, 1)
     # columns, and the rows where it is a point mass
     comps = []
@@ -150,9 +152,16 @@ def _bisect_quantiles(w, m, s, q) -> np.ndarray:
             np.multiply(c, wk, out=c)
             if i:
                 np.add(cdf, c, out=cdf)
-        np.less(cdf, q, out=below)
-        np.copyto(lo, mid, where=below)
-        np.copyto(hi, mid, where=np.logical_not(below, out=below))
+        # lo = mid where cdf < q, else hi = mid: a branch-free select on
+        # the bits (a masked copy mispredicts once the mask is the next bit
+        # of each quantile, which is random)
+        np.less(cdf, q, out=below, casting="unsafe")
+        np.negative(below, out=below)           # all ones where cdf < q
+        for side in (lo_bits, hi_bits):
+            np.bitwise_xor(side, mid_bits, out=scratch)
+            scratch &= below
+            side ^= scratch
+            np.invert(below, out=below)
     return np.multiply(np.add(lo, hi, out=mid), 0.5, out=mid)
 
 

@@ -58,7 +58,11 @@ class PointMass:
     value: float = 0.0
 
     def from_uniform(self, u: np.ndarray) -> np.ndarray:
-        return np.full(np.shape(u), float(self.value))
+        return self.sample(None, np.shape(u))
+
+    def sample(self, uniforms, shape) -> np.ndarray:
+        """``shape`` states at the point; calls no ``uniforms``."""
+        return np.full(shape, float(self.value))
 
 
 @dataclass(frozen=True)
@@ -70,6 +74,10 @@ class GaussianInitial:
 
     def from_uniform(self, u: np.ndarray) -> np.ndarray:
         return self.mean + self.std * _pathgen_py.norm_quantile(u)
+
+    def sample(self, uniforms, shape) -> np.ndarray:
+        """States mapped from the array that ``uniforms()`` draws."""
+        return self.from_uniform(uniforms())
 
 
 @dataclass(frozen=True)

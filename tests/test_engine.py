@@ -66,6 +66,28 @@ def test_stored_and_streamed_ensembles_see_the_same_measure(N, R):
     assert np.array_equal(x, ref)
 
 
+def test_initial_states_draw_only_for_a_law_that_reads_them(monkeypatch):
+    from ccemfg import rng
+    from ccemfg.model import PointMass
+
+    calls = []
+    uniforms = rng.uniforms
+    monkeypatch.setattr(rng, "uniforms",
+                        lambda *args: calls.append(1) or uniforms(*args))
+    rep_ids, players = np.arange(3, 9), np.arange(5)
+    point = dataclasses.replace(MODEL, initial_law=PointMass(0.5))
+    x = initial_states(point, 7, rep_ids, players)
+    assert x.shape == (6, 5) and np.all(x == 0.5)
+    assert calls == []
+    # a Gaussian start maps draw 0 of each (replication, player) stream
+    law = GaussianInitial(1.0, 2.0)
+    x = initial_states(dataclasses.replace(MODEL, initial_law=law), 7,
+                       rep_ids, players)
+    keys = rng.stream_keys(7, rng.TAG_INIT, rep_ids[:, None], players[None, :])
+    assert np.array_equal(x, law.from_uniform(uniforms(keys, 0)))
+    assert len(calls) == 1
+
+
 def test_zero_drift_terminal_mean():
     zero = dataclasses.replace(MODEL,
                                drift=lambda t, x, m, a: np.zeros(np.shape(x)))

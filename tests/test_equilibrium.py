@@ -38,6 +38,60 @@ def test_recommended_actions_distribution():
     assert np.array_equal(c2, cls[100:200])
 
 
+def _ref_recommended_actions(device, seed, rep_ids, N):
+    """The per-class masked gather and ``searchsorted`` that
+    ``recommended_actions`` replaced."""
+    from ccemfg import rng
+    from ccemfg.correlation import sample_scenario
+
+    rep_ids = np.asarray(rep_ids)
+    classes = device.flow_classes()
+    labels = list(classes)
+    scen_to_class = np.empty(len(device.scenarios), dtype=np.int64)
+    for ci, lab in enumerate(labels):
+        for si in classes[lab]["scenarios"]:
+            scen_to_class[si] = ci
+    cls = scen_to_class[sample_scenario(device, seed, rep_ids)]
+    rec_keys = rng.stream_keys(seed, rng.TAG_RECOMMEND, rep_ids)
+    u = rng.uniforms(rec_keys[:, None], np.arange(N)[None, :])
+    actions = np.empty((rep_ids.size, N))
+    for ci, lab in enumerate(labels):
+        mask = cls == ci
+        if not np.any(mask):
+            continue
+        scens = classes[lab]["scenarios"]
+        probs = np.array([device.scenarios[s].probability for s in scens])
+        probs = probs / probs.sum()
+        values = np.array([float(device.scenarios[s].strategy)
+                           for s in scens])
+        cum = np.cumsum(probs)
+        cum[-1] = 1.0 + 1e-15
+        actions[mask] = values[np.searchsorted(cum, u[mask], side="right")]
+    return actions, cls
+
+
+def _four_scenarios_one_flow():
+    flow = build_example_device(WHITE, -1.0, 1.0).scenarios[0].flow
+    return CorrelationDevice(scenarios=tuple(
+        Scenario(probability=p, strategy=a, flow=flow)
+        for p, a in [(0.1, -1.0), (0.0, -0.5), (0.3, 0.25), (0.6, 1.0)]))
+
+
+@pytest.mark.parametrize("device", [
+    build_example_device(WHITE, -1.0, 1.0),                      # 1 scenario
+    build_example_device(DeviceProbs(0.5, 0, 0, 0.5), -1.0, 1.0),  # 2
+    build_example_device(BLACK, -1.0, 1.0),                      # 3
+    build_example_device(DeviceProbs(0.4, 0.1, 0.2, 0.3), -1.0, 1.0),
+    _four_scenarios_one_flow()], ids=["1", "2", "3", "4-in-2", "4-in-1"])
+def test_recommended_actions_match_the_masked_searchsorted(device):
+    for rep_ids, N in [(np.arange(1), 1), (np.arange(5, 9), 3),
+                       (np.arange(2000), 40)]:
+        got = recommended_actions(device, 7, rep_ids, N)
+        ref = _ref_recommended_actions(device, 7, rep_ids, N)
+        assert np.array_equal(got[0], ref[0])
+        assert np.array_equal(got[1], ref[1])
+
+
 def test_nplayer_gap_matches_oracle_loose():
     dev = build_example_device(BLACK, -1.0, 1.0)
     grid = TimeGrid(2.0, 100)

@@ -4,11 +4,13 @@ The reference copies below are the estimator kernels as they were before
 the engine streamed: they build whole ``(R, N, steps + 1)`` Brownian paths,
 or one stored path per deviation candidate in the mean field, run the
 row-major Euler loop over them and reduce afterwards.  The streamed
-``_nplayer_chunk``, ``_poc_for_n``, ``_mf_chunk`` and
-``verify_consistency`` must reproduce them bit for bit at every chunk
-size, including one replication, where numpy would otherwise sum the
-players pairwise; so must the path collectors ``simulate_representative``
-and ``mckean_vlasov_fixed_point``.  ``tracemalloc`` tests bound the peak
+``_nplayer_chunk``, ``_mf_chunk`` and ``verify_consistency`` must
+reproduce them bit for bit at every chunk size, including one
+replication, where numpy would otherwise sum the players pairwise; so
+must the path collectors ``simulate_representative`` and
+``mckean_vlasov_fixed_point``.  ``poc_curve``, which streams one ensemble
+for every N through ``_poc_chunk``, must reproduce the per-N reference run
+as one chunk, whatever its own chunks.  ``tracemalloc`` tests bound the peak
 memory of the streamed estimators, and check that the gaps that take one
 step across [0, T] stay inside their chunk budget.
 """
@@ -164,6 +166,16 @@ def _ref_deviations_fast(model, grid, N, candidates, x0_rec, w0, x0_init,
     return out
 
 
+def _ref_ordered_measure(i, x):
+    """The empirical measure of (R, N) states with the players added in
+    order, as the streamed ensemble adds them."""
+    s1, s2 = x[..., :1].copy(), x[..., :1] ** 2
+    for j in range(1, x.shape[-1]):
+        s1 += x[..., j:j + 1]
+        s2 += x[..., j:j + 1] ** 2
+    return MeasureView(mean=s1 / x.shape[-1], second_moment=s2 / x.shape[-1])
+
+
 def _ref_poc_for_n(args):
     (model, device, grid, N, reps, seed, tables) = args
     labels = list(tables)
@@ -180,7 +192,7 @@ def _ref_poc_for_n(args):
             noise_keys(seed, rep_ids, np.arange(N)), grid.steps, grid.horizon)
         x0 = initial_states(model, seed, rep_ids, np.arange(N))
         x = _ref_euler(model, grid, x0, w,
-                       lambda t, s, mv, _a=actions: _a, _ref_empirical_measure)
+                       lambda t, s, mv, _a=actions: _a, _ref_ordered_measure)
         xs = np.sort(x, axis=1)                        # (R, N, T)
         n_pts = tables[labels[0]].shape[1]
         q_idx = np.minimum(((np.arange(n_pts) + 0.5) / n_pts * N).astype(np.int64),
@@ -321,9 +333,21 @@ def test_nplayer_chunk_matches_path_storing_reference(p, steps, measure):
                                   equal_nan=True)
 
 
+def _measure_feedback_model():
+    """A drift that reads the measure and a Gaussian start, so the views,
+    the states and their order all differ between replications."""
+    return dataclasses.replace(
+        MODEL, initial_law=GaussianInitial(0.0, 1.0), drift_uses_measure=True,
+        drift=lambda t, x, m, a: a + 0.7 * m.mean - 0.3 * m.second_moment)
+
+
 @pytest.mark.parametrize("steps", STEPS)
 @pytest.mark.parametrize("p", DEVICES)
 def test_poc_matches_path_storing_reference(p, steps, monkeypatch):
+    """Every N of one ``poc_curve`` call, in chunks of R replications,
+    against the reference run per N as one chunk.  Under the bang-bang
+    drift the N are prefixes of one ensemble; a drift that reads the
+    measure streams each N on its own."""
     device = build_example_device(DeviceProbs(*p), -1.0, 1.0)
     grid = TimeGrid(2.0, steps)
     tables = {lab: entry["flow"].quantile_table(grid.times)
@@ -332,15 +356,59 @@ def test_poc_matches_path_storing_reference(p, steps, monkeypatch):
     # every class must be drawn, or the streamed code rightly refuses
     cls = recommended_actions(device, seed, np.arange(reps), 2)[1]
     assert set(cls.tolist()) == set(range(len(tables)))
-    for N in PLAYERS:
+    models = (MODEL, _measure_feedback_model())
+    # the references run before CHUNK_ELEMS is patched: as one chunk
+    all_refs = [[_ref_poc_for_n((model, device, grid, N, reps, seed, tables))
+                 for N in PLAYERS] for model in models]
+    for model, refs in zip(models, all_refs):
         for R in CHUNK_REPS:       # 15 replications in chunks of R
-            monkeypatch.setattr(eq, "CHUNK_ELEMS", R * N * (steps + 1))
-            args = (MODEL, device, grid, N, reps, seed, tables)
-            per_time, per_class = eq._poc_for_n(args)
-            r_time, r_class = _ref_poc_for_n(args)
-            assert np.array_equal(per_time, r_time), (N, R)
-            for lab in tables:
-                assert np.array_equal(per_class[lab], r_class[lab]), (N, R)
+            monkeypatch.setattr(eq, "CHUNK_ELEMS",
+                                R * (PLAYERS[-1] + len(PLAYERS)) * (steps + 1))
+            res = poc_curve(model, device, PLAYERS, reps=reps, seed=seed,
+                            grid=grid, workers=1)
+            for k, (N, (r_time, r_class)) in enumerate(zip(PLAYERS, refs)):
+                assert np.array_equal(res.per_time[N], r_time), (N, R)
+                assert res.overall[k] == np.max(r_time)
+                for lab in tables:
+                    assert res.per_class[lab][k] == np.max(r_class[lab])
+
+        # the per-replication curves of the chunks, added per class in
+        # replication order, are the reference's class curves
+        table = np.stack(list(tables.values()), axis=-1)
+        groups = ([[N] for N in PLAYERS] if model.drift_uses_measure
+                  else [PLAYERS])
+        d2 = np.concatenate([
+            np.concatenate([eq._poc_chunk((model, device, grid, g, seed,
+                                           table, off, min(4, reps - off)))[0]
+                            for off in range(0, reps, 4)], axis=1)
+            for g in groups])                     # (len(PLAYERS), reps, T)
+        for k, (_, r_class) in enumerate(refs):
+            for ci, lab in enumerate(tables):
+                acc = np.zeros(steps + 1)
+                for row in d2[k, cls == ci]:
+                    acc = acc + row
+                assert np.array_equal(acc / np.sum(cls == ci), r_class[lab])
+
+
+def test_poc_curve_does_not_depend_on_workers_or_chunks(monkeypatch):
+    device = build_example_device(DeviceProbs(0.5, 0.3, 0.2, 0), -1.0, 1.0)
+
+    def run(workers):
+        return poc_curve(MODEL, device, [5, 12, 30], reps=23, seed=2,
+                         grid=TimeGrid(2.0, 10), workers=workers)
+
+    base = run(1)
+    results = [run(2), run(3)]
+    for per_chunk in (1, 4):
+        monkeypatch.setattr(eq, "CHUNK_ELEMS", per_chunk * (30 + 3) * 11)
+        results += [run(1), run(2)]
+    for res in results:
+        assert res.Ns == base.Ns
+        assert np.array_equal(res.overall, base.overall)
+        for N in base.Ns:
+            assert np.array_equal(res.per_time[N], base.per_time[N])
+        for lab in base.per_class:
+            assert np.array_equal(res.per_class[lab], base.per_class[lab])
 
 
 class _Feedback:
@@ -379,14 +447,6 @@ def test_mf_chunk_matches_path_storing_reference(p, steps, variant):
         assert np.array_equal(j_rec, r_rec), R
         assert np.array_equal(j_dev, r_dev), R
         assert np.array_equal(scen, r_scen)
-
-
-def _measure_feedback_model():
-    """A drift that reads the measure and a Gaussian start, so the views,
-    the states and their order all differ between replications."""
-    return dataclasses.replace(
-        MODEL, initial_law=GaussianInitial(0.0, 1.0), drift_uses_measure=True,
-        drift=lambda t, x, m, a: a + 0.7 * m.mean - 0.3 * m.second_moment)
 
 
 @pytest.mark.parametrize("variant", ["bang-bang", "measure-feedback"])
@@ -487,11 +547,9 @@ def test_streamed_consistency_peak_memory():
     assert peak < PEAK_BOUND, f"peak {peak / 2**20:.1f} MiB"
 
 
-def test_exact_terminal_gaps_stay_inside_the_chunk_budget(monkeypatch):
-    """With a budget of CHUNK_ELEMS numbers, each chunk of the gaps that
-    take one step across [0, T] peaks below that many float64 values, plus
-    128 KiB for numpy's ufunc buffers and the chunk's few small arrays."""
-    budget = 1_000_000
+def _chunk_peaks(monkeypatch, budget, run):
+    """The traced peak of each chunk that ``run`` maps, with
+    ``CHUNK_ELEMS = budget``."""
     peaks = []
 
     def traced_map(fn, jobs, workers):
@@ -502,9 +560,43 @@ def test_exact_terminal_gaps_stay_inside_the_chunk_budget(monkeypatch):
 
     monkeypatch.setattr(eq, "CHUNK_ELEMS", budget)
     monkeypatch.setattr(eq, "_map_jobs", traced_map)
+    run()
+    return peaks
+
+
+# With a budget of CHUNK_ELEMS numbers, each chunk of a gap peaks below that
+# many float64 values, plus 128 KiB for numpy's ufunc buffers and the
+# chunk's few small arrays.
+
+def test_exact_terminal_gaps_stay_inside_the_chunk_budget(monkeypatch):
+    """The gaps that take one step across [0, T]."""
+    budget = 1_000_000
     device = build_example_device(DeviceProbs(0.5, 0.3, 0.2, 0), -1.0, 1.0)
-    cce_gap_nplayer(MODEL, device, N=20_000, reps=30, seed=0)
-    cce_gap_nplayer(MODEL, device, N=2, reps=5_000, seed=0, deviations=201)
-    mean_field_gap_mc(MODEL, device, reps=5_000, seed=0, deviations=201)
+
+    def run():
+        cce_gap_nplayer(MODEL, device, N=20_000, reps=30, seed=0)
+        cce_gap_nplayer(MODEL, device, N=2, reps=5_000, seed=0,
+                        deviations=201)
+        mean_field_gap_mc(MODEL, device, reps=5_000, seed=0, deviations=201)
+
+    peaks = _chunk_peaks(monkeypatch, budget, run)
     assert len(peaks) == 8 + 9 + 6
     assert max(peaks) < 8 * budget + 2**17, f"peaks {peaks}"
+
+
+def test_euler_gaps_stay_inside_the_chunk_budget(monkeypatch):
+    """The gaps stepped along the grid, where the (G, R) deviation state
+    outweighs the N players: N = 2 with 401 candidates."""
+    budget = 1_000_000
+    device = build_example_device(DeviceProbs(0.5, 0.3, 0.2, 0), -1.0, 1.0)
+    grid = TimeGrid(2.0, 200)
+
+    def run():
+        cce_gap_nplayer(EULER, device, N=2, reps=700, seed=0,
+                        deviations=401, grid=grid)
+        mean_field_gap_mc(EULER, device, reps=2_000, seed=0, deviations=201,
+                          grid=grid)
+
+    peaks = _chunk_peaks(monkeypatch, budget, run)
+    assert max(peaks) < 8 * budget + 2**17, f"peaks {peaks}"
+    assert len(peaks) == 3 + 3
