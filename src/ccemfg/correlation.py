@@ -224,18 +224,25 @@ def null_band(flow: GaussianMixtureFlow, times: np.ndarray, count: int,
               seed: int, pilots: int = 20, factor: float = 3.0, *,
               table: Optional[np.ndarray] = None) -> float:
     """Pilot-calibrated threshold for sup-t W2 under the null (samples drawn
-    from the flow itself).  Returns ``factor`` times the pilot median.
-    ``table``: the flow's quantile table on ``times``, if already built.
+    from the flow itself).  Returns ``factor`` times the median over
+    ``pilots`` pilots of the sup-t W2 between ``count`` samples and the
+    flow's quantile table on ``times``.  ``table``: that table, if already
+    built; its shape must be ``(len(times), n_pts)`` with ``n_pts`` a power
+    of two in [2, 2**16].
 
-    A pilot samples by inverse CDF straight from the table: sample (r, t)
-    is ``table[t, idx]`` with ``idx = floor(u * n_pts)``.  Each row of the
-    table is nondecreasing (bisection keeps the order of the levels), so
-    sorting the indices of a row sorts its samples, equal indices giving
-    equal values.  Hence only the ``n_pts`` order statistics that
-    :func:`empirical_quantiles` would pick are gathered, after an integer
-    sort, and the band is the same to the last bit as sorting the gathered
-    floats.  Raises ``ValueError`` unless ``count`` and ``pilots`` are at
-    least 1 and ``factor`` is positive.
+    A pilot samples by inverse CDF straight from the table: sample ``c`` of
+    time row ``t`` is ``table[t, idx]``, where ``idx`` is field
+    ``t * count + c`` of :func:`ccemfg.rng.bit_fields` on pilot ``p``'s
+    stream ``(seed, TAG_PROBE, p)``, ``log2(n_pts)`` bits wide (7 indices
+    per 64-bit draw at 512 points), so every index is exactly uniform.
+    Each row of the table is nondecreasing (bisection keeps the order of
+    the levels), so sorting the indices of a row sorts its samples, equal
+    indices giving equal values.  Hence each row of indices is sorted in
+    place and only the ``n_pts`` order statistics that
+    :func:`empirical_quantiles` would pick are gathered; the band is the
+    same to the last bit as gathering and sorting the floats.  Raises
+    ``ValueError`` unless ``count`` and ``pilots`` are at least 1,
+    ``factor`` is positive and ``table`` has the shape above.
     """
     for name, value in (("count", count), ("pilots", pilots)):
         if value < 1:
@@ -244,18 +251,23 @@ def null_band(flow: GaussianMixtureFlow, times: np.ndarray, count: int,
         raise ValueError(f"factor must be positive, got {factor}")
     if table is None:
         table = flow.quantile_table(times)
-    n_t, n_pts = table.shape
+    n_t = len(times)
+    if table.ndim != 2 or table.shape[0] != n_t:
+        raise ValueError(f"table must have shape ({n_t}, n_pts), "
+                         f"got {table.shape}")
+    n_pts = table.shape[1]
+    if not (2 <= n_pts <= 2**16 and n_pts & (n_pts - 1) == 0):
+        raise ValueError(f"table width must be a power of two in "
+                         f"[2, 2**16], got {n_pts}")
+    bits = n_pts.bit_length() - 1
     rows = np.arange(n_t)[:, None]
     picks = np.minimum(((np.arange(n_pts) + 0.5) / n_pts * count)
                        .astype(np.int64), count - 1)
     sups = []
     for p in range(pilots):
         key = rng.stream_key(seed, rng.TAG_PROBE, p)
-        u = rng.uniforms(key, np.arange(count * n_t))
-        u *= n_pts                  # u < 1 rounds to u * n_pts < n_pts
-        idx = u.astype(np.min_scalar_type(n_pts - 1)).reshape(count, n_t)
-        sidx = np.ascontiguousarray(idx.T)            # (T, count)
-        sidx.sort(axis=1)
-        eq = table[rows, sidx[:, picks]]              # (T, n_pts)
+        idx = rng.bit_fields(key, n_t * count, bits).reshape(n_t, count)
+        idx.sort(axis=1)
+        eq = table[rows, idx[:, picks]]               # (T, n_pts)
         sups.append(float(np.max(np.sqrt(np.mean((eq - table) ** 2, axis=1)))))
     return factor * float(np.median(sups))

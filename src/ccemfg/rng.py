@@ -15,6 +15,14 @@ Layout conventions (documented, load-bearing for reproducibility):
 * uniforms use the top 53 bits, offset by half an ulp so the result lies
   strictly inside (0, 1); the top value, which that offset rounds up to
   1.0, is clamped to the largest double below 1.
+* bit fields (:func:`bit_fields`) pack ``k = 64 // bits`` fields into each
+  draw, most significant first: field ``i`` of a stream is bits
+  ``[64 - bits*(j+1), 64 - bits*j)`` of its draw ``i // k``, with
+  ``j = i % k``; the ``64 % bits`` lowest bits of every draw are unused.  Each field is
+  exactly uniform on ``[0, 2**bits)``.  The consistency null band
+  (``TAG_PROBE``, one stream per pilot) draws its quantile-table indices
+  this way, time-major: sample ``c`` of time row ``t`` is field
+  ``t * count + c``, so a 512-point table takes 7 indices per draw.
 """
 
 from __future__ import annotations
@@ -126,6 +134,30 @@ def uniforms(key, index) -> np.ndarray:
     z = _raw64(key, index)
     z >>= np.uint64(11)
     return bits_to_uniform(z)
+
+
+def bit_fields(key: int, n: int, bits: int) -> np.ndarray:
+    """The first ``n`` ``bits``-wide fields of stream ``key`` as uint16.
+
+    Draw ``d`` holds fields ``k*d .. k*d + k - 1`` (``k = 64 // bits``),
+    the first in its top bits; a trailing partial draw is cut at ``n``.
+    Field ``i`` does not depend on ``n``, so a longer call starts with the
+    fields of a shorter one.
+    """
+    if not 1 <= bits <= 16:
+        raise ValueError(f"bits must be in [1, 16], got {bits}")
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
+    k = 64 // bits
+    z = _raw64(key, np.arange(-(-n // k), dtype=np.uint64))
+    out = np.empty((z.size, k), dtype=np.uint16)
+    s = np.empty_like(z)
+    for j in range(k):
+        np.right_shift(z, np.uint64(64 - bits * (j + 1)), out=s)
+        out[:, j] = s                   # keeps the low 16 bits
+    if bits < 16:
+        out &= np.uint16((1 << bits) - 1)
+    return out.reshape(-1)[:n]
 
 
 def normals(key, index) -> np.ndarray:

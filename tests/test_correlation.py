@@ -179,7 +179,13 @@ def test_verify_consistency_rejects_a_flow_without_quantile_table():
     ({"count": 0}, "count"), ({"count": -3}, "count"),
     ({"pilots": 0}, "pilots"),
     ({"factor": 0.0}, "factor"), ({"factor": -1.0}, "factor"),
-    ({"factor": float("nan")}, "factor")])
+    ({"factor": float("nan")}, "factor"),
+    # the grid below has 11 times; widths must be powers of two in [2, 2**16]
+    ({"table": np.zeros((10, 512))}, "table"),
+    ({"table": np.zeros(512)}, "table"),
+    ({"table": np.zeros((11, 500))}, "table"),
+    ({"table": np.zeros((11, 1))}, "table"),
+    ({"table": np.broadcast_to(0.0, (11, 2**17))}, "table")])
 def test_null_band_rejects_bad_arguments(bad, match):
     flow = device_flow(1.0, -1.0, 1.0)
     times = TimeGrid(2.0, 10).times
@@ -197,20 +203,29 @@ def test_null_band_reuses_a_given_table():
     assert given == built
 
 
+def _ref_fields(key, n, bits):
+    """The first ``n`` ``bits``-wide fields of a stream, most significant
+    first within each draw, as int64."""
+    k = 64 // bits
+    z = rng.raw64(key, np.arange(-(-n // k)))
+    shifts = np.array([64 - bits * (j + 1) for j in range(k)], dtype=np.uint64)
+    fields = (z[:, None] >> shifts) & np.uint64((1 << bits) - 1)
+    return fields.reshape(-1)[:n].astype(np.int64)
+
+
 def _ref_null_band(flow, times, count, seed, pilots=20, factor=3.0,
                    table=None):
-    """Reference copy: gathers every sampled float and sorts the floats."""
+    """Reference copy: draws the packed time-major indices, gathers every
+    sampled float and sorts the floats."""
     if table is None:
         table = flow.quantile_table(times)
+    n_t, n_pts = table.shape
     sups = []
     for p in range(pilots):
         key = rng.stream_key(seed, rng.TAG_PROBE, p)
-        u = rng.uniforms(key, np.arange(count * times.shape[0]))
-        u = u.reshape(count, times.shape[0])
-        idx = np.minimum((u * table.shape[1]).astype(np.int64),
-                         table.shape[1] - 1)
-        samples = table[np.arange(times.shape[0])[None, :], idx]
-        eq = empirical_quantiles(np.sort(samples, axis=0).T)
+        idx = _ref_fields(key, n_t * count, int(np.log2(n_pts)))
+        samples = table[np.arange(n_t)[:, None], idx.reshape(n_t, count)]
+        eq = empirical_quantiles(np.sort(samples, axis=1))
         sups.append(float(np.max(np.sqrt(np.mean((eq - table) ** 2, axis=1)))))
     return factor * float(np.median(sups))
 
@@ -223,9 +238,39 @@ def test_null_band_matches_float_sort_reference(weight, steps):
     table = flow.quantile_table(times)
     # sorting indices is exact only because every table row is nondecreasing
     assert np.all(np.diff(table, axis=1) >= 0.0)
+    # on the 2- and 201-point grids no n_t * count below is a multiple of
+    # 7, so the last draw of each pilot is used only in part
     for count in (1, 2, 300, 2003):
         got = null_band(flow, times, count, seed=11, table=table)
         assert got == _ref_null_band(flow, times, count, 11, table=table), count
+
+
+def _exact_pilot_sup_w2(times, table, count, key):
+    """One pilot of the null band drawn exactly: ``count`` samples per time
+    of the white flow Normal(t, t), by inverse CDF of counter uniforms."""
+    from scipy.special import ndtri
+
+    u = rng.uniforms(key, np.arange(times.size * count)).reshape(times.size,
+                                                                 count)
+    x = times[:, None] + np.sqrt(times)[:, None] * ndtri(u)
+    eq = empirical_quantiles(np.sort(x, axis=1))
+    return float(np.max(np.sqrt(np.mean((eq - table) ** 2, axis=1))))
+
+
+@pytest.mark.parametrize("count", [300, 2000])
+@pytest.mark.parametrize("steps", [20, 200])
+def test_null_band_matches_exact_pilots(steps, count):
+    """The table sampler's band / factor is the median sup-W2 of pilots
+    drawn exactly from the flow, up to Monte Carlo error."""
+    flow = device_flow(1.0, -1.0, 1.0)          # Normal(t, t)
+    times = TimeGrid(2.0, steps).times
+    table = flow.quantile_table(times)
+    band = null_band(flow, times, count, seed=3, table=table)
+    exact = [_exact_pilot_sup_w2(times, table, count,
+                                 rng.stream_key(3, rng.TAG_PROBE, 1000 + p))
+             for p in range(40)]
+    ratio = band / 3.0 / float(np.median(exact))
+    assert 0.85 <= ratio <= 1.15, ratio
 
 
 def test_consistency_builds_each_class_table_once(monkeypatch, tmp_path,

@@ -11,8 +11,9 @@ must the path collectors ``simulate_representative`` and
 ``mckean_vlasov_fixed_point``.  ``poc_curve``, which streams one ensemble
 for every N through ``_poc_chunk``, must reproduce the per-N reference run
 as one chunk, whatever its own chunks.  ``tracemalloc`` tests bound the peak
-memory of the streamed estimators, and check that the gaps that take one
-step across [0, T] stay inside their chunk budget.
+memory of the streamed estimators and of the consistency null band, and
+check that the gaps that take one step across [0, T] stay inside their
+chunk budget.
 """
 
 import dataclasses
@@ -26,7 +27,8 @@ import ccemfg.equilibrium as eq
 from ccemfg import _pathgen_py
 from ccemfg.analytic import DeviceProbs
 from ccemfg.correlation import (CorrelationDevice, build_example_device,
-                                sample_scenario, verify_consistency)
+                                null_band, sample_scenario,
+                                verify_consistency)
 from ccemfg.engine import (SimulationError, TimeGrid, _check_actions,
                            as_action_fn, initial_states,
                            mckean_vlasov_fixed_point, noise_keys,
@@ -544,6 +546,13 @@ def test_streamed_consistency_peak_memory():
     device = build_example_device(DeviceProbs(0.5, 0, 0, 0.5), -1.0, 1.0)
     peak = _traced_peak(lambda: verify_consistency(
         MODEL, device, TimeGrid(2.0, 200), reps=40_000, seed=0))
+    assert peak < PEAK_BOUND, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_null_band_peak_memory():
+    flow = device_flow(0.5, -1.0, 1.0)
+    times = TimeGrid(2.0, 200).times
+    peak = _traced_peak(lambda: null_band(flow, times, 10_000, seed=0))
     assert peak < PEAK_BOUND, f"peak {peak / 2**20:.1f} MiB"
 
 
