@@ -321,17 +321,14 @@ def _run_mkv(cfg: RunConfig):
     res = mckean_vlasov_fixed_point(model, grid, action, cfg.particles,
                                     cfg.max_iters, cfg.tol, cfg.seed)
     base = _base_path(cfg.out)
-    times = res.flow.times
     _write_csv(base + ".csv", config_dict(cfg), ["t", "mean", "var"],
-               [(float(t), float(res.flow.mean(float(t))),
-                 float(res.flow.var(float(t)))) for t in times])
+               zip(res.times.tolist(), res.mean.tolist(), res.var.tolist()))
     _write_csv(base + "_trace.csv", config_dict(cfg),
                ["iteration", "w2_to_previous"],
                [(i + 1, d) for i, d in enumerate(res.distances)])
     status = "converged" if res.converged else "DID NOT CONVERGE"
     print(f"{status} in {res.iterations} iterations; "
-          f"terminal mean {res.flow.mean(times[-1]):.4g}, "
-          f"var {res.flow.var(times[-1]):.4g}")
+          f"terminal mean {res.mean[-1]:.4g}, var {res.var[-1]:.4g}")
 
 
 _RUNNERS = {"region": _run_region, "gap": _run_gap, "mfgap": _run_mfgap,

@@ -1,5 +1,5 @@
 """Euler-Maruyama simulation of the N-player system and the representative
-player, plus a McKean-Vlasov particle fixed point.
+player, plus a McKean-Vlasov particle fixed point on moment flows.
 
 Conventions:
 
@@ -18,8 +18,9 @@ no paths: :func:`stream_ensemble` steps a player-major ``(N, R)`` state of
 N-player ensembles against their empirical measure, and
 :func:`stream_against_flow` steps representative players (player 0's
 noise, :func:`representative_noise`) against an exogenous flow.  Paths are
-kept only where they are the output: :func:`simulate_ensemble`,
-:func:`simulate_representative` and each McKean-Vlasov iterate.
+kept only where they are the output: :func:`simulate_ensemble` and
+:func:`simulate_representative`.  :func:`mckean_vlasov_fixed_point` keeps
+two moment flows, not paths: each Picard iteration walks the noise again.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import _pathgen_py, rng
-from .flows import ParticleFlow
 from .model import MeasureView, ModelSpec
 
 
@@ -265,37 +265,34 @@ def stream_against_flow(model: ModelSpec, grid: TimeGrid, x: np.ndarray,
     yield steps, x, next(views), None
 
 
-def _collect(stream, x0: np.ndarray, steps: int) -> np.ndarray:
-    """The paths (R, steps+1) of a :func:`stream_against_flow`."""
-    x = np.empty(x0.shape + (steps + 1,))
-    for i, xi, _, _ in stream:
-        x[:, i] = xi
-    return x
-
-
 def simulate_representative(model: ModelSpec, grid: TimeGrid, flow,
                             strategy, reps: int, seed: int,
                             rep_offset: int = 0) -> np.ndarray:
     """Independent replications of the single SDE against an exogenous flow.
 
-    Returns paths of shape (reps, steps+1); replication r is the
-    representative player of replication ``rep_offset + r`` (see
+    Returns paths of shape (reps, steps+1), not C-contiguous; replication r
+    is the representative player of replication ``rep_offset + r`` (see
     :func:`representative_noise`).
     """
     check_run(model, grid, reps=reps)
     x0, rows = representative_noise(model, grid, seed,
                                     rep_offset + np.arange(reps))
-    return _collect(stream_against_flow(model, grid, x0, rows,
-                                        strategy_rule(strategy, grid),
-                                        flow_views(flow, grid)),
-                    x0, grid.steps)
+    x = np.empty((grid.steps + 1, reps))       # one contiguous row per step
+    for i, xi, _, _ in stream_against_flow(model, grid, x0, rows,
+                                           strategy_rule(strategy, grid),
+                                           flow_views(flow, grid)):
+        x[i] = xi
+    return x.T
 
 
 @dataclass(frozen=True)
 class MkvResult:
-    """Particle fixed point plus its convergence trace."""
+    """The last Picard iterate's mean and variance at the grid ``times``,
+    plus the convergence trace."""
 
-    flow: ParticleFlow
+    times: np.ndarray
+    mean: np.ndarray
+    var: np.ndarray
     distances: list
     converged: bool
     iterations: int
@@ -306,38 +303,55 @@ def mckean_vlasov_fixed_point(model: ModelSpec, grid: TimeGrid, strategy,
                               seed: int) -> MkvResult:
     """Picard iteration on particle flows for the McKean-Vlasov dynamics.
 
-    Each iteration simulates the particle cloud against the current flow
-    (with the same noise every time) and replaces the flow by the resulting
-    empirical flow, until the sup-in-time W2 between successive flows drops
-    below ``tol``.  Non-convergence is flagged, not fatal.
+    Iterate k steps the particles, with the same noise every time, against
+    the moment flow (mean and second moment at each grid point) of iterate
+    k - 1; iterate 0 stays at x0.  The iteration stops when the sup-in-time
+    W2 between successive iterates drops below ``tol``.  Non-convergence is
+    flagged, not fatal.
+
+    No paths are stored.  Iteration k walks the noise again and steps
+    iterates k - 1 and k together, as one (2, P) state against the moment
+    flows of iterates k - 2 and k - 1 (iteration 1 steps iterate 1 alone);
+    at each grid point the state is sorted for the W2 distance and the
+    newest row's moments are recorded.
     """
     check_run(model, grid, max_iters=max_iters)
     if particles < 100:
         raise ValueError("need at least 100 particles")
     if not tol > 0:
         raise ValueError("tol must be positive")
-    times = grid.times
-    x0, rows = representative_noise(model, grid, seed, np.arange(particles))
-    w_rows = list(rows)           # every iteration reuses the same noise
+    steps, ids = grid.steps, np.arange(particles)
+    x0 = representative_noise(model, grid, seed, ids)[0]
     actions = strategy_rule(strategy, grid)
-    # every column of the starting flow is x0, so sort it once
-    cols = grid.steps + 1
-    flow = ParticleFlow(times=times, particles=np.repeat(x0[:, None], cols, 1),
-                        _sorted=np.repeat(np.sort(x0)[:, None], cols, 1))
+    x0_sorted = np.sort(x0)
+    # moment flows (mean, second moment) x (steps + 1) of the last iterates
+    flows = [np.repeat([[x0.mean()], [np.mean(x0**2)]], steps + 1, 1)]
 
     distances = []
     converged = False
     for _ in range(max_iters):
-        x = _collect(stream_against_flow(model, grid, x0, iter(w_rows),
-                                         actions, flow_views(flow, grid)),
-                     x0, grid.steps)
-        new_flow = ParticleFlow(times=times, particles=x)   # sorts x
-        gap = float(np.max(np.sqrt(np.mean(
-            (new_flow._sorted - flow._sorted) ** 2, axis=0))))
+        m = np.stack(flows[-2:])[..., None]    # (K, 2, steps + 1, 1)
+        views = (MeasureView(mean=m[:, 0, i], second_moment=m[:, 1, i])
+                 for i in range(steps + 1))
+        _, rows = representative_noise(model, grid, seed, ids)
+        new = np.empty((3, steps + 1))         # mean, second moment, var
+        d2 = np.empty(steps + 1)
+        for i, x, _, _ in stream_against_flow(
+                model, grid, np.broadcast_to(x0, (len(m), particles)), rows,
+                actions, views):
+            srt = np.sort(x, axis=1)
+            prev = srt[0] if len(m) == 2 else x0_sorted
+            # the particles added in order, as an axis-0 mean of stored
+            # paths adds them; a pairwise mean moves the trace by ulps
+            d2[i] = np.add.accumulate((srt[-1] - prev) ** 2)[-1] / particles
+            xk = x[-1]
+            new[:, i] = xk.mean(), np.mean(xk**2), xk.var()
+        gap = float(np.max(np.sqrt(d2)))
         distances.append(gap)
-        flow = new_flow
+        flows = [flows[-1], new[:2]]
         if gap < tol:
             converged = True
             break
-    return MkvResult(flow=flow, distances=distances, converged=converged,
+    return MkvResult(times=grid.times, mean=new[0], var=new[2],
+                     distances=distances, converged=converged,
                      iterations=len(distances))

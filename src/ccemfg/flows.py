@@ -1,14 +1,16 @@
-"""Time-indexed measure flows: analytic Gaussian mixtures and particle clouds.
+"""Time-indexed measure flows: analytic Gaussian mixtures.
 
-The analytic flows cover the shipped instance, where the population driven
-by a constant control r is exactly Normal(r*t, t) started from zero, and a
-device flow is a two-component mixture of such laws.  Particle flows come
-out of simulation (McKean-Vlasov fixed point, empirical measures).
+The flows cover the shipped instance, where the population driven by a
+constant control r is exactly Normal(r*t, t) started from zero, and a
+device flow is a two-component mixture of such laws.  A simulated flow is
+never stored as particles: the engine reads a measure only through its
+:class:`~ccemfg.model.MeasureView`, so the McKean-Vlasov fixed point keeps
+a mean and second moment per grid point instead.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,62 +66,6 @@ class GaussianMixtureFlow:
         means = self.x0 + np.multiply.outer(times, self.drift_rates)
         sigmas = np.sqrt(times)[:, None] * np.ones_like(means)
         return mixture_quantile_table(self.weights, means, sigmas, n_points)
-
-
-@dataclass(frozen=True)
-class ParticleFlow:
-    """Empirical flow carried by particle paths on a fixed time grid.
-
-    ``_sorted`` holds each time's particles in ascending order.  A caller
-    that already has it may pass it in; it is trusted, and only its shape
-    is checked.
-    """
-
-    times: np.ndarray
-    particles: np.ndarray          # (P, len(times))
-    label: str = ""
-    _sorted: np.ndarray = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=np.float64)
-        x = np.asarray(self.particles, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != t.shape[0]:
-            raise ValueError("particles must have shape (P, len(times))")
-        if self._sorted is None:
-            srt = np.sort(x, axis=0)
-        else:
-            srt = np.asarray(self._sorted, dtype=np.float64)
-            if srt.shape != x.shape:
-                raise ValueError("_sorted must have the particles' shape")
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "particles", x)
-        object.__setattr__(self, "_sorted", srt)
-
-    def _index(self, t: float) -> int:
-        i = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[i] - t) > 1e-9 * max(1.0, self.times[-1]):
-            raise ValueError(f"time {t} is not on the flow's grid")
-        return i
-
-    def mean(self, t):
-        tt = np.atleast_1d(np.asarray(t, dtype=np.float64))
-        out = np.array([self.particles[:, self._index(v)].mean() for v in tt])
-        return out if np.ndim(t) else float(out[0])
-
-    def var(self, t):
-        tt = np.atleast_1d(np.asarray(t, dtype=np.float64))
-        out = np.array([self.particles[:, self._index(v)].var() for v in tt])
-        return out if np.ndim(t) else float(out[0])
-
-    def view(self, t) -> MeasureView:
-        if np.ndim(t):
-            cols = np.stack([self.particles[:, self._index(v)]
-                             for v in np.asarray(t).ravel()], axis=0)
-            return MeasureView(mean=cols.mean(axis=1),
-                               second_moment=np.mean(cols**2, axis=1))
-        col = self.particles[:, self._index(float(t))]
-        return MeasureView(mean=float(col.mean()),
-                           second_moment=float(np.mean(col**2)))
 
 
 def device_flow(weight_plus, a: float, b: float, label: str = "",

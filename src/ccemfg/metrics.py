@@ -1,4 +1,4 @@
-"""1-d Wasserstein-2 distances and moment statistics.
+"""1-d Wasserstein-2 distances and Gaussian-mixture quantiles.
 
 Everything here is exact-in-principle for d = 1: the optimal coupling of
 two empirical measures with equal counts matches order statistics, and the
@@ -197,15 +197,3 @@ def w2_vs_gaussian_mixture_1d(x, mix: GaussianMixture1D,
     mqh = mix.quantiles(qh)
     dh = float(np.sqrt(np.mean((xqh - mqh) ** 2)))
     return d, abs(d - dh)
-
-
-def moments(x) -> tuple[float, float, float]:
-    """(mean, second moment, variance); variance is computed centered so it
-    is nonnegative by construction."""
-    xs = np.asarray(x, dtype=np.float64).ravel()
-    if xs.size == 0:
-        raise ValueError("empty sample")
-    mean = float(np.mean(xs))
-    second = float(np.mean(xs**2))
-    var = float(np.mean((xs - mean) ** 2))
-    return mean, second, var

@@ -9,7 +9,7 @@ analysis in :mod:`ccemfg.analytic` relies on that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -57,9 +57,6 @@ class PointMass:
 
     value: float = 0.0
 
-    def from_uniform(self, u: np.ndarray) -> np.ndarray:
-        return self.sample(None, np.shape(u))
-
     def sample(self, uniforms, shape) -> np.ndarray:
         """``shape`` states at the point; calls no ``uniforms``."""
         return np.full(shape, float(self.value))
@@ -105,7 +102,6 @@ class ModelSpec:
     terminal_cost: Callable
     sense: str = "minimize"
     drift_uses_measure: bool = True
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.dim < 1:
@@ -182,5 +178,4 @@ def build_bang_bang_model(a_lo: float, b_hi: float, c: float, T: float) -> Model
         terminal_cost=_BilinearTerminalReward(float(c)),
         sense="maximize",
         drift_uses_measure=False,
-        params={"a": float(a_lo), "b": float(b_hi), "c": float(c), "T": float(T)},
     )

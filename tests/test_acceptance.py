@@ -182,8 +182,8 @@ def test_criterion_08_consistency_check():
 def test_criterion_09_mckean_vlasov_fixed_point():
     res = mckean_vlasov_fixed_point(MODEL, GRID, 1.0, particles=10**4,
                                     max_iters=10, tol=0.02, seed=19)
-    mean_T = res.flow.mean(2.0)
-    var_T = res.flow.var(2.0)
+    mean_T = res.mean[-1]
+    var_T = res.var[-1]
     ok = (res.converged and res.iterations <= 10
           and abs(mean_T - 2.0) < 0.05 and abs(var_T - 2.0) / 2.0 < 0.1)
     _report(9, ok, f"converged in {res.iterations} iterations; "

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from ccemfg.correlation import (CorrelationDevice, Scenario,
                                 sample_scenario, verify_consistency)
 from ccemfg.engine import TimeGrid
 from ccemfg.equilibrium import recommended_actions
-from ccemfg.flows import ParticleFlow, device_flow
+from ccemfg.flows import device_flow
 from ccemfg.metrics import empirical_quantiles
 from ccemfg.model import build_bang_bang_model
 
@@ -168,8 +170,7 @@ def test_verify_consistency_rejects_grid_horizon_mismatch():
 
 def test_verify_consistency_rejects_a_flow_without_quantile_table():
     grid = TimeGrid(2.0, 10)
-    flow = ParticleFlow(times=grid.times, particles=np.zeros((5, 11)),
-                        label="particles")
+    flow = SimpleNamespace(label="no table")
     dev = CorrelationDevice(scenarios=(Scenario(1.0, 0.0, flow),))
     with pytest.raises(ValueError, match="quantile table"):
         verify_consistency(MODEL, dev, grid, reps=100, seed=0)

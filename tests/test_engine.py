@@ -205,14 +205,15 @@ def test_mckean_vlasov_constant_strategies():
     res = mckean_vlasov_fixed_point(MODEL, g, 1.0, particles=10**4,
                                     max_iters=10, tol=0.02, seed=0)
     assert res.converged and res.iterations <= 10
-    errs = [abs(res.flow.mean(t) - t * 1.0) for t in g.times[::10]]
+    assert np.array_equal(res.times, g.times)
+    errs = np.abs(res.mean - g.times)[::10]
     assert max(errs) < 0.05
-    assert abs(res.flow.var(2.0) - 2.0) / 2.0 < 0.1
+    assert abs(res.var[-1] - 2.0) / 2.0 < 0.1
 
     res_a = mckean_vlasov_fixed_point(MODEL, g, -1.0, particles=4000,
                                       max_iters=10, tol=0.02, seed=0)
     assert res_a.converged
-    assert abs(res_a.flow.mean(2.0) + 2.0) < 0.1
+    assert abs(res_a.mean[-1] + 2.0) < 0.1
 
 
 def test_mckean_vlasov_zero_drift():
@@ -223,8 +224,8 @@ def test_mckean_vlasov_zero_drift():
     res = mckean_vlasov_fixed_point(zero, g, 0.0, particles=4000,
                                     max_iters=10, tol=0.05, seed=1)
     assert res.converged
-    assert abs(res.flow.mean(1.0)) < 0.1
-    assert abs(res.flow.var(1.0) - 1.0) < 0.15
+    assert abs(res.mean[-1]) < 0.1
+    assert abs(res.var[-1] - 1.0) < 0.15
 
 
 def test_mckean_vlasov_flags_nonconvergence():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ccemfg.flows import GaussianMixtureFlow, ParticleFlow, device_flow
+from ccemfg.flows import GaussianMixtureFlow, device_flow
 
 
 def test_mixture_flow_moments():
@@ -40,29 +40,3 @@ def test_mixture_slice_matches_view():
     v = flow.view(1.5)
     assert abs(mix.mean - v.mean) < 1e-14
     assert abs(mix.second_moment - v.second_moment) < 1e-12
-
-
-def test_particle_flow():
-    times = np.linspace(0.0, 1.0, 5)
-    pts = np.arange(12, dtype=float).reshape(3, 4)
-    with pytest.raises(ValueError):
-        ParticleFlow(times=times, particles=pts)
-    pts = np.arange(15, dtype=float).reshape(3, 5)
-    flow = ParticleFlow(times=times, particles=pts)
-    assert flow.mean(0.5) == pts[:, 2].mean()
-    v = flow.view(0.25)
-    assert abs(v.second_moment - np.mean(pts[:, 1] ** 2)) < 1e-12
-    with pytest.raises(ValueError):
-        flow.mean(0.37)          # off the grid
-
-
-def test_particle_flow_takes_presorted_columns():
-    times = np.linspace(0.0, 1.0, 4)
-    x0 = np.array([0.3, -1.0, 2.0, 0.3, -0.5])
-    pts = np.repeat(x0[:, None], 4, 1)
-    given = ParticleFlow(times=times, particles=pts,
-                         _sorted=np.repeat(np.sort(x0)[:, None], 4, 1))
-    built = ParticleFlow(times=times, particles=pts)
-    assert np.array_equal(given._sorted, built._sorted)
-    with pytest.raises(ValueError):
-        ParticleFlow(times=times, particles=pts, _sorted=np.sort(x0))

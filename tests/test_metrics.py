@@ -13,7 +13,7 @@ from ccemfg.correlation import build_example_device
 from ccemfg.engine import TimeGrid
 from ccemfg.metrics import (BISECT_TOL, GaussianMixture1D,
                             empirical_quantiles, mixture_quantile_table,
-                            moments, w2_empirical_1d,
+                            w2_empirical_1d,
                             w2_vs_gaussian_mixture_1d)
 from ccemfg import rng
 
@@ -67,21 +67,6 @@ def test_w2_unequal_counts_flagged():
     with pytest.warns(UserWarning):
         d = w2_empirical_1d(np.zeros(10), np.ones(15))
     assert abs(d - 1.0) < 1e-12
-
-
-def test_moments_examples():
-    m, m2, v = moments(np.array([-1.0, 1.0]))
-    assert (m, m2, v) == (0.0, 1.0, 1.0)
-    m, m2, v = moments(np.array([3.0]))
-    assert (m, m2, v) == (3.0, 9.0, 0.0)
-
-
-def test_moments_gaussian_draws():
-    key = rng.stream_key(0, rng.TAG_PROBE)
-    x = 3.0 + 2.0 * rng.normals(key, np.arange(10**6))
-    m, m2, v = moments(x)
-    assert abs(m - 3.0) < 0.006
-    assert abs(v - 4.0) / 4.0 < 0.02
 
 
 def test_w2_vs_single_gaussian_closed_form():

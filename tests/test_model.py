@@ -73,7 +73,6 @@ def test_terminal_reward_bilinear(alpha, x, mbar):
 
 
 def test_initial_laws():
-    assert np.all(PointMass(1.5).from_uniform(np.full(4, 0.3)) == 1.5)
     g = GaussianInitial(mean=2.0, std=3.0)
     u = np.linspace(0.001, 0.999, 1001)
     x = g.from_uniform(u)

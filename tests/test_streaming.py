@@ -7,8 +7,9 @@ row-major Euler loop over them and reduce afterwards.  The streamed
 ``_nplayer_chunk``, ``_mf_chunk`` and ``verify_consistency`` must
 reproduce them bit for bit at every chunk size, including one
 replication, where numpy would otherwise sum the players pairwise; so
-must the path collectors ``simulate_representative`` and
-``mckean_vlasov_fixed_point``.  ``poc_curve``, which streams one ensemble
+must the path collector ``simulate_representative`` and the moment-flow
+Picard iteration ``mckean_vlasov_fixed_point``, against one that stores
+each iterate's paths.  ``poc_curve``, which streams one ensemble
 for every N through ``_poc_chunk``, must reproduce the per-N reference run
 as one chunk, whatever its own chunks.  ``tracemalloc`` tests bound the peak
 memory of the streamed estimators and of the consistency null band, and
@@ -36,7 +37,7 @@ from ccemfg.engine import (SimulationError, TimeGrid, _check_actions,
 from ccemfg.equilibrium import (_assemble_gap, _chunks, cce_gap_nplayer,
                                 default_deviation_grid, mean_field_gap_mc,
                                 poc_curve, recommended_actions)
-from ccemfg.flows import ParticleFlow, device_flow
+from ccemfg.flows import device_flow
 from ccemfg.metrics import empirical_quantiles
 from ccemfg.model import GaussianInitial, MeasureView, build_bang_bang_model
 
@@ -291,22 +292,25 @@ def _ref_verify_consistency(model, device, grid, reps, seed):
 
 def _ref_mckean_vlasov(model, grid, strategy, particles, max_iters, tol,
                        seed):
-    times = grid.times
+    """(mean, var, distances): each iterate's (P, steps + 1) paths stored,
+    sorted per time, and compared with the previous iterate's."""
     x0, w = _ref_representative_noise(model, grid, seed, np.arange(particles))
-    flow = ParticleFlow(times=times,
-                        particles=np.repeat(x0[:, None], grid.steps + 1, 1))
+    x = np.repeat(x0[:, None], grid.steps + 1, 1)
     distances = []
     for _ in range(max_iters):
-        x = _ref_step_against_flow(model, grid, x0, w, strategy,
-                                   _ref_flow_views(flow, grid))
-        new_flow = ParticleFlow(times=times, particles=x)
+        views = [MeasureView(mean=float(x[:, i].mean()),
+                             second_moment=float(np.mean(x[:, i] ** 2)))
+                 for i in range(grid.steps)]
+        x_new = _ref_step_against_flow(model, grid, x0, w, strategy, views)
         gap = float(np.max(np.sqrt(np.mean(
-            (new_flow._sorted - flow._sorted) ** 2, axis=0))))
+            (np.sort(x_new, axis=0) - np.sort(x, axis=0)) ** 2, axis=0))))
         distances.append(gap)
-        flow = new_flow
+        x = x_new
         if gap < tol:
             break
-    return flow, distances
+    return (np.array([x[:, i].mean() for i in range(grid.steps + 1)]),
+            np.array([x[:, i].var() for i in range(grid.steps + 1)]),
+            distances)
 
 
 # --- bit-identity ------------------------------------------------------------
@@ -424,6 +428,14 @@ class _Feedback:
         return np.clip(self.value - x, -1.0, 1.0)
 
 
+def _mean_reverting_model(theta):
+    """Drift a + theta * (mean(mu_t) - x): from the second Picard iterate
+    on, successive iterates differ by one shift, which shrinks slowly."""
+    return dataclasses.replace(
+        MODEL, drift_uses_measure=True,
+        drift=lambda t, x, m, a: a + theta * (m.mean - x))
+
+
 def _with_feedback(device):
     return CorrelationDevice(scenarios=tuple(
         dataclasses.replace(s, strategy=_Feedback(s.strategy))
@@ -480,12 +492,15 @@ def test_consistency_matches_path_storing_reference(p, steps, variant):
             assert np.array_equal(cl.table, table)
 
 
-@pytest.mark.parametrize("variant", ["bang-bang", "measure-feedback"])
+@pytest.mark.parametrize("variant",
+                         ["bang-bang", "measure-feedback", "mean-reverting"])
 @pytest.mark.parametrize("steps", STEPS)
 def test_representative_collectors_match_stored_euler(steps, variant):
-    model, strategy = MODEL, 1.0
-    if variant != "bang-bang":
+    model, strategy, max_iters, tol = MODEL, 1.0, 3, 1e-12
+    if variant == "measure-feedback":
         model, strategy = _measure_feedback_model(), _Feedback(0.5)
+    elif variant == "mean-reverting":
+        model, max_iters, tol = _mean_reverting_model(0.5), 40, 1e-10
     grid = TimeGrid(2.0, steps)
     flow = device_flow(0.3, -1.0, 1.0)
     for reps, offset in ((1, 0), (9, 4)):
@@ -498,12 +513,15 @@ def test_representative_collectors_match_stored_euler(steps, variant):
         assert np.array_equal(x, ref), (reps, offset)
 
     res = mckean_vlasov_fixed_point(model, grid, strategy, particles=150,
-                                    max_iters=3, tol=1e-12, seed=6)
-    flow_ref, distances = _ref_mckean_vlasov(model, grid, strategy, 150, 3,
-                                             1e-12, 6)
-    assert np.array_equal(res.flow.particles, flow_ref.particles)
-    assert np.array_equal(res.flow._sorted, flow_ref._sorted)
+                                    max_iters=max_iters, tol=tol, seed=6)
+    mean, var, distances = _ref_mckean_vlasov(model, grid, strategy, 150,
+                                              max_iters, tol, 6)
+    assert np.array_equal(res.times, grid.times)
+    assert np.array_equal(res.mean, mean)
+    assert np.array_equal(res.var, var)
     assert res.distances == distances
+    if variant == "mean-reverting":
+        assert res.converged, res.distances
 
 
 # --- memory ------------------------------------------------------------------
@@ -546,6 +564,13 @@ def test_streamed_consistency_peak_memory():
     device = build_example_device(DeviceProbs(0.5, 0, 0, 0.5), -1.0, 1.0)
     peak = _traced_peak(lambda: verify_consistency(
         MODEL, device, TimeGrid(2.0, 200), reps=40_000, seed=0))
+    assert peak < PEAK_BOUND, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_mckean_vlasov_peak_memory():
+    peak = _traced_peak(lambda: mckean_vlasov_fixed_point(
+        MODEL, TimeGrid(2.0, 200), 1.0, particles=10_000, max_iters=10,
+        tol=0.02, seed=0))
     assert peak < PEAK_BOUND, f"peak {peak / 2**20:.1f} MiB"
 
 
