@@ -58,7 +58,7 @@ class RunConfig:
     action: float | None = None       # mkv strategy; defaults to b
     seed: int = 0
     out: str = "out"
-    workers: int = 0                  # 0 -> CCEMFG_WORKERS env or serial
+    workers: int = 0                  # 0 or 1: serial
 
 
 def config_dict(cfg: RunConfig) -> dict:
@@ -92,6 +92,11 @@ def parse_config(data: dict) -> RunConfig:
             merged[key] = float(merged[key])
         except (TypeError, ValueError):
             problems.append((key, "must be a real number"))
+    if merged["action"] is not None:
+        try:
+            merged["action"] = float(merged["action"])
+        except (TypeError, ValueError):
+            problems.append(("action", "must be a real number"))
     for key in ("resolution", "reps", "steps", "deviations", "particles",
                 "max_iters", "seed", "workers"):
         try:
@@ -107,7 +112,11 @@ def parse_config(data: dict) -> RunConfig:
         check("steps", merged["steps"] >= 1, "must be at least 1")
         check("resolution", merged["resolution"] >= 2, "must be at least 2")
         check("deviations", merged["deviations"] >= 3, "must be at least 3")
+        check("particles", merged["particles"] >= 100, "must be at least 100")
         check("max_iters", merged["max_iters"] >= 1, "must be at least 1")
+        check("action", merged["action"] is None
+              or merged["a"] <= merged["action"] <= merged["b"],
+              "must lie in [a, b]")
         check("workers", merged["workers"] >= 0, "must be nonnegative")
         check("tol", merged["tol"] > 0.0, "must be positive")
     try:
@@ -132,11 +141,6 @@ def parse_config(data: dict) -> RunConfig:
             problems.append(("N", "entries must be at least 2"))
     except (TypeError, ValueError):
         problems.append(("N", "must be a list of integers"))
-    if merged.get("action") is not None:
-        try:
-            merged["action"] = float(merged["action"])
-        except (TypeError, ValueError):
-            problems.append(("action", "must be a real number"))
     if not isinstance(merged.get("out"), str) or not merged["out"]:
         problems.append(("out", "must be a nonempty path"))
     if problems:

@@ -53,10 +53,12 @@ class CorrelationDevice:
 
     def flow_classes(self) -> dict:
         """Distinct flows with their total probability and scenario indices,
-        keyed by flow label, in first-appearance order."""
-        classes: dict = {}
+        keyed by flow label (``flow<k>`` for the k-th unlabelled flow
+        object), in first-appearance order."""
+        classes, unlabelled = {}, {}
         for idx, s in enumerate(self.scenarios):
-            lab = getattr(s.flow, "label", "") or str(id(s.flow))
+            lab = getattr(s.flow, "label", "") or unlabelled.setdefault(
+                id(s.flow), f"flow{len(unlabelled)}")
             entry = classes.setdefault(lab, {"flow": s.flow, "probability": 0.0,
                                              "scenarios": []})
             entry["probability"] += s.probability

@@ -116,21 +116,14 @@ def initial_states(model: ModelSpec, seed: int, rep_ids, player_ids) -> np.ndarr
     return model.initial_law.sample(uniforms, (rep_ids.size, player_ids.size))
 
 
-def _check_actions(model: ModelSpec, a, step: int) -> None:
-    lo = model.actions.lo.min() - 1e-12
-    hi = model.actions.hi.max() + 1e-12
-    a = np.asarray(a)
-    if np.any(a < lo) or np.any(a > hi):
-        raise ValueError(f"action outside the admissible box at step {step}")
-
-
 def euler_step(model: ModelSpec, step: int, t: float, dt: float,
                x: np.ndarray, mv: MeasureView, a, dw: np.ndarray) -> np.ndarray:
     """One left-point Euler step of the states ``x`` at time ``t`` under the
     actions ``a`` against the measure view ``mv``, driven by the Brownian
     increment ``dw``.  Checks the actions and the new states; ``step``
     labels the errors."""
-    _check_actions(model, a, step)
+    if not model.actions.contains(a):
+        raise ValueError(f"action outside the admissible box at step {step}")
     drift = model.drift(t, x, mv, a)
     x_new = x + np.asarray(drift) * dt + dw
     if not np.all(np.isfinite(x_new)):

@@ -10,6 +10,10 @@ All candidates within one replication share that replication's noise
 (common random numbers), which is what makes the per-replication deviation
 payoff an exact quadratic in the candidate action for the shipped model.
 
+When the drift ignores the measure (:func:`ccemfg.model.
+drift_reads_measure`), the N-player gap re-simulates the deviator alone
+and ``poc_curve`` serves every N from one ensemble.
+
 When one Euler step gives the exact terminal state under a constant
 action (:func:`ccemfg.model.exact_terminal`; the shipped model's rules
 do), the gap estimators step every constant action once across [0, T]
@@ -20,7 +24,6 @@ normal per player and does not depend on the grid's steps.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -32,7 +35,8 @@ from .correlation import CorrelationDevice, follow_scenarios, sample_scenario
 from .engine import (ConstantStrategy, TimeGrid, check_run, euler_step,
                      initial_states, noise_keys, representative_noise,
                      stream_ensemble, sum_rows)
-from .model import MeasureView, ModelSpec, exact_terminal
+from .model import (MeasureView, ModelSpec, drift_reads_measure,
+                    exact_terminal)
 
 # Sets the replications per chunk: CHUNK_ELEMS // (numbers one replication
 # counts for).  No estimator stores a path; the bridge walk holds about
@@ -79,7 +83,7 @@ class GapReport:
 def default_deviation_grid(model: ModelSpec, size: int = 21) -> np.ndarray:
     if size < 3:
         raise ValueError("deviation grid needs at least 3 candidates")
-    return np.linspace(model.actions.lo.min(), model.actions.hi.max(), size)
+    return np.linspace(model.actions.lo, model.actions.hi, size)
 
 
 def _candidates(model: ModelSpec, deviations) -> np.ndarray:
@@ -101,17 +105,15 @@ def _chunks(total: int, chunk: int):
 
 
 def _map_jobs(fn, jobs, workers: int):
-    """``fn`` over ``jobs``, in a pool of ``workers`` processes when there
-    is more than one; yields the results in job order as they arrive."""
+    """``fn`` over ``jobs``, serially unless ``min(workers, len(jobs))``
+    is more than one, then in a pool of that many processes; yields the
+    results in job order as they arrive."""
+    workers = min(workers, len(jobs))
     if workers <= 1:
         yield from map(fn, jobs)
         return
     with ProcessPoolExecutor(max_workers=workers) as pool:
         yield from pool.map(fn, jobs)
-
-
-def default_workers() -> int:
-    return int(os.environ.get("CCEMFG_WORKERS", "1"))
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +201,7 @@ def _nplayer_chunk(args):
     G = candidates.shape[0]
     times, dt = grid.times, grid.dt
 
-    fast = not model.drift_uses_measure
+    fast = not drift_reads_measure(model)
     if fast:
         xd = np.repeat(x0[:1], G, axis=0)                 # (G, R)
         a_dev = np.broadcast_to(candidates[:, None], xd.shape)
@@ -268,13 +270,13 @@ def _assemble_gap(model, j_rec, j_dev, candidates, oracle=None) -> GapReport:
 
 def cce_gap_nplayer(model: ModelSpec, device: CorrelationDevice, N: int,
                     deviations=21, reps: int = 2000, seed: int = 0,
-                    grid: Optional[TimeGrid] = None, workers: int = 0,
+                    grid: Optional[TimeGrid] = None, workers: int = 1,
                     oracle: Optional[float] = None) -> GapReport:
     """Deviation gap of player 1 in the N-player game under the device.
 
     By symmetry only player 1 (index 0) deviates.  The G constant-action
-    candidates reuse each replication's noise; when the model's drift is
-    measure-free only the deviator's path is re-simulated.  When
+    candidates reuse each replication's noise; when the model's drift
+    ignores the measure only the deviator's path is re-simulated.  When
     :func:`ccemfg.model.exact_terminal` holds, every player takes one step
     across [0, T], whatever ``grid``'s step count.
     """
@@ -283,7 +285,6 @@ def cce_gap_nplayer(model: ModelSpec, device: CorrelationDevice, N: int,
     grid = grid or TimeGrid(model.horizon, 200)
     check_run(model, grid, reps=reps)
     candidates = _candidates(model, deviations)
-    workers = workers or default_workers()
     if exact_terminal(model):
         grid = TimeGrid(grid.horizon, 1)
         per_rep = 11 * N + 8 * candidates.size
@@ -327,7 +328,7 @@ def _mf_chunk(args):
 
 def mean_field_gap_mc(model: ModelSpec, device: CorrelationDevice,
                       deviations=21, reps: int = 4000, seed: int = 0,
-                      grid: Optional[TimeGrid] = None, workers: int = 0,
+                      grid: Optional[TimeGrid] = None, workers: int = 1,
                       oracle: Optional[float] = None) -> GapReport:
     """Deviation gap of the representative player against the device's
     exogenous flows (mean field optimality check).
@@ -343,7 +344,6 @@ def mean_field_gap_mc(model: ModelSpec, device: CorrelationDevice,
     grid = grid or TimeGrid(model.horizon, 200)
     check_run(model, grid, reps=reps)
     candidates = _candidates(model, deviations)
-    workers = workers or default_workers()
     per_rep = 6 * (1 + candidates.size) + grid.steps.bit_length() + 2
     if exact_terminal(model) and all(_is_constant(s.strategy)
                                      for s in device.scenarios):
@@ -405,16 +405,16 @@ def _poc_chunk(args):
 
 def poc_curve(model: ModelSpec, device: CorrelationDevice,
               Ns: Sequence[int], reps: int = 200, seed: int = 0,
-              grid: Optional[TimeGrid] = None, workers: int = 0) -> PocResult:
+              grid: Optional[TimeGrid] = None, workers: int = 1) -> PocResult:
     """sup_t of the replication-averaged squared W2 between the empirical
     measure flow and the scenario's declared flow, for each N.  A flow
     class that no replication draws raises ``ValueError``.
 
     When the drift does not read the measure, one ensemble of max(Ns)
     players serves every N (see :func:`_poc_chunk`); otherwise each N is
-    streamed on its own.  The jobs split the replications into
-    ``ceil(reps / workers)`` chunks, fewer if ``CHUNK_ELEMS`` requires it,
-    and each replication's curve is added to its class's sum in
+    streamed on its own.  The jobs split the replications into chunks of
+    ``ceil(reps / workers)``, smaller if ``CHUNK_ELEMS`` requires it, and
+    each replication's curve is added to its class's sum in
     replication order, so the result does not depend on the chunking or
     on the number of workers.
     """
@@ -424,14 +424,13 @@ def poc_curve(model: ModelSpec, device: CorrelationDevice,
                          f"sequence of player counts >= 1, got {Ns}")
     grid = grid or TimeGrid(model.horizon, 200)
     check_run(model, grid, reps=reps)
-    workers = workers or default_workers()
     classes = device.flow_classes()
     labels = list(classes)
     table = np.stack([classes[lab]["flow"].quantile_table(grid.times)
                       for lab in labels], axis=-1)   # (steps + 1, points, C)
     # the slices of Ns that share one ensemble
     groups = ([slice(i, i + 1) for i in range(len(Ns))]
-              if model.drift_uses_measure else [slice(0, len(Ns))])
+              if drift_reads_measure(model) else [slice(0, len(Ns))])
     jobs, rows = [], []
     for g in groups:
         per_rep = (Ns[g][-1] + len(Ns[g])) * (grid.steps + 1)

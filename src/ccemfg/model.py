@@ -19,27 +19,20 @@ from . import _pathgen_py
 
 @dataclass(frozen=True)
 class ActionBox:
-    """Compact box of admissible actions, componentwise lo <= hi."""
+    """Compact interval [lo, hi] of admissible actions."""
 
-    lo: np.ndarray
-    hi: np.ndarray
+    lo: float
+    hi: float
 
     def __post_init__(self):
-        lo = np.atleast_1d(np.asarray(self.lo, dtype=np.float64))
-        hi = np.atleast_1d(np.asarray(self.hi, dtype=np.float64))
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-        if lo.shape != hi.shape or lo.size == 0:
-            raise ValueError("action box bounds must be nonempty and matching")
-        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-            raise ValueError("action box bounds must be finite")
-        if np.any(lo > hi):
-            raise ValueError("action box requires lo <= hi componentwise")
+        object.__setattr__(self, "lo", float(self.lo))
+        object.__setattr__(self, "hi", float(self.hi))
+        if not -np.inf < self.lo <= self.hi < np.inf:
+            raise ValueError("action box bounds must be finite, lo <= hi")
 
     def contains(self, a, tol: float = 1e-12) -> bool:
         a = np.asarray(a, dtype=np.float64)
-        return bool(np.all(a >= self.lo.min() - tol)
-                    and np.all(a <= self.hi.max() + tol))
+        return bool(np.all(a >= self.lo - tol) and np.all(a <= self.hi + tol))
 
 
 @dataclass(frozen=True)
@@ -85,15 +78,15 @@ class ModelSpec:
     ``running_cost(t, x, m, a)`` and ``terminal_cost(x, m)`` receive state
     and action arrays plus a :class:`MeasureView`.  ``sense`` says whether
     the functional is minimized or maximized; gap computations read it and
-    flip signs uniformly.  ``drift_uses_measure=False`` unlocks a fast
-    deviation path in the equilibrium estimators.
+    flip signs uniformly.  The state and the actions are real; the actions
+    lie in the interval ``actions``.
 
-    :func:`exact_terminal` reads from the rules whether a constant action
-    reaches the horizon exactly in one Euler step; the deviation-gap
-    estimators then skip the time grid.
+    Two functions read from the rules which shortcuts the estimators may
+    take: :func:`drift_reads_measure` whether a deviating player can be
+    re-simulated alone, and :func:`exact_terminal` whether a constant
+    action reaches the horizon exactly in one Euler step.
     """
 
-    dim: int
     horizon: float
     actions: ActionBox
     initial_law: PointMass | GaussianInitial
@@ -101,11 +94,8 @@ class ModelSpec:
     running_cost: Callable
     terminal_cost: Callable
     sense: str = "minimize"
-    drift_uses_measure: bool = True
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("state dimension must be positive")
         if not (np.isfinite(self.horizon) and self.horizon > 0):
             raise ValueError("horizon must be a positive real")
         if self.sense not in ("minimize", "maximize"):
@@ -129,6 +119,13 @@ class _ActionDrift:
 class _ZeroRunningCost:
     def __call__(self, t, x, m, a):
         return np.zeros(np.shape(x))
+
+
+def drift_reads_measure(model: ModelSpec) -> bool:
+    """Whether the drift may read the measure: False only for the action
+    drift of :func:`build_bang_bang_model`.  Other drifts are opaque and
+    count as reading it, so they take the paths correct for any drift."""
+    return not isinstance(model.drift, _ActionDrift)
 
 
 def exact_terminal(model: ModelSpec) -> bool:
@@ -169,13 +166,11 @@ def build_bang_bang_model(a_lo: float, b_hi: float, c: float, T: float) -> Model
     if not T > 0.0:
         raise ValueError("T must be positive")
     return ModelSpec(
-        dim=1,
         horizon=float(T),
-        actions=ActionBox(lo=np.array([a_lo]), hi=np.array([b_hi])),
+        actions=ActionBox(lo=a_lo, hi=b_hi),
         initial_law=PointMass(0.0),
         drift=_ActionDrift(),
         running_cost=_ZeroRunningCost(),
         terminal_cost=_BilinearTerminalReward(float(c)),
         sense="maximize",
-        drift_uses_measure=False,
     )

@@ -2,9 +2,9 @@
 (run with ``pytest -s tests/test_acceptance.py`` to see the lines).
 
 Criteria 05 and 06 run the gap estimators along the Euler grid
-(``EULER``); criterion 11 runs the one step across [0, T] that the
-shipped model's rules allow, at a player count the Euler grid cannot
-reach in a test."""
+(``EULER``), criterion 05 re-simulating the deviator alone; criterion 11
+runs the one step across [0, T] that the shipped model's rules allow, at
+a player count the Euler grid cannot reach in a test."""
 
 import dataclasses
 import functools
@@ -23,10 +23,13 @@ from ccemfg.metrics import w2_empirical_1d
 from ccemfg.model import build_bang_bang_model
 
 MODEL = build_bang_bang_model(-1.0, 1.0, 1.0, 2.0)
-# the same game with its drift wrapped, which hides from exact_terminal
-# that the drift is the action: the gap estimators then step it along the
-# grid (a partial pickles, so worker pools can run it)
-EULER = dataclasses.replace(MODEL, drift=functools.partial(MODEL.drift))
+# the same game with its running cost wrapped, which hides from
+# exact_terminal that the running cost is zero: the gap estimators then step
+# it along the grid.  The drift stays the action, so drift_reads_measure
+# still lets the N-player gap re-simulate the deviator alone (a partial
+# pickles, so worker pools can run it)
+EULER = dataclasses.replace(MODEL,
+                            running_cost=functools.partial(MODEL.running_cost))
 GRID = TimeGrid(2.0, 200)
 
 

@@ -56,6 +56,22 @@ def test_zero_max_iters_rejected(capsys):
     assert "config error: max_iters" in capsys.readouterr().err
 
 
+def test_bad_mkv_settings_exit_2(capsys):
+    for args, field in ((["--particles", "50"], "particles"),
+                        (["--action", "1.5"], "action"),
+                        (["--a", "-2", "--action", "-2.5"], "action")):
+        assert run_cli(["mkv", *args]) == 2
+        assert f"config error: {field}:" in capsys.readouterr().err
+    with pytest.raises(ConfigError) as err:
+        parse_config({"command": "mkv", "particles": 99, "action": "fast"})
+    assert [f for f, _ in err.value.problems] == ["action"]
+    with pytest.raises(ConfigError) as err:
+        parse_config({"command": "mkv", "particles": 99, "action": -1.0})
+    assert [f for f, _ in err.value.problems] == ["particles"]
+    cfg = parse_config({"command": "mkv", "particles": 100, "action": -1})
+    assert cfg.particles == 100 and cfg.action == -1.0
+
+
 def test_runtime_failure_exits_1(tmp_path, capsys):
     rc = run_cli(["region", "--resolution", "5",
                   "--out", str(tmp_path / "no_such_dir" / "x")])

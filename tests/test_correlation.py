@@ -51,6 +51,35 @@ def test_build_example_device_diagonal():
     assert abs(classes["mu1"]["probability"] - 0.5) < 1e-15
 
 
+def test_unlabelled_flows_are_named_in_order_of_appearance(tmp_path):
+    """Two devices built the same way name their classes the same, and
+    flows without a label are still grouped by identity."""
+
+    def build():
+        f, g = device_flow(1.0, -1, 1), device_flow(1.0, -1, 1)
+        h = device_flow(0.0, -1, 1, label="mu")
+        return CorrelationDevice(scenarios=(
+            Scenario(0.2, 1.0, g), Scenario(0.1, -1.0, h),
+            Scenario(0.3, 1.0, f), Scenario(0.4, 1.0, g)))
+
+    first, second = build(), build()
+    classes = first.flow_classes()
+    assert list(classes) == list(second.flow_classes()) == [
+        "flow0", "mu", "flow1"]
+    assert classes["flow0"]["scenarios"] == [0, 3]
+    assert classes["flow1"]["scenarios"] == [2]
+    assert abs(classes["flow0"]["probability"] - 0.6) < 1e-15
+
+    bodies = []
+    for i, dev in enumerate((first, second)):
+        path = tmp_path / f"c{i}.csv"
+        verify_consistency(MODEL, dev, TimeGrid(2.0, 4), reps=50,
+                           seed=0).to_csv(path, header={})
+        bodies.append(path.read_text())
+    assert bodies[0] == bodies[1]
+    assert "\nflow1," in bodies[0]
+
+
 def test_sample_scenario_frequencies():
     dev = build_example_device(DeviceProbs(1, 0, 0, 0), -1.0, 1.0)
     assert np.all(sample_scenario(dev, 0, np.arange(1000)) == 0)

@@ -56,7 +56,7 @@ def test_stored_and_streamed_ensembles_see_the_same_measure(N, R):
     reads the empirical measure steps it to the same bits as stored paths
     against an in-order measure."""
     model = dataclasses.replace(
-        MODEL, initial_law=GaussianInitial(0.0, 1.0), drift_uses_measure=True,
+        MODEL, initial_law=GaussianInitial(0.0, 1.0),
         drift=lambda t, x, m, a: a + 0.7 * m.mean - 0.3 * m.second_moment)
     grid = TimeGrid(2.0, 20)
     seed, offset = 5, 2
@@ -234,8 +234,7 @@ def test_mckean_vlasov_flags_nonconvergence():
     # model would converge exactly on the second)
     coupled = dataclasses.replace(
         MODEL, drift=lambda t, x, m, a: -2.0 * np.broadcast_to(
-            np.asarray(m.mean), np.shape(x)),
-        drift_uses_measure=True)
+            np.asarray(m.mean), np.shape(x)))
     g = TimeGrid(2.0, 20)
     res = mckean_vlasov_fixed_point(coupled, g, 1.0, particles=200,
                                     max_iters=2, tol=1e-12, seed=2)

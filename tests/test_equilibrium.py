@@ -13,10 +13,13 @@ from ccemfg.equilibrium import (cce_gap_nplayer, mean_field_gap_mc, poc_curve,
 from ccemfg.model import PointMass, build_bang_bang_model
 
 MODEL = build_bang_bang_model(-1.0, 1.0, 1.0, 2.0)
-# the same game with its drift wrapped, which hides from exact_terminal
-# that the drift is the action: the gap estimators then step it along the
-# grid (a partial pickles, so worker pools can run it)
-EULER = dataclasses.replace(MODEL, drift=functools.partial(MODEL.drift))
+# the same game with its running cost wrapped, which hides from
+# exact_terminal that the running cost is zero: the gap estimators then step
+# it along the grid.  The drift stays the action, so drift_reads_measure
+# still lets the N-player gap re-simulate the deviator alone (a partial
+# pickles, so worker pools can run it)
+EULER = dataclasses.replace(MODEL,
+                            running_cost=functools.partial(MODEL.running_cost))
 WHITE = DeviceProbs(1, 0, 0, 0)
 BLACK = DeviceProbs(0.5, 0.3, 0.2, 0.0)
 
@@ -136,11 +139,47 @@ def test_gap_worker_pool_identical():
     assert np.array_equal(serial.improvement_means, pooled.improvement_means)
 
 
+def test_pool_only_for_more_than_one_job(monkeypatch):
+    """One job runs serially whatever the worker count, and a pool gets
+    no more processes than there are jobs."""
+    import ccemfg.equilibrium as eq
+
+    pools = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(eq, "ProcessPoolExecutor", RecordingPool)
+    dev = build_example_device(BLACK, -1.0, 1.0)
+    cce_gap_nplayer(MODEL, dev, N=10, reps=64, seed=5, workers=2)
+    mean_field_gap_mc(MODEL, dev, reps=64, seed=5, workers=2)
+    assert pools == []
+    poc_curve(MODEL, dev, [5, 12, 30], reps=23, seed=2,
+              grid=TimeGrid(2.0, 10), workers=2)
+    assert pools == [2]
+    # 11 numbers per player and 8 per candidate: chunks of 22 of the 64
+    monkeypatch.setattr(eq, "CHUNK_ELEMS", 22 * (11 * 10 + 8 * 21))
+    cce_gap_nplayer(MODEL, dev, N=10, reps=64, seed=5, workers=8)
+    assert pools == [2, 3]
+
+
 def test_fast_and_slow_deviation_paths_agree():
     dev = build_example_device(BLACK, -1.0, 1.0)
     grid = TimeGrid(2.0, 25)
     fast = cce_gap_nplayer(EULER, dev, N=10, reps=64, seed=2, grid=grid)
-    slow_model = dataclasses.replace(EULER, drift_uses_measure=True)
+    # an opaque copy of the action drift counts as reading the measure
+    slow_model = dataclasses.replace(EULER,
+                                     drift=functools.partial(MODEL.drift))
     slow = cce_gap_nplayer(slow_model, dev, N=10, reps=64, seed=2, grid=grid)
     assert np.max(np.abs(fast.improvement_means
                          - slow.improvement_means)) < 1e-12

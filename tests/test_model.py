@@ -1,29 +1,35 @@
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccemfg.model import (ActionBox, GaussianInitial, MeasureView, ModelSpec,
-                          PointMass, build_bang_bang_model, exact_terminal)
+from ccemfg.model import (ActionBox, GaussianInitial, MeasureView, PointMass,
+                          build_bang_bang_model, drift_reads_measure,
+                          exact_terminal)
 
 
 def test_action_box_validation():
-    ActionBox(lo=np.array([-1.0]), hi=np.array([1.0]))
     with pytest.raises(ValueError):
-        ActionBox(lo=np.array([1.0]), hi=np.array([-1.0]))
+        ActionBox(lo=1.0, hi=-1.0)
     with pytest.raises(ValueError):
-        ActionBox(lo=np.array([np.inf]), hi=np.array([np.inf]))
-    box = ActionBox(lo=-1.0, hi=1.0)
+        ActionBox(lo=np.inf, hi=np.inf)
+    with pytest.raises(ValueError):
+        ActionBox(lo=np.nan, hi=1.0)
+    box = ActionBox(lo=np.float64(-1), hi=1)
+    assert type(box.lo) is float and type(box.hi) is float
     assert box.contains(0.3) and box.contains([-1.0, 1.0])
-    assert not box.contains(1.5)
+    assert box.contains(1.0 + 1e-13) and ActionBox(0.5, 0.5).contains(0.5)
+    assert not box.contains(1.5) and not box.contains([0.0, -1.1])
+    assert not box.contains(np.nan)
 
 
 def test_bang_bang_model_basics():
     m = build_bang_bang_model(-1.0, 1.0, 1.0, 2.0)
-    assert m.dim == 1 and m.horizon == 2.0 and m.sense == "maximize"
-    assert m.actions.lo[0] == -1.0 and m.actions.hi[0] == 1.0
+    assert m.horizon == 2.0 and m.sense == "maximize"
+    assert m.actions == ActionBox(-1.0, 1.0)
     mv = MeasureView(mean=3.0, second_moment=10.0)
     assert m.terminal_cost(0.0, mv) == 0.0
     assert m.terminal_cost(2.0, mv) == 6.0
@@ -40,7 +46,7 @@ def test_bang_bang_model_rejects_bad_params():
 
 def test_drift_is_measure_free():
     m = build_bang_bang_model(-1.0, 1.0, 1.0, 2.0)
-    assert not m.drift_uses_measure
+    assert not drift_reads_measure(m)
     x = np.linspace(-2, 2, 7)
     a = np.linspace(-1, 1, 7)
     m1 = MeasureView(mean=0.0, second_moment=1.0)
@@ -56,6 +62,19 @@ def test_exact_terminal_is_read_from_the_rules():
     zero = lambda t, x, mv, a: np.zeros(np.shape(x))   # noqa: E731
     assert not exact_terminal(dataclasses.replace(m, drift=zero))
     assert not exact_terminal(dataclasses.replace(m, running_cost=zero))
+
+
+def test_drift_reads_measure_is_read_from_the_rules():
+    """Only the action drift is known to ignore the measure; any other
+    drift, even a wrapped copy of it, counts as reading it."""
+    m = build_bang_bang_model(-1.0, 1.0, 1.0, 2.0)
+    assert not drift_reads_measure(m)
+    wrapped = dataclasses.replace(m, running_cost=functools.partial(
+        m.running_cost), initial_law=GaussianInitial(0.0, 1.0))
+    assert not drift_reads_measure(wrapped)
+    for drift in (functools.partial(m.drift),
+                  lambda t, x, mv, a: a + 2.0 * (mv.mean - x)):
+        assert drift_reads_measure(dataclasses.replace(m, drift=drift))
 
 
 @given(alpha=st.floats(-10, 10), x=st.floats(-10, 10), mbar=st.floats(-10, 10))
@@ -86,5 +105,3 @@ def test_model_spec_validation():
         dataclasses.replace(m, sense="argmax")
     with pytest.raises(ValueError):
         dataclasses.replace(m, horizon=-1.0)
-    with pytest.raises(ValueError):
-        dataclasses.replace(m, dim=0)

@@ -30,22 +30,25 @@ from ccemfg.analytic import DeviceProbs
 from ccemfg.correlation import (CorrelationDevice, build_example_device,
                                 null_band, sample_scenario,
                                 verify_consistency)
-from ccemfg.engine import (SimulationError, TimeGrid, _check_actions,
-                           as_action_fn, initial_states,
-                           mckean_vlasov_fixed_point, noise_keys,
-                           simulate_representative)
+from ccemfg.engine import (SimulationError, TimeGrid, as_action_fn,
+                           initial_states, mckean_vlasov_fixed_point,
+                           noise_keys, simulate_representative)
 from ccemfg.equilibrium import (_assemble_gap, _chunks, cce_gap_nplayer,
                                 default_deviation_grid, mean_field_gap_mc,
                                 poc_curve, recommended_actions)
 from ccemfg.flows import device_flow
 from ccemfg.metrics import empirical_quantiles
-from ccemfg.model import GaussianInitial, MeasureView, build_bang_bang_model
+from ccemfg.model import (GaussianInitial, MeasureView, build_bang_bang_model,
+                          drift_reads_measure)
 
 MODEL = build_bang_bang_model(-1.0, 1.0, 1.0, 2.0)
-# the same game with its drift wrapped, which hides from exact_terminal
-# that the drift is the action: the gap estimators then step it along the
-# grid (a partial pickles, so worker pools can run it)
-EULER = dataclasses.replace(MODEL, drift=functools.partial(MODEL.drift))
+# the same game with its running cost wrapped, which hides from
+# exact_terminal that the running cost is zero: the gap estimators then step
+# it along the grid.  The drift stays the action, so drift_reads_measure
+# still lets the N-player gap re-simulate the deviator alone (a partial
+# pickles, so worker pools can run it)
+EULER = dataclasses.replace(MODEL,
+                            running_cost=functools.partial(MODEL.running_cost))
 DEVICES = [(1, 0, 0, 0), (0.5, 0.3, 0.2, 0), (0.5, 0, 0, 0.5)]
 CHUNK_REPS = [1, 2, 3, 7]
 PLAYERS = [2, 10, 40]
@@ -64,7 +67,8 @@ def _ref_euler(model, grid, x0, w, action_fn, measure_fn):
         xi = x[..., i]
         mv = measure_fn(i, xi)
         a = action_fn(times[i], xi, mv)
-        _check_actions(model, a, i)
+        if not model.actions.contains(a):
+            raise ValueError(f"action outside the admissible box at step {i}")
         drift = model.drift(times[i], xi, mv, a)
         x[..., i + 1] = xi + np.asarray(drift) * dt + (w[..., i + 1] - w[..., i])
         if not np.all(np.isfinite(x[..., i + 1])):
@@ -87,9 +91,14 @@ def _ref_step_against_flow(model, grid, x0, w, strategy, views):
                       lambda i, x: views[i])
 
 
-def _ref_empirical_measure(i, x):
-    return MeasureView(mean=x.mean(axis=-1, keepdims=True),
-                       second_moment=np.mean(x**2, axis=-1, keepdims=True))
+def _ref_ordered_measure(i, x):
+    """The empirical measure of (R, N) states with the players added in
+    order, as the streamed ensemble adds them."""
+    s1, s2 = x[..., :1].copy(), x[..., :1] ** 2
+    for j in range(1, x.shape[-1]):
+        s1 += x[..., j:j + 1]
+        s2 += x[..., j:j + 1] ** 2
+    return MeasureView(mean=s1 / x.shape[-1], second_moment=s2 / x.shape[-1])
 
 
 def _ref_player_cost(model, grid, xp, ap, means, m2s):
@@ -103,7 +112,10 @@ def _ref_player_cost(model, grid, xp, ap, means, m2s):
     return run * grid.dt + np.asarray(model.terminal_cost(xp[:, -1], mv_T))
 
 
-def _ref_nplayer_chunk(args):
+def _ref_nplayer_chunk(args, fast=None):
+    """Costs from stored paths: each candidate is a whole deviated
+    ensemble or, when ``fast`` (by default when the drift ignores the
+    measure), player 0 re-simulated alone."""
     (model, device, grid, N, seed, candidates, off, count) = args
     rep_ids = off + np.arange(count)
     actions, cls = recommended_actions(device, seed, rep_ids, N)
@@ -115,7 +127,7 @@ def _ref_nplayer_chunk(args):
     def const_fn(t, x, mv, _a=actions):
         return _a
 
-    x = _ref_euler(model, grid, x0, w, const_fn, _ref_empirical_measure)
+    x = _ref_euler(model, grid, x0, w, const_fn, _ref_ordered_measure)
     sums = x.sum(axis=1)                  # (R, steps+1)
     sq_sums = np.sum(x**2, axis=1)
 
@@ -124,7 +136,9 @@ def _ref_nplayer_chunk(args):
 
     G = candidates.shape[0]
     j_dev = np.empty((count, G))
-    if not model.drift_uses_measure:
+    if fast is None:
+        fast = not drift_reads_measure(model)
+    if fast:
         j_dev[:] = _ref_deviations_fast(model, grid, N, candidates,
                                         x[:, 0, :], w[:, 0, :], x0[:, 0],
                                         sums, sq_sums)
@@ -136,7 +150,7 @@ def _ref_nplayer_chunk(args):
             def dev_fn(t, xx, mv, _a=dev_actions):
                 return _a
 
-            xd = _ref_euler(model, grid, x0, w, dev_fn, _ref_empirical_measure)
+            xd = _ref_euler(model, grid, x0, w, dev_fn, _ref_ordered_measure)
             s1 = xd.sum(axis=1)
             s2 = np.sum(xd**2, axis=1)
             j_dev[:, g] = _ref_player_cost(model, grid, xd[:, 0, :],
@@ -167,16 +181,6 @@ def _ref_deviations_fast(model, grid, N, candidates, x0_rec, w0, x0_init,
         mv_T = MeasureView(mean=mean_T, second_moment=m2_T)
         out[:, g] = run * dt + np.asarray(model.terminal_cost(xd[:, -1], mv_T))
     return out
-
-
-def _ref_ordered_measure(i, x):
-    """The empirical measure of (R, N) states with the players added in
-    order, as the streamed ensemble adds them."""
-    s1, s2 = x[..., :1].copy(), x[..., :1] ** 2
-    for j in range(1, x.shape[-1]):
-        s1 += x[..., j:j + 1]
-        s2 += x[..., j:j + 1] ** 2
-    return MeasureView(mean=s1 / x.shape[-1], second_moment=s2 / x.shape[-1])
 
 
 def _ref_poc_for_n(args):
@@ -320,7 +324,9 @@ def _ref_mckean_vlasov(model, grid, strategy, particles, max_iters, tol,
 @pytest.mark.parametrize("steps", STEPS)
 @pytest.mark.parametrize("p", DEVICES)
 def test_nplayer_chunk_matches_path_storing_reference(p, steps, measure):
-    model = dataclasses.replace(MODEL, drift_uses_measure=measure)
+    # an opaque copy of the action drift counts as reading the measure
+    model = (dataclasses.replace(MODEL, drift=functools.partial(MODEL.drift))
+             if measure else MODEL)
     device = build_example_device(DeviceProbs(*p), -1.0, 1.0)
     grid = TimeGrid(2.0, steps)
     candidates = default_deviation_grid(model)
@@ -343,7 +349,7 @@ def _measure_feedback_model():
     """A drift that reads the measure and a Gaussian start, so the views,
     the states and their order all differ between replications."""
     return dataclasses.replace(
-        MODEL, initial_law=GaussianInitial(0.0, 1.0), drift_uses_measure=True,
+        MODEL, initial_law=GaussianInitial(0.0, 1.0),
         drift=lambda t, x, m, a: a + 0.7 * m.mean - 0.3 * m.second_moment)
 
 
@@ -381,7 +387,7 @@ def test_poc_matches_path_storing_reference(p, steps, monkeypatch):
         # the per-replication curves of the chunks, added per class in
         # replication order, are the reference's class curves
         table = np.stack(list(tables.values()), axis=-1)
-        groups = ([[N] for N in PLAYERS] if model.drift_uses_measure
+        groups = ([[N] for N in PLAYERS] if drift_reads_measure(model)
                   else [PLAYERS])
         d2 = np.concatenate([
             np.concatenate([eq._poc_chunk((model, device, grid, g, seed,
@@ -417,6 +423,43 @@ def test_poc_curve_does_not_depend_on_workers_or_chunks(monkeypatch):
             assert np.array_equal(res.per_class[lab], base.per_class[lab])
 
 
+def _interaction_model():
+    """Drift a + 2 (mean(mu_t) - x), made the way a new game is made: by
+    replacing the shipped drift and nothing else.  The estimators must
+    read from the rules that it reads the measure."""
+    return dataclasses.replace(
+        MODEL, drift=lambda t, x, m, a: a + 2.0 * (m.mean - x))
+
+
+@pytest.mark.parametrize("p", DEVICES)
+def test_nplayer_chunk_under_a_measure_reading_drift(p):
+    model = _interaction_model()
+    device = build_example_device(DeviceProbs(*p), -1.0, 1.0)
+    grid = TimeGrid(2.0, 5)
+    candidates = default_deviation_grid(model, 5)
+    for N, R in ((2, 1), (3, 7), (10, 4)):
+        args = (model, device, grid, N, 0, candidates, 3, R)
+        j_rec, j_dev, cls = eq._nplayer_chunk(args)
+        r_rec, r_dev, r_cls = _ref_nplayer_chunk(args, fast=False)
+        assert np.array_equal(j_rec, r_rec), (N, R)
+        assert np.array_equal(j_dev, r_dev), (N, R)
+        assert np.array_equal(cls, r_cls)
+
+
+def test_poc_under_a_measure_reading_drift():
+    model = _interaction_model()
+    device = build_example_device(DeviceProbs(1, 0, 0, 0), -1.0, 1.0)
+    grid, Ns = TimeGrid(2.0, 20), (2, 10, 50)
+    res = poc_curve(model, device, Ns, reps=40, seed=0, grid=grid, workers=1)
+    for k, N in enumerate(Ns):
+        one = poc_curve(model, device, [N], reps=40, seed=0, grid=grid,
+                        workers=1)
+        assert np.array_equal(res.per_time[N], one.per_time[N]), N
+        assert res.overall[k] == one.overall[0]
+        for lab, vals in one.per_class.items():
+            assert res.per_class[lab][k] == vals[0]
+
+
 class _Feedback:
     """State feedback ``clip(value - x, -1, 1)``: reads the state, so the
     recommendation differs from one replication and step to the next."""
@@ -432,8 +475,7 @@ def _mean_reverting_model(theta):
     """Drift a + theta * (mean(mu_t) - x): from the second Picard iterate
     on, successive iterates differ by one shift, which shrinks slowly."""
     return dataclasses.replace(
-        MODEL, drift_uses_measure=True,
-        drift=lambda t, x, m, a: a + theta * (m.mean - x))
+        MODEL, drift=lambda t, x, m, a: a + theta * (m.mean - x))
 
 
 def _with_feedback(device):
