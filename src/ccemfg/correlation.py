@@ -237,14 +237,14 @@ def null_band(flow: GaussianMixtureFlow, times: np.ndarray, count: int,
     ``t * count + c`` of :func:`ccemfg.rng.bit_fields` on pilot ``p``'s
     stream ``(seed, TAG_PROBE, p)``, ``log2(n_pts)`` bits wide (7 indices
     per 64-bit draw at 512 points), so every index is exactly uniform.
-    Each row of the table is nondecreasing (bisection keeps the order of
-    the levels), so sorting the indices of a row sorts its samples, equal
-    indices giving equal values.  Hence each row of indices is sorted in
-    place and only the ``n_pts`` order statistics that
-    :func:`empirical_quantiles` would pick are gathered; the band is the
-    same to the last bit as gathering and sorting the floats.  Raises
-    ``ValueError`` unless ``count`` and ``pilots`` are at least 1,
-    ``factor`` is positive and ``table`` has the shape above.
+    Each row of the table is nondecreasing (``mixture_quantile_table``
+    ends with a running maximum along the levels), so sorting the indices
+    of a row sorts its samples, equal indices giving equal values.  Hence
+    each row of indices is sorted in place and only the ``n_pts`` order
+    statistics that :func:`empirical_quantiles` would pick are gathered;
+    the band is the same to the last bit as gathering and sorting the
+    floats.  Raises ``ValueError`` unless ``count`` and ``pilots`` are at
+    least 1, ``factor`` is positive and ``table`` has the shape above.
     """
     for name, value in (("count", count), ("pilots", pilots)):
         if value < 1:
@@ -271,5 +271,10 @@ def null_band(flow: GaussianMixtureFlow, times: np.ndarray, count: int,
         idx = rng.bit_fields(key, n_t * count, bits).reshape(n_t, count)
         idx.sort(axis=1)
         eq = table[rows, idx[:, picks]]               # (T, n_pts)
-        sups.append(float(np.max(np.sqrt(np.mean((eq - table) ** 2, axis=1)))))
+        # a new array, not eq's buffer: eq is in F order, which would change
+        # the order in which each row mean adds up
+        sq = eq - table
+        del eq                        # a pilot holds two (T, n_pts) arrays
+        np.square(sq, out=sq)
+        sups.append(float(np.max(np.sqrt(np.mean(sq, axis=1)))))
     return factor * float(np.median(sups))

@@ -61,7 +61,12 @@ class GaussianMixtureFlow:
                                  sigmas=np.sqrt(t) * np.ones_like(self.drift_rates))
 
     def quantile_table(self, times: np.ndarray, n_points: int = 512) -> np.ndarray:
-        """Mixture quantiles for every time in one vectorized bisection."""
+        """Quantiles at the levels (i + 0.5) / n_points for every time, one
+        row per time (see :func:`ccemfg.metrics.mixture_quantile_table`):
+        a time where the flow is a single Gaussian or a point mass gets
+        ``m + s * ndtri(q)`` exactly; the others are found by safeguarded
+        Newton steps from the bracket of their components' quantiles.
+        Each row is nondecreasing."""
         times = np.asarray(times, dtype=np.float64)
         means = self.x0 + np.multiply.outer(times, self.drift_rates)
         sigmas = np.sqrt(times)[:, None] * np.ones_like(means)

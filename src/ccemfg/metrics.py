@@ -3,7 +3,9 @@
 Everything here is exact-in-principle for d = 1: the optimal coupling of
 two empirical measures with equal counts matches order statistics, and the
 analytic side of sample-vs-mixture comparisons uses mixture quantiles
-computed by bisection instead of sampling.
+instead of sampling.  A quantile starts from the bracket its components'
+quantiles give, which is already exact for a single Gaussian or a point
+mass, and finishes with safeguarded Newton steps on the mixture pdf.
 """
 
 from __future__ import annotations
@@ -12,10 +14,18 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import exp2, ndtr, ndtri
 
 QUANTILE_POINTS = 512
+# a quantile's search ends once its bracket is at most this wide
+# (perfbench imports it under this name)
 BISECT_TOL = 1e-10
+# ... or once its Newton step is at most this times 1 + |x|
+_NEWTON_RTOL = 1e-12
+# points per block of table rows solved together (bounds scratch memory)
+_BLOCK_POINTS = 1 << 13
+_INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+_HALF_LOG2_E = 0.5 / np.log(2.0)
 
 
 def as_sorted(x) -> np.ndarray:
@@ -77,19 +87,15 @@ class GaussianMixture1D:
         return float(np.sum(self.weights * (self.means**2 + self.sigmas**2)))
 
     def cdf(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)[..., None]
-        pos = self.sigmas > 0.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            comp = np.where(pos,
-                            ndtr((x - self.means) / np.where(pos, self.sigmas, 1.0)),
-                            (x >= self.means).astype(np.float64))
-        return np.sum(self.weights * comp, axis=-1)
+        return _mixture_cdf(np.asarray(x, dtype=np.float64), self.weights,
+                            self.means, self.sigmas)
 
-    def quantiles(self, q: np.ndarray) -> np.ndarray:
-        """Quantile function by bisection to BISECT_TOL (handles atoms)."""
+    def quantiles(self, q) -> np.ndarray:
+        """Quantile function at the levels ``q``, of any shape (handles
+        atoms).  Raises ``ValueError`` unless every level lies in (0, 1)."""
         q = np.asarray(q, dtype=np.float64)
-        x = _bisect_quantiles(self.weights, self.means[None, :],
-                              self.sigmas[None, :], q.reshape(1, -1))
+        x = _mixture_quantiles(self.weights, self.means[None, :],
+                               self.sigmas[None, :], q.ravel())
         return x.reshape(q.shape)
 
 
@@ -98,71 +104,185 @@ def mixture_quantile_table(weights, means_by_t, sigmas_by_t,
     """Quantiles of a family of mixtures sharing weights.
 
     means_by_t, sigmas_by_t: arrays (n_t, K).  Returns (n_t, n_points) at
-    the midpoints (i + 0.5) / n_points.  One vectorized bisection for the
-    whole family (used per flow class to avoid re-bisection at every time
-    point).
-
-    Two invariants keep every entry bit-identical to a bisection that
-    evaluates ``sum(w * cdf_k)`` over all components with ``np.sum``:
-    the bracket ``span`` is taken over all components, zero-weight ones
-    included, so no midpoint moves; and zero-weight components are
-    skipped, since each would add exactly 0 to a nonnegative sum.  The
-    components are summed in order, which is how ``np.sum`` reduces fewer
-    than 8 terms (it sums 8 or more pairwise).
+    the midpoints (i + 0.5) / n_points, one row per mixture, computed by
+    :func:`_mixture_quantiles`: a single-component row is exactly
+    ``m + s * ndtri(q)``, and every entry is within 1e-13 of the exact
+    quantile on the shipped flows.  Each row is nondecreasing: a final
+    running maximum along the levels removes any last-ulp inversion next
+    to an atom.  Raises ``ValueError`` if ``n_points < 1``.
     """
+    if n_points < 1:
+        raise ValueError(f"n_points must be at least 1, got {n_points}")
     q = (np.arange(n_points) + 0.5) / n_points
-    return _bisect_quantiles(np.asarray(weights, dtype=np.float64),
-                             np.asarray(means_by_t, dtype=np.float64),
-                             np.asarray(sigmas_by_t, dtype=np.float64), q)
+    table = _mixture_quantiles(np.asarray(weights, dtype=np.float64),
+                               np.asarray(means_by_t, dtype=np.float64),
+                               np.asarray(sigmas_by_t, dtype=np.float64), q)
+    return np.maximum.accumulate(table, axis=1, out=table)
 
 
-def _bisect_quantiles(w, m, s, q) -> np.ndarray:
-    """Bisection for the quantiles ``q`` of the mixtures in the rows of
-    ``m``/``s`` (T, K) with weights ``w`` (K,).  ``q`` broadcasts against
-    (T, 1); zero-sigma components are point masses."""
-    span = float(np.max(np.abs(m)) + 10.0 * np.max(s) + 1.0)
-    shape = np.broadcast_shapes((m.shape[0], 1), q.shape)
-    # ``mid`` becomes the result: allocated first, it sits below the scratch
-    # buffers on the heap, so those free as one block instead of leaving
-    # holes around a long-lived table
-    mid = np.empty(shape)
-    lo = np.full(shape, -span)
-    hi = np.full(shape, span)
-    cdf = np.empty(shape)
-    term = np.empty(shape)
-    # int64 views for the select; ``below`` reuses ``cdf`` once it is read
-    lo_bits, hi_bits, mid_bits, below, scratch = (
-        a.view(np.int64) for a in (lo, hi, mid, cdf, term))
-    # per nonzero-weight component: weight, mean and divisor as (T, 1)
-    # columns, and the rows where it is a point mass
-    comps = []
-    for k in np.flatnonzero(w > 0.0):
-        pos = s[:, k] > 0.0
-        comps.append((w[k], m[:, k, None], np.where(pos, s[:, k], 1.0)[:, None],
-                      np.flatnonzero(~pos)))
-    while np.max(np.subtract(hi, lo, out=term)) > BISECT_TOL:
-        np.multiply(np.add(lo, hi, out=mid), 0.5, out=mid)
-        for i, (wk, mk, sk, atoms) in enumerate(comps):
-            c = term if i else cdf      # first term in place, later ones added
-            np.subtract(mid, mk, out=c)
-            np.divide(c, sk, out=c)
-            ndtr(c, out=c)
-            if atoms.size:
-                c[atoms] = mid[atoms] >= mk[atoms]
-            np.multiply(c, wk, out=c)
-            if i:
-                np.add(cdf, c, out=cdf)
-        # lo = mid where cdf < q, else hi = mid: a branch-free select on
-        # the bits (a masked copy mispredicts once the mask is the next bit
-        # of each quantile, which is random)
-        np.less(cdf, q, out=below, casting="unsafe")
-        np.negative(below, out=below)           # all ones where cdf < q
-        for side in (lo_bits, hi_bits):
-            np.bitwise_xor(side, mid_bits, out=scratch)
-            scratch &= below
-            side ^= scratch
-            np.invert(below, out=below)
-    return np.multiply(np.add(lo, hi, out=mid), 0.5, out=mid)
+def _mixture_cdf(x, w, m, s, left: bool = False) -> np.ndarray:
+    """CDF at ``x`` of the mixtures with weights ``w`` (K,) and component
+    means and sigmas ``m``, ``s`` broadcasting against ``x[..., None]``.
+    A zero-sigma component is a point mass: it counts where ``x >= m``,
+    or where ``x > m`` for the left limit F(x-) (``left=True``)."""
+    x = x[..., None]
+    pos = s > 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        comp = np.where(pos, ndtr((x - m) / np.where(pos, s, 1.0)),
+                        (x > m) if left else (x >= m))
+    return np.sum(w * comp, axis=-1)
+
+
+def _mixture_quantiles(w, m, s, q) -> np.ndarray:
+    """Quantiles at the levels ``q`` (P,) of the mixtures in the rows of
+    ``m``/``s`` (T, K) with weights ``w`` (K,); returns (T, P).
+
+    Over the nonzero-weight components, each level starts from the bracket
+    [min_k Q_k(q), max_k Q_k(q)], Q_k(q) = m_k + s_k * ndtri(q), which
+    always holds the mixture quantile (an atom has Q_k = m_k).  The
+    bracket collapses to the exact answer for a single component and for
+    rows of atoms at one point; :func:`_solve_rows` narrows the others.
+    Rows are solved in blocks of about ``_BLOCK_POINTS`` points, so the
+    scratch memory beyond the result does not grow with the table.
+    Raises ``ValueError`` unless every level lies in (0, 1), the weights,
+    means and sigmas are finite and some weight is positive.
+    """
+    bad = ~((q > 0.0) & (q < 1.0))
+    if bad.any():
+        raise ValueError("quantile levels must lie in (0, 1), got "
+                         f"{float(q[bad][0])}")
+    if not all(np.isfinite(a).all() for a in (w, m, s)):
+        raise ValueError("mixture weights, means and sigmas must be finite")
+    keep = w > 0.0
+    if not keep.any():
+        raise ValueError("a mixture needs a component of positive weight")
+    w, m, s = w[keep], m[:, keep], s[:, keep]
+    z = ndtri(q)
+    out = np.empty((m.shape[0], q.size))
+    rows = max(1, _BLOCK_POINTS // max(1, q.size))
+    for r in range(0, m.shape[0], rows):
+        _solve_rows(w, m[r:r + rows], s[r:r + rows], q, z, out[r:r + rows])
+    return out
+
+
+def _solve_rows(w, m, s, q, z, out):
+    """Write into ``out`` (R, P) the quantiles at the levels ``q``
+    (``z = ndtri(q)``) of the R mixtures in the rows of ``m``/``s``.
+
+    An atom inside a bracket is tested first, with one CDF evaluation per
+    row: it either is the quantile (F(a-) < q <= F(a)), and the bracket
+    collapses onto it, or it becomes an end of the bracket.  The CDF is
+    then continuous inside every bracket, and the points whose bracket is
+    still wider than ``BISECT_TOL`` go to :func:`_newton`.
+    """
+    lo, hi, qk = out, np.empty_like(out), np.empty_like(out)
+    for k in range(w.size):
+        np.multiply(s[:, k, None], z, out=qk)
+        qk += m[:, k, None]
+        if k == 0:
+            lo[...] = qk
+            hi[...] = qk
+        else:
+            np.minimum(lo, qk, out=lo)
+            np.maximum(hi, qk, out=hi)
+    atom = s == 0.0
+    for k in np.flatnonzero(atom.any(axis=0)):
+        a = m[:, k, None]
+        inside = atom[:, k, None] & (lo <= a) & (a <= hi)
+        left = _mixture_cdf(a[:, 0], w, m, s, left=True)[:, None]
+        right = _mixture_cdf(a[:, 0], w, m, s)[:, None]
+        lo[...] = np.where(inside & (left < q), a, lo)
+        hi[...] = np.where(inside & (right >= q), a, hi)
+    act = np.flatnonzero(np.subtract(hi, lo, out=qk) > BISECT_TOL)
+    if act.size:
+        state = _newton_state(act, lo, hi, q, w, m, s)
+    lo += hi
+    lo *= 0.5                   # exact where the bracket has collapsed
+    if act.size:
+        out.ravel()[act] = _newton(state)
+
+
+def _newton_state(act, lo, hi, q, w, m, s) -> np.ndarray:
+    """The points ``act`` (flat indices into ``lo``/``hi``) as one array
+    with a row per field, which :func:`_newton` compacts in place: x (the
+    midpoint), lo, hi, the level less the atoms at or below lo, the last
+    step (the bracket width), then per component its mean, sigma and
+    weight (sigma 1 and weight 0 for an atom, which adds a constant to the
+    CDF inside the bracket)."""
+    r, c = np.divmod(act, q.size)
+    state = np.empty((5 + 3 * w.size, act.size))
+    x, lo_, hi_, level, step = state[:5]
+    lo_[...] = lo.ravel()[act]
+    hi_[...] = hi.ravel()[act]
+    np.subtract(hi_, lo_, out=step)
+    np.multiply(np.add(lo_, hi_, out=x), 0.5, out=x)
+    level[...] = q[c]
+    pos = s > 0.0
+    sd, wc = np.where(pos, s, 1.0), np.where(pos, w, 0.0)
+    for k in range(w.size):
+        mk = state[5 + 3 * k]
+        mk[...] = m[r, k]
+        state[6 + 3 * k] = sd[r, k]
+        state[7 + 3 * k] = wc[r, k]
+        level -= np.where(~pos[r, k] & (mk <= lo_), w[k], 0.0)
+    return state
+
+
+def _newton(state) -> np.ndarray:
+    """Quantiles of the points in ``state`` (see :func:`_newton_state`).
+
+    Safeguarded Newton steps on the mixture pdf: a step that leaves the
+    closed bracket [lo, hi], or is more than half the previous step,
+    becomes a bisection.  A point stops once its step is at most
+    ``_NEWTON_RTOL * (1 + |x|)`` or its bracket at most ``BISECT_TOL``, and
+    is dropped from the state, which is compacted in place.
+    """
+    res = np.empty(state.shape[1])
+    idx = np.arange(state.shape[1])
+    scratch = np.empty((4, idx.size))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while idx.size:
+            n = idx.size
+            x, lo, hi, level, step = state[:5]
+            F, f, u, v = scratch[:, :n]         # cdf, pdf and two temporaries
+            F.fill(0.0)
+            f.fill(0.0)
+            for mk, sk, wk in state[5:].reshape(-1, 3, n):
+                np.subtract(x, mk, out=u)
+                u /= sk
+                F += np.multiply(ndtr(u, out=v), wk, out=v)
+                # exp(-u**2 / 2) as scipy's exp2, whose bits do not depend
+                # on numpy's CPU dispatch (its AVX-512 exp differs from the
+                # baseline one in the last ulp, which moves the iterates)
+                np.square(u, out=u)
+                u *= -_HALF_LOG2_E
+                exp2(u, out=u)
+                u *= wk
+                f += np.divide(u, sk, out=u)
+            f *= _INV_SQRT_2PI
+            below = F < level
+            lo[...] = np.where(below, x, lo)
+            hi[...] = np.where(below, hi, x)
+            # the Newton iterate x - (F - level) / f, into F
+            F -= level
+            F /= f
+            np.subtract(x, F, out=F)
+            np.abs(np.subtract(F, x, out=u), out=u)
+            newton = (F >= lo) & (F <= hi) & (u <= 0.5 * step)
+            F = np.where(newton, F, 0.5 * (lo + hi))
+            np.abs(np.subtract(F, x, out=u), out=u)
+            done = ((u <= _NEWTON_RTOL * (1.0 + np.abs(x)))
+                    | (hi - lo <= BISECT_TOL))
+            x[...] = F
+            step[...] = u
+            if done.any():
+                d = np.flatnonzero(done)
+                res[idx[d]] = F[d]
+                keep = np.flatnonzero(~done)
+                for row in state:               # compact in place
+                    row[:keep.size] = row[keep]
+                state, idx = state[:, :keep.size], idx[keep]
+    return res
 
 
 def empirical_quantiles(sorted_x: np.ndarray,

@@ -1,12 +1,13 @@
 """1-d Wasserstein machinery against brute-force and closed-form oracles."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
 from ccemfg.analytic import DeviceProbs
 from ccemfg.correlation import build_example_device
@@ -101,8 +102,8 @@ def test_w2_vs_mixture_self_samples():
 def test_w2_vs_point_mass():
     mix = GaussianMixture1D(weights=np.array([1.0]), means=np.array([2.5]),
                             sigmas=np.array([0.0]))
-    # zero up to the quantile bisection tolerance
-    assert w2_vs_gaussian_mixture_1d(np.full(100, 2.5), mix) < 1e-9
+    # a point mass's bracket collapses onto it: every quantile is 2.5
+    assert w2_vs_gaussian_mixture_1d(np.full(100, 2.5), mix) == 0.0
 
 
 def test_grid_error_bound_reported():
@@ -147,8 +148,10 @@ def test_empirical_quantiles_midpoint_rule():
 
 
 # Reference copies of the earlier bisections, which evaluated every
-# component on a (T, P, K) array and summed with np.sum.  The kernel in
-# ccemfg.metrics must reproduce them bit for bit.
+# component on a (T, P, K) array and summed with np.sum, stopping at a
+# bracket of BISECT_TOL.  The Newton solver in ccemfg.metrics must agree
+# with them within BISECT_TOL, and with a 30-digit mpmath root within
+# 1e-13.
 
 def _ref_mixture_quantile_table(weights, means_by_t, sigmas_by_t,
                                 n_points=512):
@@ -195,17 +198,99 @@ def _flow_inputs(flow, times):
     return flow.weights, means, np.sqrt(times)[:, None] * np.ones_like(means)
 
 
-@pytest.mark.parametrize("p", [(0.5, 0, 0, 0.5), (1, 0, 0, 0),
-                               (0.5, 0.3, 0.2, 0)])
+def _mp_quantile(mp, w, m, s, q, x0):
+    """The q-quantile of one mixture in 30-digit arithmetic: an atom a with
+    F(a-) < q <= F(a), else the root of F(x) = q found from ``x0`` (F is
+    strictly increasing off the atoms, so the root is unique)."""
+    mp.mp.dps = 30
+    q = mp.mpf(q)
+
+    def cdf(x, left=False):
+        total = mp.mpf(0)
+        for wk, mk, sk in zip(w, m, s):
+            if wk == 0.0:
+                continue
+            if sk == 0.0:
+                total += wk * ((x > mk) if left else (x >= mk))
+            else:
+                total += wk * mp.ncdf((x - mk) / sk)
+        return total
+
+    for wk, mk, sk in zip(w, m, s):
+        a = mp.mpf(mk)
+        if wk > 0.0 and sk == 0.0 and cdf(a, left=True) < q <= cdf(a):
+            return a
+    return mp.findroot(lambda x: cdf(x) - q, mp.mpf(x0))
+
+
+def _check_against_oracles(weights, means, sigmas, n_points=512, sample=48):
+    """Every entry within BISECT_TOL of the bisection, rows nondecreasing,
+    and a fixed sample of entries (plus the extreme levels of the first
+    and last rows) within 1e-13 of the mpmath quantile."""
+    mp = pytest.importorskip("mpmath")
+    w = np.asarray(weights, dtype=np.float64)
+    table = mixture_quantile_table(w, means, sigmas, n_points)
+    ref = _ref_mixture_quantile_table(w, means, sigmas, n_points)
+    assert np.max(np.abs(table - ref)) <= BISECT_TOL
+    assert np.all(np.diff(table, axis=1) >= 0)
+    gen = np.random.default_rng(17)
+    last = len(means) - 1
+    rows = np.r_[gen.integers(0, len(means), sample), 0, 0, last, last]
+    cols = np.r_[gen.integers(0, n_points, sample), 0, n_points - 1,
+                 0, n_points - 1]
+    q = (np.arange(n_points) + 0.5) / n_points
+    for r, c in zip(rows, cols):
+        exact = _mp_quantile(mp, w, means[r], sigmas[r], q[c], table[r, c])
+        assert abs(float(exact - mp.mpf(table[r, c]))) <= 1e-13, (r, c)
+    return table
+
+
+def _check_rows_match_mixture_quantiles(weights, means, sigmas, table):
+    """Each table row is, to the last bit, GaussianMixture1D.quantiles of
+    that row's mixture: the two entry points share one solver, which
+    works point by point."""
+    q = (np.arange(table.shape[1]) + 0.5) / table.shape[1]
+    for i in range(len(means)):
+        mix = GaussianMixture1D(weights=np.asarray(weights, dtype=float),
+                                means=means[i], sigmas=sigmas[i])
+        assert np.array_equal(table[i], mix.quantiles(q)), i
+
+
+DEVICES = [(0.5, 0, 0, 0.5), (1, 0, 0, 0), (0.5, 0.3, 0.2, 0)]
+
+
+@pytest.mark.parametrize("p", DEVICES)
 def test_quantile_table_bit_identical_on_device_flows(p):
+    # a class with one nonzero weight is one Gaussian at each time, and a
+    # point mass at t = 0: its rows are m + s * ndtri(q) to the last bit
     times = TimeGrid(2.0, 200).times           # row 0 holds the t = 0 atoms
+    q = (np.arange(512) + 0.5) / 512
     device = build_example_device(DeviceProbs(*p), -1.0, 1.0)
+    single = 0
     for entry in device.flow_classes().values():
         flow = entry["flow"]
-        args = _flow_inputs(flow, times)
-        table = mixture_quantile_table(*args)
-        assert np.array_equal(table, _ref_mixture_quantile_table(*args))
+        w, means, sigmas = _flow_inputs(flow, times)
+        table = mixture_quantile_table(w, means, sigmas)
         assert np.array_equal(flow.quantile_table(times), table)
+        _check_rows_match_mixture_quantiles(w, means, sigmas, table)
+        if np.count_nonzero(w) == 1:
+            single += 1
+            k = np.flatnonzero(w)[0]
+            want = means[:, k, None] + sigmas[:, k, None] * ndtri(q)
+            assert np.array_equal(table, want)
+    assert single >= 1
+    for m, s in ((0.3, 1.7), (-2.0, 0.0)):
+        mix = GaussianMixture1D(weights=np.array([1.0]), means=np.array([m]),
+                                sigmas=np.array([s]))
+        assert np.array_equal(mix.quantiles(q), m + s * ndtri(q))
+
+
+@pytest.mark.parametrize("p", DEVICES)
+def test_quantile_table_against_oracles_on_device_flows(p):
+    times = TimeGrid(2.0, 200).times
+    device = build_example_device(DeviceProbs(*p), -1.0, 1.0)
+    for entry in device.flow_classes().values():
+        _check_against_oracles(*_flow_inputs(entry["flow"], times))
 
 
 @pytest.mark.parametrize("n_points", [128, 512])
@@ -213,31 +298,147 @@ def test_quantile_table_bit_identical_n_points(n_points):
     flow = build_example_device(DeviceProbs(0.5, 0.3, 0.2, 0), -1.0,
                                 1.0).flow_classes()["mu1"]["flow"]
     args = _flow_inputs(flow, TimeGrid(2.0, 50).times)
-    assert np.array_equal(mixture_quantile_table(*args, n_points),
-                          _ref_mixture_quantile_table(*args, n_points))
+    table = mixture_quantile_table(*args, n_points)
+    assert table.shape == (51, n_points)
+    _check_rows_match_mixture_quantiles(*args, table)
 
 
-@pytest.mark.parametrize("weights", [[0.2, 0.5, 0.3], [0.0, 0.4, 0.6],
-                                     [0.7, 0.0, 0.3]])
+@pytest.mark.parametrize("n_points", [128, 512])
+def test_quantile_table_n_points_against_oracles(n_points):
+    flow = build_example_device(DeviceProbs(0.5, 0.3, 0.2, 0), -1.0,
+                                1.0).flow_classes()["mu1"]["flow"]
+    _check_against_oracles(*_flow_inputs(flow, TimeGrid(2.0, 50).times),
+                           n_points)
+
+
+# row 0: all atoms (t = 0); rows 1-2: one zero-sigma component at t > 0
+ATOM_MEANS = np.array([[0.0, 0.0, 0.0], [1.0, -1.0, 0.5], [2.0, 3.0, -2.0]])
+ATOM_SIGMAS = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.7], [1.4, 2.0, 0.0]])
+ATOM_WEIGHTS = [[0.2, 0.5, 0.3], [0.0, 0.4, 0.6], [0.7, 0.0, 0.3]]
+
+
+@pytest.mark.parametrize("weights", ATOM_WEIGHTS)
 def test_quantile_table_bit_identical_atoms_and_zero_weights(weights):
-    # row 0: all atoms (t = 0); rows 1-2: one zero-sigma component at t > 0
-    means = np.array([[0.0, 0.0, 0.0], [1.0, -1.0, 0.5], [2.0, 3.0, -2.0]])
-    sigmas = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.7], [1.4, 2.0, 0.0]])
+    # a zero-weight component is dropped: the table is bit for bit the
+    # one of the mixture without it
+    keep = np.flatnonzero(weights)
     for n_points in (128, 512):
-        got = mixture_quantile_table(weights, means, sigmas, n_points)
-        assert np.array_equal(got, _ref_mixture_quantile_table(
-            weights, means, sigmas, n_points))
+        table = mixture_quantile_table(weights, ATOM_MEANS, ATOM_SIGMAS,
+                                       n_points)
+        assert np.array_equal(table, mixture_quantile_table(
+            np.asarray(weights)[keep], ATOM_MEANS[:, keep],
+            ATOM_SIGMAS[:, keep], n_points))
+        _check_rows_match_mixture_quantiles(weights, ATOM_MEANS, ATOM_SIGMAS,
+                                            table)
+        assert np.all(table[0] == 0.0)
+
+
+@pytest.mark.parametrize("weights", ATOM_WEIGHTS)
+def test_quantile_table_atoms_and_zero_weights_against_oracles(weights):
+    for n_points in (128, 512):
+        _check_against_oracles(weights, ATOM_MEANS, ATOM_SIGMAS, n_points)
+
+
+def test_quantile_table_rows_nondecreasing_on_a_heavy_atom():
+    # the atom at t > 0 carries 80% of the mass, so about 400 of the 512
+    # levels land on it exactly, next to levels of the continuous part
+    weights = np.array([0.8, 0.1, 0.1])
+    means = np.array([[0.0, 0.0, 0.0], [0.5, -1.0, 1.0], [1.0, 0.9, 1.1]])
+    sigmas = np.array([[0.0, 0.0, 0.0], [0.0, 1.0, 0.5], [0.0, 0.05, 0.05]])
+    table = mixture_quantile_table(weights, means, sigmas)
+    assert np.all(np.diff(table, axis=1) >= 0)
+    q = (np.arange(512) + 0.5) / 512
+    for i in range(1, len(means)):
+        a = means[i, 0]
+        mix = GaussianMixture1D(weights=weights, means=means[i],
+                                sigmas=sigmas[i])
+        upper = mix.cdf(a)
+        on_atom = (q > upper - weights[0]) & (q <= upper)
+        assert on_atom.sum() >= 400
+        assert np.array_equal(table[i] == a, on_atom)
+    assert np.all(table[0] == 0.0)
+
+
+MIXTURES = [([0.4, 0.6], [-1.0, 3.0], [0.5, 2.0]),
+            ([0.3, 0.0, 0.7], [0.0, 5.0, 1.0], [1.0, 0.0, 0.0]),
+            ([1.0], [2.5], [0.0])]
+
+
+def _probe_levels():
+    return rng.uniforms(rng.stream_key(9, rng.TAG_PROBE),
+                        np.arange(4096)).reshape(64, 64)
 
 
 def test_mixture_quantiles_bit_identical():
-    q2 = rng.uniforms(rng.stream_key(9, rng.TAG_PROBE),
-                      np.arange(4096)).reshape(64, 64)
-    for w, m, s in [([0.4, 0.6], [-1.0, 3.0], [0.5, 2.0]),
-                    ([0.3, 0.0, 0.7], [0.0, 5.0, 1.0], [1.0, 0.0, 0.0]),
-                    ([1.0], [2.5], [0.0])]:
+    # the levels' shape does not change a quantile's bits: a (64, 64)
+    # array, its flat copy, its columns and a scalar give the same values
+    q2 = _probe_levels()
+    for w, m, s in MIXTURES:
         mix = GaussianMixture1D(weights=np.array(w), means=np.array(m),
                                 sigmas=np.array(s))
         got = mix.quantiles(q2)
         assert got.shape == q2.shape
-        assert np.array_equal(got, _ref_quantiles(mix, q2))
-        assert np.array_equal(mix.quantiles(0.3), _ref_quantiles(mix, 0.3))
+        assert np.array_equal(got.ravel(), mix.quantiles(q2.ravel()))
+        assert np.array_equal(got[:, 5], mix.quantiles(q2[:, 5].copy()))
+        one = mix.quantiles(q2[3, 7])
+        assert one.shape == () and one == got[3, 7]
+
+
+def test_mixture_quantiles_against_oracles():
+    mp = pytest.importorskip("mpmath")
+    q2 = _probe_levels()
+    gen = np.random.default_rng(23)
+    for w, m, s in MIXTURES:
+        mix = GaussianMixture1D(weights=np.array(w), means=np.array(m),
+                                sigmas=np.array(s))
+        got = mix.quantiles(q2)
+        assert np.max(np.abs(got - _ref_quantiles(mix, q2))) <= BISECT_TOL
+        for i, j in gen.integers(0, 64, (32, 2)):
+            exact = _mp_quantile(mp, w, m, s, q2[i, j], got[i, j])
+            assert abs(float(exact - mp.mpf(got[i, j]))) <= 1e-13
+
+
+@pytest.mark.parametrize("q", [0.0, 1.0, np.nan, 1.5, -0.25,
+                               [0.5, np.nan], [[0.2], [1.0]]])
+def test_mixture_quantiles_reject_levels_outside_unit_interval(q):
+    mix = GaussianMixture1D(weights=np.array([1.0]), means=np.array([0.0]),
+                            sigmas=np.array([1.0]))
+    with pytest.raises(ValueError, match=r"\(0, 1\)"):
+        mix.quantiles(q)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_mixture_quantiles_reject_non_finite_components(bad):
+    with pytest.raises(ValueError, match="finite"):
+        GaussianMixture1D(weights=np.array([0.5, 0.5]),
+                          means=np.array([0.0, bad]),
+                          sigmas=np.array([1.0, 1.0])).quantiles(0.5)
+    with pytest.raises(ValueError, match="finite"):
+        mixture_quantile_table([0.5, 0.5], [[0.0, 1.0]], [[1.0, bad]])
+
+
+def test_quantile_table_rejects_all_zero_weights():
+    with pytest.raises(ValueError, match="positive weight"):
+        mixture_quantile_table([0.0, 0.0], [[0.0, 1.0]], [[1.0, 1.0]])
+
+
+@pytest.mark.parametrize("n_points", [0, -3])
+def test_quantile_table_rejects_empty_grid(n_points):
+    with pytest.raises(ValueError, match="n_points"):
+        mixture_quantile_table([1.0], [[0.0]], [[1.0]], n_points)
+
+
+def test_quantile_table_traced_peak_within_five_tables():
+    # the bisection kept five (201, 512) float64 buffers alive; the Newton
+    # solver works on blocks of rows and must not need more
+    flow = build_example_device(DeviceProbs(0.5, 0.3, 0.2, 0), -1.0,
+                                1.0).flow_classes()["mu1"]["flow"]
+    times = TimeGrid(2.0, 200).times
+    flow.quantile_table(times)
+    tracemalloc.start()
+    try:
+        table = flow.quantile_table(times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * table.nbytes

@@ -34,9 +34,9 @@ CASES = {
     "mfgap": (["--p", "0.5,0.3,0.2,0", "--reps", "100"],
               "4fafd84ba960612a5154763259fd130b739b0abc6d16dbf61694959e331335c6"),
     "poc": (["--p", "1,0,0,0", "--N", "10,20,40", "--reps", "50"],
-            "4deb8a5b8590d325230164fc4caa45c76a8e47de5bc538bdbdbaf06a656d16a9"),
+            "07452b6889d2b763ce758eb9dcc1b3a0726d51ff82392b70044bb5e577617ba4"),
     "consistency": (["--p", "0.5,0,0,0.5", "--reps", "100"],
-                    "2ede5aaf07d407d1a1ea3be211349105ce92d7fa324f95403c9eaca9c24d42e5"),
+                    "1c9e965dce6cea8f66de4e8f5a47f4f2f9733f1da766aa47177253415b4c5a04"),
     "mkv": (["--particles", "100", "--max-iters", "5"],
             "69e634887c37026ddcee710a630a5b54157785292119615bf98518c969066d3b"),
 }
