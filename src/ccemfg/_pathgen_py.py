@@ -1,8 +1,15 @@
-"""Path generation kernels, in numpy: the only implementation.
+"""Numerical kernels, in numpy: the only implementation.
 
 Implements the inverse normal CDF (Wichura's PPND16 rational
-approximations) and the Brownian-bridge path builder, following the stream
-layout documented in :mod:`ccemfg.rng`.
+approximations), the normal CDF (Cody's rational Chebyshev
+approximations), an exponential, and the Brownian-bridge path builder,
+following the stream layout documented in :mod:`ccemfg.rng`.
+
+The normal CDF and the exponential use only IEEE basic operations
+(``+ - * /``) and exact ones (``abs``, ``minimum``, ``copysign``,
+``floor``, ``trunc``, ``ldexp``), which give the same bits at every numpy
+CPU dispatch level.  The inverse CDF also calls ``np.log`` and ``np.sqrt``
+in its tails.
 
 The inverse CDF evaluates each tail branch only on the elements that take
 it.  Every element still gets the same floating-point operations in the
@@ -59,12 +66,54 @@ _F = (1.0, 5.99832206555887937690e-1, 1.36929880922735805310e-1,
       2.04426310338993978564e-15)
 
 
+# Cody's normal CDF (his ANORM; Math. Comp. 23, 1969), polynomials listed
+# lowest power first like the PPND16 ones.  |x| <= 0.66291:
+# Phi(x) = 0.5 + x * P(x**2) / Q(x**2)
+_CDF_P = (1.8154981253343561249e4, 1.0676894854603709582e3,
+          1.6102823106855587881e2, 2.2352520354606839287,
+          6.5682337918207449113e-2)
+_CDF_Q = (4.5507789335026729956e4, 1.0260932208618978205e4,
+          9.7609855173777669322e2, 4.720258190468824187e1, 1.0)
+# 0.66291 < |x| <= sqrt(32): Phi(-|x|) = exp(-x**2 / 2) * R(|x|) / S(|x|)
+_CDF_R = (9.8427148383839780218e3, 1.1602651437647350124e4,
+          6.8481904505362823326e3, 2.4945375852903726711e3,
+          5.9727027639480026226e2, 9.3506656132177855979e1,
+          8.8831497943883759412, 3.9894151208813466764e-1,
+          1.0765576773720192317e-8)
+_CDF_S = (1.9685429676859990727e4, 3.8912003286093271411e4,
+          3.4900952721145977266e4, 1.8615571640885098091e4,
+          6.485558298266760755e3, 1.519377599407554805e3,
+          2.3538790178262499861e2, 2.2266688044328115691e1, 1.0)
+# |x| > sqrt(32), v = 1 / x**2:
+# Phi(-|x|) = exp(-x**2 / 2) * (1 / sqrt(2 pi) - v * T(v) / U(v)) / |x|
+_CDF_T = (2.9112874951168792e-5, 1.421619193227893466e-3,
+          2.2235277870649807e-2, 1.274011611602473639e-1,
+          2.1589853405795699e-1, 2.307344176494017303e-2)
+_CDF_U = (7.29751555083966205e-5, 3.78239633202758244e-3,
+          6.59881378689285515e-2, 4.68238212480865118e-1,
+          1.28426009614491121, 1.0)
+_CDF_INNER_MAX = 0.66291
+_CDF_TAIL_MIN = 5.656854249492380195206754896838    # sqrt(32)
+_INV_SQRT_2PI = 0.398942280401432677939946059934
+
+# Cephes exp: exp(r) = 1 + 2 r P(r**2) / (Q(r**2) - r P(r**2)) for
+# |r| <= ln(2) / 2, and ln 2 split into a short high part, whose products
+# with the integers n here are exact, and a low part
+_EXP_P = (9.99999999999999999910e-1, 3.02994407707441961300e-2,
+          1.26177193074810590878e-4)
+_EXP_Q = (2.00000000000000000009, 2.27265548208155028766e-1,
+          2.52448340349684104192e-3, 3.00198505138664455042e-6)
+_LN2_HI = 6.93145751953125e-1
+_LN2_LO = 1.42860682030941723212e-6
+_LOG2_E = 1.4426950408889634073599
+
+
 def _poly(coeffs, r):
-    """Horner evaluation, highest coefficient first, updated in place."""
-    acc = r * coeffs[7]
-    acc += coeffs[6]
-    for c in (coeffs[5], coeffs[4], coeffs[3], coeffs[2], coeffs[1],
-              coeffs[0]):
+    """Horner evaluation at ``r`` of the polynomial with coefficients
+    ``coeffs``, listed lowest power first; updated in place."""
+    acc = r * coeffs[-1]
+    acc += coeffs[-2]
+    for c in coeffs[-3::-1]:
         acc *= r
         acc += c
     return acc
@@ -105,6 +154,92 @@ def norm_quantile(p: np.ndarray) -> np.ndarray:
         np.negative(z, out=z, where=lower)
         out[tail] = z
     return out.reshape(p.shape)
+
+
+def exp_sum(hi, lo, out=None) -> np.ndarray:
+    """exp(hi + lo), elementwise, for finite |hi + lo| <= 1000, within two
+    ulps where the result is a normal number.
+
+    ``lo`` is a low-order part of the argument, added after the argument
+    reduction, so an argument known as an unevaluated sum keeps its
+    precision.  Cephes' method: hi + lo = n ln 2 + r with n integral and
+    |r| <= ln(2) / 2, the Pade form for exp(r), then ``ldexp`` by n.
+    """
+    n = hi + lo
+    n *= _LOG2_E
+    n += 0.5
+    np.floor(n, out=n)
+    r = n * -_LN2_HI
+    r += hi                     # exact: hi is near n * _LN2_HI, or short
+    r += lo
+    r -= n * _LN2_LO
+    rr = r * r
+    p = _poly(_EXP_P, rr)
+    p *= r
+    q = _poly(_EXP_Q, rr)
+    q -= p
+    p /= q
+    p *= 2.0
+    p += 1.0
+    with np.errstate(invalid="ignore", over="ignore"):  # NaN, overflow
+        return np.ldexp(p, n.astype(np.int32), out=out)
+
+
+def norm_cdf(x, out=None, gauss=None) -> np.ndarray:
+    """Standard normal CDF, elementwise, by Cody's rational approximations
+    (within 1e-15 relative of the exact value on [-37, 8]).
+
+    The factor exp(-x**2 / 2) is computed once, as :func:`exp_sum` of
+    -a**2 / 2 and -(|x| - a) (|x| + a) / 2 with a = trunc(16 |x|) / 16, so
+    the first part is exact (Cody's split, which keeps the factor within a
+    few ulps where x**2 / 2 is large).  It is written into ``gauss`` when
+    given, so a caller that needs the density as well does not compute it
+    again.  ``out`` and ``gauss`` must be C-contiguous arrays of ``x``'s
+    shape.  The inner and tail regions of the approximation are evaluated
+    only on the elements that take them, as in :func:`norm_quantile`.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    flat = x.reshape(-1)
+    y = np.abs(flat)
+    np.minimum(y, 40.0, out=y)          # exp(-y**2 / 2) is 0 beyond 38.6
+    a = y * 16.0
+    np.trunc(a, out=a)
+    a *= 0.0625
+    d = y - a
+    d *= y + a
+    d *= -0.5
+    a *= a
+    a *= -0.5
+    e = exp_sum(a, d, out=None if gauss is None else gauss.reshape(-1))
+
+    res = _poly(_CDF_R, y)
+    res /= _poly(_CDF_S, y)
+    tail = np.flatnonzero(y > _CDF_TAIL_MIN)
+    if tail.size:
+        yt = y[tail]
+        v = yt * yt
+        np.divide(1.0, v, out=v)
+        t = _poly(_CDF_T, v)
+        t *= v
+        t /= _poly(_CDF_U, v)
+        np.subtract(_INV_SQRT_2PI, t, out=t)
+        t /= yt
+        res[tail] = t
+    res *= e                            # Phi(-|x|)
+    # 1 - Phi(-|x|) where x > 0: (x > 0) - copysign(Phi(-|x|), x)
+    np.copysign(res, flat, out=res)
+    res = np.subtract(flat > 0.0, res,
+                      out=None if out is None else out.reshape(-1))
+    inner = np.flatnonzero(y <= _CDF_INNER_MAX)
+    if inner.size:
+        xi = flat[inner]
+        xx = xi * xi
+        t = _poly(_CDF_P, xx)
+        t *= xi
+        t /= _poly(_CDF_Q, xx)
+        t += 0.5
+        res[inner] = t
+    return res.reshape(x.shape)
 
 
 def bridge_plan(steps: int, dt: float):

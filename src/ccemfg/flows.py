@@ -35,6 +35,9 @@ class GaussianMixtureFlow:
         r = np.atleast_1d(np.asarray(self.drift_rates, dtype=np.float64))
         if w.shape != r.shape:
             raise ValueError("weights and drift rates must share a shape")
+        if not (np.isfinite(w).all() and np.isfinite(r).all()
+                and np.isfinite(self.x0).all()):
+            raise ValueError("weights, drift rates and x0 must be finite")
         if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-12:
             raise ValueError("weights must be nonnegative and sum to 1")
         object.__setattr__(self, "weights", w)
@@ -64,9 +67,9 @@ class GaussianMixtureFlow:
         """Quantiles at the levels (i + 0.5) / n_points for every time, one
         row per time (see :func:`ccemfg.metrics.mixture_quantile_table`):
         a time where the flow is a single Gaussian or a point mass gets
-        ``m + s * ndtri(q)`` exactly; the others are found by safeguarded
-        Newton steps from the bracket of their components' quantiles.
-        Each row is nondecreasing."""
+        ``m + s * norm_quantile(q)`` exactly; the others are found by
+        safeguarded Halley steps from the bracket of their components'
+        quantiles.  Each row is nondecreasing."""
         times = np.asarray(times, dtype=np.float64)
         means = self.x0 + np.multiply.outer(times, self.drift_rates)
         sigmas = np.sqrt(times)[:, None] * np.ones_like(means)

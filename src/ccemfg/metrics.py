@@ -5,7 +5,10 @@ two empirical measures with equal counts matches order statistics, and the
 analytic side of sample-vs-mixture comparisons uses mixture quantiles
 instead of sampling.  A quantile starts from the bracket its components'
 quantiles give, which is already exact for a single Gaussian or a point
-mass, and finishes with safeguarded Newton steps on the mixture pdf.
+mass, and finishes with safeguarded Halley steps on the mixture pdf.  The
+normal CDF and its exponential are the package's own numpy kernels
+(:mod:`ccemfg._pathgen_py`), so no table depends on numpy's CPU dispatch
+through them.
 """
 
 from __future__ import annotations
@@ -14,18 +17,18 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import exp2, ndtr, ndtri
+
+from ._pathgen_py import norm_cdf, norm_quantile
 
 QUANTILE_POINTS = 512
 # a quantile's search ends once its bracket is at most this wide
 # (perfbench imports it under this name)
 BISECT_TOL = 1e-10
-# ... or once its Newton step is at most this times 1 + |x|
-_NEWTON_RTOL = 1e-12
+# ... or once its step is at most this times 1 + |x|
+_STEP_RTOL = 1e-12
 # points per block of table rows solved together (bounds scratch memory)
 _BLOCK_POINTS = 1 << 13
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
-_HALF_LOG2_E = 0.5 / np.log(2.0)
 
 
 def as_sorted(x) -> np.ndarray:
@@ -70,6 +73,8 @@ class GaussianMixture1D:
         s = np.atleast_1d(np.asarray(self.sigmas, dtype=np.float64))
         if not (w.shape == m.shape == s.shape):
             raise ValueError("weights, means, sigmas must share a shape")
+        if not all(np.isfinite(a).all() for a in (w, m, s)):
+            raise ValueError("weights, means and sigmas must be finite")
         if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-12:
             raise ValueError("weights must be nonnegative and sum to 1")
         if np.any(s < 0):
@@ -106,8 +111,8 @@ def mixture_quantile_table(weights, means_by_t, sigmas_by_t,
     means_by_t, sigmas_by_t: arrays (n_t, K).  Returns (n_t, n_points) at
     the midpoints (i + 0.5) / n_points, one row per mixture, computed by
     :func:`_mixture_quantiles`: a single-component row is exactly
-    ``m + s * ndtri(q)``, and every entry is within 1e-13 of the exact
-    quantile on the shipped flows.  Each row is nondecreasing: a final
+    ``m + s * norm_quantile(q)``, and every entry is within 1e-13 of the
+    exact quantile on the shipped flows.  Each row is nondecreasing: a final
     running maximum along the levels removes any last-ulp inversion next
     to an atom.  Raises ``ValueError`` if ``n_points < 1``.
     """
@@ -128,7 +133,7 @@ def _mixture_cdf(x, w, m, s, left: bool = False) -> np.ndarray:
     x = x[..., None]
     pos = s > 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        comp = np.where(pos, ndtr((x - m) / np.where(pos, s, 1.0)),
+        comp = np.where(pos, norm_cdf((x - m) / np.where(pos, s, 1.0)),
                         (x > m) if left else (x >= m))
     return np.sum(w * comp, axis=-1)
 
@@ -138,8 +143,8 @@ def _mixture_quantiles(w, m, s, q) -> np.ndarray:
     ``m``/``s`` (T, K) with weights ``w`` (K,); returns (T, P).
 
     Over the nonzero-weight components, each level starts from the bracket
-    [min_k Q_k(q), max_k Q_k(q)], Q_k(q) = m_k + s_k * ndtri(q), which
-    always holds the mixture quantile (an atom has Q_k = m_k).  The
+    [min_k Q_k(q), max_k Q_k(q)], Q_k(q) = m_k + s_k * norm_quantile(q),
+    which always holds the mixture quantile (an atom has Q_k = m_k).  The
     bracket collapses to the exact answer for a single component and for
     rows of atoms at one point; :func:`_solve_rows` narrows the others.
     Rows are solved in blocks of about ``_BLOCK_POINTS`` points, so the
@@ -157,7 +162,7 @@ def _mixture_quantiles(w, m, s, q) -> np.ndarray:
     if not keep.any():
         raise ValueError("a mixture needs a component of positive weight")
     w, m, s = w[keep], m[:, keep], s[:, keep]
-    z = ndtri(q)
+    z = norm_quantile(q)
     out = np.empty((m.shape[0], q.size))
     rows = max(1, _BLOCK_POINTS // max(1, q.size))
     for r in range(0, m.shape[0], rows):
@@ -167,13 +172,14 @@ def _mixture_quantiles(w, m, s, q) -> np.ndarray:
 
 def _solve_rows(w, m, s, q, z, out):
     """Write into ``out`` (R, P) the quantiles at the levels ``q``
-    (``z = ndtri(q)``) of the R mixtures in the rows of ``m``/``s``.
+    (``z = norm_quantile(q)``) of the R mixtures in the rows of
+    ``m``/``s``.
 
     An atom inside a bracket is tested first, with one CDF evaluation per
     row: it either is the quantile (F(a-) < q <= F(a)), and the bracket
     collapses onto it, or it becomes an end of the bracket.  The CDF is
     then continuous inside every bracket, and the points whose bracket is
-    still wider than ``BISECT_TOL`` go to :func:`_newton`.
+    still wider than ``BISECT_TOL`` go to :func:`_halley`.
     """
     lo, hi, qk = out, np.empty_like(out), np.empty_like(out)
     for k in range(w.size):
@@ -195,20 +201,20 @@ def _solve_rows(w, m, s, q, z, out):
         hi[...] = np.where(inside & (right >= q), a, hi)
     act = np.flatnonzero(np.subtract(hi, lo, out=qk) > BISECT_TOL)
     if act.size:
-        state = _newton_state(act, lo, hi, q, w, m, s)
+        state = _halley_state(act, lo, hi, q, w, m, s)
     lo += hi
     lo *= 0.5                   # exact where the bracket has collapsed
     if act.size:
-        out.ravel()[act] = _newton(state)
+        out.ravel()[act] = _halley(state)
 
 
-def _newton_state(act, lo, hi, q, w, m, s) -> np.ndarray:
+def _halley_state(act, lo, hi, q, w, m, s) -> np.ndarray:
     """The points ``act`` (flat indices into ``lo``/``hi``) as one array
-    with a row per field, which :func:`_newton` compacts in place: x (the
+    with a row per field, which :func:`_halley` compacts in place: x (the
     midpoint), lo, hi, the level less the atoms at or below lo, the last
-    step (the bracket width), then per component its mean, sigma and
-    weight (sigma 1 and weight 0 for an atom, which adds a constant to the
-    CDF inside the bracket)."""
+    step (the bracket width), then per component its mean, 1 / sigma and
+    weight (1 and 0 for an atom, which adds a constant to the CDF inside
+    the bracket)."""
     r, c = np.divmod(act, q.size)
     state = np.empty((5 + 3 * w.size, act.size))
     x, lo_, hi_, level, step = state[:5]
@@ -218,60 +224,75 @@ def _newton_state(act, lo, hi, q, w, m, s) -> np.ndarray:
     np.multiply(np.add(lo_, hi_, out=x), 0.5, out=x)
     level[...] = q[c]
     pos = s > 0.0
-    sd, wc = np.where(pos, s, 1.0), np.where(pos, w, 0.0)
+    inv, wc = 1.0 / np.where(pos, s, 1.0), np.where(pos, w, 0.0)
     for k in range(w.size):
         mk = state[5 + 3 * k]
         mk[...] = m[r, k]
-        state[6 + 3 * k] = sd[r, k]
+        state[6 + 3 * k] = inv[r, k]
         state[7 + 3 * k] = wc[r, k]
         level -= np.where(~pos[r, k] & (mk <= lo_), w[k], 0.0)
     return state
 
 
-def _newton(state) -> np.ndarray:
-    """Quantiles of the points in ``state`` (see :func:`_newton_state`).
+def _halley(state) -> np.ndarray:
+    """Quantiles of the points in ``state`` (see :func:`_halley_state`).
 
-    Safeguarded Newton steps on the mixture pdf: a step that leaves the
-    closed bracket [lo, hi], or is more than half the previous step,
-    becomes a bisection.  A point stops once its step is at most
-    ``_NEWTON_RTOL * (1 + |x|)`` or its bracket at most ``BISECT_TOL``, and
-    is dropped from the state, which is compacted in place.
+    Safeguarded Halley steps on the mixture pdf f and its derivative: the
+    Newton step t = (F - q) / f divided by 1 - t f' / (2 f), a factor kept
+    in [1/2, 2], so a step is small only where the Newton step is.  A step
+    that leaves the closed bracket [lo, hi], or is more than half the
+    previous step, becomes a bisection.  A round evaluates each
+    component's CDF and exp(-u**2 / 2) once, by one call of
+    :func:`~ccemfg._pathgen_py.norm_cdf`.  A point stops once its step is
+    at most ``_STEP_RTOL * (1 + |x|)`` or its bracket at most
+    ``BISECT_TOL``, and is dropped from the state, which is compacted in
+    place.
     """
     res = np.empty(state.shape[1])
     idx = np.arange(state.shape[1])
-    scratch = np.empty((4, idx.size))
+    scratch = np.empty((6, idx.size))
     with np.errstate(divide="ignore", invalid="ignore"):
         while idx.size:
             n = idx.size
             x, lo, hi, level, step = state[:5]
-            F, f, u, v = scratch[:, :n]         # cdf, pdf and two temporaries
+            # cdf, pdf, its derivative and temporaries
+            F, f, df, u, v, g = scratch[:, :n]
             F.fill(0.0)
             f.fill(0.0)
-            for mk, sk, wk in state[5:].reshape(-1, 3, n):
+            df.fill(0.0)
+            for mk, ik, wk in state[5:].reshape(-1, 3, n):
                 np.subtract(x, mk, out=u)
-                u /= sk
-                F += np.multiply(ndtr(u, out=v), wk, out=v)
-                # exp(-u**2 / 2) as scipy's exp2, whose bits do not depend
-                # on numpy's CPU dispatch (its AVX-512 exp differs from the
-                # baseline one in the last ulp, which moves the iterates)
-                np.square(u, out=u)
-                u *= -_HALF_LOG2_E
-                exp2(u, out=u)
-                u *= wk
-                f += np.divide(u, sk, out=u)
+                u *= ik
+                # one exp per component: g = exp(-u**2 / 2) serves the
+                # cdf, the pdf and its derivative
+                F += np.multiply(norm_cdf(u, out=v, gauss=g), wk, out=v)
+                g *= wk
+                g *= ik
+                f += g
+                u *= g
+                u *= ik
+                df -= u
             f *= _INV_SQRT_2PI
+            df *= _INV_SQRT_2PI
             below = F < level
             lo[...] = np.where(below, x, lo)
             hi[...] = np.where(below, hi, x)
-            # the Newton iterate x - (F - level) / f, into F
+            # the Halley iterate x - t / (1 - t f' / (2 f)), t the Newton
+            # step (F - level) / f, into F; the factor stays in [1/2, 2]
             F -= level
             F /= f
+            np.multiply(F, df, out=u)
+            u /= f
+            u *= -0.5
+            u += 1.0
+            np.clip(u, 0.5, 2.0, out=u)
+            F /= u
             np.subtract(x, F, out=F)
             np.abs(np.subtract(F, x, out=u), out=u)
-            newton = (F >= lo) & (F <= hi) & (u <= 0.5 * step)
-            F = np.where(newton, F, 0.5 * (lo + hi))
+            accept = (F >= lo) & (F <= hi) & (u <= 0.5 * step)
+            F = np.where(accept, F, 0.5 * (lo + hi))
             np.abs(np.subtract(F, x, out=u), out=u)
-            done = ((u <= _NEWTON_RTOL * (1.0 + np.abs(x)))
+            done = ((u <= _STEP_RTOL * (1.0 + np.abs(x)))
                     | (hi - lo <= BISECT_TOL))
             x[...] = F
             step[...] = u

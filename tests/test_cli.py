@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -162,3 +166,20 @@ def test_default_config_matches_shipped_example():
     cfg = parse_config({"command": "region"})
     assert (cfg.a, cfg.b, cfg.c, cfg.T) == (-1.0, 1.0, 1.0, 2.0)
     assert cfg.alpha == (0.0, 0.25, 0.5, 0.75, 1.0)
+
+
+def test_package_imports_without_scipy():
+    # scipy is a test-only oracle: importing the package and its command
+    # line must not load it, in a fresh interpreter
+    import ccemfg
+
+    src = str(Path(ccemfg.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys, ccemfg, ccemfg.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -23,6 +23,18 @@ def test_mixture_flow_validation():
         device_flow(1.5, -1.0, 1.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("field", ["weights", "drift_rates", "x0"])
+def test_mixture_flow_rejects_non_finite_fields(field, bad):
+    # NaN weights passed both the sign and the sum check before
+    fields = {"weights": np.array([0.5, 0.5]),
+              "drift_rates": np.array([1.0, -1.0]), "x0": 0.0}
+    fields[field] = {"weights": np.full(2, bad),
+                     "drift_rates": np.array([bad, -1.0]), "x0": bad}[field]
+    with pytest.raises(ValueError, match="finite"):
+        GaussianMixtureFlow(**fields)
+
+
 def test_mixture_flow_quantile_table():
     flow = device_flow(0.5, -1.0, 1.0)
     times = np.array([0.5, 1.0, 2.0])

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtr
 
 from ccemfg.analytic import DeviceProbs
 from ccemfg.correlation import build_example_device
@@ -17,6 +17,7 @@ from ccemfg.metrics import (BISECT_TOL, GaussianMixture1D,
                             w2_empirical_1d,
                             w2_vs_gaussian_mixture_1d)
 from ccemfg import rng
+from ccemfg._pathgen_py import norm_quantile
 
 
 def w2_bruteforce(x, y):
@@ -262,7 +263,8 @@ DEVICES = [(0.5, 0, 0, 0.5), (1, 0, 0, 0), (0.5, 0.3, 0.2, 0)]
 @pytest.mark.parametrize("p", DEVICES)
 def test_quantile_table_bit_identical_on_device_flows(p):
     # a class with one nonzero weight is one Gaussian at each time, and a
-    # point mass at t = 0: its rows are m + s * ndtri(q) to the last bit
+    # point mass at t = 0: its rows are m + s * norm_quantile(q) to the
+    # last bit
     times = TimeGrid(2.0, 200).times           # row 0 holds the t = 0 atoms
     q = (np.arange(512) + 0.5) / 512
     device = build_example_device(DeviceProbs(*p), -1.0, 1.0)
@@ -276,13 +278,13 @@ def test_quantile_table_bit_identical_on_device_flows(p):
         if np.count_nonzero(w) == 1:
             single += 1
             k = np.flatnonzero(w)[0]
-            want = means[:, k, None] + sigmas[:, k, None] * ndtri(q)
+            want = means[:, k, None] + sigmas[:, k, None] * norm_quantile(q)
             assert np.array_equal(table, want)
     assert single >= 1
     for m, s in ((0.3, 1.7), (-2.0, 0.0)):
         mix = GaussianMixture1D(weights=np.array([1.0]), means=np.array([m]),
                                 sigmas=np.array([s]))
-        assert np.array_equal(mix.quantiles(q), m + s * ndtri(q))
+        assert np.array_equal(mix.quantiles(q), m + s * norm_quantile(q))
 
 
 @pytest.mark.parametrize("p", DEVICES)
@@ -415,6 +417,18 @@ def test_mixture_quantiles_reject_non_finite_components(bad):
                           sigmas=np.array([1.0, 1.0])).quantiles(0.5)
     with pytest.raises(ValueError, match="finite"):
         mixture_quantile_table([0.5, 0.5], [[0.0, 1.0]], [[1.0, bad]])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("field", ["weights", "means", "sigmas"])
+def test_gaussian_mixture_rejects_non_finite_fields(field, bad):
+    # NaN weights passed both the sign and the sum check before
+    fields = {"weights": np.array([0.5, 0.5]), "means": np.array([0.0, 1.0]),
+              "sigmas": np.array([1.0, 1.0])}
+    fields[field] = (np.full(2, bad) if field == "weights"
+                     else np.array([bad, 1.0]))
+    with pytest.raises(ValueError, match="finite"):
+        GaussianMixture1D(**fields)
 
 
 def test_quantile_table_rejects_all_zero_weights():

@@ -1,6 +1,7 @@
 """Counter-based RNG: determinism, stream independence, distributional checks."""
 
 import gc
+import math
 
 import numpy as np
 import pytest
@@ -96,6 +97,90 @@ def test_norm_quantile_against_scipy():
     q = np.linspace(1e-6, 0.5, 500)
     assert np.allclose(_pathgen_py.norm_quantile(q),
                        -_pathgen_py.norm_quantile(1 - q), atol=1e-11)
+
+
+# --- normal CDF and exp kernels (IEEE basic operations only)
+
+_CDF_EDGES = np.array([_pathgen_py._CDF_INNER_MAX, _pathgen_py._CDF_TAIL_MIN])
+
+
+def _cdf_points():
+    """[-37, 8] on a grid, plus the region edges and their neighbours."""
+    edges = np.concatenate([_CDF_EDGES, np.nextafter(_CDF_EDGES, 0.0),
+                            np.nextafter(_CDF_EDGES, 9.0)])
+    return np.concatenate([np.linspace(-37.0, 8.0, 1801), edges, -edges])
+
+
+def test_norm_cdf_against_mpmath():
+    mp = pytest.importorskip("mpmath")
+    from scipy.special import ndtr
+
+    mp.mp.dps = 30
+    x = _cdf_points()
+    exact = np.array([float(mp.ncdf(mp.mpf(v))) for v in x])
+    err = np.abs(_pathgen_py.norm_cdf(x) - exact) / exact
+    scipy_err = np.abs(ndtr(x) - exact) / exact
+    assert err.max() <= 1e-15
+    assert err.max() <= scipy_err.max()
+
+
+def test_norm_cdf_gauss_factor_against_mpmath():
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 30
+    x = _cdf_points()
+    gauss = np.empty_like(x)
+    _pathgen_py.norm_cdf(x, gauss=gauss)
+    exact = np.array([float(mp.exp(-mp.mpf(v) ** 2 / 2)) for v in x])
+    assert np.all(np.abs(gauss - exact) <= 2 * np.spacing(exact))
+
+
+def test_norm_cdf_against_scipy():
+    from scipy.special import ndtr
+
+    x = np.linspace(-37.0, 8.0, 200001)
+    got, ref = _pathgen_py.norm_cdf(x), ndtr(x)
+    rel = np.abs(got - ref) / ref
+    assert rel.max() <= 3e-13                 # scipy's own error at -37
+    assert rel[x >= -5.0].max() <= 1e-14
+
+
+def test_norm_cdf_special_values_and_shapes():
+    got = _pathgen_py.norm_cdf([np.inf, -np.inf, 0.0, -0.0, 1e300, -1e300])
+    assert np.array_equal(got, [1.0, 0.0, 0.5, 0.5, 1.0, 0.0])
+    assert np.isnan(_pathgen_py.norm_cdf(np.nan))
+    x = np.linspace(0.0, 9.0, 10001)
+    assert np.array_equal(_pathgen_py.norm_cdf(x) + _pathgen_py.norm_cdf(-x),
+                          np.ones_like(x))
+    x = np.array([[0.1, -2.0, 7.0], [-0.5, 3.0, -40.0]])
+    out, gauss = np.empty_like(x), np.empty_like(x)
+    got = _pathgen_py.norm_cdf(x, out=out, gauss=gauss)
+    assert got.shape == x.shape
+    assert np.array_equal(out, got)
+    assert np.array_equal(got.ravel(), _pathgen_py.norm_cdf(x.ravel()))
+
+
+def test_exp_sum_against_math_exp():
+    gen = np.random.default_rng(7)
+    x = np.concatenate([gen.uniform(-708.0, 709.0, 20000),
+                        gen.uniform(-1.0, 1.0, 20000),
+                        [0.0, -708.0, 709.0, np.log(2.0) / 2]])
+    got = _pathgen_py.exp_sum(x, np.zeros_like(x))
+    want = np.array([math.exp(v) for v in x])
+    assert np.all(np.abs(got - want) <= 2 * np.spacing(want))
+
+
+def test_exp_sum_keeps_the_low_part():
+    # a short high part and a small low part, as norm_cdf passes them: the
+    # result is exp of the exact sum, not of its rounding
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 30
+    gen = np.random.default_rng(8)
+    hi = -np.trunc(gen.uniform(0.0, 700.0, 400) * 512.0) / 512.0
+    lo = gen.uniform(-2.5, 0.0, 400)
+    got = _pathgen_py.exp_sum(hi, lo)
+    want = np.array([float(mp.exp(mp.mpf(h) + mp.mpf(l)))
+                     for h, l in zip(hi, lo)])
+    assert np.all(np.abs(got - want) <= 2 * np.spacing(want))
 
 
 def test_brownian_terminal_independent_of_steps():
