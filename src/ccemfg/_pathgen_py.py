@@ -28,8 +28,7 @@ row over all streams per grid point.  Each node uses its breadth-first
 draw and the same four in-place operations on its endpoints, so every row
 is bit-identical to the matching time slice of a breadth-first fill, while
 only the rows on the current root-to-leaf path (about log2(steps) + 2) are
-alive.  :func:`brownian_paths` collects these rows when whole paths are
-needed.
+alive.
 """
 
 from __future__ import annotations
@@ -151,8 +150,7 @@ def norm_quantile(p: np.ndarray) -> np.ndarray:
         if far.size:
             rf = r[far] - 5.0
             z[far] = _poly(_E, rf) / _poly(_F, rf)
-        np.negative(z, out=z, where=lower)
-        out[tail] = z
+        out[tail] = np.where(lower, -z, z)
     return out.reshape(p.shape)
 
 
@@ -308,17 +306,3 @@ def brownian_rows(keys: np.ndarray, steps: int, horizon: float):
     yield from _interior_rows(flat, plan, node, 0, steps, w_0, w_T)
     yield w_T
 
-
-def brownian_paths(keys: np.ndarray, steps: int, horizon: float) -> np.ndarray:
-    """Brownian paths on the uniform grid, one per stream key.
-
-    Returns an array of shape ``keys.shape + (steps + 1,)`` with W[..., 0] = 0,
-    collected from :func:`brownian_rows` into a time-major buffer, so the
-    result is a view with time on the last axis that is not C-contiguous.
-    Shape and values are the contract, not the strides.
-    """
-    keys = np.asarray(keys, dtype=np.uint64)
-    w = np.empty((steps + 1, keys.size))
-    for i, row in enumerate(brownian_rows(keys, steps, horizon)):
-        w[i] = row
-    return np.moveaxis(w.reshape((steps + 1,) + keys.shape), 0, -1)

@@ -2,15 +2,16 @@
 CSV/PGM emission.
 
 Configuration comes from an optional JSON file plus command-line flags;
-flags win.  Every output file starts with a single ``#``-prefixed JSON
-line holding the fully resolved configuration (including the seed), so any
+flags win.  :class:`RunConfig` is its only declaration: every field is a
+flag of the same name (``_`` written as ``-``), and flag and JSON values
+are converted by the field's type and checked by :func:`parse_config`
+alike.  Every output file starts with a single ``#``-prefixed JSON line
+holding the fully resolved configuration (including the seed), so any
 artifact can be regenerated bit-exactly from its own header.
 
 Exit codes: 0 success, 1 runtime failure (with step context when the
 simulation blew up), 2 invalid configuration (with field diagnostics).
 """
-
-from __future__ import annotations
 
 import argparse
 import dataclasses
@@ -45,10 +46,10 @@ class RunConfig:
     b: float = 1.0
     c: float = 1.0
     T: float = 2.0
-    p: tuple = (0.5, 0.3, 0.2, 0.0)
+    p: tuple[float, ...] = (0.5, 0.3, 0.2, 0.0)
     resolution: int = 101
-    alpha: tuple = DEFAULT_ALPHAS
-    N: tuple = (50, 200, 500)
+    alpha: tuple[float, ...] = DEFAULT_ALPHAS
+    N: tuple[int, ...] = (50, 200, 500)
     reps: int = 2000
     steps: int = 200
     deviations: int = 21
@@ -62,48 +63,54 @@ class RunConfig:
 
 
 def config_dict(cfg: RunConfig) -> dict:
-    d = dataclasses.asdict(cfg)
-    for key in ("p", "alpha", "N"):
-        d[key] = list(d[key])
-    return d
+    return {k: list(v) if isinstance(v, tuple) else v
+            for k, v in dataclasses.asdict(cfg).items()}
+
+
+def _convert(kind, value):
+    """``value`` as a value of the field type ``kind``: a scalar, an
+    optional scalar or a tuple of scalars, which a string gives comma- or
+    space-separated.  Raises TypeError or ValueError."""
+    args = getattr(kind, "__args__", ())
+    if type(None) in args:                              # float | None
+        return None if value is None else _convert(args[0], value)
+    if args:                                            # tuple[int, ...]
+        if isinstance(value, str):
+            value = value.replace(",", " ").split()
+        return tuple(_convert(args[0], v) for v in np.atleast_1d(value))
+    if kind is str and not isinstance(value, str):
+        raise TypeError
+    return kind(value)
 
 
 def parse_config(data: dict) -> RunConfig:
-    """Validate a plain dict into a RunConfig; collects field diagnostics."""
-    problems = []
-    known = {f.name for f in dataclasses.fields(RunConfig)}
-    for key in data:
-        if key not in known:
-            problems.append((key, "unknown field"))
+    """Validate a plain dict into a RunConfig; collects field diagnostics.
+
+    Each value is converted by its field's type.  The range checks run
+    once every value has its type, except the device probabilities', which
+    run whenever they parse."""
+    fields = dataclasses.fields(RunConfig)
+    problems = [(key, "unknown field") for key in data
+                if key not in {f.name for f in fields}]
     if problems:
         raise ConfigError(problems)
 
-    merged = {f.name: f.default for f in dataclasses.fields(RunConfig)}
-    merged.update(data)
+    merged = {f.name: data.get(f.name, f.default) for f in fields}
+    for f in fields:
+        try:
+            merged[f.name] = _convert(f.type, merged[f.name])
+        except (TypeError, ValueError):
+            kind = f.type.__name__ if f.type in (int, float, str) else f.type
+            problems.append((f.name, f"must be of type {kind}"))
+    untyped = {name for name, _ in problems}
 
     def check(field, ok, msg):
         if not ok:
             problems.append((field, msg))
 
-    check("command", merged.get("command") in COMMANDS,
-          f"must be one of {COMMANDS}")
-    for key in ("a", "b", "c", "T", "tol"):
-        try:
-            merged[key] = float(merged[key])
-        except (TypeError, ValueError):
-            problems.append((key, "must be a real number"))
-    if merged["action"] is not None:
-        try:
-            merged["action"] = float(merged["action"])
-        except (TypeError, ValueError):
-            problems.append(("action", "must be a real number"))
-    for key in ("resolution", "reps", "steps", "deviations", "particles",
-                "max_iters", "seed", "workers"):
-        try:
-            merged[key] = int(merged[key])
-        except (TypeError, ValueError):
-            problems.append((key, "must be an integer"))
-    if not problems:
+    if not untyped:
+        check("command", merged["command"] in COMMANDS,
+              f"must be one of {COMMANDS}")
         check("a", merged["a"] < 0.0, "must be negative")
         check("b", merged["b"] > 0.0, "must be positive")
         check("c", merged["c"] > 0.0, "must be positive")
@@ -119,73 +126,50 @@ def parse_config(data: dict) -> RunConfig:
               "must lie in [a, b]")
         check("workers", merged["workers"] >= 0, "must be nonnegative")
         check("tol", merged["tol"] > 0.0, "must be positive")
-    try:
-        p = tuple(float(v) for v in merged["p"])
-        if len(p) != 4:
-            raise ValueError
-        merged["p"] = p
-        DeviceProbs(*p)
-    except (TypeError, ValueError) as exc:
-        problems.append(("p", str(exc) or "must be 4 probabilities summing to 1"))
-    try:
-        alpha = tuple(float(v) for v in np.atleast_1d(merged["alpha"]))
-        merged["alpha"] = alpha
-        if any(not 0.0 <= v <= 1.0 for v in alpha):
-            problems.append(("alpha", "entries must lie in [0, 1]"))
-    except (TypeError, ValueError):
-        problems.append(("alpha", "must be a list of reals"))
-    try:
-        Ns = tuple(int(v) for v in np.atleast_1d(merged["N"]))
-        merged["N"] = Ns
-        if any(v < 2 for v in Ns):
-            problems.append(("N", "entries must be at least 2"))
-    except (TypeError, ValueError):
-        problems.append(("N", "must be a list of integers"))
-    if not isinstance(merged.get("out"), str) or not merged["out"]:
-        problems.append(("out", "must be a nonempty path"))
+        check("alpha", all(0.0 <= v <= 1.0 for v in merged["alpha"]),
+              "entries must lie in [0, 1]")
+        check("N", all(v >= 2 for v in merged["N"]),
+              "entries must be at least 2")
+        check("out", merged["out"] != "", "must be a nonempty path")
+    if "p" not in untyped:
+        try:
+            if len(merged["p"]) != 4:
+                raise ValueError
+            DeviceProbs(*merged["p"])
+        except ValueError as exc:
+            problems.append(("p", str(exc)
+                             or "must be 4 probabilities summing to 1"))
     if problems:
         raise ConfigError(problems)
     return RunConfig(**merged)
 
 
-def _parse_list(text: str):
-    return [v for v in text.replace(",", " ").split() if v]
-
-
 def build_parser() -> argparse.ArgumentParser:
+    """One argument per :class:`RunConfig` field, taken as a string: a
+    field without a default is positional, the others are ``--`` flags.
+    Lists are written comma-separated."""
     ap = argparse.ArgumentParser(
         prog="ccemfg",
         description="coarse correlated equilibria for mean field games: "
-                    "region sweeps, deviation gaps, chaos/consistency checks")
-    ap.add_argument("command", choices=COMMANDS)
+                    "region sweeps, deviation gaps, chaos/consistency checks "
+                    f"(commands: {', '.join(COMMANDS)})")
     ap.add_argument("--config", help="JSON configuration file")
-    ap.add_argument("--seed", type=int)
-    ap.add_argument("--out")
-    ap.add_argument("--workers", type=int)
-    ap.add_argument("--N", help="comma-separated player counts")
-    ap.add_argument("--reps", type=int)
-    ap.add_argument("--steps", type=int)
-    ap.add_argument("--resolution", type=int)
-    ap.add_argument("--alpha", help="comma-separated mixing parameters")
-    ap.add_argument("--p", help="device probabilities p11,p12,p21,p22")
-    ap.add_argument("--a", type=float)
-    ap.add_argument("--b", type=float)
-    ap.add_argument("--c", type=float)
-    ap.add_argument("--T", type=float)
-    ap.add_argument("--deviations", type=int)
-    ap.add_argument("--particles", type=int)
-    ap.add_argument("--max-iters", dest="max_iters", type=int)
-    ap.add_argument("--tol", type=float)
-    ap.add_argument("--action", type=float, help="constant strategy for mkv")
+    for f in dataclasses.fields(RunConfig):
+        if f.default is dataclasses.MISSING:
+            ap.add_argument(f.name)
+        else:
+            ap.add_argument("--" + f.name.replace("_", "-"),
+                            help=f"default: {f.default}")
     return ap
 
 
 def resolve_config(argv) -> RunConfig:
-    args = build_parser().parse_args(argv)
+    args = vars(build_parser().parse_args(argv))
+    path = args.pop("config")
     data: dict = {}
-    if args.config:
+    if path:
         try:
-            with open(args.config) as fh:
+            with open(path) as fh:
                 data = json.load(fh)
         except OSError as exc:
             raise ConfigError([("config", str(exc))])
@@ -193,22 +177,7 @@ def resolve_config(argv) -> RunConfig:
             raise ConfigError([("config", f"line {exc.lineno}: {exc.msg}")])
         if not isinstance(data, dict):
             raise ConfigError([("config", "top level must be a JSON object")])
-    data["command"] = args.command
-    for key in ("seed", "out", "workers", "reps", "steps", "resolution",
-                "a", "b", "c", "T", "deviations", "particles", "max_iters",
-                "tol", "action"):
-        val = getattr(args, key)
-        if val is not None:
-            data[key] = val
-    if args.N is not None:
-        data["N"] = _parse_list(args.N)
-    if args.alpha is not None:
-        data["alpha"] = _parse_list(args.alpha)
-    if args.p is not None:
-        parts = _parse_list(args.p)
-        if len(parts) != 4:
-            raise ConfigError([("p", "need exactly 4 probabilities")])
-        data["p"] = parts
+    data.update((key, val) for key, val in args.items() if val is not None)
     return parse_config(data)
 
 
@@ -236,8 +205,7 @@ def _run_region(cfg: RunConfig):
     base = _base_path(cfg.out)
     for alpha in cfg.alpha:
         grid = region_sweep(cfg.resolution, alpha, cfg.a, cfg.b)
-        header = config_dict(cfg)
-        header["alpha"] = [alpha]
+        header = config_dict(dataclasses.replace(cfg, alpha=(alpha,)))
         grid.to_csv(f"{base}_alpha{alpha:g}.csv", header=header)
         grid.to_pgm(f"{base}_alpha{alpha:g}.pgm", header=header)
         print(f"alpha={alpha:g}: {int(grid.is_cce.sum())} equilibrium cells "
@@ -245,11 +213,16 @@ def _run_region(cfg: RunConfig):
               f"-> {base}_alpha{alpha:g}.csv/.pgm")
 
 
-def _run_gap(cfg: RunConfig):
-    model = build_bang_bang_model(cfg.a, cfg.b, cfg.c, cfg.T)
+def _game(cfg: RunConfig):
+    """The model, device probabilities, device and time grid of ``cfg``."""
     probs = DeviceProbs(*cfg.p)
-    device = build_example_device(probs, cfg.a, cfg.b)
-    grid = TimeGrid(cfg.T, cfg.steps)
+    return (build_bang_bang_model(cfg.a, cfg.b, cfg.c, cfg.T), probs,
+            build_example_device(probs, cfg.a, cfg.b),
+            TimeGrid(cfg.T, cfg.steps))
+
+
+def _run_gap(cfg: RunConfig):
+    model, probs, device, grid = _game(cfg)
     rows = []
     for N in cfg.N:
         oracle = finite_n_gap_oracle(probs, cfg.a, cfg.b, cfg.c, cfg.T, N)
@@ -267,10 +240,7 @@ def _run_gap(cfg: RunConfig):
 
 
 def _run_mfgap(cfg: RunConfig):
-    model = build_bang_bang_model(cfg.a, cfg.b, cfg.c, cfg.T)
-    probs = DeviceProbs(*cfg.p)
-    device = build_example_device(probs, cfg.a, cfg.b)
-    grid = TimeGrid(cfg.T, cfg.steps)
+    model, probs, device, grid = _game(cfg)
     margin = cce_margin(probs, cfg.a, cfg.b)
     oracle = cfg.c * cfg.T * cfg.T * max(0.0, -margin)
     rep = mean_field_gap_mc(model, device, deviations=cfg.deviations,
@@ -287,9 +257,7 @@ def _run_mfgap(cfg: RunConfig):
 
 
 def _run_poc(cfg: RunConfig):
-    model = build_bang_bang_model(cfg.a, cfg.b, cfg.c, cfg.T)
-    device = build_example_device(DeviceProbs(*cfg.p), cfg.a, cfg.b)
-    grid = TimeGrid(cfg.T, cfg.steps)
+    model, _, device, grid = _game(cfg)
     res = poc_curve(model, device, cfg.N, reps=cfg.reps, seed=cfg.seed,
                     grid=grid, workers=cfg.workers)
     rows = []
@@ -303,11 +271,12 @@ def _run_poc(cfg: RunConfig):
 
 
 def _run_consistency(cfg: RunConfig):
-    model = build_bang_bang_model(cfg.a, cfg.b, cfg.c, cfg.T)
-    device = build_example_device(DeviceProbs(*cfg.p), cfg.a, cfg.b)
-    grid = TimeGrid(cfg.T, cfg.steps)
+    model, _, device, grid = _game(cfg)
     report = verify_consistency(model, device, grid, cfg.reps, cfg.seed)
-    report.to_csv(_csv_path(cfg.out), header=config_dict(cfg))
+    _write_csv(_csv_path(cfg.out), config_dict(cfg),
+               ["class", "prob", "count", "t", "w2"],
+               [(cl.label, cl.probability, cl.count, t, d)
+                for cl in report.classes for t, d in zip(cl.times, cl.w2)])
     classes = device.flow_classes()
     for cl in report.classes:
         band = null_band(classes[cl.label]["flow"], grid.times, cl.count,
@@ -319,8 +288,7 @@ def _run_consistency(cfg: RunConfig):
 
 
 def _run_mkv(cfg: RunConfig):
-    model = build_bang_bang_model(cfg.a, cfg.b, cfg.c, cfg.T)
-    grid = TimeGrid(cfg.T, cfg.steps)
+    model, _, _, grid = _game(cfg)
     action = cfg.b if cfg.action is None else cfg.action
     res = mckean_vlasov_fixed_point(model, grid, action, cfg.particles,
                                     cfg.max_iters, cfg.tol, cfg.seed)

@@ -15,14 +15,12 @@ from typing import Optional
 import numpy as np
 
 from . import rng
-from .analytic import DeviceProbs, consistency_weights
+from .analytic import PROB_TOL, DeviceProbs, consistency_weights
 from .engine import (TimeGrid, check_run, flow_views, representative_noise,
                      strategy_rule, stream_against_flow)
 from .flows import GaussianMixtureFlow, device_flow
 from .metrics import empirical_quantiles
 from .model import MeasureView, ModelSpec
-
-PROB_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -132,18 +130,6 @@ class ConsistencyReport:
     classes: tuple
     reps: int
     seed: int
-
-    def to_csv(self, path, header=None) -> None:
-        import json
-
-        with open(path, "w") as fh:
-            if header is not None:
-                fh.write("# " + json.dumps(header, sort_keys=True) + "\n")
-            fh.write("class,prob,count,t,w2\n")
-            for cl in self.classes:
-                for t, d in zip(cl.times, cl.w2):
-                    fh.write(f"{cl.label},{cl.probability:.17g},{cl.count},"
-                             f"{t:.17g},{d:.17g}\n")
 
 
 def follow_scenarios(model: ModelSpec, grid: TimeGrid,

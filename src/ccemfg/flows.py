@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import GaussianMixture1D, mixture_quantile_table
+from .metrics import QUANTILE_POINTS, mixture_quantile_table
 from .model import MeasureView
 
 
@@ -46,24 +46,14 @@ class GaussianMixtureFlow:
     def mean(self, t):
         return self.x0 + float(np.sum(self.weights * self.drift_rates)) * np.asarray(t)
 
-    def var(self, t):
-        t = np.asarray(t, dtype=np.float64)
-        m = self.x0 + np.multiply.outer(t, self.drift_rates)
-        mbar = self.mean(t)
-        return np.sum(self.weights * m**2, axis=-1) - mbar**2 + t
-
     def view(self, t) -> MeasureView:
         t = np.asarray(t, dtype=np.float64)
         comp_means = self.x0 + np.multiply.outer(t, self.drift_rates)
         second = np.sum(self.weights * (comp_means**2 + t[..., None]), axis=-1)
         return MeasureView(mean=self.mean(t), second_moment=second)
 
-    def slice_at(self, t: float) -> GaussianMixture1D:
-        return GaussianMixture1D(weights=self.weights,
-                                 means=self.x0 + self.drift_rates * t,
-                                 sigmas=np.sqrt(t) * np.ones_like(self.drift_rates))
-
-    def quantile_table(self, times: np.ndarray, n_points: int = 512) -> np.ndarray:
+    def quantile_table(self, times: np.ndarray,
+                       n_points: int = QUANTILE_POINTS) -> np.ndarray:
         """Quantiles at the levels (i + 0.5) / n_points for every time, one
         row per time (see :func:`ccemfg.metrics.mixture_quantile_table`):
         a time where the flow is a single Gaussian or a point mass gets

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._pathgen_py import norm_cdf, norm_quantile
+from ._pathgen_py import _INV_SQRT_2PI, norm_cdf, norm_quantile
 
 QUANTILE_POINTS = 512
 # a quantile's search ends once its bracket is at most this wide
@@ -28,7 +28,6 @@ BISECT_TOL = 1e-10
 _STEP_RTOL = 1e-12
 # points per block of table rows solved together (bounds scratch memory)
 _BLOCK_POINTS = 1 << 13
-_INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
 def as_sorted(x) -> np.ndarray:

@@ -159,10 +159,3 @@ def bit_fields(key: int, n: int, bits: int) -> np.ndarray:
         out &= np.uint16((1 << bits) - 1)
     return out.reshape(-1)[:n]
 
-
-def normals(key, index) -> np.ndarray:
-    """Standard normal draws: :func:`uniforms` mapped through the PPND16
-    inverse CDF of :mod:`ccemfg._pathgen_py`."""
-    from . import _pathgen_py           # imports this module
-
-    return _pathgen_py.norm_quantile(uniforms(key, index))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -50,6 +51,52 @@ def test_invalid_config_exits_2(tmp_path, capsys):
 
     rc = run_cli(["gap", "--p", "1,0,0"])
     assert rc == 2
+
+
+def test_wrongly_typed_value_exits_2_from_flag_and_json(tmp_path, capsys):
+    assert run_cli(["gap", "--reps", "many"]) == 2
+    assert "config error: reps" in capsys.readouterr().err
+    cfgfile = tmp_path / "c.json"
+    cfgfile.write_text(json.dumps({"reps": "many", "N": [10, "x"]}))
+    assert run_cli(["gap", "--config", str(cfgfile)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: reps" in err and "config error: N" in err
+
+
+def test_list_fields_accept_comma_separated_strings():
+    cfg = parse_config({"command": "gap", "N": "10, 20", "alpha": "0.5",
+                        "p": "1,0,0,0"})
+    assert cfg.N == (10, 20) and cfg.alpha == (0.5,)
+    assert cfg.p == (1.0, 0.0, 0.0, 0.0)
+
+
+def test_every_field_round_trips_through_flags_json_and_header(tmp_path):
+    values = {"command": "mkv", "a": -1.5, "b": 0.75, "c": 2.0, "T": 0.5,
+              "p": (0.25, 0.25, 0.25, 0.25), "resolution": 7,
+              "alpha": (0.125, 0.875), "N": (3, 7), "reps": 11, "steps": 4,
+              "deviations": 5, "particles": 150, "max_iters": 2,
+              "tol": 0.25, "action": 0.5, "seed": 42,
+              "out": str(tmp_path / "run"), "workers": 1}
+    fields = dataclasses.fields(RunConfig)
+    assert set(values) == {f.name for f in fields}
+    want = RunConfig(**values)
+    assert all(getattr(want, f.name) != f.default for f in fields)
+
+    argv = ["mkv"]
+    for key, val in values.items():
+        if key != "command":
+            text = ",".join(map(str, val)) if isinstance(val, tuple) else val
+            argv += ["--" + key.replace("_", "-"), str(text)]
+    assert resolve_config(argv) == want
+
+    cfgfile = tmp_path / "c.json"
+    cfgfile.write_text(json.dumps(values))
+    assert resolve_config(["mkv", "--config", str(cfgfile)]) == want
+
+    assert run_cli(argv) == 0
+    header = (tmp_path / "run.csv").read_text().splitlines()[0]
+    cfgfile.write_text(header[2:])
+    assert resolve_config(["mkv", "--config", str(cfgfile)]) == want
 
 
 def test_zero_max_iters_rejected(capsys):

@@ -5,6 +5,7 @@ import pytest
 
 from ccemfg import rng
 from ccemfg.analytic import DeviceProbs
+from ccemfg.cli import main
 from ccemfg.correlation import (CorrelationDevice, Scenario,
                                 build_example_device, null_band,
                                 sample_scenario, verify_consistency)
@@ -70,14 +71,12 @@ def test_unlabelled_flows_are_named_in_order_of_appearance(tmp_path):
     assert classes["flow1"]["scenarios"] == [2]
     assert abs(classes["flow0"]["probability"] - 0.6) < 1e-15
 
-    bodies = []
-    for i, dev in enumerate((first, second)):
-        path = tmp_path / f"c{i}.csv"
-        verify_consistency(MODEL, dev, TimeGrid(2.0, 4), reps=50,
-                           seed=0).to_csv(path, header={})
-        bodies.append(path.read_text())
-    assert bodies[0] == bodies[1]
-    assert "\nflow1," in bodies[0]
+    reports = [[(cl.label, cl.count, cl.w2.tolist()) for cl in
+                verify_consistency(MODEL, dev, TimeGrid(2.0, 4), reps=50,
+                                   seed=0).classes]
+               for dev in (first, second)]
+    assert reports[0] == reports[1]
+    assert [label for label, _, _ in reports[0]] == ["flow0", "mu", "flow1"]
 
 
 def test_sample_scenario_frequencies():
@@ -167,11 +166,16 @@ def test_consistency_report_csv(tmp_path):
     dev = build_example_device(DeviceProbs(0.5, 0, 0, 0.5), -1.0, 1.0)
     rep = verify_consistency(MODEL, dev, TimeGrid(2.0, 10), reps=500, seed=0)
     path = tmp_path / "c.csv"
-    rep.to_csv(path, header={"seed": 0})
+    assert main(["consistency", "--p", "0.5,0,0,0.5", "--steps", "10",
+                 "--reps", "500", "--seed", "0", "--out", str(path)]) == 0
     lines = path.read_text().splitlines()
     assert lines[0].startswith("# ")
     assert lines[1] == "class,prob,count,t,w2"
     assert len(lines) == 2 + 2 * 11      # two classes, 11 grid times
+    rows = [(cl.label, cl.probability, cl.count, t, d)
+            for cl in rep.classes for t, d in zip(cl.times, cl.w2)]
+    assert lines[2:] == [f"{lab},{p:.17g},{n},{t:.17g},{d:.17g}"
+                         for lab, p, n, t, d in rows]
 
 
 def test_null_band_scale():

@@ -3,12 +3,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from ccemfg import _pathgen_py
 from ccemfg.engine import (SimulationError, TimeGrid, initial_states,
                            mckean_vlasov_fixed_point, noise_keys,
                            simulate_ensemble, simulate_representative)
 from ccemfg.flows import GaussianMixtureFlow, device_flow
 from ccemfg.model import GaussianInitial, MeasureView, build_bang_bang_model
+from reference_paths import brownian_paths
 
 MODEL = build_bang_bang_model(-1.0, 1.0, 1.0, 2.0)
 
@@ -35,8 +35,8 @@ def _ref_ensemble(model, grid, actions, N, R, seed, offset):
     """Row-major Euler paths (R, N, steps+1) from stored Brownian paths,
     against the empirical measure with the players added in order."""
     rep_ids, players = offset + np.arange(R), np.arange(N)
-    w = _pathgen_py.brownian_paths(noise_keys(seed, rep_ids, players),
-                                   grid.steps, grid.horizon)
+    w = brownian_paths(noise_keys(seed, rep_ids, players),
+                       grid.steps, grid.horizon)
     x = np.empty((R, N, grid.steps + 1))
     x[..., 0] = initial_states(model, seed, rep_ids, players)
     for i, t in enumerate(grid.times[:-1]):

@@ -12,7 +12,6 @@ def test_mixture_flow_moments():
         second = 0.25 * ((t) ** 2 + t) + 0.75 * ((-t) ** 2 + t)
         v = flow.view(t)
         assert abs(v.second_moment - second) < 1e-12
-        assert abs(flow.var(t) - (second - (0.5 * t) ** 2)) < 1e-12
 
 
 def test_mixture_flow_validation():
@@ -45,10 +44,3 @@ def test_mixture_flow_quantile_table():
     mid = 0.5 * (table[:, 127] + table[:, 128])
     assert np.max(np.abs(mid)) < 1e-6
 
-
-def test_mixture_slice_matches_view():
-    flow = device_flow(0.7, -1.0, 1.0)
-    mix = flow.slice_at(1.5)
-    v = flow.view(1.5)
-    assert abs(mix.mean - v.mean) < 1e-14
-    assert abs(mix.second_moment - v.second_moment) < 1e-12

@@ -25,7 +25,6 @@ import numpy as np
 import pytest
 
 import ccemfg.equilibrium as eq
-from ccemfg import _pathgen_py
 from ccemfg.analytic import DeviceProbs
 from ccemfg.correlation import (CorrelationDevice, build_example_device,
                                 null_band, sample_scenario,
@@ -40,6 +39,7 @@ from ccemfg.flows import device_flow
 from ccemfg.metrics import empirical_quantiles
 from ccemfg.model import (GaussianInitial, MeasureView, build_bang_bang_model,
                           drift_reads_measure)
+from reference_paths import brownian_paths
 
 MODEL = build_bang_bang_model(-1.0, 1.0, 1.0, 2.0)
 # the same game with its running cost wrapped, which hides from
@@ -77,8 +77,8 @@ def _ref_euler(model, grid, x0, w, action_fn, measure_fn):
 
 
 def _ref_representative_noise(model, grid, seed, rep_ids):
-    w = _pathgen_py.brownian_paths(noise_keys(seed, rep_ids, [0]),
-                                   grid.steps, grid.horizon)[:, 0, :]
+    w = brownian_paths(noise_keys(seed, rep_ids, [0]),
+                       grid.steps, grid.horizon)[:, 0, :]
     return initial_states(model, seed, rep_ids, [0])[:, 0], w
 
 
@@ -120,8 +120,8 @@ def _ref_nplayer_chunk(args, fast=None):
     rep_ids = off + np.arange(count)
     actions, cls = recommended_actions(device, seed, rep_ids, N)
 
-    w = _pathgen_py.brownian_paths(noise_keys(seed, rep_ids, np.arange(N)),
-                                   grid.steps, grid.horizon)
+    w = brownian_paths(noise_keys(seed, rep_ids, np.arange(N)),
+                       grid.steps, grid.horizon)
     x0 = initial_states(model, seed, rep_ids, np.arange(N))
 
     def const_fn(t, x, mv, _a=actions):
@@ -195,7 +195,7 @@ def _ref_poc_for_n(args):
     for off, cnt in _chunks(reps, chunk):
         rep_ids = off + np.arange(cnt)
         actions, cls = recommended_actions(device, seed, rep_ids, N)
-        w = _pathgen_py.brownian_paths(
+        w = brownian_paths(
             noise_keys(seed, rep_ids, np.arange(N)), grid.steps, grid.horizon)
         x0 = initial_states(model, seed, rep_ids, np.arange(N))
         x = _ref_euler(model, grid, x0, w,
