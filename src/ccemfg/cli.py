@@ -130,6 +130,8 @@ def parse_config(data: dict) -> RunConfig:
               "entries must lie in [0, 1]")
         check("N", all(v >= 2 for v in merged["N"]),
               "entries must be at least 2")
+        for field in ("alpha", "N"):
+            check(field, len(merged[field]) > 0, "must not be empty")
         check("out", merged["out"] != "", "must be a nonempty path")
     if "p" not in untyped:
         try:

@@ -20,7 +20,11 @@ N-player ensembles against their empirical measure, and
 noise, :func:`representative_noise`) against an exogenous flow.  Paths are
 kept only where they are the output: :func:`simulate_ensemble` and
 :func:`simulate_representative`.  :func:`mckean_vlasov_fixed_point` keeps
-two moment flows, not paths: each Picard iteration walks the noise again.
+one moment flow, not paths, and steps a small stack of Picard iterates
+through its own time loop.  The Picard map is causal on the Euler grid:
+iterate k's step from grid point i reads only iterate k - 1's moments at
+grid point i.  So one walk of the noise advances two new iterates, each
+against the moments of the one before it at the same grid point.
 """
 
 from __future__ import annotations
@@ -302,49 +306,74 @@ def mckean_vlasov_fixed_point(model: ModelSpec, grid: TimeGrid, strategy,
     W2 between successive iterates drops below ``tol``.  Non-convergence is
     flagged, not fatal.
 
-    No paths are stored.  Iteration k walks the noise again and steps
-    iterates k - 1 and k together, as one (2, P) state against the moment
-    flows of iterates k - 2 and k - 1 (iteration 1 steps iterate 1 alone);
-    at each grid point the state is sorted for the W2 distance and the
-    newest row's moments are recorded.
+    No paths are stored, and one walk of the noise advances two new
+    iterates.  That is exact because the Picard map is causal on the Euler
+    grid: the left-point step of iterate k from grid point i reads only
+    iterate k - 1's moments at grid point i, which the same walk has just
+    reached.  A pass steps a (K, P) state: the last finished iterate again,
+    against its predecessor's stored moment flow, then the next two
+    iterates, each against the moments of the row above at the same grid
+    point.  The first pass steps iterates 1 and 2 alone, iterate 1 against
+    x0's flow, and the pass that reaches ``max_iters`` may have only one
+    new iterate to step.  At each grid point the state is sorted once for
+    the W2 step of each new row from the row above (iterate 1's from x0).
+    The pass appends its distances in order and the iteration stops at the
+    first one below ``tol``; otherwise the next pass starts from the last
+    finished iterate.  Two new iterates per pass, not more: a walk costs
+    about as much as stepping and sorting four or five rows, so two halve
+    the walks, and a longer stack would step iterates past the one that
+    meets ``tol``.
     """
     check_run(model, grid, max_iters=max_iters)
     if particles < 100:
         raise ValueError("need at least 100 particles")
     if not tol > 0:
         raise ValueError("tol must be positive")
-    steps, ids = grid.steps, np.arange(particles)
-    x0 = representative_noise(model, grid, seed, ids)[0]
+    steps, dt, times = grid.steps, grid.dt, grid.times
+    ids = np.arange(particles)
+    x0, rows = representative_noise(model, grid, seed, ids)
     actions = strategy_rule(strategy, grid)
     x0_sorted = np.sort(x0)
-    # moment flows (mean, second moment) x (steps + 1) of the last iterates
-    flows = [np.repeat([[x0.mean()], [np.mean(x0**2)]], steps + 1, 1)]
+    # the moment flow (mean, second moment) x (steps + 1) that row 0 reads
+    flow = np.repeat([[x0.mean()], [np.mean(x0**2)]], steps + 1, 1)
 
     distances = []
-    converged = False
-    for _ in range(max_iters):
-        m = np.stack(flows[-2:])[..., None]    # (K, 2, steps + 1, 1)
-        views = (MeasureView(mean=m[:, 0, i], second_moment=m[:, 1, i])
-                 for i in range(steps + 1))
-        _, rows = representative_noise(model, grid, seed, ids)
-        new = np.empty((3, steps + 1))         # mean, second moment, var
-        d2 = np.empty(steps + 1)
-        for i, x, _, _ in stream_against_flow(
-                model, grid, np.broadcast_to(x0, (len(m), particles)), rows,
-                actions, views):
+    while True:
+        old = 1 if distances else 0            # rows that redo an iterate
+        K = old + min(2, max_iters - len(distances))
+        x = np.broadcast_to(x0, (K, particles))
+        mom = np.empty((K, 3, steps + 1))      # mean, second moment, var
+        d2 = np.empty((K, steps + 1))
+        w_prev = next(rows)
+        for i in range(steps + 1):
             srt = np.sort(x, axis=1)
-            prev = srt[0] if len(m) == 2 else x0_sorted
-            # the particles added in order, as an axis-0 mean of stored
-            # paths adds them; a pairwise mean moves the trace by ulps
-            d2[i] = np.add.accumulate((srt[-1] - prev) ** 2)[-1] / particles
-            xk = x[-1]
-            new[:, i] = xk.mean(), np.mean(xk**2), xk.var()
-        gap = float(np.max(np.sqrt(d2)))
-        distances.append(gap)
-        flows = [flows[-1], new[:2]]
-        if gap < tol:
-            converged = True
-            break
-    return MkvResult(times=grid.times, mean=new[0], var=new[2],
-                     distances=distances, converged=converged,
-                     iterations=len(distances))
+            for r in range(K):
+                xr = x[r]
+                mom[r, :2, i] = xr.mean(), np.mean(xr**2)
+                if r < old:
+                    continue
+                mom[r, 2, i] = xr.var()
+                prev = srt[r - 1] if r else x0_sorted
+                # the particles added in order, as an axis-0 mean of stored
+                # paths adds them; a pairwise mean moves the trace by ulps
+                d2[r, i] = (np.add.accumulate((srt[r] - prev) ** 2)[-1]
+                            / particles)
+            if i == steps:
+                break
+            mean, m2 = np.empty((2, K, 1))
+            mean[0], m2[0] = flow[:, i]
+            mean[1:, 0], m2[1:, 0] = mom[:-1, 0, i], mom[:-1, 1, i]
+            mv = MeasureView(mean=mean, second_moment=m2)
+            w_next = next(rows)
+            x = euler_step(model, i, times[i], dt, x, mv,
+                           actions(i, x, mv), w_next - w_prev)
+            w_prev = w_next
+        for r in range(old, K):
+            distances.append(float(np.max(np.sqrt(d2[r]))))
+            if distances[-1] < tol or len(distances) == max_iters:
+                return MkvResult(times=times, mean=mom[r, 0], var=mom[r, 2],
+                                 distances=distances,
+                                 converged=distances[-1] < tol,
+                                 iterations=len(distances))
+        flow = mom[-2, :2]
+        rows = representative_noise(model, grid, seed, ids)[1]

@@ -31,6 +31,12 @@ class ActionBox:
             raise ValueError("action box bounds must be finite, lo <= hi")
 
     def contains(self, a, tol: float = 1e-12) -> bool:
+        a = np.asarray(a)
+        if 0 in a.strides:
+            # a broadcast array repeats its values along its zero-stride
+            # axes: check each value once
+            a = a[tuple(0 if s == 0 and n else slice(None)
+                        for s, n in zip(a.strides, a.shape))]
         a = np.asarray(a, dtype=np.float64)
         return bool(np.all(a >= self.lo - tol) and np.all(a <= self.hi + tol))
 

@@ -99,6 +99,20 @@ def test_every_field_round_trips_through_flags_json_and_header(tmp_path):
     assert resolve_config(["mkv", "--config", str(cfgfile)]) == want
 
 
+def test_empty_lists_rejected(capsys, tmp_path):
+    out = str(tmp_path / "out")
+    for args, field in ((["gap", "--N", ""], "N"),
+                        (["poc", "--N", ""], "N"),
+                        (["region", "--alpha", ""], "alpha")):
+        assert run_cli([*args, "--out", out]) == 2
+        assert f"config error: {field}: must not be empty" in \
+            capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(ConfigError) as err:
+        parse_config({"command": "gap", "N": [], "alpha": []})
+    assert sorted(f for f, _ in err.value.problems) == ["N", "alpha"]
+
+
 def test_zero_max_iters_rejected(capsys):
     with pytest.raises(ConfigError) as err:
         parse_config({"command": "mkv", "max_iters": 0})

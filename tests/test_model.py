@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ccemfg.engine import euler_step
 from ccemfg.model import (ActionBox, GaussianInitial, MeasureView, PointMass,
                           build_bang_bang_model, drift_reads_measure,
                           exact_terminal)
@@ -24,6 +25,29 @@ def test_action_box_validation():
     assert box.contains(1.0 + 1e-13) and ActionBox(0.5, 0.5).contains(0.5)
     assert not box.contains(1.5) and not box.contains([0.0, -1.1])
     assert not box.contains(np.nan)
+
+
+def test_action_box_checks_broadcast_arrays():
+    # contains reads each value of a broadcast array once; the verdict and
+    # euler_step's ValueError are the same as on a full copy
+    box = ActionBox(-1.0, 1.0)
+    inside = np.broadcast_to(np.float64(0.5), (3, 1000))
+    outside = np.broadcast_to(np.float64(1.5), (3, 1000))
+    assert box.contains(inside) and not box.contains(outside)
+    assert not box.contains(np.broadcast_to(np.nan, (2, 5)))
+    assert box.contains(np.broadcast_to(1.0, (0, 4)))
+    # (G, R) arrays broadcast along one axis, outside in their last row or
+    # column only
+    rows = np.broadcast_to(np.array([[0.0], [0.5], [1.5]]), (3, 1000))
+    cols = np.broadcast_to(np.array([0.0, -0.5, -1.5]), (4, 3))
+    assert not box.contains(rows) and box.contains(rows[:-1])
+    assert not box.contains(cols) and box.contains(cols[:, :-1])
+    model = build_bang_bang_model(-1.0, 1.0, 1.0, 2.0)
+    x, mv = np.zeros((3, 1000)), MeasureView(mean=0.0, second_moment=0.0)
+    euler_step(model, 0, 0.0, 0.1, x, mv, inside, np.zeros(1000))
+    for a in (outside, rows):
+        with pytest.raises(ValueError, match="outside the admissible box"):
+            euler_step(model, 4, 0.0, 0.1, x, mv, a, np.zeros(1000))
 
 
 def test_bang_bang_model_basics():

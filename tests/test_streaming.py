@@ -25,6 +25,7 @@ import numpy as np
 import pytest
 
 import ccemfg.equilibrium as eq
+from ccemfg import _pathgen_py
 from ccemfg.analytic import DeviceProbs
 from ccemfg.correlation import (CorrelationDevice, build_example_device,
                                 null_band, sample_scenario,
@@ -564,6 +565,71 @@ def test_representative_collectors_match_stored_euler(steps, variant):
     assert res.distances == distances
     if variant == "mean-reverting":
         assert res.converged, res.distances
+
+
+# (max_iters, the iterate the iteration converges at, or None): passes
+# that end at max_iters after 1, 2, 3 or 4 iterates (an odd one and an
+# even one without convergence), and convergence at the first iterate, at
+# an odd one and at an even one, which stops inside a pass or at its end
+PASS_STOPS = [(1, None), (2, None), (3, None), (4, None), (5, None),
+              (10, 1), (10, 5), (10, 6)]
+
+
+@pytest.mark.parametrize("max_iters, stop_at", PASS_STOPS)
+def test_mckean_vlasov_pass_boundaries(max_iters, stop_at):
+    model, grid = _mean_reverting_model(0.5), TimeGrid(2.0, 20)
+    tol = 1e-300
+    if stop_at is not None:
+        # the first tolerance above the step to iterate stop_at
+        steps = _ref_mckean_vlasov(model, grid, 1.0, 150, max_iters, tol,
+                                   6)[2]
+        tol = np.nextafter(steps[stop_at - 1], np.inf)
+        assert min(steps[:stop_at - 1], default=np.inf) >= tol
+    res = mckean_vlasov_fixed_point(model, grid, 1.0, particles=150,
+                                    max_iters=max_iters, tol=tol, seed=6)
+    mean, var, distances = _ref_mckean_vlasov(model, grid, 1.0, 150,
+                                              max_iters, tol, 6)
+    assert np.array_equal(res.mean, mean)
+    assert np.array_equal(res.var, var)
+    assert res.distances == distances
+    assert res.iterations == len(distances) == (stop_at or max_iters)
+    assert res.converged == (stop_at is not None)
+
+
+def test_mckean_vlasov_walks_noise_once_per_two_iterates(monkeypatch):
+    """One walk of the noise advances two new Picard iterates: a run of k
+    iterations consumes ceil(k / 2) walks of steps + 1 rows."""
+    consumed = []
+    walk = _pathgen_py.brownian_rows
+
+    def counted(keys, steps, horizon):
+        for row in walk(keys, steps, horizon):
+            consumed.append(row.size)
+            yield row
+
+    monkeypatch.setattr(_pathgen_py, "brownian_rows", counted)
+    grid, particles = TimeGrid(2.0, 20), 200
+
+    def walks(model, max_iters, tol):
+        consumed.clear()
+        res = mckean_vlasov_fixed_point(model, grid, 1.0, particles,
+                                        max_iters, tol, seed=4)
+        assert set(consumed) == {particles}
+        assert len(consumed) % (grid.steps + 1) == 0
+        return res, len(consumed) // (grid.steps + 1)
+
+    # the shipped model stops at iterate 2, whose step is exactly 0
+    res, n = walks(MODEL, 10, 1e-12)
+    assert (res.iterations, res.converged, n) == (2, True, 1)
+    model = _mean_reverting_model(2.0)
+    seen = set()
+    for max_iters, tol in ((1, 1e-12), (4, 1e-12), (7, 1e-12), (40, 1e-3),
+                           (40, 1e-6), (40, 1e-9), (40, 1e-12)):
+        res, n = walks(model, max_iters, tol)
+        assert n == -(-res.iterations // 2), (max_iters, tol)
+        seen.add((res.converged, res.iterations % 2))
+    # converged and not, at odd and even iteration counts
+    assert seen == {(c, k) for c in (True, False) for k in (0, 1)}, seen
 
 
 # --- memory ------------------------------------------------------------------
