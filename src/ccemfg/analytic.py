@@ -15,6 +15,7 @@ probability simplex.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from typing import Optional
@@ -143,14 +144,15 @@ _CSV_BLOCK = 2048                # cells per write in RegionGrid.to_csv
 _SHADES = np.array(["0", "255", "128"], dtype=object)   # not, cce, infeasible
 
 
-def _format_17g(values: np.ndarray) -> np.ndarray:
-    """``.17g`` strings of a float64 array, each distinct value formatted
-    once.  Values are told apart by bit pattern, not by ``==``: -0.0 and
-    0.0 compare equal but print as "-0" and "0"."""
+def _format_17g(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``.17g`` strings of the distinct values of a float64 array, each
+    formatted once, and the index of each value's string among them.
+    Values are told apart by bit pattern, not by ``==``: -0.0 and 0.0
+    compare equal but print as "-0" and "0"."""
     keys, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    table = np.array([f"{v:.17g}" for v in keys.view(np.float64).tolist()],
-                     dtype=object)
-    return table[inverse.reshape(values.shape)]
+    table = np.array(list(map(float.__format__, keys.view(np.float64).tolist(),
+                              itertools.repeat(".17g"))), dtype=object)
+    return table, inverse.astype(np.int32)
 
 
 @dataclass(frozen=True)
@@ -182,15 +184,15 @@ class RegionGrid:
         """One row per feasible cell, in i-major (p11-major) order.
 
         Every float is printed with ``.17g``, so the file round-trips
-        exactly; ``is_cce`` is 0 or 1.  Rows go out in blocks of
-        ``_CSV_BLOCK`` cells.  Within a block each distinct float is
-        formatted once: the lookup is keyed on the float's bit pattern, so
-        -0.0 stays "-0" next to "0".
+        exactly; ``is_cce`` is 0 or 1.  Each distinct value of a column is
+        formatted once per raster: the lookup is keyed on the float's bit
+        pattern, so -0.0 stays "-0" next to "0".  Rows go out in blocks of
+        ``_CSV_BLOCK`` cells.
         """
         feas = self.feasible
-        cols = np.stack([c[feas] for c in (self.p11, self.p22, self.p12,
-                                            self.p21, self.h, self.k,
-                                            self.margin)], dtype=np.float64)
+        cols = [_format_17g(c[feas]) for c in (self.p11, self.p22, self.p12,
+                                                self.p21, self.h, self.k,
+                                                self.margin)]
         cce = self.is_cce[feas].view(np.uint8)
         alpha = f"{self.alpha:.17g}"
         with open(path, "w") as fh:
@@ -199,8 +201,8 @@ class RegionGrid:
             fh.write("p11,p22,p12,p21,alpha,h,k,margin,is_cce\n")
             for s in range(0, cce.size, _CSV_BLOCK):
                 blk = slice(s, s + _CSV_BLOCK)
-                p11, p22, p12, p21, h, k, margin = _format_17g(
-                    cols[:, blk]).tolist()
+                p11, p22, p12, p21, h, k, margin = (
+                    table[index[blk]].tolist() for table, index in cols)
                 fh.write("".join([
                     f"{v11},{v22},{v12},{v21},{alpha},{vh},{vk},{vm},{c}\n"
                     for v11, v22, v12, v21, vh, vk, vm, c in zip(

@@ -213,6 +213,7 @@ def _run_region(cfg: RunConfig):
         print(f"alpha={alpha:g}: {int(grid.is_cce.sum())} equilibrium cells "
               f"of {int(grid.feasible.sum())} feasible "
               f"-> {base}_alpha{alpha:g}.csv/.pgm")
+        del grid        # free this raster before the next sweep builds one
 
 
 def _game(cfg: RunConfig):

@@ -126,8 +126,18 @@ def euler_step(model: ModelSpec, step: int, t: float, dt: float,
     actions ``a`` against the measure view ``mv``, driven by the Brownian
     increment ``dw``.  Checks the actions and the new states; ``step``
     labels the errors."""
+    _check_actions(model, a, step)
+    return _advance(model, step, t, dt, x, mv, a, dw)
+
+
+def _check_actions(model: ModelSpec, a, step: int) -> None:
     if not model.actions.contains(a):
         raise ValueError(f"action outside the admissible box at step {step}")
+
+
+def _advance(model: ModelSpec, step: int, t: float, dt: float,
+             x: np.ndarray, mv: MeasureView, a, dw: np.ndarray) -> np.ndarray:
+    """:func:`euler_step` for actions that are already checked."""
     drift = model.drift(t, x, mv, a)
     x_new = x + np.asarray(drift) * dt + dw
     if not np.all(np.isfinite(x_new)):
@@ -169,8 +179,10 @@ def stream_ensemble(model: ModelSpec, grid: TimeGrid, x0: np.ndarray,
     noise of ``keys``.  Yields an :class:`EnsembleState` at each grid
     point, in time order, before the step from it is taken.  The drift sees
     the empirical measure with mean ``sums / N`` and second moment
-    ``sq_sums / N``, where the sums add the players in order.
+    ``sq_sums / N``, where the sums add the players in order.  The actions
+    are constant over the run, so they are checked once, as step 0's.
     """
+    _check_actions(model, actions, 0)
     steps, dt, times = grid.steps, grid.dt, grid.times
     N = keys.shape[0]
     rows = _pathgen_py.brownian_rows(keys, steps, grid.horizon)
@@ -182,7 +194,7 @@ def stream_ensemble(model: ModelSpec, grid: TimeGrid, x0: np.ndarray,
         dw = (w_next - w_prev).reshape(keys.shape)
         yield EnsembleState(i, x, s1, s2, dw)
         mv = MeasureView(mean=s1 / N, second_moment=s2 / N)
-        x = euler_step(model, i, times[i], dt, x, mv, actions, dw)
+        x = _advance(model, i, times[i], dt, x, mv, actions, dw)
         w_prev = w_next
     yield EnsembleState(steps, x, sum_rows(x), sum_rows(x * x), None)
 

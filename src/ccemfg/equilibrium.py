@@ -24,7 +24,6 @@ normal per player and does not depend on the grid's steps.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -112,6 +111,9 @@ def _map_jobs(fn, jobs, workers: int):
     if workers <= 1:
         yield from map(fn, jobs)
         return
+    # imported only when a pool starts, so that serial runs do not pay for
+    # importing multiprocessing and its modules
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         yield from pool.map(fn, jobs)
 

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from ccemfg.analytic import (DeviceProbs, cce_margin, consistency_weights,
                              diagonal_hk, finite_n_gap_oracle, hk_coefficients,
                              mean_field_payoffs, region_sweep,
-                             worst_case_deviation, AffineCoeffs, RegionGrid)
+                             worst_case_deviation, AffineCoeffs, RegionGrid,
+                             _CSV_BLOCK)
 
 
 def hk_rational(p11, p12, p21, p22, a, b):
@@ -364,3 +365,31 @@ def test_region_writers_keep_signed_zero_and_adjacent_floats(tmp_path):
     fields = {v for line in body for v in line.split(",")}
     assert {"-0", "0", "0.10000000000000001",
             "0.10000000000000002"} <= fields
+
+
+def test_region_writers_keep_signed_zero_and_adjacent_floats_across_blocks(
+        tmp_path):
+    """-0.0 and one-ulp-above-0.1 first occur in a later block of each
+    column than 0.0 and 0.1 do; no block may take the other's string."""
+    n = 64
+    vals = np.array([0.0, 0.1, -0.0, np.nextafter(0.1, 1.0)])
+    rng = np.random.default_rng(4)
+    first = _CSV_BLOCK                     # cells before the second block
+    cols = {}
+    for name in ("p11", "p22", "p12", "p21", "h", "k", "margin"):
+        col = np.concatenate([rng.choice(vals[:2], first),
+                              rng.choice(vals, n * n - first)])
+        cols[name] = col.reshape(n, n)
+    feasible = np.ones((n, n), dtype=bool)
+    feasible[-1, ::3] = False              # past the first block only
+    grid = RegionGrid(resolution=n, alpha=0.5, a=-1.0, b=1.0,
+                      feasible=feasible, **cols)
+    assert feasible.sum() > _CSV_BLOCK
+    _assert_writers_match_reference(grid, tmp_path)
+    body = (tmp_path / "got.csv").read_text().splitlines()[2:]
+    for col in (0, 1, 2, 3, 5, 6, 7):
+        head = {line.split(",")[col] for line in body[:first]}
+        tail = {line.split(",")[col] for line in body[first:]}
+        assert head == {"0", "0.10000000000000001"}
+        assert tail == {"-0", "0", "0.10000000000000001",
+                        "0.10000000000000002"}

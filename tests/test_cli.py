@@ -229,18 +229,32 @@ def test_default_config_matches_shipped_example():
     assert cfg.alpha == (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
-def test_package_imports_without_scipy():
-    # scipy is a test-only oracle: importing the package and its command
-    # line must not load it, in a fresh interpreter
+def _modules_after_cli_import():
+    """Names in sys.modules after ``import ccemfg, ccemfg.cli`` in a fresh
+    interpreter."""
     import ccemfg
 
     src = str(Path(ccemfg.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    code = ("import sys, ccemfg, ccemfg.cli; "
-            "print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] == 'scipy'))")
+    code = ("import json, sys, ccemfg, ccemfg.cli; "
+            "print(json.dumps(list(sys.modules)))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    return set(json.loads(out))
+
+
+def test_package_imports_without_scipy():
+    # scipy is a test-only oracle: importing the package and its command
+    # line must not load it, in a fresh interpreter
+    assert sorted(m for m in _modules_after_cli_import()
+                  if m.split(".")[0] == "scipy") == []
+
+
+def test_package_imports_without_process_pool():
+    # the process pool is imported when a pool starts, not on every
+    # subcommand
+    modules = _modules_after_cli_import()
+    assert "multiprocessing" not in modules
+    assert "concurrent.futures.process" not in modules

@@ -5,9 +5,11 @@ import pytest
 
 from ccemfg.engine import (SimulationError, TimeGrid, initial_states,
                            mckean_vlasov_fixed_point, noise_keys,
-                           simulate_ensemble, simulate_representative)
+                           simulate_ensemble, simulate_representative,
+                           stream_ensemble)
 from ccemfg.flows import GaussianMixtureFlow, device_flow
-from ccemfg.model import GaussianInitial, MeasureView, build_bang_bang_model
+from ccemfg.model import (ActionBox, GaussianInitial, MeasureView,
+                          build_bang_bang_model)
 from reference_paths import brownian_paths
 
 MODEL = build_bang_bang_model(-1.0, 1.0, 1.0, 2.0)
@@ -141,6 +143,26 @@ def test_action_outside_box_rejected():
     g = TimeGrid(2.0, 10)
     with pytest.raises(ValueError, match="admissible"):
         simulate_ensemble(MODEL, g, 1.5, N=3, reps=2, seed=0)
+
+
+def test_stream_ensemble_checks_its_actions_once(monkeypatch):
+    """The ensemble's actions are constant over the run: one walk checks
+    them once, and an action outside the box still fails at step 0."""
+    calls = []
+    contains = ActionBox.contains
+
+    def counting(self, a, tol=1e-12):
+        calls.append(np.shape(a))
+        return contains(self, a, tol)
+
+    monkeypatch.setattr(ActionBox, "contains", counting)
+    g = TimeGrid(2.0, 10)
+    keys = noise_keys(0, np.arange(2), np.arange(3)).T
+    x0 = np.zeros((3, 2))
+    states = list(stream_ensemble(MODEL, g, x0, np.full((3, 2), 0.5), keys))
+    assert len(states) == 11 and calls == [(3, 2)]
+    with pytest.raises(ValueError, match="admissible box at step 0"):
+        list(stream_ensemble(MODEL, g, x0, np.full((3, 2), 1.5), keys))
 
 
 def test_nonfinite_state_aborts_with_step():

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import functools
 
@@ -159,7 +160,10 @@ def test_pool_only_for_more_than_one_job(monkeypatch):
         def map(self, fn, jobs):
             return map(fn, jobs)
 
-    monkeypatch.setattr(eq, "ProcessPoolExecutor", RecordingPool)
+    # _map_jobs imports the pool class from concurrent.futures when a pool
+    # starts
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
     dev = build_example_device(BLACK, -1.0, 1.0)
     cce_gap_nplayer(MODEL, dev, N=10, reps=64, seed=5, workers=2)
     mean_field_gap_mc(MODEL, dev, reps=64, seed=5, workers=2)
