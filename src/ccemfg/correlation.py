@@ -16,10 +16,10 @@ import numpy as np
 
 from . import rng
 from .analytic import PROB_TOL, DeviceProbs, consistency_weights
-from .engine import (TimeGrid, check_run, flow_views, representative_noise,
+from .engine import (TimeGrid, check_run, representative_noise,
                      strategy_rule, stream_against_flow)
 from .flows import GaussianMixtureFlow, device_flow
-from .metrics import empirical_quantiles
+from .metrics import empirical_quantiles, quantile_ranks
 from .model import MeasureView, ModelSpec
 
 
@@ -140,33 +140,36 @@ def follow_scenarios(model: ModelSpec, grid: TimeGrid,
 
     ``scen``: each replication's scenario; ``x0``, ``w_rows``: their
     :func:`representative_noise`.  Row 0 follows the scenario strategy and
-    rows 1..G the constant ``candidates``, on the same noise.  Views are
-    gathered per step from a (steps + 1, S) table of the drawn scenarios'
-    moments; a strategy sees its own flow's view.  Yields as
-    :func:`ccemfg.engine.stream_against_flow`; the yielded actions are
+    rows 1..G the constant ``candidates``, on the same noise.  Each drawn
+    flow is viewed once at all grid points, into (steps + 1, S) tables of
+    means and second moments; the measure at a step gathers each
+    replication's column, and a strategy sees its own flow's view.  Yields
+    as :func:`ccemfg.engine.stream_against_flow`; the yielded actions are
     overwritten at the next step.
     """
     candidates = np.asarray(candidates, dtype=np.float64)
     drawn = np.unique(scen)
     col = np.searchsorted(drawn, scen)              # table column per rep
-    views = [flow_views(device.scenarios[s].flow, grid) for s in drawn]
-    means = np.array([[v.mean for v in vs] for vs in views]).T
-    seconds = np.array([[v.second_moment for v in vs] for vs in views]).T
+    views = [device.scenarios[s].flow.view(grid.times) for s in drawn]
+    means = np.stack([v.mean for v in views], axis=1)
+    seconds = np.stack([v.second_moment for v in views], axis=1)
     rules = [(np.flatnonzero(col == c),
-              strategy_rule(device.scenarios[s].strategy, grid), views[c])
+              strategy_rule(device.scenarios[s].strategy, grid))
              for c, s in enumerate(drawn)]
     a = np.empty((1 + candidates.size, scen.size))
     a[1:] = candidates[:, None]
 
     def recommend(i, x, mv):
-        for idx, rule, vs in rules:
-            a[0, idx] = rule(i, x[0, idx], vs[i])
+        for c, (idx, rule) in enumerate(rules):
+            a[0, idx] = rule(i, x[0, idx], MeasureView(
+                mean=means[i, c], second_moment=seconds[i, c]))
         return a
 
-    gathered = (MeasureView(mean=m[col], second_moment=m2[col])
-                for m, m2 in zip(means, seconds))
+    def measure(i, x):
+        return MeasureView(mean=means[i, col], second_moment=seconds[i, col])
+
     return stream_against_flow(model, grid, np.broadcast_to(x0, a.shape),
-                               w_rows, recommend, gathered)
+                               w_rows, recommend, measure)
 
 
 def verify_consistency(model: ModelSpec, device: CorrelationDevice,
@@ -249,8 +252,7 @@ def null_band(flow: GaussianMixtureFlow, times: np.ndarray, count: int,
                          f"[2, 2**16], got {n_pts}")
     bits = n_pts.bit_length() - 1
     rows = np.arange(n_t)[:, None]
-    picks = np.minimum(((np.arange(n_pts) + 0.5) / n_pts * count)
-                       .astype(np.int64), count - 1)
+    picks = quantile_ranks(count, n_pts)
     sups = []
     for p in range(pilots):
         key = rng.stream_key(seed, rng.TAG_PROBE, p)

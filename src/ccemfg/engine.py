@@ -17,19 +17,19 @@ bisection walk of :func:`ccemfg._pathgen_py.brownian_rows`, so they store
 no paths: :func:`stream_ensemble` steps a player-major ``(N, R)`` state of
 N-player ensembles against their empirical measure, and
 :func:`stream_against_flow` steps representative players (player 0's
-noise, :func:`representative_noise`) against an exogenous flow.  Paths are
-kept only where they are the output: :func:`simulate_ensemble` and
-:func:`simulate_representative`.  :func:`mckean_vlasov_fixed_point` keeps
-one moment flow, not paths, and steps a small stack of Picard iterates
-through its own time loop.  The Picard map is causal on the Euler grid:
-iterate k's step from grid point i reads only iterate k - 1's moments at
-grid point i.  So one walk of the noise advances two new iterates, each
-against the moments of the one before it at the same grid point.
+noise, :func:`representative_noise`) against a flow that a callback gives
+at each grid point.  Every representative player goes through it: the
+lottery's (:func:`ccemfg.correlation.follow_scenarios`) against the drawn
+flows, :func:`simulate_representative` against one flow, and
+:func:`mckean_vlasov_fixed_point`'s stack of Picard iterates, each row
+against the moments of the row above.  Paths are kept only where they are
+the output: :func:`simulate_ensemble` and :func:`simulate_representative`.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
@@ -49,16 +49,24 @@ class SimulationError(RuntimeError):
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform grid on [0, horizon] with the given number of steps."""
+    """Uniform grid on [0, horizon] with the given number of steps.
+    Raises ``ValueError`` unless ``steps`` is a positive integer and
+    ``horizon`` a positive finite number."""
 
     horizon: float
     steps: int
 
     def __post_init__(self):
-        if self.steps < 1:
+        try:
+            steps = operator.index(self.steps)
+        except TypeError:
+            raise ValueError(f"steps must be an integer, got {self.steps!r}") \
+                from None
+        if steps < 1:
             raise ValueError("steps must be positive")
-        if not self.horizon > 0:
-            raise ValueError("horizon must be positive")
+        if not (self.horizon > 0 and math.isfinite(self.horizon)):
+            raise ValueError("horizon must be positive and finite")
+        object.__setattr__(self, "steps", steps)
 
     @property
     def dt(self) -> float:
@@ -237,11 +245,6 @@ def representative_noise(model: ModelSpec, grid: TimeGrid, seed: int,
     return x0, rows
 
 
-def flow_views(flow, grid: TimeGrid) -> list:
-    """The views of ``flow`` at the grid points."""
-    return [flow.view(t) for t in grid.times]
-
-
 def strategy_rule(strategy, grid: TimeGrid) -> Callable:
     """``strategy`` as the action rule ``(i, x, mv)`` of
     :func:`stream_against_flow`: the strategy at time ``times[i]``."""
@@ -250,28 +253,27 @@ def strategy_rule(strategy, grid: TimeGrid) -> Callable:
 
 
 def stream_against_flow(model: ModelSpec, grid: TimeGrid, x: np.ndarray,
-                        w_rows, actions: Callable, views):
-    """Step representative players against an exogenous flow without
-    storing their paths.
+                        w_rows, actions: Callable, measure: Callable):
+    """Step representative players against a flow without storing their
+    paths.
 
     ``x``: initial states, (R,) or (K, R).  ``w_rows``: iterator over the
-    (R,) Brownian rows at the grid points, in time order.  ``views``: the
-    flow's measure views at the grid points, in time order (any iterable).
-    ``actions(i, x, mv)`` gives the actions at grid point ``i``.  Yields
-    ``(i, x, mv, a)`` before the Euler step from grid point ``i``, and
-    ``(steps, x, mv, None)`` at the horizon.
+    (R,) Brownian rows at the grid points, in time order.
+    ``measure(i, x)`` gives the :class:`~ccemfg.model.MeasureView` the
+    states ``x`` at grid point ``i`` step against, and ``actions(i, x, mv)``
+    their actions.  Yields ``(i, x, mv, a)`` before the Euler step from
+    grid point ``i``, and ``(steps, x, mv, None)`` at the horizon.
     """
     steps, dt, times = grid.steps, grid.dt, grid.times
-    views = iter(views)
     w_prev = next(w_rows)
     for i in range(steps):
-        mv = next(views)
+        mv = measure(i, x)
         a = actions(i, x, mv)
         yield i, x, mv, a
         w_next = next(w_rows)
         x = euler_step(model, i, times[i], dt, x, mv, a, w_next - w_prev)
         w_prev = w_next
-    yield steps, x, next(views), None
+    yield steps, x, measure(steps, x), None
 
 
 def simulate_representative(model: ModelSpec, grid: TimeGrid, flow,
@@ -286,10 +288,11 @@ def simulate_representative(model: ModelSpec, grid: TimeGrid, flow,
     check_run(model, grid, reps=reps)
     x0, rows = representative_noise(model, grid, seed,
                                     rep_offset + np.arange(reps))
+    v = flow.view(grid.times)
     x = np.empty((grid.steps + 1, reps))       # one contiguous row per step
-    for i, xi, _, _ in stream_against_flow(model, grid, x0, rows,
-                                           strategy_rule(strategy, grid),
-                                           flow_views(flow, grid)):
+    for i, xi, _, _ in stream_against_flow(
+            model, grid, x0, rows, strategy_rule(strategy, grid),
+            lambda i, _: MeasureView(v.mean[i], v.second_moment[i])):
         x[i] = xi
     return x.T
 
@@ -322,26 +325,28 @@ def mckean_vlasov_fixed_point(model: ModelSpec, grid: TimeGrid, strategy,
     iterates.  That is exact because the Picard map is causal on the Euler
     grid: the left-point step of iterate k from grid point i reads only
     iterate k - 1's moments at grid point i, which the same walk has just
-    reached.  A pass steps a (K, P) state: the last finished iterate again,
-    against its predecessor's stored moment flow, then the next two
-    iterates, each against the moments of the row above at the same grid
-    point.  The first pass steps iterates 1 and 2 alone, iterate 1 against
-    x0's flow, and the pass that reaches ``max_iters`` may have only one
-    new iterate to step.  At each grid point the state is sorted once for
-    the W2 step of each new row from the row above (iterate 1's from x0).
-    The pass appends its distances in order and the iteration stops at the
-    first one below ``tol``; otherwise the next pass starts from the last
-    finished iterate.  Two new iterates per pass, not more: a walk costs
-    about as much as stepping and sorting four or five rows, so two halve
-    the walks, and a longer stack would step iterates past the one that
-    meets ``tol``.
+    reached.  A pass steps a (K, P) state through
+    :func:`stream_against_flow`: the last finished iterate again, against
+    its predecessor's stored moment flow, then the next two iterates, each
+    against the moments of the row above at the same grid point.  The first
+    pass steps iterates 1 and 2 alone, iterate 1 against x0's flow, and the
+    pass that reaches ``max_iters`` may have only one new iterate to step.
+    The measure callback computes the moments of every row but the last,
+    and the pass records them from the view it yields.  At each grid point
+    the state is sorted once for the W2 step of each new row from the row
+    above (iterate 1's from x0).  The pass appends its distances in order
+    and the iteration stops at the first one below ``tol``; otherwise the
+    next pass starts from the last finished iterate.  Two new iterates per
+    pass, not more: a walk costs about as much as stepping and sorting four
+    or five rows, so two halve the walks, and a longer stack would step
+    iterates past the one that meets ``tol``.
     """
     check_run(model, grid, max_iters=max_iters)
     if particles < 100:
         raise ValueError("need at least 100 particles")
     if not tol > 0:
         raise ValueError("tol must be positive")
-    steps, dt, times = grid.steps, grid.dt, grid.times
+    steps, times = grid.steps, grid.times
     ids = np.arange(particles)
     x0, rows = representative_noise(model, grid, seed, ids)
     actions = strategy_rule(strategy, grid)
@@ -349,37 +354,34 @@ def mckean_vlasov_fixed_point(model: ModelSpec, grid: TimeGrid, strategy,
     # the moment flow (mean, second moment) x (steps + 1) that row 0 reads
     flow = np.repeat([[x0.mean()], [np.mean(x0**2)]], steps + 1, 1)
 
+    def measure(i, x):
+        # row 0 reads the current pass's flow, row r the moments of row r - 1
+        mean, m2 = np.empty((2, x.shape[0], 1))
+        mean[0], m2[0] = flow[:, i]
+        for r in range(1, x.shape[0]):
+            mean[r], m2[r] = x[r - 1].mean(), np.mean(x[r - 1] ** 2)
+        return MeasureView(mean=mean, second_moment=m2)
+
     distances = []
     while True:
         old = 1 if distances else 0            # rows that redo an iterate
         K = old + min(2, max_iters - len(distances))
-        x = np.broadcast_to(x0, (K, particles))
         mom = np.empty((K, 3, steps + 1))      # mean, second moment, var
         d2 = np.empty((K, steps + 1))
-        w_prev = next(rows)
-        for i in range(steps + 1):
+        for i, x, mv, _ in stream_against_flow(
+                model, grid, np.broadcast_to(x0, (K, particles)), rows,
+                actions, measure):
             srt = np.sort(x, axis=1)
-            for r in range(K):
-                xr = x[r]
-                mom[r, :2, i] = xr.mean(), np.mean(xr**2)
-                if r < old:
-                    continue
-                mom[r, 2, i] = xr.var()
+            mom[:-1, 0, i] = mv.mean[1:, 0]
+            mom[:-1, 1, i] = mv.second_moment[1:, 0]
+            mom[-1, :2, i] = x[-1].mean(), np.mean(x[-1] ** 2)
+            for r in range(old, K):
+                mom[r, 2, i] = x[r].var()
                 prev = srt[r - 1] if r else x0_sorted
                 # the particles added in order, as an axis-0 mean of stored
                 # paths adds them; a pairwise mean moves the trace by ulps
                 d2[r, i] = (np.add.accumulate((srt[r] - prev) ** 2)[-1]
                             / particles)
-            if i == steps:
-                break
-            mean, m2 = np.empty((2, K, 1))
-            mean[0], m2[0] = flow[:, i]
-            mean[1:, 0], m2[1:, 0] = mom[:-1, 0, i], mom[:-1, 1, i]
-            mv = MeasureView(mean=mean, second_moment=m2)
-            w_next = next(rows)
-            x = euler_step(model, i, times[i], dt, x, mv,
-                           actions(i, x, mv), w_next - w_prev)
-            w_prev = w_next
         for r in range(old, K):
             distances.append(float(np.max(np.sqrt(d2[r]))))
             if distances[-1] < tol or len(distances) == max_iters:

@@ -24,6 +24,7 @@ normal per player and does not depend on the grid's steps.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -34,6 +35,7 @@ from .correlation import CorrelationDevice, follow_scenarios, sample_scenario
 from .engine import (ConstantStrategy, TimeGrid, check_run, euler_step,
                      initial_states, noise_keys, representative_noise,
                      stream_ensemble, sum_rows)
+from .metrics import quantile_ranks
 from .model import (MeasureView, ModelSpec, drift_reads_measure,
                     exact_terminal)
 
@@ -103,11 +105,19 @@ def _chunks(total: int, chunk: int):
         off += chunk
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the
+    platform reports one, else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _map_jobs(fn, jobs, workers: int):
-    """``fn`` over ``jobs``, serially unless ``min(workers, len(jobs))``
-    is more than one, then in a pool of that many processes; yields the
-    results in job order as they arrive."""
-    workers = min(workers, len(jobs))
+    """``fn`` over ``jobs``, serially unless ``min(workers, len(jobs),
+    usable_cpus())`` is more than one, then in a pool of that many
+    processes; yields the results in job order as they arrive."""
+    workers = min(workers, len(jobs), usable_cpus())
     if workers <= 1:
         yield from map(fn, jobs)
         return
@@ -391,8 +401,7 @@ def _poc_chunk(args):
     actions, cls = recommended_actions(device, seed, rep_ids, Ns[-1])
     keys, x0 = _player_major(model, seed, rep_ids, Ns[-1])
     n_pts = table.shape[1]
-    q = (np.arange(n_pts) + 0.5) / n_pts
-    q_idx = [np.minimum((q * N).astype(np.int64), N - 1) for N in Ns]
+    q_idx = [quantile_ranks(N, n_pts) for N in Ns]
     d2 = np.empty((len(Ns), count, grid.steps + 1))
     for st in stream_ensemble(model, grid, x0,
                               np.ascontiguousarray(actions.T), keys):
@@ -415,10 +424,10 @@ def poc_curve(model: ModelSpec, device: CorrelationDevice,
     When the drift does not read the measure, one ensemble of max(Ns)
     players serves every N (see :func:`_poc_chunk`); otherwise each N is
     streamed on its own.  The jobs split the replications into chunks of
-    ``ceil(reps / workers)``, smaller if ``CHUNK_ELEMS`` requires it, and
-    each replication's curve is added to its class's sum in
-    replication order, so the result does not depend on the chunking or
-    on the number of workers.
+    ``ceil(reps / w)``, smaller if ``CHUNK_ELEMS`` requires it, where ``w``
+    is ``workers`` capped at :func:`usable_cpus`.  Each replication's curve
+    is added to its class's sum in replication order, so the result does
+    not depend on the chunking or on the number of workers.
     """
     Ns = [int(N) for N in Ns]
     if not Ns or Ns[0] < 1 or any(m >= n for m, n in zip(Ns, Ns[1:])):
@@ -434,9 +443,10 @@ def poc_curve(model: ModelSpec, device: CorrelationDevice,
     groups = ([slice(i, i + 1) for i in range(len(Ns))]
               if drift_reads_measure(model) else [slice(0, len(Ns))])
     jobs, rows = [], []
+    pieces = max(1, min(workers, usable_cpus()))
     for g in groups:
         per_rep = (Ns[g][-1] + len(Ns[g])) * (grid.steps + 1)
-        chunk = min(-(-reps // max(1, workers)),
+        chunk = min(-(-reps // pieces),
                     max(1, CHUNK_ELEMS // per_rep))
         for off, cnt in _chunks(reps, chunk):
             jobs.append((model, device, grid, Ns[g], seed, table, off, cnt))

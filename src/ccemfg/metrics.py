@@ -30,6 +30,18 @@ _STEP_RTOL = 1e-12
 _BLOCK_POINTS = 1 << 13
 
 
+def quantile_levels(n_points: int) -> np.ndarray:
+    """The midpoint levels (i + 0.5) / n_points, i = 0 .. n_points - 1."""
+    return (np.arange(n_points) + 0.5) / n_points
+
+
+def quantile_ranks(count: int, n_points: int = QUANTILE_POINTS) -> np.ndarray:
+    """The 0-based ranks, among ``count`` sorted samples, of their empirical
+    quantiles at :func:`quantile_levels`: min(floor(q * count), count - 1)."""
+    return np.minimum((quantile_levels(n_points) * count).astype(np.int64),
+                      count - 1)
+
+
 def as_sorted(x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64).ravel()
     if x.size == 0:
@@ -51,9 +63,8 @@ def w2_empirical_1d(x, y) -> float:
         return float(np.sqrt(np.mean((xs - ys) ** 2)))
     warnings.warn("unequal sample counts: using a common quantile grid",
                   stacklevel=2)
-    q = (np.arange(QUANTILE_POINTS) + 0.5) / QUANTILE_POINTS
-    xq = xs[np.minimum((q * xs.size).astype(np.int64), xs.size - 1)]
-    yq = ys[np.minimum((q * ys.size).astype(np.int64), ys.size - 1)]
+    xq = xs[quantile_ranks(xs.size)]
+    yq = ys[quantile_ranks(ys.size)]
     return float(np.sqrt(np.mean((xq - yq) ** 2)))
 
 
@@ -117,7 +128,7 @@ def mixture_quantile_table(weights, means_by_t, sigmas_by_t,
     """
     if n_points < 1:
         raise ValueError(f"n_points must be at least 1, got {n_points}")
-    q = (np.arange(n_points) + 0.5) / n_points
+    q = quantile_levels(n_points)
     table = _mixture_quantiles(np.asarray(weights, dtype=np.float64),
                                np.asarray(means_by_t, dtype=np.float64),
                                np.asarray(sigmas_by_t, dtype=np.float64), q)
@@ -308,10 +319,7 @@ def _halley(state) -> np.ndarray:
 def empirical_quantiles(sorted_x: np.ndarray,
                         n_points: int = QUANTILE_POINTS) -> np.ndarray:
     """Empirical quantiles at the midpoint grid; input sorted along axis -1."""
-    n = sorted_x.shape[-1]
-    q = (np.arange(n_points) + 0.5) / n_points
-    idx = np.minimum((q * n).astype(np.int64), n - 1)
-    return sorted_x[..., idx]
+    return sorted_x[..., quantile_ranks(sorted_x.shape[-1], n_points)]
 
 
 def w2_vs_gaussian_mixture_1d(x, mix: GaussianMixture1D,
@@ -326,14 +334,12 @@ def w2_vs_gaussian_mixture_1d(x, mix: GaussianMixture1D,
     """
     xs = as_sorted(x)
     xq = empirical_quantiles(xs)
-    q = (np.arange(QUANTILE_POINTS) + 0.5) / QUANTILE_POINTS
-    mq = mix.quantiles(q)
+    mq = mix.quantiles(quantile_levels(QUANTILE_POINTS))
     d = float(np.sqrt(np.mean((xq - mq) ** 2)))
     if not return_bound:
         return d
     half = QUANTILE_POINTS // 2
-    qh = (np.arange(half) + 0.5) / half
     xqh = empirical_quantiles(xs, half)
-    mqh = mix.quantiles(qh)
+    mqh = mix.quantiles(quantile_levels(half))
     dh = float(np.sqrt(np.mean((xqh - mqh) ** 2)))
     return d, abs(d - dh)

@@ -67,24 +67,15 @@ def mix64(x):
     return z if z.ndim else z[()]
 
 
-def _mix64_int(z: int) -> int:
-    z &= _MASK
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-    return z ^ (z >> 31)
-
-
 def stream_key(seed: int, *tags: int) -> int:
     """Derive a 64-bit stream key from the master seed and integer tags."""
-    k = _mix64_int((seed & _MASK) ^ SEED_SALT)
-    for t in tags:
-        k = _mix64_int((k + GOLDEN * (int(t) + 1)) & _MASK)
-    return k
+    return int(stream_keys(seed, *tags))
 
 
 def stream_keys(seed: int, *tags) -> np.ndarray:
-    """Vectorized :func:`stream_key`; tags may be arrays and broadcast."""
-    k = np.uint64(_mix64_int((seed & _MASK) ^ SEED_SALT))
+    """Stream keys of the master seed and the tags (see the layout above);
+    tags may be arrays and broadcast."""
+    k = mix64((seed & _MASK) ^ SEED_SALT)
     with np.errstate(over="ignore"):
         for t in tags:
             t = np.asarray(t, dtype=np.uint64)

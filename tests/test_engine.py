@@ -25,6 +25,20 @@ def test_time_grid():
         TimeGrid(-1.0, 10)
 
 
+@pytest.mark.parametrize("horizon, steps", [
+    (np.inf, 10), (np.nan, 10), (2.0, 2.5), (2.0, 2.0), (2.0, "10")])
+def test_time_grid_rejects_a_bad_horizon_or_step_count(horizon, steps):
+    # an infinite horizon and a fractional step count were accepted; the
+    # latter failed later, as a TypeError inside range
+    with pytest.raises(ValueError):
+        TimeGrid(horizon, steps)
+
+
+def test_time_grid_keeps_a_numpy_step_count_as_an_int():
+    g = TimeGrid(2.0, np.int64(20))
+    assert type(g.steps) is int and g == TimeGrid(2.0, 20)
+
+
 def test_all_b_terminal_mean():
     g = TimeGrid(2.0, 50)
     x = simulate_ensemble(MODEL, g, 1.0, N=10**4, reps=1, seed=0)

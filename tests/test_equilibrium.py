@@ -142,9 +142,11 @@ def test_gap_worker_pool_identical():
 
 def test_pool_only_for_more_than_one_job(monkeypatch):
     """One job runs serially whatever the worker count, and a pool gets
-    no more processes than there are jobs."""
+    no more processes than there are jobs (on 8 usable CPUs, so that the
+    CPU cap does not bind)."""
     import ccemfg.equilibrium as eq
 
+    monkeypatch.setattr(eq, "usable_cpus", lambda: 8)
     pools = []
 
     class RecordingPool:
@@ -175,6 +177,65 @@ def test_pool_only_for_more_than_one_job(monkeypatch):
     monkeypatch.setattr(eq, "CHUNK_ELEMS", 22 * (11 * 10 + 8 * 21))
     cce_gap_nplayer(MODEL, dev, N=10, reps=64, seed=5, workers=8)
     assert pools == [2, 3]
+
+
+def test_workers_capped_at_usable_cpus(monkeypatch):
+    """A worker count above the usable CPUs starts no more processes than
+    there are CPUs, in the pool and in poc's chunking, with the same bits.
+    The pool is a serial stand-in, so no process starts."""
+    import ccemfg.equilibrium as eq
+
+    pools = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            jobs = list(jobs)
+            pools.append((self.max_workers, len(jobs)))
+            return map(fn, jobs)
+
+    dev = build_example_device(BLACK, -1.0, 1.0)
+    grid = TimeGrid(2.0, 10)
+    ref_poc = poc_curve(MODEL, dev, [5, 12, 30], reps=23, seed=2, grid=grid,
+                        workers=1)
+    # 11 numbers per player and 8 per candidate: 3 chunks of the 64
+    monkeypatch.setattr(eq, "CHUNK_ELEMS", 22 * (11 * 10 + 8 * 21))
+    ref_gap = cce_gap_nplayer(MODEL, dev, N=10, reps=64, seed=5, workers=1)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(eq, "usable_cpus", lambda: 2)
+    poc = poc_curve(MODEL, dev, [5, 12, 30], reps=23, seed=2, grid=grid,
+                    workers=10_000)
+    gap = cce_gap_nplayer(MODEL, dev, N=10, reps=64, seed=5, workers=10_000)
+    # poc makes one chunk per usable CPU; the gap's 3 chunks share 2
+    assert pools == [(2, 2), (2, 3)]
+    assert np.array_equal(poc.overall, ref_poc.overall)
+    for N in ref_poc.per_time:
+        assert np.array_equal(poc.per_time[N], ref_poc.per_time[N])
+    assert np.array_equal(gap.improvement_means, ref_gap.improvement_means)
+    assert np.array_equal(gap.improvement_ses, ref_gap.improvement_ses)
+
+
+def test_usable_cpus_prefers_the_affinity_set(monkeypatch):
+    import os
+
+    import ccemfg.equilibrium as eq
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5},
+                        raising=False)
+    assert eq.usable_cpus() == 3
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert eq.usable_cpus() == 64
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert eq.usable_cpus() == 1
 
 
 def test_fast_and_slow_deviation_paths_agree():

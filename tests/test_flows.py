@@ -44,3 +44,21 @@ def test_mixture_flow_quantile_table():
     mid = 0.5 * (table[:, 127] + table[:, 128])
     assert np.max(np.abs(mid)) < 1e-6
 
+
+
+@pytest.mark.parametrize("components", [1, 2, 3, 9, 17])
+def test_view_at_all_times_matches_the_view_at_each(components):
+    """One view of the whole grid equals the per-time views bit for bit,
+    which lets the engine read a flow once per run."""
+    gen = np.random.default_rng(components)
+    w = gen.random(components)
+    flow = GaussianMixtureFlow(weights=w / w.sum(),
+                               drift_rates=gen.normal(0.0, 2.0, components),
+                               x0=0.3)
+    times = np.linspace(0.0, 2.0, 201)
+    v = flow.view(times)
+    assert v.mean.shape == v.second_moment.shape == times.shape
+    for i, t in enumerate(times):
+        vt = flow.view(t)
+        assert v.mean[i] == vt.mean
+        assert v.second_moment[i] == vt.second_moment
