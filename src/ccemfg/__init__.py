@@ -16,8 +16,6 @@ from .engine import (ConstantStrategy, MkvResult, SimulationError, TimeGrid,
 from .equilibrium import (CostEstimate, GapReport, PocResult, cce_gap_nplayer,
                           mean_field_gap_mc, poc_curve)
 from .flows import GaussianMixtureFlow, device_flow
-from .metrics import (GaussianMixture1D, w2_empirical_1d,
-                      w2_vs_gaussian_mixture_1d)
 from .model import (ActionBox, GaussianInitial, MeasureView, ModelSpec,
                     PointMass, build_bang_bang_model)
 

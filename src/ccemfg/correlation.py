@@ -22,6 +22,10 @@ from .flows import GaussianMixtureFlow, device_flow
 from .metrics import empirical_quantiles, quantile_ranks
 from .model import MeasureView, ModelSpec
 
+# the null band is _FACTOR times the median sup-W2 of _PILOTS null pilots
+_PILOTS = 20
+_FACTOR = 3.0
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -212,11 +216,10 @@ def verify_consistency(model: ModelSpec, device: CorrelationDevice,
 
 
 def null_band(flow: GaussianMixtureFlow, times: np.ndarray, count: int,
-              seed: int, pilots: int = 20, factor: float = 3.0, *,
-              table: Optional[np.ndarray] = None) -> float:
+              seed: int, *, table: Optional[np.ndarray] = None) -> float:
     """Pilot-calibrated threshold for sup-t W2 under the null (samples drawn
-    from the flow itself).  Returns ``factor`` times the median over
-    ``pilots`` pilots of the sup-t W2 between ``count`` samples and the
+    from the flow itself).  Returns ``_FACTOR`` (3) times the median over
+    ``_PILOTS`` (20) pilots of the sup-t W2 between ``count`` samples and the
     flow's quantile table on ``times``.  ``table``: that table, if already
     built; its shape must be ``(len(times), n_pts)`` with ``n_pts`` a power
     of two in [2, 2**16].
@@ -232,14 +235,11 @@ def null_band(flow: GaussianMixtureFlow, times: np.ndarray, count: int,
     each row of indices is sorted in place and only the ``n_pts`` order
     statistics that :func:`empirical_quantiles` would pick are gathered;
     the band is the same to the last bit as gathering and sorting the
-    floats.  Raises ``ValueError`` unless ``count`` and ``pilots`` are at
-    least 1, ``factor`` is positive and ``table`` has the shape above.
+    floats.  Raises ``ValueError`` unless ``count`` is at least 1 and
+    ``table`` has the shape above.
     """
-    for name, value in (("count", count), ("pilots", pilots)):
-        if value < 1:
-            raise ValueError(f"{name} must be at least 1, got {value}")
-    if not factor > 0:
-        raise ValueError(f"factor must be positive, got {factor}")
+    if count < 1:
+        raise ValueError(f"count must be at least 1, got {count}")
     if table is None:
         table = flow.quantile_table(times)
     n_t = len(times)
@@ -254,7 +254,7 @@ def null_band(flow: GaussianMixtureFlow, times: np.ndarray, count: int,
     rows = np.arange(n_t)[:, None]
     picks = quantile_ranks(count, n_pts)
     sups = []
-    for p in range(pilots):
+    for p in range(_PILOTS):
         key = rng.stream_key(seed, rng.TAG_PROBE, p)
         idx = rng.bit_fields(key, n_t * count, bits).reshape(n_t, count)
         idx.sort(axis=1)
@@ -265,4 +265,4 @@ def null_band(flow: GaussianMixtureFlow, times: np.ndarray, count: int,
         del eq                        # a pilot holds two (T, n_pts) arrays
         np.square(sq, out=sq)
         sups.append(float(np.max(np.sqrt(np.mean(sq, axis=1)))))
-    return factor * float(np.median(sups))
+    return _FACTOR * float(np.median(sups))

@@ -15,7 +15,8 @@ Conventions:
 grid point at a time, taking the Brownian values in time order from the
 bisection walk of :func:`ccemfg._pathgen_py.brownian_rows`, so they store
 no paths: :func:`stream_ensemble` steps a player-major ``(N, R)`` state of
-N-player ensembles against their empirical measure, and
+N-player ensembles (:func:`ensemble_noise`) against their empirical
+measure, and
 :func:`stream_against_flow` steps representative players (player 0's
 noise, :func:`representative_noise`) against a flow that a callback gives
 at each grid point.  Every representative player goes through it: the
@@ -216,15 +217,23 @@ def simulate_ensemble(model: ModelSpec, grid: TimeGrid, actions, N: int,
     :func:`stream_ensemble`.
     """
     check_run(model, grid, N=N, reps=reps)
-    rep_ids, players = rep_offset + np.arange(reps), np.arange(N)
-    keys = noise_keys(seed, rep_ids, players).T
-    x0 = np.ascontiguousarray(initial_states(model, seed, rep_ids, players).T)
+    keys, x0 = ensemble_noise(model, seed, rep_offset + np.arange(reps), N)
     const = np.broadcast_to(np.asarray(actions, dtype=np.float64), (reps, N))
     x = np.empty((reps, N, grid.steps + 1))
     for st in stream_ensemble(model, grid, x0, np.ascontiguousarray(const.T),
                               keys):
         x[..., st.step] = st.x.T
     return x
+
+
+def ensemble_noise(model: ModelSpec, seed: int, rep_ids, N: int):
+    """Noise keys and initial states of the N-player ensembles of the
+    replications ``rep_ids``, both player-major (N, R) as
+    :func:`stream_ensemble` takes them; the states are C-contiguous."""
+    players = np.arange(N)
+    keys = noise_keys(seed, rep_ids, players).T
+    x0 = initial_states(model, seed, rep_ids, players).T
+    return keys, np.ascontiguousarray(x0)
 
 
 def representative_noise(model: ModelSpec, grid: TimeGrid, seed: int,

@@ -32,9 +32,9 @@ import numpy as np
 
 from . import rng
 from .correlation import CorrelationDevice, follow_scenarios, sample_scenario
-from .engine import (ConstantStrategy, TimeGrid, check_run, euler_step,
-                     initial_states, noise_keys, representative_noise,
-                     stream_ensemble, sum_rows)
+from .engine import (ConstantStrategy, TimeGrid, check_run, ensemble_noise,
+                     euler_step, representative_noise, stream_ensemble,
+                     sum_rows)
 from .metrics import quantile_ranks
 from .model import (MeasureView, ModelSpec, drift_reads_measure,
                     exact_terminal)
@@ -189,13 +189,6 @@ def recommended_actions(device: CorrelationDevice, seed: int, rep_ids,
 # N-player gap
 # ---------------------------------------------------------------------------
 
-def _player_major(model, seed, rep_ids, N):
-    """Noise keys and initial states of the N-player ensemble, (N, R)."""
-    keys = noise_keys(seed, rep_ids, np.arange(N)).T
-    x0 = initial_states(model, seed, rep_ids, np.arange(N)).T
-    return keys, np.ascontiguousarray(x0)
-
-
 def _nplayer_chunk(args):
     """Costs of the recommendation and of every candidate for player 0.
 
@@ -209,7 +202,7 @@ def _nplayer_chunk(args):
     rep_ids = off + np.arange(count)
     actions, cls = recommended_actions(device, seed, rep_ids, N)
     actions = np.ascontiguousarray(actions.T)             # (N, R)
-    keys, x0 = _player_major(model, seed, rep_ids, N)
+    keys, x0 = ensemble_noise(model, seed, rep_ids, N)
     G = candidates.shape[0]
     times, dt = grid.times, grid.dt
 
@@ -399,7 +392,7 @@ def _poc_chunk(args):
     (model, device, grid, Ns, seed, table, off, count) = args
     rep_ids = off + np.arange(count)
     actions, cls = recommended_actions(device, seed, rep_ids, Ns[-1])
-    keys, x0 = _player_major(model, seed, rep_ids, Ns[-1])
+    keys, x0 = ensemble_noise(model, seed, rep_ids, Ns[-1])
     n_pts = table.shape[1]
     q_idx = [quantile_ranks(N, n_pts) for N in Ns]
     d2 = np.empty((len(Ns), count, grid.steps + 1))

@@ -56,10 +56,11 @@ class GaussianMixtureFlow:
                        n_points: int = QUANTILE_POINTS) -> np.ndarray:
         """Quantiles at the levels (i + 0.5) / n_points for every time, one
         row per time (see :func:`ccemfg.metrics.mixture_quantile_table`):
-        a time where the flow is a single Gaussian or a point mass gets
-        ``m + s * norm_quantile(q)`` exactly; the others are found by
-        safeguarded Halley steps from the bracket of their components'
-        quantiles.  Each row is nondecreasing."""
+        t = 0, where every component is the point ``x0``, and a time where
+        the flow is a single Gaussian get ``m + s * norm_quantile(q)``
+        exactly; the others are found by safeguarded Halley steps from the
+        bracket of their components' quantiles.  Each row is
+        nondecreasing."""
         times = np.asarray(times, dtype=np.float64)
         means = self.x0 + np.multiply.outer(times, self.drift_rates)
         sigmas = np.sqrt(times)[:, None] * np.ones_like(means)

@@ -27,6 +27,8 @@ Layout conventions (documented, load-bearing for reproducibility):
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 GOLDEN = 0x9E3779B97F4A7C15
@@ -74,7 +76,12 @@ def stream_key(seed: int, *tags: int) -> int:
 
 def stream_keys(seed: int, *tags) -> np.ndarray:
     """Stream keys of the master seed and the tags (see the layout above);
-    tags may be arrays and broadcast."""
+    tags may be arrays and broadcast.  The seed may be any integer, a
+    numpy one included; anything else raises ``ValueError``."""
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise ValueError(f"seed must be an integer, got {seed!r}") from None
     k = mix64((seed & _MASK) ^ SEED_SALT)
     with np.errstate(over="ignore"):
         for t in tags:
@@ -84,7 +91,8 @@ def stream_keys(seed: int, *tags) -> np.ndarray:
 
 
 def _raw64(key, index) -> np.ndarray:
-    """:func:`raw64` as an array of the broadcast shape (0-d for scalars).
+    """Draws ``index`` of streams ``key`` as raw uint64 (both broadcast),
+    an array of the broadcast shape (0-d for scalars).
 
     ``(index + 1) * GOLDEN + key`` is built in one buffer and finalized in
     place; the arithmetic is modulo 2**64, so the order of the terms does
@@ -98,12 +106,6 @@ def _raw64(key, index) -> np.ndarray:
         z *= _G
         z += key
     return _finalize(z)
-
-
-def raw64(key, index) -> np.ndarray:
-    """Draw ``index`` of stream ``key`` as raw uint64 (both broadcast)."""
-    z = _raw64(key, index)
-    return z if z.ndim else z[()]
 
 
 def bits_to_uniform(bits) -> np.ndarray:

@@ -211,10 +211,11 @@ def test_verify_consistency_rejects_a_flow_without_quantile_table():
 
 @pytest.mark.parametrize("bad, match", [
     ({"count": 0}, "count"), ({"count": -3}, "count"),
-    ({"pilots": 0}, "pilots"),
-    ({"factor": 0.0}, "factor"), ({"factor": -1.0}, "factor"),
-    ({"factor": float("nan")}, "factor"),
     # the grid below has 11 times; widths must be powers of two in [2, 2**16]
+    ({"table": np.zeros((11, 512, 1))}, "table"),
+    ({"table": np.zeros((12, 512))}, "table"),
+    ({"table": np.zeros((0, 512))}, "table"),
+    ({"table": np.zeros((11, 0))}, "table"),
     ({"table": np.zeros((10, 512))}, "table"),
     ({"table": np.zeros(512)}, "table"),
     ({"table": np.zeros((11, 500))}, "table"),
@@ -241,7 +242,7 @@ def _ref_fields(key, n, bits):
     """The first ``n`` ``bits``-wide fields of a stream, most significant
     first within each draw, as int64."""
     k = 64 // bits
-    z = rng.raw64(key, np.arange(-(-n // k)))
+    z = rng._raw64(key, np.arange(-(-n // k)))
     shifts = np.array([64 - bits * (j + 1) for j in range(k)], dtype=np.uint64)
     fields = (z[:, None] >> shifts) & np.uint64((1 << bits) - 1)
     return fields.reshape(-1)[:n].astype(np.int64)

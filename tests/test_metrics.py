@@ -2,6 +2,7 @@
 
 import itertools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -12,12 +13,28 @@ from scipy.special import ndtr
 from ccemfg.analytic import DeviceProbs
 from ccemfg.correlation import build_example_device
 from ccemfg.engine import TimeGrid
-from ccemfg.metrics import (BISECT_TOL, GaussianMixture1D,
-                            empirical_quantiles, mixture_quantile_table,
-                            w2_empirical_1d,
-                            w2_vs_gaussian_mixture_1d)
+from ccemfg.metrics import (BISECT_TOL, QUANTILE_POINTS, empirical_quantiles,
+                            mixture_quantile_table)
 from ccemfg import rng
 from ccemfg._pathgen_py import norm_quantile
+
+
+def w2_equal_counts(x, y):
+    """W2 between two samples of equal count n as the package couples
+    samples: their empirical quantiles at the n midpoint levels, matched
+    in order."""
+    n = len(x)
+    xq = empirical_quantiles(np.sort(np.asarray(x, dtype=float)), n)
+    yq = empirical_quantiles(np.sort(np.asarray(y, dtype=float)), n)
+    return float(np.sqrt(np.mean((xq - yq) ** 2)))
+
+
+def w2_vs_table_row(x, row):
+    """W2 between samples and one row of a quantile table, as the
+    consistency check computes it: the samples' empirical quantiles at the
+    row's levels against the row."""
+    xq = empirical_quantiles(np.sort(x), row.size)
+    return float(np.sqrt(np.mean((xq - row) ** 2)))
 
 
 def w2_bruteforce(x, y):
@@ -31,9 +48,9 @@ def w2_bruteforce(x, y):
 
 
 def test_w2_trivial_cases():
-    assert w2_empirical_1d([0, 1], [0, 1]) == 0.0
-    assert w2_empirical_1d([0, 2], [1, 3]) == 1.0
-    assert abs(w2_empirical_1d([0, 1, 5], [2, 2, 2]) - np.sqrt(14 / 3)) < 1e-15
+    assert w2_equal_counts([0, 1], [0, 1]) == 0.0
+    assert w2_equal_counts([0, 2], [1, 3]) == 1.0
+    assert abs(w2_equal_counts([0, 1, 5], [2, 2, 2]) - np.sqrt(14 / 3)) < 1e-15
 
 
 def test_w2_matches_bruteforce_assignment():
@@ -42,7 +59,7 @@ def test_w2_matches_bruteforce_assignment():
         n = gen.integers(1, 7)
         x = gen.normal(size=n) * gen.uniform(0.1, 5)
         y = gen.normal(size=n) * gen.uniform(0.1, 5)
-        assert abs(w2_empirical_1d(x, y) - w2_bruteforce(x, y)) < 1e-12
+        assert abs(w2_equal_counts(x, y) - w2_bruteforce(x, y)) < 1e-12
 
 
 def test_w2_triangle_inequality():
@@ -50,8 +67,8 @@ def test_w2_triangle_inequality():
     for _ in range(1000):
         n = gen.integers(2, 20)
         x, y, z = (gen.normal(size=n) * 3 for _ in range(3))
-        assert (w2_empirical_1d(x, z)
-                <= w2_empirical_1d(x, y) + w2_empirical_1d(y, z) + 1e-12)
+        assert (w2_equal_counts(x, z)
+                <= w2_equal_counts(x, y) + w2_equal_counts(y, z) + 1e-12)
 
 
 @given(st.floats(-50, 50).filter(lambda s: abs(s) > 1e-6), st.integers(0, 10**6))
@@ -60,71 +77,53 @@ def test_w2_scale_equivariance(scale, seed):
     gen = np.random.default_rng(seed)
     x = gen.normal(size=10)
     y = gen.normal(size=10)
-    d = w2_empirical_1d(x, y)
-    ds = w2_empirical_1d(scale * x, scale * y)
+    d = w2_equal_counts(x, y)
+    ds = w2_equal_counts(scale * x, scale * y)
     assert abs(ds - abs(scale) * d) <= 1e-13 * max(1.0, abs(scale) * d)
-
-
-def test_w2_unequal_counts_flagged():
-    with pytest.warns(UserWarning):
-        d = w2_empirical_1d(np.zeros(10), np.ones(15))
-    assert abs(d - 1.0) < 1e-12
 
 
 def test_w2_vs_single_gaussian_closed_form():
     # reference N(0,1) samples on an exact quantile grid, target N(mu, s^2)
     q = (np.arange(20000) + 0.5) / 20000
-    from ccemfg import _pathgen_py
-
-    z = _pathgen_py.norm_quantile(q)
+    z = norm_quantile(q)
+    half = QUANTILE_POINTS // 2
     for s in (0.5, 1.0, 1.5, 2.0):
         for mu in (-1.0, 0.0, 2.0):
-            mix = GaussianMixture1D(weights=np.array([1.0]),
-                                    means=np.array([mu]),
-                                    sigmas=np.array([s]))
-            d, bound = w2_vs_gaussian_mixture_1d(z, mix, return_bound=True)
+            d = w2_vs_table_row(z, mixture_quantile_table([1.0], [[mu]],
+                                                          [[s]])[0])
+            dh = w2_vs_table_row(z, mixture_quantile_table([1.0], [[mu]],
+                                                           [[s]], half)[0])
             exact = np.sqrt(mu**2 + (1.0 - s) ** 2)
-            # the 512-point grid truncates the tails; the reported grid
-            # error bound covers the overshoot beyond 1e-3 (worst case
+            # the 512-point grid truncates the tails; the change when the
+            # grid is halved covers the overshoot beyond 1e-3 (worst case
             # sigma=2, mu=0: bias ~1.3e-3)
-            assert abs(d - exact) < 1e-3 + bound
+            assert abs(d - exact) < 1e-3 + abs(d - dh)
 
 
 def test_w2_vs_mixture_self_samples():
-    mix = GaussianMixture1D(weights=np.array([0.5, 0.5]),
-                            means=np.array([-2.0, 2.0]),
-                            sigmas=np.array([1.0, 1.0]))
+    # samples of 0.5 N(-2, 1) + 0.5 N(2, 1): a component by one uniform,
+    # its normal by inverse CDF of another
     key = rng.stream_key(4, rng.TAG_PROBE)
-    u = rng.uniforms(key, np.arange(10**5))
-    x = mix.quantiles(u)
-    assert w2_vs_gaussian_mixture_1d(x, mix) < 0.05
+    u = rng.uniforms(key, np.arange(2 * 10**5)).reshape(2, -1)
+    x = np.where(u[0] < 0.5, -2.0, 2.0) + norm_quantile(u[1])
+    row = mixture_quantile_table([0.5, 0.5], [[-2.0, 2.0]], [[1.0, 1.0]])[0]
+    assert w2_vs_table_row(x, row) < 0.05
 
 
 def test_w2_vs_point_mass():
-    mix = GaussianMixture1D(weights=np.array([1.0]), means=np.array([2.5]),
-                            sigmas=np.array([0.0]))
-    # a point mass's bracket collapses onto it: every quantile is 2.5
-    assert w2_vs_gaussian_mixture_1d(np.full(100, 2.5), mix) == 0.0
-
-
-def test_grid_error_bound_reported():
-    mix = GaussianMixture1D(weights=np.array([0.3, 0.7]),
-                            means=np.array([0.0, 1.0]),
-                            sigmas=np.array([1.0, 2.0]))
-    gen = np.random.default_rng(2)
-    x = gen.normal(size=4096)
-    d, bound = w2_vs_gaussian_mixture_1d(x, mix, return_bound=True)
-    assert d >= 0.0 and bound >= 0.0
+    # a single point's bracket collapses onto it: every quantile is 2.5
+    row = mixture_quantile_table([1.0], [[2.5]], [[0.0]])[0]
+    assert np.all(row == 2.5)
+    assert w2_vs_table_row(np.full(100, 2.5), row) == 0.0
 
 
 def test_mixture_cdf_quantile_roundtrip():
-    mix = GaussianMixture1D(weights=np.array([0.4, 0.6]),
-                            means=np.array([-1.0, 3.0]),
-                            sigmas=np.array([0.5, 2.0]))
-    q = np.linspace(0.01, 0.99, 99)
-    x = mix.quantiles(q)
+    w, m, s = np.array([0.4, 0.6]), np.array([-1.0, 3.0]), np.array([0.5, 2.0])
+    x = mixture_quantile_table(w, [m], [s], 99)[0]
+    q = (np.arange(99) + 0.5) / 99
     assert np.all(np.diff(x) > 0)
-    assert np.max(np.abs(mix.cdf(x) - q)) < 1e-9
+    cdf = np.sum(w * ndtr((x[:, None] - m) / s), axis=1)
+    assert np.max(np.abs(cdf - q)) < 1e-9
 
 
 def test_mixture_quantile_table_matches_slices():
@@ -133,11 +132,7 @@ def test_mixture_quantile_table_matches_slices():
     sigmas_by_t = np.array([[0.1, 0.1], [1.0, 1.0], [1.4, 1.4]])
     table = mixture_quantile_table(weights, means_by_t, sigmas_by_t, 128)
     assert table.shape == (3, 128)
-    for i in range(3):
-        mix = GaussianMixture1D(weights=weights, means=means_by_t[i],
-                                sigmas=sigmas_by_t[i])
-        q = (np.arange(128) + 0.5) / 128
-        assert np.max(np.abs(table[i] - mix.quantiles(q))) < 1e-9
+    _check_rows_match_single_rows(weights, means_by_t, sigmas_by_t, table)
     assert np.all(np.diff(table, axis=1) >= 0)
 
 
@@ -181,19 +176,6 @@ def _ref_mixture_quantile_table(weights, means_by_t, sigmas_by_t,
     return 0.5 * (lo + hi)
 
 
-def _ref_quantiles(mix, q):
-    q = np.asarray(q, dtype=np.float64)
-    span = float(np.max(np.abs(mix.means)) + 10.0 * np.max(mix.sigmas) + 1.0)
-    lo = np.full(q.shape, -span)
-    hi = np.full(q.shape, span)
-    while np.max(hi - lo) > BISECT_TOL:
-        mid = 0.5 * (lo + hi)
-        below = mix.cdf(mid) < q
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return 0.5 * (lo + hi)
-
-
 def _flow_inputs(flow, times):
     means = flow.x0 + np.multiply.outer(times, flow.drift_rates)
     return flow.weights, means, np.sqrt(times)[:, None] * np.ones_like(means)
@@ -202,7 +184,8 @@ def _flow_inputs(flow, times):
 def _mp_quantile(mp, w, m, s, q, x0):
     """The q-quantile of one mixture in 30-digit arithmetic: an atom a with
     F(a-) < q <= F(a), else the root of F(x) = q found from ``x0`` (F is
-    strictly increasing off the atoms, so the root is unique)."""
+    strictly increasing off the atoms, so the root is unique).  The tables
+    have atoms only in single-point rows."""
     mp.mp.dps = 30
     q = mp.mpf(q)
 
@@ -246,15 +229,14 @@ def _check_against_oracles(weights, means, sigmas, n_points=512, sample=48):
     return table
 
 
-def _check_rows_match_mixture_quantiles(weights, means, sigmas, table):
-    """Each table row is, to the last bit, GaussianMixture1D.quantiles of
-    that row's mixture: the two entry points share one solver, which
-    works point by point."""
-    q = (np.arange(table.shape[1]) + 0.5) / table.shape[1]
+def _check_rows_match_single_rows(weights, means, sigmas, table):
+    """Each table row is, to the last bit, the table of that row's mixture
+    alone: the solver works point by point, so a row's bits do not depend
+    on the rows solved in the same block."""
     for i in range(len(means)):
-        mix = GaussianMixture1D(weights=np.asarray(weights, dtype=float),
-                                means=means[i], sigmas=sigmas[i])
-        assert np.array_equal(table[i], mix.quantiles(q)), i
+        alone = mixture_quantile_table(weights, means[i:i + 1],
+                                       sigmas[i:i + 1], table.shape[1])
+        assert np.array_equal(table[i], alone[0]), i
 
 
 DEVICES = [(0.5, 0, 0, 0.5), (1, 0, 0, 0), (0.5, 0.3, 0.2, 0)]
@@ -274,7 +256,7 @@ def test_quantile_table_bit_identical_on_device_flows(p):
         w, means, sigmas = _flow_inputs(flow, times)
         table = mixture_quantile_table(w, means, sigmas)
         assert np.array_equal(flow.quantile_table(times), table)
-        _check_rows_match_mixture_quantiles(w, means, sigmas, table)
+        _check_rows_match_single_rows(w, means, sigmas, table)
         if np.count_nonzero(w) == 1:
             single += 1
             k = np.flatnonzero(w)[0]
@@ -282,9 +264,8 @@ def test_quantile_table_bit_identical_on_device_flows(p):
             assert np.array_equal(table, want)
     assert single >= 1
     for m, s in ((0.3, 1.7), (-2.0, 0.0)):
-        mix = GaussianMixture1D(weights=np.array([1.0]), means=np.array([m]),
-                                sigmas=np.array([s]))
-        assert np.array_equal(mix.quantiles(q), m + s * norm_quantile(q))
+        assert np.array_equal(mixture_quantile_table([1.0], [[m]], [[s]])[0],
+                              m + s * norm_quantile(q))
 
 
 @pytest.mark.parametrize("p", DEVICES)
@@ -302,7 +283,7 @@ def test_quantile_table_bit_identical_n_points(n_points):
     args = _flow_inputs(flow, TimeGrid(2.0, 50).times)
     table = mixture_quantile_table(*args, n_points)
     assert table.shape == (51, n_points)
-    _check_rows_match_mixture_quantiles(*args, table)
+    _check_rows_match_single_rows(*args, table)
 
 
 @pytest.mark.parametrize("n_points", [128, 512])
@@ -313,10 +294,11 @@ def test_quantile_table_n_points_against_oracles(n_points):
                            n_points)
 
 
-# row 0: all atoms (t = 0); rows 1-2: one zero-sigma component at t > 0
+# row 0: every component a point at 0 (t = 0); rows 1-2: component 1 has
+# zero sigma at t > 0, which only a zero weight allows
 ATOM_MEANS = np.array([[0.0, 0.0, 0.0], [1.0, -1.0, 0.5], [2.0, 3.0, -2.0]])
-ATOM_SIGMAS = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.7], [1.4, 2.0, 0.0]])
-ATOM_WEIGHTS = [[0.2, 0.5, 0.3], [0.0, 0.4, 0.6], [0.7, 0.0, 0.3]]
+ATOM_SIGMAS = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.7], [1.4, 0.0, 2.0]])
+ATOM_WEIGHTS = [[0.2, 0.0, 0.8], [0.0, 0.0, 1.0], [0.7, 0.0, 0.3]]
 
 
 @pytest.mark.parametrize("weights", ATOM_WEIGHTS)
@@ -330,8 +312,7 @@ def test_quantile_table_bit_identical_atoms_and_zero_weights(weights):
         assert np.array_equal(table, mixture_quantile_table(
             np.asarray(weights)[keep], ATOM_MEANS[:, keep],
             ATOM_SIGMAS[:, keep], n_points))
-        _check_rows_match_mixture_quantiles(weights, ATOM_MEANS, ATOM_SIGMAS,
-                                            table)
+        _check_rows_match_single_rows(weights, ATOM_MEANS, ATOM_SIGMAS, table)
         assert np.all(table[0] == 0.0)
 
 
@@ -341,94 +322,73 @@ def test_quantile_table_atoms_and_zero_weights_against_oracles(weights):
         _check_against_oracles(weights, ATOM_MEANS, ATOM_SIGMAS, n_points)
 
 
-def test_quantile_table_rows_nondecreasing_on_a_heavy_atom():
-    # the atom at t > 0 carries 80% of the mass, so about 400 of the 512
-    # levels land on it exactly, next to levels of the continuous part
-    weights = np.array([0.8, 0.1, 0.1])
-    means = np.array([[0.0, 0.0, 0.0], [0.5, -1.0, 1.0], [1.0, 0.9, 1.1]])
-    sigmas = np.array([[0.0, 0.0, 0.0], [0.0, 1.0, 0.5], [0.0, 0.05, 0.05]])
-    table = mixture_quantile_table(weights, means, sigmas)
-    assert np.all(np.diff(table, axis=1) >= 0)
-    q = (np.arange(512) + 0.5) / 512
-    for i in range(1, len(means)):
-        a = means[i, 0]
-        mix = GaussianMixture1D(weights=weights, means=means[i],
-                                sigmas=sigmas[i])
-        upper = mix.cdf(a)
-        on_atom = (q > upper - weights[0]) & (q <= upper)
-        assert on_atom.sum() >= 400
-        assert np.array_equal(table[i] == a, on_atom)
+def test_quantile_table_rejects_rows_that_mix_points_and_gaussians():
+    # one zero sigma among positive ones: a point mass inside a Gaussian
+    with pytest.raises(ValueError, match="row 1"):
+        mixture_quantile_table([0.5, 0.5], [[0.0, 0.0], [1.0, -1.0]],
+                               [[0.0, 0.0], [1.0, 0.0]])
+    # every sigma zero, but two different means: two point masses
+    with pytest.raises(ValueError, match="row 0"):
+        mixture_quantile_table([0.5, 0.5], [[1.0, -1.0]], [[0.0, 0.0]])
+    with pytest.raises(ValueError, match="row 0"):
+        mixture_quantile_table([1.0], [[0.0]], [[-1.0]])
+
+
+def test_quantile_table_point_row_builds_without_warnings():
+    # t = 0: both components are a point at x0, the single-point rule
+    flow = build_example_device(DeviceProbs(0.5, 0.3, 0.2, 0), -1.0,
+                                1.0).flow_classes()["mu1"]["flow"]
+    times = TimeGrid(2.0, 20).times
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = flow.quantile_table(times)
     assert np.all(table[0] == 0.0)
 
 
-MIXTURES = [([0.4, 0.6], [-1.0, 3.0], [0.5, 2.0]),
-            ([0.3, 0.0, 0.7], [0.0, 5.0, 1.0], [1.0, 0.0, 0.0]),
-            ([1.0], [2.5], [0.0])]
-
-
-def _probe_levels():
-    return rng.uniforms(rng.stream_key(9, rng.TAG_PROBE),
-                        np.arange(4096)).reshape(64, 64)
+# a two-component mixture, and a single point
+MIXTURES = [([0.4, 0.6], [[-1.0, 3.0]], [[0.5, 2.0]]),
+            ([1.0], [[2.5]], [[0.0]])]
 
 
 def test_mixture_quantiles_bit_identical():
-    # the levels' shape does not change a quantile's bits: a (64, 64)
-    # array, its flat copy, its columns and a scalar give the same values
-    q2 = _probe_levels()
+    # a quantile's bits do not depend on the rows solved with it: 600 rows
+    # of one mixture span several blocks, and each equals the row alone
     for w, m, s in MIXTURES:
-        mix = GaussianMixture1D(weights=np.array(w), means=np.array(m),
-                                sigmas=np.array(s))
-        got = mix.quantiles(q2)
-        assert got.shape == q2.shape
-        assert np.array_equal(got.ravel(), mix.quantiles(q2.ravel()))
-        assert np.array_equal(got[:, 5], mix.quantiles(q2[:, 5].copy()))
-        one = mix.quantiles(q2[3, 7])
-        assert one.shape == () and one == got[3, 7]
+        alone = mixture_quantile_table(w, m, s, 64)
+        table = mixture_quantile_table(w, np.repeat(m, 600, axis=0),
+                                       np.repeat(s, 600, axis=0), 64)
+        assert np.array_equal(table, np.repeat(alone, 600, axis=0))
 
 
 def test_mixture_quantiles_against_oracles():
-    mp = pytest.importorskip("mpmath")
-    q2 = _probe_levels()
-    gen = np.random.default_rng(23)
     for w, m, s in MIXTURES:
-        mix = GaussianMixture1D(weights=np.array(w), means=np.array(m),
-                                sigmas=np.array(s))
-        got = mix.quantiles(q2)
-        assert np.max(np.abs(got - _ref_quantiles(mix, q2))) <= BISECT_TOL
-        for i, j in gen.integers(0, 64, (32, 2)):
-            exact = _mp_quantile(mp, w, m, s, q2[i, j], got[i, j])
-            assert abs(float(exact - mp.mpf(got[i, j]))) <= 1e-13
-
-
-@pytest.mark.parametrize("q", [0.0, 1.0, np.nan, 1.5, -0.25,
-                               [0.5, np.nan], [[0.2], [1.0]]])
-def test_mixture_quantiles_reject_levels_outside_unit_interval(q):
-    mix = GaussianMixture1D(weights=np.array([1.0]), means=np.array([0.0]),
-                            sigmas=np.array([1.0]))
-    with pytest.raises(ValueError, match=r"\(0, 1\)"):
-        mix.quantiles(q)
+        _check_against_oracles(w, np.array(m), np.array(s))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_mixture_quantiles_reject_non_finite_components(bad):
+    # a non-finite second component, in one row of two
     with pytest.raises(ValueError, match="finite"):
-        GaussianMixture1D(weights=np.array([0.5, 0.5]),
-                          means=np.array([0.0, bad]),
-                          sigmas=np.array([1.0, 1.0])).quantiles(0.5)
+        mixture_quantile_table([0.5, 0.5], [[0.0, 1.0], [0.0, bad]],
+                               [[1.0, 1.0], [1.0, 1.0]])
     with pytest.raises(ValueError, match="finite"):
-        mixture_quantile_table([0.5, 0.5], [[0.0, 1.0]], [[1.0, bad]])
+        mixture_quantile_table([0.5, 0.5], [[0.0, 1.0], [0.0, 1.0]],
+                               [[1.0, 1.0], [1.0, bad]])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("field", ["weights", "means", "sigmas"])
 def test_gaussian_mixture_rejects_non_finite_fields(field, bad):
-    # NaN weights passed both the sign and the sum check before
-    fields = {"weights": np.array([0.5, 0.5]), "means": np.array([0.0, 1.0]),
-              "sigmas": np.array([1.0, 1.0])}
-    fields[field] = (np.full(2, bad) if field == "weights"
-                     else np.array([bad, 1.0]))
+    # NaN weights would pass a sign and a sum check
+    fields = {"weights": np.array([0.5, 0.5]),
+              "means_by_t": np.array([[0.0, 1.0]]),
+              "sigmas_by_t": np.array([[1.0, 1.0]])}
+    if field == "weights":
+        fields["weights"] = np.full(2, bad)
+    else:
+        fields[field + "_by_t"] = np.array([[bad, 1.0]])
     with pytest.raises(ValueError, match="finite"):
-        GaussianMixture1D(**fields)
+        mixture_quantile_table(**fields)
 
 
 def test_quantile_table_rejects_all_zero_weights():

@@ -32,6 +32,16 @@ def test_mix64_vectorized_consistent():
         assert int(vec[i]) == _splitmix64_oracle(i)
 
 
+def test_stream_keys_take_numpy_integer_seeds_and_refuse_others():
+    assert rng.stream_key(np.int64(5), 1) == rng.stream_key(5, 1)
+    tags = (1, np.arange(3))
+    assert np.array_equal(rng.stream_keys(np.uint64(2**63 + 1), *tags),
+                          rng.stream_keys(2**63 + 1, *tags))
+    for seed in (5.0, "5", None):
+        with pytest.raises(ValueError, match="seed"):
+            rng.stream_key(seed, 1)
+
+
 def test_stream_keys_match_scalar_chain():
     keys = rng.stream_keys(42, rng.TAG_NOISE, np.arange(5)[:, None],
                            np.arange(3)[None, :])
@@ -319,7 +329,7 @@ def test_brownian_rows_frees_its_walk_without_the_garbage_collector(taken):
 
 
 # --- reference counter hash: the temporaries-per-operation version that the
-# in-place raw64 / mix64 / uniforms must reproduce bit for bit.
+# in-place _raw64 / mix64 / uniforms must reproduce bit for bit.
 
 def _ref_mix64(x):
     z = np.asarray(x, dtype=np.uint64)
@@ -354,14 +364,15 @@ _TOP = np.uint64((1 << 64) - 1)
 ], ids=["scalar-scalar", "scalar-wrap", "scalar-array", "top-key",
         "array-scalar", "column-row"])
 def test_hash_matches_reference(key, index):
-    for fn, ref in ((rng.raw64, _ref_raw64), (rng.uniforms, _ref_uniforms)):
+    for fn, ref in ((rng._raw64, _ref_raw64), (rng.uniforms, _ref_uniforms)):
         got, want = fn(key, index), ref(key, index)
         assert np.shape(got) == np.shape(want)
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
-        if not np.shape(want):          # scalar inputs give a scalar
-            assert not isinstance(got, np.ndarray)
-            assert type(got) is type(want)
+    # scalar inputs give a scalar uniform (_raw64 keeps a 0-d array)
+    if not np.shape(want):
+        assert not isinstance(got, np.ndarray)
+        assert type(got) is type(want)
 
 
 def test_mix64_matches_reference_and_keeps_its_input():
@@ -384,7 +395,7 @@ def test_bit_fields_match_integer_arithmetic(bits):
     n = 2 * k + k // 2 + 1                  # ends inside the third draw
     want = []
     for d in range(3):
-        z = int(rng.raw64(key, d))
+        z = int(rng._raw64(key, d))
         want += [(z >> (64 - bits * (j + 1))) & ((1 << bits) - 1)
                  for j in range(k)]
     got = rng.bit_fields(key, n, bits)
