@@ -107,10 +107,10 @@ _LN2_LO = 1.42860682030941723212e-6
 _LOG2_E = 1.4426950408889634073599
 
 
-def _poly(coeffs, r):
+def _poly(coeffs, r, out=None):
     """Horner evaluation at ``r`` of the polynomial with coefficients
-    ``coeffs``, listed lowest power first; updated in place."""
-    acc = r * coeffs[-1]
+    ``coeffs``, lowest power first, in place in ``out`` (not ``r``)."""
+    acc = np.multiply(r, coeffs[-1], out=out)
     acc += coeffs[-2]
     for c in coeffs[-3::-1]:
         acc *= r
@@ -162,6 +162,7 @@ def exp_sum(hi, lo, out=None) -> np.ndarray:
     reduction, so an argument known as an unevaluated sum keeps its
     precision.  Cephes' method: hi + lo = n ln 2 + r with n integral and
     |r| <= ln(2) / 2, the Pade form for exp(r), then ``ldexp`` by n.
+    ``out`` may be ``hi`` or ``lo``: both are read before it is written.
     """
     n = hi + lo
     n *= _LOG2_E
@@ -170,17 +171,20 @@ def exp_sum(hi, lo, out=None) -> np.ndarray:
     r = n * -_LN2_HI
     r += hi                     # exact: hi is near n * _LN2_HI, or short
     r += lo
-    r -= n * _LN2_LO
-    rr = r * r
-    p = _poly(_EXP_P, rr)
+    p = np.empty_like(r) if out is None else out       # hi, lo are read
+    r -= np.multiply(n, _LN2_LO, out=p)
+    with np.errstate(invalid="ignore"):                 # NaN
+        k = n.astype(np.int32)
+    rr = np.multiply(r, r, out=n)
+    _poly(_EXP_P, rr, out=p)
     p *= r
-    q = _poly(_EXP_Q, rr)
+    q = _poly(_EXP_Q, rr, out=r)
     q -= p
     p /= q
     p *= 2.0
     p += 1.0
     with np.errstate(invalid="ignore", over="ignore"):  # NaN, overflow
-        return np.ldexp(p, n.astype(np.int32), out=out)
+        return np.ldexp(p, k, out=p)
 
 
 def norm_cdf(x, out=None, gauss=None) -> np.ndarray:
@@ -192,25 +196,28 @@ def norm_cdf(x, out=None, gauss=None) -> np.ndarray:
     the first part is exact (Cody's split, which keeps the factor within a
     few ulps where x**2 / 2 is large).  It is written into ``gauss`` when
     given, so a caller that needs the density as well does not compute it
-    again.  ``out`` and ``gauss`` must be C-contiguous arrays of ``x``'s
-    shape.  The inner and tail regions of the approximation are evaluated
-    only on the elements that take them, as in :func:`norm_quantile`.
+    again.  ``out`` and ``gauss``, C-contiguous arrays of ``x``'s shape
+    apart from ``x``, hold the split as well.  The inner and tail regions
+    of the approximation are evaluated only on the elements that take
+    them, as in :func:`norm_quantile`.
     """
     x = np.asarray(x, dtype=np.float64)
     flat = x.reshape(-1)
+    res = np.empty_like(flat) if out is None else out.reshape(-1)
+    e = np.empty_like(flat) if gauss is None else gauss.reshape(-1)
     y = np.abs(flat)
     np.minimum(y, 40.0, out=y)          # exp(-y**2 / 2) is 0 beyond 38.6
-    a = y * 16.0
+    a = np.multiply(y, 16.0, out=e)
     np.trunc(a, out=a)
     a *= 0.0625
-    d = y - a
+    d = np.subtract(y, a, out=res)
     d *= y + a
     d *= -0.5
     a *= a
     a *= -0.5
-    e = exp_sum(a, d, out=None if gauss is None else gauss.reshape(-1))
+    exp_sum(a, d, out=e)
 
-    res = _poly(_CDF_R, y)
+    _poly(_CDF_R, y, out=res)
     res /= _poly(_CDF_S, y)
     tail = np.flatnonzero(y > _CDF_TAIL_MIN)
     if tail.size:
@@ -226,8 +233,7 @@ def norm_cdf(x, out=None, gauss=None) -> np.ndarray:
     res *= e                            # Phi(-|x|)
     # 1 - Phi(-|x|) where x > 0: (x > 0) - copysign(Phi(-|x|), x)
     np.copysign(res, flat, out=res)
-    res = np.subtract(flat > 0.0, res,
-                      out=None if out is None else out.reshape(-1))
+    np.subtract(flat > 0.0, res, out=res)
     inner = np.flatnonzero(y <= _CDF_INNER_MAX)
     if inner.size:
         xi = flat[inner]

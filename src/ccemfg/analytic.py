@@ -83,8 +83,6 @@ def _ratio(num, den):
     num = np.asarray(num, dtype=np.float64)
     out = np.zeros(np.broadcast(num, den).shape)
     np.divide(num, den, out=out, where=den > 0.0)
-    if out.ndim == 0:
-        return float(out)
     return out
 
 
@@ -125,7 +123,6 @@ def diagonal_hk(p11: float, a: float, b: float) -> AffineCoeffs:
 
 def cce_margin(p: DeviceProbs, a: float, b: float) -> float:
     """min over [a, b] of h*m + k; the device is an equilibrium iff >= 0."""
-    _check_interval(a, b)
     co = hk_coefficients(p, a, b)
     return min(co.h * a + co.k, co.h * b + co.k)
 
@@ -140,19 +137,47 @@ def worst_case_deviation(coeffs: AffineCoeffs, a: float, b: float) -> float:
 DEFAULT_ALPHAS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
-_CSV_BLOCK = 2048                # cells per write in RegionGrid.to_csv
+_CSV_BLOCK = 2048                # rows per write in write_csv
 _SHADES = np.array(["0", "255", "128"], dtype=object)   # not, cce, infeasible
 
 
-def _format_17g(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``.17g`` strings of the distinct values of a float64 array, each
-    formatted once, and the index of each value's string among them.
-    Values are told apart by bit pattern, not by ``==``: -0.0 and 0.0
-    compare equal but print as "-0" and "0"."""
-    keys, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    table = np.array(list(map(float.__format__, keys.view(np.float64).tolist(),
-                              itertools.repeat(".17g"))), dtype=object)
-    return table, inverse.astype(np.int32)
+def _format_column(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The strings of the distinct values of an array, each formatted
+    once, and the index of each value's string among them: ``.17g`` for
+    float64, whose values are told apart by bit pattern, not by ``==``
+    (-0.0 and 0.0 compare equal but print as "-0" and "0"), else ``str``."""
+    floats = values.dtype == np.float64
+    keys, inverse = np.unique(values.view(np.int64) if floats else values,
+                              return_inverse=True)
+    strings = (map(float.__format__, keys.view(np.float64).tolist(),
+                   itertools.repeat(".17g")) if floats
+               else map(str, keys.tolist()))
+    return np.array(list(strings), dtype=object), inverse.astype(np.int32)
+
+
+def _header_line(header: Optional[dict]) -> str:
+    """The ``# {json}`` line of every output file, read by ``--config``."""
+    return "" if header is None else (
+        "# " + json.dumps(header, sort_keys=True) + "\n")
+
+
+def write_csv(path, header: Optional[dict], names, columns) -> None:
+    """The header line (unless ``header`` is None), the column ``names``,
+    then a row per entry of the ``columns``, ``_CSV_BLOCK`` rows a write.
+    :func:`_format_column` prints a value ``f"{v:.17g}" if isinstance(v,
+    float) else str(v)``, so a float reads back exactly."""
+    cols = [_format_column(np.asarray(c)) for c in columns]
+    n = cols[0][1].size if cols else 0
+    width = 2 * len(cols)                   # cells and separators per row
+    with open(path, "w") as fh:
+        fh.write(_header_line(header) + ",".join(names) + "\n")
+        for s in range(0, n, _CSV_BLOCK):
+            rows = min(_CSV_BLOCK, n - s)
+            cells = [","] * (width * rows)
+            cells[width - 1::width] = ["\n"] * rows
+            for c, (table, index) in enumerate(cols):
+                cells[2 * c::width] = table[index[s:s + rows]].tolist()
+            fh.write("".join(cells))
 
 
 @dataclass(frozen=True)
@@ -181,32 +206,13 @@ class RegionGrid:
         return self.feasible & (self.margin >= -MARGIN_TOL)
 
     def to_csv(self, path, header: Optional[dict] = None) -> None:
-        """One row per feasible cell, in i-major (p11-major) order.
-
-        Every float is printed with ``.17g``, so the file round-trips
-        exactly; ``is_cce`` is 0 or 1.  Each distinct value of a column is
-        formatted once per raster: the lookup is keyed on the float's bit
-        pattern, so -0.0 stays "-0" next to "0".  Rows go out in blocks of
-        ``_CSV_BLOCK`` cells.
-        """
-        feas = self.feasible
-        cols = [_format_17g(c[feas]) for c in (self.p11, self.p22, self.p12,
-                                                self.p21, self.h, self.k,
-                                                self.margin)]
-        cce = self.is_cce[feas].view(np.uint8)
-        alpha = f"{self.alpha:.17g}"
-        with open(path, "w") as fh:
-            if header is not None:
-                fh.write("# " + json.dumps(header, sort_keys=True) + "\n")
-            fh.write("p11,p22,p12,p21,alpha,h,k,margin,is_cce\n")
-            for s in range(0, cce.size, _CSV_BLOCK):
-                blk = slice(s, s + _CSV_BLOCK)
-                p11, p22, p12, p21, h, k, margin = (
-                    table[index[blk]].tolist() for table, index in cols)
-                fh.write("".join([
-                    f"{v11},{v22},{v12},{v21},{alpha},{vh},{vk},{vm},{c}\n"
-                    for v11, v22, v12, v21, vh, vk, vm, c in zip(
-                        p11, p22, p12, p21, h, k, margin, cce[blk].tolist())]))
+        """One row per feasible cell, in i-major (p11-major) order."""
+        f = self.feasible
+        write_csv(path, header, ["p11", "p22", "p12", "p21", "alpha", "h",
+                                 "k", "margin", "is_cce"],
+                  [self.p11[f], self.p22[f], self.p12[f], self.p21[f],
+                   np.full(f.sum(), self.alpha), self.h[f], self.k[f],
+                   self.margin[f], self.is_cce[f].view(np.uint8)])
 
     def to_pgm(self, path, header: Optional[dict] = None) -> None:
         """ASCII (P2) raster: white=equilibrium, black=not, gray=infeasible.
@@ -219,10 +225,7 @@ class RegionGrid:
         n = self.resolution
         shade = np.where(self.feasible, self.is_cce.view(np.uint8), 2)
         with open(path, "w") as fh:
-            fh.write("P2\n")
-            if header is not None:
-                fh.write("# " + json.dumps(header, sort_keys=True) + "\n")
-            fh.write(f"{n} {n}\n255\n")
+            fh.write(f"P2\n{_header_line(header)}{n} {n}\n255\n")
             fh.writelines(" ".join(row) + "\n"
                           for row in _SHADES[shade.T[::-1]].tolist())
 

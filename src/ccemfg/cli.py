@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import (DEFAULT_ALPHAS, DeviceProbs, cce_margin,
-                       finite_n_gap_oracle, region_sweep)
+                       finite_n_gap_oracle, region_sweep, write_csv)
 from .correlation import build_example_device, null_band, verify_consistency
 from .engine import SimulationError, TimeGrid, mckean_vlasov_fixed_point
 from .equilibrium import cce_gap_nplayer, mean_field_gap_mc, poc_curve
@@ -188,19 +188,7 @@ def _csv_path(out: str) -> str:
 
 
 def _base_path(out: str) -> str:
-    for suffix in (".csv", ".pgm"):
-        if out.endswith(suffix):
-            return out[: -len(suffix)]
-    return out
-
-
-def _write_csv(path, header: dict, columns, rows) -> None:
-    with open(path, "w") as fh:
-        fh.write("# " + json.dumps(header, sort_keys=True) + "\n")
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(f"{v:.17g}" if isinstance(v, float) else str(v)
-                              for v in row) + "\n")
+    return out[:-4] if out.endswith((".csv", ".pgm")) else out
 
 
 def _run_region(cfg: RunConfig):
@@ -237,9 +225,9 @@ def _run_gap(cfg: RunConfig):
                      rep.j_rec.mean, rep.j_rec.std_error, oracle))
         print(f"N={N}: eps_hat={rep.epsilon_hat:.6g} "
               f"(raw {rep.raw_gap:.6g} +- {rep.raw_se:.2g}, oracle {oracle:.6g})")
-    _write_csv(_csv_path(cfg.out), config_dict(cfg),
-               ["N", "reps", "eps_hat", "raw_gap", "raw_se", "ci_lo", "ci_hi",
-                "best_deviation", "j_rec", "j_rec_se", "oracle"], rows)
+    write_csv(_csv_path(cfg.out), config_dict(cfg),
+              ["N", "reps", "eps_hat", "raw_gap", "raw_se", "ci_lo", "ci_hi",
+               "best_deviation", "j_rec", "j_rec_se", "oracle"], zip(*rows))
 
 
 def _run_mfgap(cfg: RunConfig):
@@ -249,12 +237,11 @@ def _run_mfgap(cfg: RunConfig):
     rep = mean_field_gap_mc(model, device, deviations=cfg.deviations,
                             reps=cfg.reps, seed=cfg.seed, grid=grid,
                             workers=cfg.workers, oracle=oracle)
-    _write_csv(_csv_path(cfg.out), config_dict(cfg),
-               ["reps", "eps_hat", "raw_gap", "raw_se", "ci_lo", "ci_hi",
-                "best_deviation", "margin", "oracle"],
-               [(cfg.reps, rep.epsilon_hat, rep.raw_gap, rep.raw_se,
-                 rep.epsilon_ci[0], rep.epsilon_ci[1], rep.best_deviation,
-                 margin, oracle)])
+    write_csv(_csv_path(cfg.out), config_dict(cfg),
+              ["reps", "eps_hat", "raw_gap", "raw_se", "ci_lo", "ci_hi",
+               "best_deviation", "margin", "oracle"],
+              zip(*[(cfg.reps, rep.epsilon_hat, rep.raw_gap, rep.raw_se,
+                     *rep.epsilon_ci, rep.best_deviation, margin, oracle)]))
     print(f"eps_hat={rep.epsilon_hat:.6g} (raw {rep.raw_gap:.6g} "
           f"+- {rep.raw_se:.2g}, oracle {oracle:.6g})")
 
@@ -263,23 +250,22 @@ def _run_poc(cfg: RunConfig):
     model, _, device, grid = _game(cfg)
     res = poc_curve(model, device, cfg.N, reps=cfg.reps, seed=cfg.seed,
                     grid=grid, workers=cfg.workers)
-    rows = []
-    for i, N in enumerate(res.Ns):
-        rows.append((N, "all", float(res.overall[i])))
-        for label, vals in res.per_class.items():
-            rows.append((N, label, float(vals[i])))
-        print(f"N={N}: sup_t E[W2^2] = {res.overall[i]:.6g}")
-    _write_csv(_csv_path(cfg.out), config_dict(cfg),
-               ["N", "class", "sup_w2_sq"], rows)
+    for N, v in zip(res.Ns, res.overall):
+        print(f"N={N}: sup_t E[W2^2] = {v:.6g}")
+    curves = {"all": res.overall, **res.per_class}      # N-major rows
+    write_csv(_csv_path(cfg.out), config_dict(cfg),
+              ["N", "class", "sup_w2_sq"],
+              [np.repeat(res.Ns, len(curves)), list(curves) * len(res.Ns),
+               np.column_stack(list(curves.values())).ravel()])
 
 
 def _run_consistency(cfg: RunConfig):
     model, _, device, grid = _game(cfg)
     report = verify_consistency(model, device, grid, cfg.reps, cfg.seed)
-    _write_csv(_csv_path(cfg.out), config_dict(cfg),
-               ["class", "prob", "count", "t", "w2"],
-               [(cl.label, cl.probability, cl.count, t, d)
-                for cl in report.classes for t, d in zip(cl.times, cl.w2)])
+    write_csv(_csv_path(cfg.out), config_dict(cfg),
+              ["class", "prob", "count", "t", "w2"],
+              zip(*[(cl.label, cl.probability, cl.count, t, d) for cl in
+                    report.classes for t, d in zip(cl.times, cl.w2)]))
     classes = device.flow_classes()
     for cl in report.classes:
         band = null_band(classes[cl.label]["flow"], grid.times, cl.count,
@@ -296,11 +282,11 @@ def _run_mkv(cfg: RunConfig):
     res = mckean_vlasov_fixed_point(model, grid, action, cfg.particles,
                                     cfg.max_iters, cfg.tol, cfg.seed)
     base = _base_path(cfg.out)
-    _write_csv(base + ".csv", config_dict(cfg), ["t", "mean", "var"],
-               zip(res.times.tolist(), res.mean.tolist(), res.var.tolist()))
-    _write_csv(base + "_trace.csv", config_dict(cfg),
-               ["iteration", "w2_to_previous"],
-               [(i + 1, d) for i, d in enumerate(res.distances)])
+    write_csv(base + ".csv", config_dict(cfg), ["t", "mean", "var"],
+              [res.times, res.mean, res.var])
+    write_csv(base + "_trace.csv", config_dict(cfg),
+              ["iteration", "w2_to_previous"],
+              [range(1, len(res.distances) + 1), res.distances])
     status = "converged" if res.converged else "DID NOT CONVERGE"
     print(f"{status} in {res.iterations} iterations; "
           f"terminal mean {res.mean[-1]:.4g}, var {res.var[-1]:.4g}")

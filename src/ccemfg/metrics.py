@@ -59,14 +59,19 @@ def mixture_quantile_table(weights, means_by_t, sigmas_by_t,
     blocks of about ``_BLOCK_POINTS`` points, so the scratch memory beyond
     the result does not grow with the table.  Each row is nondecreasing: a
     final running maximum along the levels removes any last-ulp inversion.
-    Raises ``ValueError`` if ``n_points < 1``, a weight, mean or sigma is
-    not finite, no weight is positive or a row breaks the rule above.
+    Raises ``ValueError`` if ``n_points < 1``, the shapes are not (K,),
+    (n_t, K) and (n_t, K), a weight, mean or sigma is not finite, no
+    weight is positive or a row breaks the rule above.
     """
     if n_points < 1:
         raise ValueError(f"n_points must be at least 1, got {n_points}")
     w = np.asarray(weights, dtype=np.float64)
     m = np.asarray(means_by_t, dtype=np.float64)
     s = np.asarray(sigmas_by_t, dtype=np.float64)
+    if not (w.ndim == 1 and m.ndim == 2
+            and s.shape == m.shape == (len(m), w.size)):
+        raise ValueError(f"need weights (K,) and means and sigmas (n_t, K), "
+                         f"got shapes {w.shape}, {m.shape} and {s.shape}")
     if not all(np.isfinite(a).all() for a in (w, m, s)):
         raise ValueError("mixture weights, means and sigmas must be finite")
     keep = w > 0.0

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from ccemfg.analytic import (DeviceProbs, cce_margin, consistency_weights,
                              diagonal_hk, finite_n_gap_oracle, hk_coefficients,
                              mean_field_payoffs, region_sweep,
-                             worst_case_deviation, AffineCoeffs, RegionGrid,
-                             _CSV_BLOCK)
+                             worst_case_deviation, write_csv, AffineCoeffs,
+                             RegionGrid, _CSV_BLOCK)
 
 
 def hk_rational(p11, p12, p21, p22, a, b):
@@ -393,3 +393,53 @@ def test_region_writers_keep_signed_zero_and_adjacent_floats_across_blocks(
         assert head == {"0", "0.10000000000000001"}
         assert tail == {"-0", "0", "0.10000000000000001",
                         "0.10000000000000002"}
+
+
+def _ref_write_csv(path, header, names, rows):
+    """The per-value estimator-table writer that write_csv replaced
+    (reference)."""
+    with open(path, "w") as fh:
+        fh.write("# " + json.dumps(header, sort_keys=True) + "\n")
+        fh.write(",".join(names) + "\n")
+        for row in rows:
+            fh.write(",".join(f"{v:.17g}" if isinstance(v, float) else str(v)
+                              for v in row) + "\n")
+
+
+_AWKWARD_FLOATS = [-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324,
+                   -5e-324, 0.1, float(np.nextafter(0.1, 1.0)), 1.0 / 3.0]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2 * _CSV_BLOCK + 5])
+def test_write_csv_matches_the_per_value_rule(n, tmp_path):
+    """Each column holds one kind of value: numpy floats, Python floats,
+    Python ints, numpy ints, bools and labels, with -0.0 next to 0.0, both
+    signs of nan and inf, the smallest subnormal and two floats one ulp
+    apart."""
+    rng = np.random.default_rng(5)
+    floats = rng.choice(np.array(_AWKWARD_FLOATS), n)
+    columns = [floats,
+               [float(v) for v in rng.permutation(floats)],
+               [int(v) for v in rng.integers(-2**62, 2**62, n)],
+               rng.integers(-5, 5, n, dtype=np.int64),
+               rng.integers(0, 2, n).astype(bool),
+               [("all", "mu1", "(u+,mu2)")[i % 3] for i in range(n)]]
+    names = ["x", "y", "i", "j", "flag", "class"]
+    header = {"command": "gap", "p": [0.5, 0.3, 0.2, 0.0], "action": None}
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    write_csv(got, header, names, columns)
+    # the reference sees each column's own elements, numpy scalars included
+    _ref_write_csv(want, header, names, zip(*(list(c) for c in columns)))
+    assert got.read_bytes() == want.read_bytes()
+    assert len(got.read_text().splitlines()) == 2 + n
+    if n > _CSV_BLOCK:
+        fields = {v for line in got.read_text().splitlines()[2:]
+                  for v in line.split(",")[:2]}
+        assert {"-0", "0", "nan", "inf", "-inf", "4.9406564584124654e-324",
+                "0.10000000000000001", "0.10000000000000002"} <= fields
+
+
+def test_write_csv_without_header(tmp_path):
+    path = tmp_path / "t.csv"
+    write_csv(path, None, ["t", "n"], [np.array([0.5, -0.0]), [1, 2]])
+    assert path.read_text() == "t,n\n0.5,1\n-0,2\n"

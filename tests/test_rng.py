@@ -2,6 +2,7 @@
 
 import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -192,6 +193,33 @@ def test_exp_sum_keeps_the_low_part():
     want = np.array([float(mp.exp(mp.mpf(h) + mp.mpf(l)))
                      for h, l in zip(hi, lo)])
     assert np.all(np.abs(got - want) <= 2 * np.spacing(want))
+
+
+def test_exp_sum_out_may_be_either_input():
+    gen = np.random.default_rng(9)
+    hi = -np.trunc(gen.uniform(0.0, 700.0, 1000) * 512.0) / 512.0
+    lo = gen.uniform(-2.5, 0.0, 1000)
+    want = _pathgen_py.exp_sum(hi, lo)
+    for which in (0, 1):
+        args = [hi.copy(), lo.copy()]
+        got = _pathgen_py.exp_sum(*args, out=args[which])
+        assert got is args[which]
+        assert np.array_equal(got, want)
+
+
+def test_norm_cdf_allocates_only_abs_and_the_exponential_scratch():
+    # out and gauss hold the split; beside them norm_cdf keeps |x| and
+    # exp_sum two arrays and an int32 exponent alive: 3.5 arrays of x
+    x = np.random.default_rng(10).standard_normal(8192)
+    out, gauss = np.empty_like(x), np.empty_like(x)
+    _pathgen_py.norm_cdf(x, out=out, gauss=gauss)
+    tracemalloc.start()
+    try:
+        _pathgen_py.norm_cdf(x, out=out, gauss=gauss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.6 * x.nbytes
 
 
 def test_brownian_terminal_independent_of_steps():
