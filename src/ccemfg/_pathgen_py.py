@@ -23,8 +23,8 @@ discretizations consistent at the horizon.  :func:`bridge_plan` numbers
 the bisection nodes breadth-first, and node ``n`` consumes draw ``n + 1``.
 
 :func:`brownian_rows` walks that tree in order (depth-first, left subtree,
-node, right subtree), so the values of W come out in time order, one flat
-row over all streams per grid point.  Each node uses its breadth-first
+node, right subtree), so the values of W come out in time order, one row
+of the keys' shape per grid point.  Each node uses its breadth-first
 draw and the same four in-place operations on its endpoints, so every row
 is bit-identical to the matching time slice of a breadth-first fill, while
 only the rows on the current root-to-leaf path (about log2(steps) + 2) are
@@ -273,42 +273,42 @@ def bridge_plan(steps: int, dt: float):
     return lo, mid, hi, frac, sd
 
 
-def _interior_rows(flat, plan, node, l, h, w_l, w_h):
+def _interior_rows(keys, plan, node, l, h, w_l, w_h):
     """The rows of :func:`brownian_rows` strictly between grid points l and
     h, in time order.  A module function, not a closure: a closure that
-    calls itself is a reference cycle, which would keep ``flat`` alive
+    calls itself is a reference cycle, which would keep ``keys`` alive
     after the walk until the garbage collector runs."""
     n = node.get((l, h))
     if n is None:                          # h - l < 2: no interior point
         return
     _, mid, _, frac, sd = plan
-    z = norm_quantile(uniforms(flat, n + 1))
+    z = norm_quantile(uniforms(keys, n + 1))
     z *= sd[n]
     w_m = np.subtract(w_h, w_l)
     w_m *= frac[n]
     w_m += w_l
     w_m += z
     m = int(mid[n])
-    yield from _interior_rows(flat, plan, node, l, m, w_l, w_m)
+    yield from _interior_rows(keys, plan, node, l, m, w_l, w_m)
     yield w_m
-    yield from _interior_rows(flat, plan, node, m, h, w_m, w_h)
+    yield from _interior_rows(keys, plan, node, m, h, w_m, w_h)
 
 
 def brownian_rows(keys: np.ndarray, steps: int, horizon: float):
-    """Yield W(t_0), ..., W(t_steps) in time order, each a flat float64 row
-    over ``keys.reshape(-1)``; the first row is zeros.
+    """Yield W(t_0), ..., W(t_steps) in time order, each a C-contiguous
+    float64 array of ``keys``' shape; the first row is zeros.
 
     The bisection tree of :func:`bridge_plan` is walked in order.  A row is
     held only while a later row still interpolates from it, so at most
     about log2(steps) + 2 rows of the walk are alive at once.
     """
-    flat = np.asarray(keys, dtype=np.uint64).reshape(-1)
+    keys = np.ascontiguousarray(keys, dtype=np.uint64)
     plan = bridge_plan(steps, horizon / steps)
     lo, _, hi, _, _ = plan
     node = {(l, h): n for n, (l, h) in enumerate(zip(lo.tolist(), hi.tolist()))}
-    w_0 = np.zeros(flat.size)
-    w_T = np.sqrt(horizon) * norm_quantile(uniforms(flat, 0))
+    w_0 = np.zeros(keys.shape)
+    w_T = np.sqrt(horizon) * norm_quantile(uniforms(keys, 0))
     yield w_0
-    yield from _interior_rows(flat, plan, node, 0, steps, w_0, w_T)
+    yield from _interior_rows(keys, plan, node, 0, steps, w_0, w_T)
     yield w_T
 

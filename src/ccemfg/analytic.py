@@ -101,8 +101,8 @@ def _hk_arrays(p11, p12, p21, p22, a: float, b: float):
 
 
 def _check_interval(a: float, b: float) -> None:
-    if not (a < 0.0 < b):
-        raise ValueError("action interval must satisfy a < 0 < b")
+    if not (-np.inf < a < 0.0 < b < np.inf):
+        raise ValueError("action interval must satisfy -inf < a < 0 < b < inf")
 
 
 def hk_coefficients(p: DeviceProbs, a: float, b: float) -> AffineCoeffs:

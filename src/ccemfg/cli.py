@@ -70,16 +70,22 @@ def config_dict(cfg: RunConfig) -> dict:
 def _convert(kind, value):
     """``value`` as a value of the field type ``kind``: a scalar, an
     optional scalar or a tuple of scalars, which a string gives comma- or
-    space-separated.  Raises TypeError or ValueError."""
+    space-separated.  A boolean is not a number, and an int field takes
+    integral values only.  Raises TypeError or ValueError."""
     args = getattr(kind, "__args__", ())
     if type(None) in args:                              # float | None
         return None if value is None else _convert(args[0], value)
     if args:                                            # tuple[int, ...]
         if isinstance(value, str):
             value = value.replace(",", " ").split()
-        return tuple(_convert(args[0], v) for v in np.atleast_1d(value))
-    if kind is str and not isinstance(value, str):
+        elif not isinstance(value, (list, tuple)):
+            value = np.atleast_1d(value)
+        return tuple(_convert(args[0], v) for v in value)
+    if (kind is str and not isinstance(value, str)
+            or isinstance(value, (bool, np.bool_))):
         raise TypeError
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise ValueError
     return kind(value)
 
 
@@ -111,10 +117,10 @@ def parse_config(data: dict) -> RunConfig:
     if not untyped:
         check("command", merged["command"] in COMMANDS,
               f"must be one of {COMMANDS}")
-        check("a", merged["a"] < 0.0, "must be negative")
-        check("b", merged["b"] > 0.0, "must be positive")
-        check("c", merged["c"] > 0.0, "must be positive")
-        check("T", merged["T"] > 0.0, "must be positive")
+        check("a", -np.inf < merged["a"] < 0.0, "must be negative and finite")
+        for field in ("b", "c", "T"):
+            check(field, 0.0 < merged[field] < np.inf,
+                  "must be positive and finite")
         check("reps", merged["reps"] >= 1, "must be at least 1")
         check("steps", merged["steps"] >= 1, "must be at least 1")
         check("resolution", merged["resolution"] >= 2, "must be at least 2")

@@ -16,8 +16,8 @@ import numpy as np
 
 from . import rng
 from .analytic import PROB_TOL, DeviceProbs, consistency_weights
-from .engine import (TimeGrid, check_run, representative_noise,
-                     strategy_rule, stream_against_flow)
+from .engine import (TimeGrid, check_run, representative_noise, stream,
+                     strategy_rule)
 from .flows import GaussianMixtureFlow, device_flow
 from .metrics import empirical_quantiles, quantile_ranks
 from .model import MeasureView, ModelSpec
@@ -148,8 +148,8 @@ def follow_scenarios(model: ModelSpec, grid: TimeGrid,
     flow is viewed once at all grid points, into (steps + 1, S) tables of
     means and second moments; the measure at a step gathers each
     replication's column, and a strategy sees its own flow's view.  Yields
-    as :func:`ccemfg.engine.stream_against_flow`; the yielded actions are
-    overwritten at the next step.
+    as :func:`ccemfg.engine.stream`; the yielded actions are overwritten at
+    the next step.
     """
     candidates = np.asarray(candidates, dtype=np.float64)
     drawn = np.unique(scen)
@@ -172,8 +172,8 @@ def follow_scenarios(model: ModelSpec, grid: TimeGrid,
     def measure(i, x):
         return MeasureView(mean=means[i, col], second_moment=seconds[i, col])
 
-    return stream_against_flow(model, grid, np.broadcast_to(x0, a.shape),
-                               w_rows, recommend, measure)
+    return stream(model, grid, np.broadcast_to(x0, a.shape), w_rows,
+                  recommend, measure)
 
 
 def verify_consistency(model: ModelSpec, device: CorrelationDevice,

@@ -11,20 +11,21 @@ Conventions:
   terminal Brownian value does not depend on the step count (bridge
   construction, see :mod:`ccemfg._pathgen_py`).
 
-:func:`euler_step` is the one Euler kernel.  Two time loops apply it one
-grid point at a time, taking the Brownian values in time order from the
-bisection walk of :func:`ccemfg._pathgen_py.brownian_rows`, so they store
-no paths: :func:`stream_ensemble` steps a player-major ``(N, R)`` state of
-N-player ensembles (:func:`ensemble_noise`) against their empirical
-measure, and
-:func:`stream_against_flow` steps representative players (player 0's
-noise, :func:`representative_noise`) against a flow that a callback gives
-at each grid point.  Every representative player goes through it: the
-lottery's (:func:`ccemfg.correlation.follow_scenarios`) against the drawn
-flows, :func:`simulate_representative` against one flow, and
-:func:`mckean_vlasov_fixed_point`'s stack of Picard iterates, each row
-against the moments of the row above.  Paths are kept only where they are
-the output: :func:`simulate_ensemble` and :func:`simulate_representative`.
+:func:`euler_step` is the one Euler kernel and :func:`stream` the one time
+loop.  The loop applies the kernel one grid point at a time, taking the
+Brownian values in time order from the bisection walk of
+:func:`ccemfg._pathgen_py.brownian_rows`, so it stores no paths, and it
+reads the measure from a callback.  Every player steps through it: N-player
+ensembles, player-major ``(..., N, R)`` states on the walk of
+:func:`ensemble_noise`, against their :func:`empirical_measure`; the
+representative player, on player 0's walk (:func:`representative_noise`),
+against a flow, in the lottery (:func:`ccemfg.correlation.follow_scenarios`),
+in :func:`simulate_representative` and in the Picard stack of
+:func:`mckean_vlasov_fixed_point`, each row against the moments of the row
+above; and the N-player gap's lone deviator, on player 0's walk, against
+its ensemble's player sums with player 0's state replaced by its own.
+Paths are kept only where they are the output: :func:`simulate_ensemble`
+and :func:`simulate_representative`.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -167,45 +168,11 @@ def sum_rows(x: np.ndarray) -> np.ndarray:
     return np.add.accumulate(x, axis=-2)[..., -1:, :]
 
 
-class EnsembleState(NamedTuple):
-    """One grid point of a streamed ensemble (see :func:`stream_ensemble`)."""
-
-    step: int
-    x: np.ndarray                # (..., N, R) states at times[step]
-    sums: np.ndarray             # (..., 1, R) sums of x over the players
-    sq_sums: np.ndarray          # (..., 1, R) sums of x**2 over the players
-    dw: Optional[np.ndarray]     # (N, R) W(t_step+1) - W(t_step); None at T
-
-
-def stream_ensemble(model: ModelSpec, grid: TimeGrid, x0: np.ndarray,
-                    actions: np.ndarray, keys: np.ndarray):
-    """Step player-major N-player ensembles through the Euler scheme
-    without storing their paths.
-
-    ``keys``: noise stream keys of shape (N, R), player-major.  ``x0`` and
-    ``actions``: C-contiguous arrays of shape (..., N, R); every leading
-    index is one ensemble of constant actions, and all ensembles share the
-    noise of ``keys``.  Yields an :class:`EnsembleState` at each grid
-    point, in time order, before the step from it is taken.  The drift sees
-    the empirical measure with mean ``sums / N`` and second moment
-    ``sq_sums / N``, where the sums add the players in order.  The actions
-    are constant over the run, so they are checked once, as step 0's.
-    """
-    _check_actions(model, actions, 0)
-    steps, dt, times = grid.steps, grid.dt, grid.times
-    N = keys.shape[0]
-    rows = _pathgen_py.brownian_rows(keys, steps, grid.horizon)
-    w_prev = next(rows)
-    x = x0
-    for i in range(steps):
-        s1, s2 = sum_rows(x), sum_rows(x * x)
-        w_next = next(rows)
-        dw = (w_next - w_prev).reshape(keys.shape)
-        yield EnsembleState(i, x, s1, s2, dw)
-        mv = MeasureView(mean=s1 / N, second_moment=s2 / N)
-        x = _advance(model, i, times[i], dt, x, mv, actions, dw)
-        w_prev = w_next
-    yield EnsembleState(steps, x, sum_rows(x), sum_rows(x * x), None)
+def empirical_measure(N: int) -> Callable:
+    """The measure of :func:`stream` for player-major (..., N, R) ensembles:
+    mean ``sum_rows(x) / N`` and second moment ``sum_rows(x * x) / N``."""
+    return lambda i, x: MeasureView(mean=sum_rows(x) / N,
+                                    second_moment=sum_rows(x * x) / N)
 
 
 def simulate_ensemble(model: ModelSpec, grid: TimeGrid, actions, N: int,
@@ -214,75 +181,86 @@ def simulate_ensemble(model: ModelSpec, grid: TimeGrid, actions, N: int,
 
     ``actions``: array broadcastable to (reps, N) of constant actions.
     Returns states of shape (reps, N, steps+1), collected from
-    :func:`stream_ensemble`.
+    :func:`stream`.
     """
     check_run(model, grid, N=N, reps=reps)
-    keys, x0 = ensemble_noise(model, seed, rep_offset + np.arange(reps), N)
+    x0, rows = ensemble_noise(model, grid, seed, rep_offset + np.arange(reps),
+                              N)
     const = np.broadcast_to(np.asarray(actions, dtype=np.float64), (reps, N))
     x = np.empty((reps, N, grid.steps + 1))
-    for st in stream_ensemble(model, grid, x0, np.ascontiguousarray(const.T),
-                              keys):
-        x[..., st.step] = st.x.T
+    for i, xi, _, _ in stream(model, grid, x0, rows,
+                              np.ascontiguousarray(const.T),
+                              empirical_measure(N)):
+        x[..., i] = xi.T
     return x
 
 
-def ensemble_noise(model: ModelSpec, seed: int, rep_ids, N: int):
-    """Noise keys and initial states of the N-player ensembles of the
-    replications ``rep_ids``, both player-major (N, R) as
-    :func:`stream_ensemble` takes them; the states are C-contiguous."""
+def ensemble_noise(model: ModelSpec, grid: TimeGrid, seed: int, rep_ids,
+                   N: int):
+    """Initial states (N, R), C-contiguous, of the N-player ensembles of
+    the replications ``rep_ids``, and the walk of their Brownian values:
+    one player-major (N, R) row per grid point, in time order (see
+    :func:`ccemfg._pathgen_py.brownian_rows`)."""
     players = np.arange(N)
-    keys = noise_keys(seed, rep_ids, players).T
     x0 = initial_states(model, seed, rep_ids, players).T
-    return keys, np.ascontiguousarray(x0)
+    rows = _pathgen_py.brownian_rows(noise_keys(seed, rep_ids, players).T,
+                                     grid.steps, grid.horizon)
+    return np.ascontiguousarray(x0), rows
 
 
 def representative_noise(model: ModelSpec, grid: TimeGrid, seed: int,
                          rep_ids):
     """Initial states (R,) of the representative player in the
     replications ``rep_ids``, and the walk of its Brownian values: one
-    (R,) row per grid point, in time order (see
-    :func:`ccemfg._pathgen_py.brownian_rows`).
+    (R,) row per grid point, in time order.
 
     Replication r uses the streams of player 0 of replication r in the
-    N-player engine, which is what makes common-random-number comparisons
-    possible, and a replication's draws do not depend on which other ids
-    are drawn with it.
+    N-player engine, so each row is bit for bit row 0 of the
+    :func:`ensemble_noise` walk.  That is what makes common-random-number
+    comparisons possible, and a replication's draws do not depend on which
+    other ids are drawn with it.
     """
-    rows = _pathgen_py.brownian_rows(noise_keys(seed, rep_ids, [0]),
+    rows = _pathgen_py.brownian_rows(noise_keys(seed, rep_ids, [0])[:, 0],
                                      grid.steps, grid.horizon)
     x0 = initial_states(model, seed, rep_ids, [0])[:, 0]
     return x0, rows
 
 
 def strategy_rule(strategy, grid: TimeGrid) -> Callable:
-    """``strategy`` as the action rule ``(i, x, mv)`` of
-    :func:`stream_against_flow`: the strategy at time ``times[i]``."""
+    """``strategy`` as the action rule ``(i, x, mv)`` of :func:`stream`:
+    the strategy at time ``times[i]``."""
     fn, times = as_action_fn(strategy), grid.times
     return lambda i, x, mv: fn(times[i], x, mv)
 
 
-def stream_against_flow(model: ModelSpec, grid: TimeGrid, x: np.ndarray,
-                        w_rows, actions: Callable, measure: Callable):
-    """Step representative players against a flow without storing their
-    paths.
+def stream(model: ModelSpec, grid: TimeGrid, x: np.ndarray, w_rows,
+           actions, measure: Callable):
+    """Step players through the Euler scheme without storing their paths.
 
-    ``x``: initial states, (R,) or (K, R).  ``w_rows``: iterator over the
-    (R,) Brownian rows at the grid points, in time order.
+    ``x``: initial states, an array that the rows of ``w_rows``, the
+    Brownian values at the grid points in time order, broadcast over.
     ``measure(i, x)`` gives the :class:`~ccemfg.model.MeasureView` the
-    states ``x`` at grid point ``i`` step against, and ``actions(i, x, mv)``
-    their actions.  Yields ``(i, x, mv, a)`` before the Euler step from
-    grid point ``i``, and ``(steps, x, mv, None)`` at the horizon.
+    states ``x`` at grid point ``i`` step against.  ``actions`` is either
+    an array of constant actions, checked once before the loop, or a rule
+    ``actions(i, x, mv)``, whose actions are checked at every step.
+    Yields ``(i, x, mv, a)`` before the Euler step from grid point ``i``,
+    and ``(steps, x, mv, None)`` at the horizon.
     """
+    rule = callable(actions)
+    if not rule:
+        _check_actions(model, actions, 0)
+    step = euler_step if rule else _advance
     steps, dt, times = grid.steps, grid.dt, grid.times
     w_prev = next(w_rows)
     for i in range(steps):
         mv = measure(i, x)
-        a = actions(i, x, mv)
+        a = actions(i, x, mv) if rule else actions
         yield i, x, mv, a
         w_next = next(w_rows)
-        x = euler_step(model, i, times[i], dt, x, mv, a, w_next - w_prev)
+        x = step(model, i, times[i], dt, x, mv, a, w_next - w_prev)
         w_prev = w_next
-    yield steps, x, measure(steps, x), None
+    mv = measure(steps, x)      # so the suspended loop frees the last view
+    yield steps, x, mv, None
 
 
 def simulate_representative(model: ModelSpec, grid: TimeGrid, flow,
@@ -299,7 +277,7 @@ def simulate_representative(model: ModelSpec, grid: TimeGrid, flow,
                                     rep_offset + np.arange(reps))
     v = flow.view(grid.times)
     x = np.empty((grid.steps + 1, reps))       # one contiguous row per step
-    for i, xi, _, _ in stream_against_flow(
+    for i, xi, _, _ in stream(
             model, grid, x0, rows, strategy_rule(strategy, grid),
             lambda i, _: MeasureView(v.mean[i], v.second_moment[i])):
         x[i] = xi
@@ -334,21 +312,21 @@ def mckean_vlasov_fixed_point(model: ModelSpec, grid: TimeGrid, strategy,
     iterates.  That is exact because the Picard map is causal on the Euler
     grid: the left-point step of iterate k from grid point i reads only
     iterate k - 1's moments at grid point i, which the same walk has just
-    reached.  A pass steps a (K, P) state through
-    :func:`stream_against_flow`: the last finished iterate again, against
-    its predecessor's stored moment flow, then the next two iterates, each
-    against the moments of the row above at the same grid point.  The first
-    pass steps iterates 1 and 2 alone, iterate 1 against x0's flow, and the
-    pass that reaches ``max_iters`` may have only one new iterate to step.
-    The measure callback computes the moments of every row but the last,
-    and the pass records them from the view it yields.  At each grid point
-    the state is sorted once for the W2 step of each new row from the row
-    above (iterate 1's from x0).  The pass appends its distances in order
-    and the iteration stops at the first one below ``tol``; otherwise the
-    next pass starts from the last finished iterate.  Two new iterates per
-    pass, not more: a walk costs about as much as stepping and sorting four
-    or five rows, so two halve the walks, and a longer stack would step
-    iterates past the one that meets ``tol``.
+    reached.  A pass steps a (K, P) state through :func:`stream`: the last
+    finished iterate again, against its predecessor's stored moment flow,
+    then the next two iterates, each against the moments of the row above
+    at the same grid point.  The first pass steps iterates 1 and 2 alone,
+    iterate 1 against x0's flow, and the pass that reaches ``max_iters``
+    may have only one new iterate to step.  The measure callback computes
+    the moments of every row but the last, and the pass records them from
+    the view it yields.  At each grid point the state is sorted once for
+    the W2 step of each new row from the row above (iterate 1's from x0).
+    The pass appends its distances in order and the iteration stops at the
+    first one below ``tol``; otherwise the next pass starts from the last
+    finished iterate.  Two new iterates per pass, not more: a walk costs
+    about as much as stepping and sorting four or five rows, so two halve
+    the walks, and a longer stack would step iterates past the one that
+    meets ``tol``.
     """
     check_run(model, grid, max_iters=max_iters)
     if particles < 100:
@@ -377,7 +355,7 @@ def mckean_vlasov_fixed_point(model: ModelSpec, grid: TimeGrid, strategy,
         K = old + min(2, max_iters - len(distances))
         mom = np.empty((K, 3, steps + 1))      # mean, second moment, var
         d2 = np.empty((K, steps + 1))
-        for i, x, mv, _ in stream_against_flow(
+        for i, x, mv, _ in stream(
                 model, grid, np.broadcast_to(x0, (K, particles)), rows,
                 actions, measure):
             srt = np.sort(x, axis=1)

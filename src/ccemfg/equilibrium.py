@@ -32,9 +32,8 @@ import numpy as np
 
 from . import rng
 from .correlation import CorrelationDevice, follow_scenarios, sample_scenario
-from .engine import (ConstantStrategy, TimeGrid, check_run, ensemble_noise,
-                     euler_step, representative_noise, stream_ensemble,
-                     sum_rows)
+from .engine import (ConstantStrategy, TimeGrid, check_run, empirical_measure,
+                     ensemble_noise, representative_noise, stream, sum_rows)
 from .metrics import quantile_ranks
 from .model import (MeasureView, ModelSpec, drift_reads_measure,
                     exact_terminal)
@@ -192,51 +191,62 @@ def recommended_actions(device: CorrelationDevice, seed: int, rep_ids,
 def _nplayer_chunk(args):
     """Costs of the recommendation and of every candidate for player 0.
 
-    The recommended ensemble is streamed with the candidates next to it:
-    when the drift ignores the measure only player 0 is re-simulated, as
-    one (G, R) state driven by player 0's increments, and the player sums
-    are patched with its state; otherwise each candidate is a whole
-    deviated ensemble stepping in the same stream.
+    The recommended ensemble is streamed with the candidates next to it.
+    When the drift ignores the measure only player 0 is re-simulated: the
+    candidates step as one (G, R) state in a second stream, on player 0's
+    own walk (row 0 of the ensemble's), advanced after each ensemble step,
+    against the ensemble's player sums with player 0's state replaced by
+    theirs.  Otherwise each candidate is a whole deviated ensemble stepping
+    in the same stream.
     """
     (model, device, grid, N, seed, candidates, off, count) = args
     rep_ids = off + np.arange(count)
     actions, cls = recommended_actions(device, seed, rep_ids, N)
     actions = np.ascontiguousarray(actions.T)             # (N, R)
-    keys, x0 = ensemble_noise(model, seed, rep_ids, N)
+    x0, rows = ensemble_noise(model, grid, seed, rep_ids, N)
     G = candidates.shape[0]
     times, dt = grid.times, grid.dt
+    held = []           # player 0's states and the player sums, by measure
+
+    def measure(i, x):
+        held[:] = x[..., 0, :], sum_rows(x), sum_rows(x * x)
+        return MeasureView(mean=held[1] / N, second_moment=held[2] / N)
+
+    def patched(i, xd):
+        x_0, s1, s2 = held[0], held[1][0], held[2][0]
+        return MeasureView(mean=(s1 - x_0 + xd) / N,
+                           second_moment=(s2 - x_0**2 + xd**2) / N)
 
     fast = not drift_reads_measure(model)
     if fast:
-        xd = np.repeat(x0[:1], G, axis=0)                 # (G, R)
-        a_dev = np.broadcast_to(candidates[:, None], xd.shape)
-        run_dev = np.zeros(xd.shape)
+        xd0, own_rows = representative_noise(model, grid, seed, rep_ids)
+        shape = (G, count)
+        deviator = stream(model, grid, np.broadcast_to(xd0, shape), own_rows,
+                          np.broadcast_to(candidates[:, None], shape), patched)
+        run_dev = np.zeros(shape)
     else:
         actions = np.repeat(actions[None], G + 1, axis=0)  # (1 + G, N, R)
         actions[1:, 0] = candidates[:, None]
         x0 = np.repeat(x0[None], G + 1, axis=0)
-    a_0 = actions[..., 0, :]
-    run = np.zeros(a_0.shape)
-    for st in stream_ensemble(model, grid, x0, actions, keys):
-        t = times[st.step]
-        x_0 = st.x[..., 0, :]
-        s1, s2 = st.sums[..., 0, :], st.sq_sums[..., 0, :]
-        mv = MeasureView(mean=s1 / N, second_moment=s2 / N)
+    run = np.zeros(actions[..., 0, :].shape)
+    for i, x, mv, a in stream(model, grid, x0, rows, actions, measure):
+        # player 0's costs read its slice of the view, the drift all of it
+        x_0, mv_0 = x[..., 0, :], MeasureView(mv.mean[..., 0, :],
+                                              mv.second_moment[..., 0, :])
         if fast:
-            mv_dev = MeasureView(mean=(s1 - x_0 + xd) / N,
-                                 second_moment=(s2 - x_0**2 + xd**2) / N)
-        if st.dw is None:
+            dev = next(deviator)                        # (i, xd, mv_dev, a)
+        if a is None:
             break
-        run = run + np.asarray(model.running_cost(t, x_0, mv, a_0))
+        run = run + np.asarray(model.running_cost(times[i], x_0, mv_0,
+                                                  a[..., 0, :]))
         if fast:
-            run_dev = run_dev + np.asarray(
-                model.running_cost(t, xd, mv_dev, a_dev))
-            xd = euler_step(model, st.step, t, dt, xd, mv_dev, a_dev,
-                            st.dw[0])
-    cost = run * dt + np.asarray(model.terminal_cost(x_0, mv))
+            run_dev = run_dev + np.asarray(model.running_cost(times[i],
+                                                              *dev[1:]))
+            del dev            # not alive while the next candidates step
+    cost = run * dt + np.asarray(model.terminal_cost(x_0, mv_0))
     if fast:
         j_rec = cost
-        j_dev = run_dev * dt + np.asarray(model.terminal_cost(xd, mv_dev))
+        j_dev = run_dev * dt + np.asarray(model.terminal_cost(*dev[1:3]))
     else:
         j_rec, j_dev = cost[0], cost[1:]
     return j_rec, np.ascontiguousarray(j_dev.T), cls
@@ -392,18 +402,19 @@ def _poc_chunk(args):
     (model, device, grid, Ns, seed, table, off, count) = args
     rep_ids = off + np.arange(count)
     actions, cls = recommended_actions(device, seed, rep_ids, Ns[-1])
-    keys, x0 = ensemble_noise(model, seed, rep_ids, Ns[-1])
+    x0, rows = ensemble_noise(model, grid, seed, rep_ids, Ns[-1])
     n_pts = table.shape[1]
     q_idx = [quantile_ranks(N, n_pts) for N in Ns]
     d2 = np.empty((len(Ns), count, grid.steps + 1))
-    for st in stream_ensemble(model, grid, x0,
-                              np.ascontiguousarray(actions.T), keys):
-        ref = table[st.step][:, cls]                        # (points, R)
+    for i, x, _, _ in stream(model, grid, x0, rows,
+                             np.ascontiguousarray(actions.T),
+                             empirical_measure(Ns[-1])):
+        ref = table[i][:, cls]                              # (points, R)
         for k, N in enumerate(Ns):
-            diff2 = np.sort(st.x[:N], axis=0)[q_idx[k]]     # (points, R)
+            diff2 = np.sort(x[:N], axis=0)[q_idx[k]]        # (points, R)
             diff2 -= ref
             np.square(diff2, out=diff2)
-            d2[k, :, st.step] = sum_rows(diff2)[0] / n_pts
+            d2[k, :, i] = sum_rows(diff2)[0] / n_pts
     return d2, cls
 
 

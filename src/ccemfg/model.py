@@ -161,16 +161,16 @@ def build_bang_bang_model(a_lo: float, b_hi: float, c: float, T: float) -> Model
     """The fully explicit 1-d instance: drift = action, reward c*x*mean.
 
     Requires ``a_lo < 0 < b_hi`` (the equilibrium-region analysis needs the
-    action interval to straddle zero) and ``c, T > 0``.
+    action interval to straddle zero) and ``c, T > 0``, all finite.
     """
-    if not a_lo < 0.0:
-        raise ValueError("a_lo must be negative")
-    if not b_hi > 0.0:
-        raise ValueError("b_hi must be positive")
-    if not c > 0.0:
-        raise ValueError("c must be positive")
-    if not T > 0.0:
-        raise ValueError("T must be positive")
+    if not -np.inf < a_lo < 0.0:
+        raise ValueError("a_lo must be negative and finite")
+    if not 0.0 < b_hi < np.inf:
+        raise ValueError("b_hi must be positive and finite")
+    if not 0.0 < c < np.inf:
+        raise ValueError("c must be positive and finite")
+    if not 0.0 < T < np.inf:
+        raise ValueError("T must be positive and finite")
     return ModelSpec(
         horizon=float(T),
         actions=ActionBox(lo=a_lo, hi=b_hi),

@@ -15,7 +15,7 @@ def brownian_paths(keys, steps: int, horizon: float) -> np.ndarray:
     not C-contiguous.
     """
     keys = np.asarray(keys, dtype=np.uint64)
-    w = np.empty((steps + 1, keys.size))
+    w = np.empty((steps + 1,) + keys.shape)
     for i, row in enumerate(brownian_rows(keys, steps, horizon)):
         w[i] = row
-    return np.moveaxis(w.reshape((steps + 1,) + keys.shape), 0, -1)
+    return np.moveaxis(w, 0, -1)

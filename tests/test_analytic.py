@@ -136,6 +136,18 @@ def test_margin_interval_validation():
         cce_margin(DeviceProbs(1, 0, 0, 0), 0.5, 1.0)
 
 
+@pytest.mark.parametrize("a, b", [(-np.inf, 1.0), (-1.0, np.inf),
+                                  (np.nan, 1.0), (-1.0, np.nan)])
+def test_non_finite_interval_rejected(a, b):
+    # region_sweep at b = inf wrote NaN rasters
+    p = DeviceProbs(0.5, 0.3, 0.2, 0.0)
+    for call in (lambda: cce_margin(p, a, b),
+                 lambda: region_sweep(5, 0.5, a, b),
+                 lambda: finite_n_gap_oracle(p, a, b, 1.0, 2.0, 10)):
+        with pytest.raises(ValueError, match="< inf"):
+            call()
+
+
 def test_margin_swap_invariance_for_symmetric_interval():
     rng = np.random.default_rng(3)
     for _ in range(100):

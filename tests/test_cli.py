@@ -37,6 +37,57 @@ def test_config_rejects_bad_fields():
     assert "p" in fields and "reps" in fields
 
 
+@pytest.mark.parametrize("field, value", [
+    ("reps", 20.7), ("N", [10.9]), ("N", [True, 10]), ("steps", True),
+    ("seed", 1.5), ("reps", float("inf")), ("a", True), ("action", False),
+    ("alpha", [False])])
+def test_config_rejects_booleans_and_fractional_ints(field, value):
+    # int(value) took 20.7 as 20 and True as 1
+    with pytest.raises(ConfigError) as err:
+        parse_config({"command": "gap", field: value})
+    assert [f for f, _ in err.value.problems] == [field]
+
+
+def test_config_takes_integral_floats_for_int_fields():
+    cfg = parse_config({"command": "gap", "reps": 20.0, "N": [10.0, 20]})
+    assert cfg.reps == 20 and cfg.N == (10, 20)
+    assert type(cfg.reps) is int and all(type(n) is int for n in cfg.N)
+
+
+def test_truncating_json_numbers_exit_2(tmp_path, capsys):
+    cfgfile = tmp_path / "c.json"
+    cfgfile.write_text('{"reps": 20.7, "N": [10.9], "steps": true}')
+    assert run_cli(["gap", "--config", str(cfgfile),
+                    "--out", str(tmp_path / "gap")]) == 2
+    err = capsys.readouterr().err
+    for field in ("reps", "N", "steps"):
+        assert f"config error: {field}:" in err
+    assert list(tmp_path.iterdir()) == [cfgfile]
+
+
+@pytest.mark.parametrize("field, value", [
+    ("a", -np.inf), ("b", np.inf), ("c", np.inf), ("T", np.inf),
+    ("b", np.nan), ("c", np.nan)])
+def test_config_rejects_non_finite_game_parameters(field, value):
+    with pytest.raises(ConfigError) as err:
+        parse_config({"command": "gap", field: value})
+    assert [f for f, _ in err.value.problems] == [field]
+    assert "finite" in err.value.problems[0][1]
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("region", "--b", "inf"), ("mfgap", "--c", "inf"), ("gap", "--T", "inf"),
+    ("region", "--a", "-inf")])
+def test_non_finite_game_parameters_exit_2(command, flag, value, tmp_path,
+                                           capsys):
+    # region and mfgap wrote NaN and exited 0; gap exited 1
+    assert run_cli([command, f"{flag}={value}", "--out",
+                    str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {flag[2:]}: must be" in err and "finite" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_flags_override_config_file(tmp_path):
     cfgfile = tmp_path / "c.json"
     cfgfile.write_text(json.dumps({"seed": 1, "reps": 5, "p": [1, 0, 0, 0]}))

@@ -3,10 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from ccemfg.engine import (SimulationError, TimeGrid, initial_states,
+from ccemfg.engine import (SimulationError, TimeGrid, empirical_measure,
+                           ensemble_noise, initial_states,
                            mckean_vlasov_fixed_point, noise_keys,
-                           simulate_ensemble, simulate_representative,
-                           stream_ensemble)
+                           representative_noise, simulate_ensemble,
+                           simulate_representative, stream)
 from ccemfg.flows import GaussianMixtureFlow, device_flow
 from ccemfg.model import (ActionBox, GaussianInitial, MeasureView,
                           build_bang_bang_model)
@@ -159,9 +160,9 @@ def test_action_outside_box_rejected():
         simulate_ensemble(MODEL, g, 1.5, N=3, reps=2, seed=0)
 
 
-def test_stream_ensemble_checks_its_actions_once(monkeypatch):
-    """The ensemble's actions are constant over the run: one walk checks
-    them once, and an action outside the box still fails at step 0."""
+def test_stream_checks_constant_actions_once(monkeypatch):
+    """An array of actions is constant over the run: one walk checks it
+    once, and an action outside the box still fails at step 0."""
     calls = []
     contains = ActionBox.contains
 
@@ -171,12 +172,55 @@ def test_stream_ensemble_checks_its_actions_once(monkeypatch):
 
     monkeypatch.setattr(ActionBox, "contains", counting)
     g = TimeGrid(2.0, 10)
-    keys = noise_keys(0, np.arange(2), np.arange(3)).T
-    x0 = np.zeros((3, 2))
-    states = list(stream_ensemble(MODEL, g, x0, np.full((3, 2), 0.5), keys))
-    assert len(states) == 11 and calls == [(3, 2)]
+
+    def walk(actions):
+        x0, rows = ensemble_noise(MODEL, g, 0, np.arange(2), 3)
+        return list(stream(MODEL, g, x0, rows, actions, empirical_measure(3)))
+
+    assert len(walk(np.full((3, 2), 0.5))) == 11 and calls == [(3, 2)]
     with pytest.raises(ValueError, match="admissible box at step 0"):
-        list(stream_ensemble(MODEL, g, x0, np.full((3, 2), 1.5), keys))
+        walk(np.full((3, 2), 1.5))
+
+
+def test_stream_checks_a_rule_at_every_step():
+    """A rule's actions are checked at each step, and the error names the
+    step where they leave the box."""
+    g = TimeGrid(2.0, 10)
+    x0, rows = ensemble_noise(MODEL, g, 0, np.arange(2), 3)
+
+    def leaves(i, x, mv):
+        return np.full(x.shape, 0.5 if i < 6 else 1.5)
+
+    states = stream(MODEL, g, x0, rows, leaves, empirical_measure(3))
+    with pytest.raises(ValueError, match="admissible box at step 6"):
+        for i, *_ in states:
+            assert i <= 6
+
+
+# (R, N, steps): R and N * R mostly not multiples of 8, the vector width
+# that numpy's AVX-512 float64 loops step by; the last case draws about 2.5M
+# normals, so the inverse CDF's tail branches see many lengths as well
+SHARED_NOISE_SHAPES = [(1, 2, 1), (5, 3, 7), (13, 11, 64), (8, 50, 200),
+                       (37, 7, 20), (1001, 39, 64)]
+
+
+@pytest.mark.parametrize("R, N, steps", SHARED_NOISE_SHAPES)
+def test_player_0_walk_is_row_0_of_the_ensemble_walk(R, N, steps):
+    """The N-player gap steps its lone deviator on player 0's own walk in
+    place of row 0 of the ensemble's walk, so the two must agree bit for
+    bit at every row length, initial states included."""
+    model = dataclasses.replace(MODEL, initial_law=GaussianInitial(0.0, 1.0))
+    g = TimeGrid(2.0, steps)
+    ids = 3 + np.arange(R)
+    x0, rows = ensemble_noise(model, g, 5, ids, N)
+    own_x0, own_rows = representative_noise(model, g, 5, ids)
+    assert np.array_equal(own_x0, x0[0])
+    count = 0
+    for row, own in zip(rows, own_rows, strict=True):
+        assert row.shape == (N, R) and own.shape == (R,)
+        assert np.array_equal(own, row[0]), count
+        count += 1
+    assert count == steps + 1
 
 
 def test_nonfinite_state_aborts_with_step():

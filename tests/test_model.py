@@ -68,6 +68,15 @@ def test_bang_bang_model_rejects_bad_params():
             build_bang_bang_model(*args)
 
 
+@pytest.mark.parametrize("args", [
+    (-np.inf, 1, 1, 2), (-1, np.inf, 1, 2), (-1, 1, np.inf, 2),
+    (-1, 1, 1, np.inf), (-1, 1, np.nan, 2), (-1, 1, 1, np.nan)])
+def test_bang_bang_model_rejects_non_finite_params(args):
+    # c = inf ran mfgap to a NaN gap
+    with pytest.raises(ValueError, match="finite"):
+        build_bang_bang_model(*args)
+
+
 def test_drift_is_measure_free():
     m = build_bang_bang_model(-1.0, 1.0, 1.0, 2.0)
     assert not drift_reads_measure(m)

@@ -334,9 +334,9 @@ def test_brownian_rows_in_time_order_match_row_major_fill(steps):
                            np.arange(4)[None, :])
     rows = list(_pathgen_py.brownian_rows(keys, steps, 2.0))
     assert len(rows) == steps + 1
-    assert all(r.shape == (keys.size,) for r in rows)
-    ref = _ref_brownian_paths(keys, steps, 2.0).reshape(keys.size, steps + 1)
-    assert np.array_equal(np.stack(rows, axis=1), ref)
+    assert all(r.shape == keys.shape and r.flags.c_contiguous for r in rows)
+    assert np.array_equal(np.stack(rows, axis=-1),
+                          _ref_brownian_paths(keys, steps, 2.0))
 
 
 @pytest.mark.parametrize("taken", [1, 2, 9])
