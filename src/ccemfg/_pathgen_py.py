@@ -234,13 +234,16 @@ def norm_cdf(x, out=None, gauss=None) -> np.ndarray:
     # 1 - Phi(-|x|) where x > 0: (x > 0) - copysign(Phi(-|x|), x)
     np.copysign(res, flat, out=res)
     np.subtract(flat > 0.0, res, out=res)
-    inner = np.flatnonzero(y <= _CDF_INNER_MAX)
-    if inner.size:
-        xi = flat[inner]
+    # the inner region in |x|'s buffer, with Q(x**2) in x's once P is
+    # scaled: three arrays of its size, whichever region the points are in
+    inner = y <= _CDF_INNER_MAX
+    k = np.count_nonzero(inner)
+    if k:
+        xi = np.compress(inner, flat, out=y[:k])
         xx = xi * xi
         t = _poly(_CDF_P, xx)
         t *= xi
-        t /= _poly(_CDF_Q, xx)
+        t /= _poly(_CDF_Q, xx, out=xi)
         t += 0.5
         res[inner] = t
     return res.reshape(x.shape)

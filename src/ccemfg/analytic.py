@@ -105,6 +105,13 @@ def _check_interval(a: float, b: float) -> None:
         raise ValueError("action interval must satisfy -inf < a < 0 < b < inf")
 
 
+def _check_game(a: float, b: float, c: float, T: float) -> None:
+    """The rule of :func:`ccemfg.model.build_bang_bang_model`."""
+    _check_interval(a, b)
+    if not (0.0 < c < np.inf and 0.0 < T < np.inf):
+        raise ValueError("need 0 < c < inf and 0 < T < inf")
+
+
 def hk_coefficients(p: DeviceProbs, a: float, b: float) -> AffineCoeffs:
     """Affine coefficients from the raw (pre-simplification) formulas."""
     _check_interval(a, b)
@@ -276,7 +283,7 @@ def mean_field_payoffs(p: DeviceProbs, a: float, b: float, c: float, T: float,
 
     Satisfies J_rec - J_dev = c*T^2*(h*m_beta + k) up to roundoff.
     """
-    _check_interval(a, b)
+    _check_game(a, b, c, T)
     if not (min(a, b) - 1e-12 <= m_beta <= max(a, b) + 1e-12):
         raise ValueError("m_beta must lie in the action interval")
     m1, m2 = _flow_means(p, a, b)
@@ -298,7 +305,7 @@ def finite_n_gap_oracle(p: DeviceProbs, a: float, b: float, c: float, T: float,
     quadratic in m is attained on {a, b} but the interior vertex is checked
     as well.
     """
-    _check_interval(a, b)
+    _check_game(a, b, c, T)
     if N < 2:
         raise ValueError("N must be at least 2")
     q_plus, q_minus = p.row_masses

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import rng
 from .analytic import PROB_TOL, DeviceProbs, consistency_weights
-from .engine import (TimeGrid, check_run, representative_noise, stream,
+from .engine import (TimeGrid, check_run, ensemble_noise, stream,
                      strategy_rule)
 from .flows import GaussianMixtureFlow, device_flow
 from .metrics import empirical_quantiles, quantile_ranks
@@ -142,13 +142,14 @@ def follow_scenarios(model: ModelSpec, grid: TimeGrid,
     """Step the representative player of every replication, in one
     (1 + G, R) state, through the scenario the lottery drew for it.
 
-    ``scen``: each replication's scenario; ``x0``, ``w_rows``: their
-    :func:`representative_noise`.  Row 0 follows the scenario strategy and
-    rows 1..G the constant ``candidates``, on the same noise.  Each drawn
-    flow is viewed once at all grid points, into (steps + 1, S) tables of
-    means and second moments; the measure at a step gathers each
-    replication's column, and a strategy sees its own flow's view.  Yields
-    as :func:`ccemfg.engine.stream`; the yielded actions are overwritten at
+    ``scen``: each replication's scenario; ``x0``, ``w_rows``: the
+    one-player :func:`ccemfg.engine.ensemble_noise`, whose (1, R) rows
+    broadcast over the state.  Row 0 follows the scenario strategy and rows
+    1..G the constant ``candidates``, on the same noise.  Each drawn flow is
+    viewed once at all grid points, into (steps + 1, S) tables of means and
+    second moments; the measure at a step gathers each replication's
+    column, and a strategy sees its own flow's view.  Yields as
+    :func:`ccemfg.engine.stream`; the yielded actions are overwritten at
     the next step.
     """
     candidates = np.asarray(candidates, dtype=np.float64)
@@ -207,7 +208,7 @@ def verify_consistency(model: ModelSpec, device: CorrelationDevice,
             table=entry["flow"].quantile_table(times)))
         members_of.append(members)
 
-    x0, rows = representative_noise(model, grid, seed, np.arange(reps))
+    x0, rows = ensemble_noise(model, grid, seed, np.arange(reps), 1)
     for i, x, _, _ in follow_scenarios(model, grid, device, scen, x0, rows):
         for cl, members in zip(reports, members_of):
             eq = empirical_quantiles(np.sort(x[0, members]))

@@ -15,17 +15,16 @@ Conventions:
 loop.  The loop applies the kernel one grid point at a time, taking the
 Brownian values in time order from the bisection walk of
 :func:`ccemfg._pathgen_py.brownian_rows`, so it stores no paths, and it
-reads the measure from a callback.  Every player steps through it: N-player
-ensembles, player-major ``(..., N, R)`` states on the walk of
-:func:`ensemble_noise`, against their :func:`empirical_measure`; the
-representative player, on player 0's walk (:func:`representative_noise`),
-against a flow, in the lottery (:func:`ccemfg.correlation.follow_scenarios`),
-in :func:`simulate_representative` and in the Picard stack of
-:func:`mckean_vlasov_fixed_point`, each row against the moments of the row
-above; and the N-player gap's lone deviator, on player 0's walk, against
-its ensemble's player sums with player 0's state replaced by its own.
-Paths are kept only where they are the output: :func:`simulate_ensemble`
-and :func:`simulate_representative`.
+reads the measure from a callback.  Every player steps through it on the
+walk of :func:`ensemble_noise`: N-player ensembles, player-major
+``(..., N, R)`` states, against their :func:`empirical_measure`; and the
+representative player, a one-player ensemble whose (1, R) rows broadcast
+over its state, against a flow (the lottery of
+:func:`ccemfg.correlation.follow_scenarios`, :func:`simulate_representative`
+and the Picard stack of :func:`mckean_vlasov_fixed_point`) or, as the
+N-player gap's deviator, against its ensemble's player sums.  Paths are
+kept only where they are the output: :func:`simulate_ensemble` and
+:func:`simulate_representative`.
 """
 
 from __future__ import annotations
@@ -200,30 +199,15 @@ def ensemble_noise(model: ModelSpec, grid: TimeGrid, seed: int, rep_ids,
     """Initial states (N, R), C-contiguous, of the N-player ensembles of
     the replications ``rep_ids``, and the walk of their Brownian values:
     one player-major (N, R) row per grid point, in time order (see
-    :func:`ccemfg._pathgen_py.brownian_rows`)."""
+    :func:`ccemfg._pathgen_py.brownian_rows`).  Each (replication, player)
+    has its own streams, so at ``N = 1``, the representative player, the
+    walk is row 0 of every ensemble's: common random numbers.
+    """
     players = np.arange(N)
     x0 = initial_states(model, seed, rep_ids, players).T
     rows = _pathgen_py.brownian_rows(noise_keys(seed, rep_ids, players).T,
                                      grid.steps, grid.horizon)
     return np.ascontiguousarray(x0), rows
-
-
-def representative_noise(model: ModelSpec, grid: TimeGrid, seed: int,
-                         rep_ids):
-    """Initial states (R,) of the representative player in the
-    replications ``rep_ids``, and the walk of its Brownian values: one
-    (R,) row per grid point, in time order.
-
-    Replication r uses the streams of player 0 of replication r in the
-    N-player engine, so each row is bit for bit row 0 of the
-    :func:`ensemble_noise` walk.  That is what makes common-random-number
-    comparisons possible, and a replication's draws do not depend on which
-    other ids are drawn with it.
-    """
-    rows = _pathgen_py.brownian_rows(noise_keys(seed, rep_ids, [0])[:, 0],
-                                     grid.steps, grid.horizon)
-    x0 = initial_states(model, seed, rep_ids, [0])[:, 0]
-    return x0, rows
 
 
 def strategy_rule(strategy, grid: TimeGrid) -> Callable:
@@ -269,12 +253,12 @@ def simulate_representative(model: ModelSpec, grid: TimeGrid, flow,
     """Independent replications of the single SDE against an exogenous flow.
 
     Returns paths of shape (reps, steps+1), not C-contiguous; replication r
-    is the representative player of replication ``rep_offset + r`` (see
-    :func:`representative_noise`).
+    is the representative player of replication ``rep_offset + r``, player
+    0 of its ensemble (see :func:`ensemble_noise`).
     """
     check_run(model, grid, reps=reps)
-    x0, rows = representative_noise(model, grid, seed,
-                                    rep_offset + np.arange(reps))
+    x0, rows = ensemble_noise(model, grid, seed,
+                              rep_offset + np.arange(reps), 1)
     v = flow.view(grid.times)
     x = np.empty((grid.steps + 1, reps))       # one contiguous row per step
     for i, xi, _, _ in stream(
@@ -335,9 +319,9 @@ def mckean_vlasov_fixed_point(model: ModelSpec, grid: TimeGrid, strategy,
         raise ValueError("tol must be positive")
     steps, times = grid.steps, grid.times
     ids = np.arange(particles)
-    x0, rows = representative_noise(model, grid, seed, ids)
+    x0, rows = ensemble_noise(model, grid, seed, ids, 1)      # (1, P) rows
     actions = strategy_rule(strategy, grid)
-    x0_sorted = np.sort(x0)
+    x0_sorted = np.sort(x0[0])
     # the moment flow (mean, second moment) x (steps + 1) that row 0 reads
     flow = np.repeat([[x0.mean()], [np.mean(x0**2)]], steps + 1, 1)
 
@@ -377,4 +361,4 @@ def mckean_vlasov_fixed_point(model: ModelSpec, grid: TimeGrid, strategy,
                                  converged=distances[-1] < tol,
                                  iterations=len(distances))
         flow = mom[-2, :2]
-        rows = representative_noise(model, grid, seed, ids)[1]
+        rows = ensemble_noise(model, grid, seed, ids, 1)[1]

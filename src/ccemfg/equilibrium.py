@@ -10,9 +10,10 @@ All candidates within one replication share that replication's noise
 (common random numbers), which is what makes the per-replication deviation
 payoff an exact quadratic in the candidate action for the shipped model.
 
-When the drift ignores the measure (:func:`ccemfg.model.
-drift_reads_measure`), the N-player gap re-simulates the deviator alone
-and ``poc_curve`` serves every N from one ensemble.
+Both gaps price the deviating player's recommendation and candidates as
+one state (:func:`_player_costs`).  When the drift ignores the measure
+(:func:`ccemfg.model.drift_reads_measure`), the N-player gap steps that
+state alone and ``poc_curve`` serves every N from one ensemble.
 
 When one Euler step gives the exact terminal state under a constant
 action (:func:`ccemfg.model.exact_terminal`; the shipped model's rules
@@ -33,7 +34,7 @@ import numpy as np
 from . import rng
 from .correlation import CorrelationDevice, follow_scenarios, sample_scenario
 from .engine import (ConstantStrategy, TimeGrid, check_run, empirical_measure,
-                     ensemble_noise, representative_noise, stream, sum_rows)
+                     ensemble_noise, stream, sum_rows)
 from .metrics import quantile_ranks
 from .model import (MeasureView, ModelSpec, drift_reads_measure,
                     exact_terminal)
@@ -185,71 +186,74 @@ def recommended_actions(device: CorrelationDevice, seed: int, rep_ids,
 
 
 # ---------------------------------------------------------------------------
-# N-player gap
+# deviation gaps
 # ---------------------------------------------------------------------------
+
+def _player_costs(model: ModelSpec, grid: TimeGrid, steps):
+    """Costs of the deviating player's (1 + G, R) state, the recommendation
+    in row 0 and the G candidates below, along ``steps`` (a
+    :func:`ccemfg.engine.stream` of it): the running cost added per step,
+    the terminal cost at the horizon.  Returns (j_rec (R,), j_dev (R, G)).
+    """
+    times, run = grid.times, 0.0
+    for i, x, mv, a in steps:
+        if a is not None:
+            run = run + np.asarray(model.running_cost(times[i], x, mv, a))
+            del x, mv, a        # not alive while the next step is taken
+    # priced once the stream has ended and freed what it held
+    cost = run * grid.dt + np.asarray(model.terminal_cost(x, mv))
+    return cost[0], np.ascontiguousarray(cost[1:].T)
+
 
 def _nplayer_chunk(args):
     """Costs of the recommendation and of every candidate for player 0.
 
-    The recommended ensemble is streamed with the candidates next to it.
-    When the drift ignores the measure only player 0 is re-simulated: the
-    candidates step as one (G, R) state in a second stream, on player 0's
-    own walk (row 0 of the ensemble's), advanced after each ensemble step,
-    against the ensemble's player sums with player 0's state replaced by
-    theirs.  Otherwise each candidate is a whole deviated ensemble stepping
-    in the same stream.
+    Player 0 is one (1 + G, R) state, its recommended actions in row 0 and
+    the G candidates below, priced by :func:`_player_costs`.  When the drift
+    ignores the measure the state steps alone, on player 0's own walk, and
+    the recommended ensemble advances beside it one grid point per measure,
+    for its player sums s: row 0 reads s / N, the ensemble's own view, and
+    row g (s - x[0] + x[g]) / N.  Otherwise each candidate is a whole
+    deviated ensemble in one (1 + G, N, R) stream, priced by player 0.
     """
     (model, device, grid, N, seed, candidates, off, count) = args
     rep_ids = off + np.arange(count)
     actions, cls = recommended_actions(device, seed, rep_ids, N)
     actions = np.ascontiguousarray(actions.T)             # (N, R)
     x0, rows = ensemble_noise(model, grid, seed, rep_ids, N)
-    G = candidates.shape[0]
-    times, dt = grid.times, grid.dt
-    held = []           # player 0's states and the player sums, by measure
-
-    def measure(i, x):
-        held[:] = x[..., 0, :], sum_rows(x), sum_rows(x * x)
-        return MeasureView(mean=held[1] / N, second_moment=held[2] / N)
-
-    def patched(i, xd):
-        x_0, s1, s2 = held[0], held[1][0], held[2][0]
-        return MeasureView(mean=(s1 - x_0 + xd) / N,
-                           second_moment=(s2 - x_0**2 + xd**2) / N)
-
-    fast = not drift_reads_measure(model)
-    if fast:
-        xd0, own_rows = representative_noise(model, grid, seed, rep_ids)
-        shape = (G, count)
-        deviator = stream(model, grid, np.broadcast_to(xd0, shape), own_rows,
-                          np.broadcast_to(candidates[:, None], shape), patched)
-        run_dev = np.zeros(shape)
+    own = np.empty((1 + candidates.size, count))          # player 0's actions
+    own[0], own[1:] = actions[0], candidates[:, None]
+    if drift_reads_measure(model):
+        actions = np.repeat(actions[None], own.shape[0], axis=0)
+        actions[:, 0] = own                               # (1 + G, N, R)
+        ensembles = stream(model, grid,
+                           np.repeat(x0[None], own.shape[0], axis=0), rows,
+                           actions, empirical_measure(N))
+        steps = ((i, x[:, 0], MeasureView(mv.mean[:, 0],
+                                          mv.second_moment[:, 0]),
+                  None if a is None else own)
+                 for i, x, mv, a in ensembles)
     else:
-        actions = np.repeat(actions[None], G + 1, axis=0)  # (1 + G, N, R)
-        actions[1:, 0] = candidates[:, None]
-        x0 = np.repeat(x0[None], G + 1, axis=0)
-    run = np.zeros(actions[..., 0, :].shape)
-    for i, x, mv, a in stream(model, grid, x0, rows, actions, measure):
-        # player 0's costs read its slice of the view, the drift all of it
-        x_0, mv_0 = x[..., 0, :], MeasureView(mv.mean[..., 0, :],
-                                              mv.second_moment[..., 0, :])
-        if fast:
-            dev = next(deviator)                        # (i, xd, mv_dev, a)
-        if a is None:
-            break
-        run = run + np.asarray(model.running_cost(times[i], x_0, mv_0,
-                                                  a[..., 0, :]))
-        if fast:
-            run_dev = run_dev + np.asarray(model.running_cost(times[i],
-                                                              *dev[1:]))
-            del dev            # not alive while the next candidates step
-    cost = run * dt + np.asarray(model.terminal_cost(x_0, mv_0))
-    if fast:
-        j_rec = cost
-        j_dev = run_dev * dt + np.asarray(model.terminal_cost(*dev[1:3]))
-    else:
-        j_rec, j_dev = cost[0], cost[1:]
-    return j_rec, np.ascontiguousarray(j_dev.T), cls
+        # the drift ignores the measure, so the ensemble's stream carries its
+        # player sums in the view's place
+        ensemble = stream(model, grid, x0, rows, actions,
+                          lambda i, x: (sum_rows(x), sum_rows(x * x)))
+
+        def measure(i, x):
+            s1, s2 = next(ensemble)[2]            # the sums at grid point i
+            mv = np.empty((2,) + x.shape)         # mean, second moment
+            mv[:, 0] = s1[0], s2[0]
+            np.add(x[1:], s1 - x[0], out=mv[0, 1:])
+            np.multiply(x[1:], x[1:], out=mv[1, 1:])
+            mv[1, 1:] += s2 - x[0] ** 2
+            mv /= N
+            return MeasureView(*mv)
+
+        x0, own_rows = ensemble_noise(model, grid, seed, rep_ids, 1)
+        steps = stream(model, grid, np.broadcast_to(x0, own.shape), own_rows,
+                       own, measure)
+    j_rec, j_dev = _player_costs(model, grid, steps)
+    return j_rec, j_dev, cls
 
 
 def _assemble_gap(model, j_rec, j_dev, candidates, oracle=None) -> GapReport:
@@ -323,22 +327,16 @@ def _mf_chunk(args):
 
     The recommendation (row 0) and the G constant candidates of every
     replication step as one (1 + G, R) state on player 0's noise
-    (:func:`ccemfg.correlation.follow_scenarios`), and the running cost is
-    added per step; no paths are stored.
+    (:func:`ccemfg.correlation.follow_scenarios`), priced by
+    :func:`_player_costs`; no paths are stored.
     """
     (model, device, grid, seed, candidates, off, count) = args
     rep_ids = off + np.arange(count)
     scen = sample_scenario(device, seed, rep_ids)
-    x0, rows = representative_noise(model, grid, seed, rep_ids)
-    times = grid.times
-
-    run = np.zeros((1 + candidates.size, count))
-    for i, x, mv, a in follow_scenarios(model, grid, device, scen, x0, rows,
-                                        candidates):
-        if a is not None:
-            run = run + np.asarray(model.running_cost(times[i], x, mv, a))
-    cost = run * grid.dt + np.asarray(model.terminal_cost(x, mv))
-    return cost[0], np.ascontiguousarray(cost[1:].T), scen
+    x0, rows = ensemble_noise(model, grid, seed, rep_ids, 1)
+    j_rec, j_dev = _player_costs(model, grid, follow_scenarios(
+        model, grid, device, scen, x0, rows, candidates))
+    return j_rec, j_dev, scen
 
 
 def mean_field_gap_mc(model: ModelSpec, device: CorrelationDevice,

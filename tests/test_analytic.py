@@ -148,6 +148,18 @@ def test_non_finite_interval_rejected(a, b):
             call()
 
 
+@pytest.mark.parametrize("value", [np.inf, np.nan, 0.0, -1.0])
+@pytest.mark.parametrize("arg", ["c", "T"])
+def test_oracles_reject_bad_scale_and_horizon(arg, value):
+    # finite_n_gap_oracle at c = -1, T = inf read 0.0, an equilibrium
+    p = DeviceProbs(0.5, 0.3, 0.2, 0.0)
+    game = {"c": 1.0, "T": 2.0, arg: value}
+    for call in (lambda: mean_field_payoffs(p, -1, 1, m_beta=1.0, **game),
+                 lambda: finite_n_gap_oracle(p, -1, 1, N=10, **game)):
+        with pytest.raises(ValueError, match="0 < c < inf and 0 < T < inf"):
+            call()
+
+
 def test_margin_swap_invariance_for_symmetric_interval():
     rng = np.random.default_rng(3)
     for _ in range(100):

@@ -6,8 +6,7 @@ import pytest
 from ccemfg.engine import (SimulationError, TimeGrid, empirical_measure,
                            ensemble_noise, initial_states,
                            mckean_vlasov_fixed_point, noise_keys,
-                           representative_noise, simulate_ensemble,
-                           simulate_representative, stream)
+                           simulate_ensemble, simulate_representative, stream)
 from ccemfg.flows import GaussianMixtureFlow, device_flow
 from ccemfg.model import (ActionBox, GaussianInitial, MeasureView,
                           build_bang_bang_model)
@@ -206,19 +205,20 @@ SHARED_NOISE_SHAPES = [(1, 2, 1), (5, 3, 7), (13, 11, 64), (8, 50, 200),
 
 @pytest.mark.parametrize("R, N, steps", SHARED_NOISE_SHAPES)
 def test_player_0_walk_is_row_0_of_the_ensemble_walk(R, N, steps):
-    """The N-player gap steps its lone deviator on player 0's own walk in
-    place of row 0 of the ensemble's walk, so the two must agree bit for
-    bit at every row length, initial states included."""
+    """The N-player gap steps player 0's (1 + G, R) state on player 0's own
+    walk, the one-player ensemble, in place of row 0 of the ensemble's
+    walk, so the two must agree bit for bit at every row length, initial
+    states included."""
     model = dataclasses.replace(MODEL, initial_law=GaussianInitial(0.0, 1.0))
     g = TimeGrid(2.0, steps)
     ids = 3 + np.arange(R)
     x0, rows = ensemble_noise(model, g, 5, ids, N)
-    own_x0, own_rows = representative_noise(model, g, 5, ids)
-    assert np.array_equal(own_x0, x0[0])
+    own_x0, own_rows = ensemble_noise(model, g, 5, ids, 1)
+    assert np.array_equal(own_x0, x0[:1])
     count = 0
     for row, own in zip(rows, own_rows, strict=True):
-        assert row.shape == (N, R) and own.shape == (R,)
-        assert np.array_equal(own, row[0]), count
+        assert row.shape == (N, R) and own.shape == (1, R)
+        assert np.array_equal(own, row[:1]), count
         count += 1
     assert count == steps + 1
 

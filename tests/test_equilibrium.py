@@ -249,6 +249,9 @@ def test_fast_and_slow_deviation_paths_agree():
     assert np.max(np.abs(fast.improvement_means
                          - slow.improvement_means)) < 1e-12
     assert abs(fast.raw_gap - slow.raw_gap) < 1e-12
+    # the recommendation is row 0 of player 0's state on both paths
+    assert fast.j_rec.mean == slow.j_rec.mean
+    assert fast.j_rec.std_error == slow.j_rec.std_error
 
 
 # --- exact terminal sampling ---------------------------------------------

@@ -207,10 +207,15 @@ def test_exp_sum_out_may_be_either_input():
         assert np.array_equal(got, want)
 
 
-def test_norm_cdf_allocates_only_abs_and_the_exponential_scratch():
+@pytest.mark.parametrize("draw", [
+    lambda gen: gen.standard_normal(8192),
+    lambda gen: gen.uniform(-0.6, 0.6, 8192)], ids=["normal", "inner"])
+def test_norm_cdf_allocates_only_abs_and_the_exponential_scratch(draw):
     # out and gauss hold the split; beside them norm_cdf keeps |x| and
-    # exp_sum two arrays and an int32 exponent alive: 3.5 arrays of x
-    x = np.random.default_rng(10).standard_normal(8192)
+    # exp_sum two arrays and an int32 exponent alive: 3.5 arrays of x.  The
+    # inner region, all of x in the second case, holds |x| (its first
+    # operand's buffer), x**2, the P accumulator and a mask of x: 3.1
+    x = draw(np.random.default_rng(10))
     out, gauss = np.empty_like(x), np.empty_like(x)
     _pathgen_py.norm_cdf(x, out=out, gauss=gauss)
     tracemalloc.start()
