@@ -10,7 +10,7 @@ from .analytic import (AffineCoeffs, DeviceProbs, RegionGrid, cce_margin,
 from .correlation import (ConsistencyReport, CorrelationDevice, Scenario,
                           build_example_device, null_band, sample_scenario,
                           verify_consistency)
-from .engine import (ConstantStrategy, MkvResult, SimulationError, TimeGrid,
+from .engine import (MkvResult, SimulationError, TimeGrid,
                      mckean_vlasov_fixed_point, simulate_ensemble,
                      simulate_representative)
 from .equilibrium import (CostEstimate, GapReport, PocResult, cce_gap_nplayer,

@@ -9,6 +9,8 @@ flows; devices with a continuum of flows are out of scope.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -16,8 +18,7 @@ import numpy as np
 
 from . import rng
 from .analytic import PROB_TOL, DeviceProbs, consistency_weights
-from .engine import (TimeGrid, check_run, ensemble_noise, stream,
-                     strategy_rule)
+from .engine import TimeGrid, check_run, ensemble_noise, stream
 from .flows import GaussianMixtureFlow, device_flow
 from .metrics import empirical_quantiles, quantile_ranks
 from .model import MeasureView, ModelSpec
@@ -30,13 +31,18 @@ _FACTOR = 3.0
 @dataclass(frozen=True)
 class Scenario:
     probability: float
-    strategy: object             # action rule or constant
+    strategy: float              # the recommended constant action
     flow: object                 # measure flow carrying a .label
     label: str = ""
 
 
 @dataclass(frozen=True)
 class CorrelationDevice:
+    """The mediator's lottery over scenarios.  Raises ``ValueError`` unless
+    the probabilities are nonnegative and sum to 1 and every strategy is a
+    finite real (a constant action).  Keeps only the scenarios of positive
+    probability, so every scenario and every flow class can be drawn."""
+
     scenarios: tuple
 
     def __post_init__(self):
@@ -47,11 +53,21 @@ class CorrelationDevice:
             raise ValueError("scenario probabilities must be nonnegative")
         if abs(probs.sum() - 1.0) > PROB_TOL:
             raise ValueError("scenario probabilities must sum to 1")
-        object.__setattr__(self, "scenarios", tuple(self.scenarios))
+        for k, s in enumerate(self.scenarios):
+            if not (isinstance(s.strategy, numbers.Real)
+                    and math.isfinite(s.strategy)):
+                raise ValueError(f"scenario {s.label or k}: the strategy must "
+                                 f"be a finite real action, got {s.strategy!r}")
+        object.__setattr__(self, "scenarios", tuple(
+            s for s in self.scenarios if s.probability > 0))
 
     @property
     def probabilities(self) -> np.ndarray:
         return np.array([s.probability for s in self.scenarios])
+
+    @property
+    def strategies(self) -> np.ndarray:
+        return np.array([s.strategy for s in self.scenarios], dtype=np.float64)
 
     def flow_classes(self) -> dict:
         """Distinct flows with their total probability and scenario indices,
@@ -144,37 +160,27 @@ def follow_scenarios(model: ModelSpec, grid: TimeGrid,
 
     ``scen``: each replication's scenario; ``x0``, ``w_rows``: the
     one-player :func:`ccemfg.engine.ensemble_noise`, whose (1, R) rows
-    broadcast over the state.  Row 0 follows the scenario strategy and rows
-    1..G the constant ``candidates``, on the same noise.  Each drawn flow is
-    viewed once at all grid points, into (steps + 1, S) tables of means and
-    second moments; the measure at a step gathers each replication's
-    column, and a strategy sees its own flow's view.  Yields as
-    :func:`ccemfg.engine.stream`; the yielded actions are overwritten at
-    the next step.
+    broadcast over the state.  Row 0 takes the scenario's recommended
+    action and rows 1..G the ``candidates``, on the same noise.  Each drawn
+    flow is viewed once at all grid points, into (steps + 1, S) tables of
+    means and second moments; the measure at a step gathers each
+    replication's column.  Yields as :func:`ccemfg.engine.stream`.
     """
     candidates = np.asarray(candidates, dtype=np.float64)
-    drawn = np.unique(scen)
+    # np.unique would import numpy.ma on its first call, 1 MiB
+    drawn = np.flatnonzero(np.bincount(scen))
     col = np.searchsorted(drawn, scen)              # table column per rep
     views = [device.scenarios[s].flow.view(grid.times) for s in drawn]
     means = np.stack([v.mean for v in views], axis=1)
     seconds = np.stack([v.second_moment for v in views], axis=1)
-    rules = [(np.flatnonzero(col == c),
-              strategy_rule(device.scenarios[s].strategy, grid))
-             for c, s in enumerate(drawn)]
     a = np.empty((1 + candidates.size, scen.size))
-    a[1:] = candidates[:, None]
-
-    def recommend(i, x, mv):
-        for c, (idx, rule) in enumerate(rules):
-            a[0, idx] = rule(i, x[0, idx], MeasureView(
-                mean=means[i, c], second_moment=seconds[i, c]))
-        return a
+    a[0], a[1:] = device.strategies[scen], candidates[:, None]
 
     def measure(i, x):
         return MeasureView(mean=means[i, col], second_moment=seconds[i, col])
 
-    return stream(model, grid, np.broadcast_to(x0, a.shape), w_rows,
-                  recommend, measure)
+    return stream(model, grid, np.broadcast_to(x0, a.shape), w_rows, a,
+                  measure)
 
 
 def verify_consistency(model: ModelSpec, device: CorrelationDevice,
@@ -185,8 +191,8 @@ def verify_consistency(model: ModelSpec, device: CorrelationDevice,
     Each replication follows its drawn scenario (:func:`follow_scenarios`);
     at each grid point a class's states are sorted and compared with that
     time's row of its flow's quantile table.  A flow without one raises, so
-    does a positive-probability class with no samples; classes with fewer
-    than 100 samples are flagged.
+    does a class with no samples; classes with fewer than 100 samples are
+    flagged.
     """
     check_run(model, grid, reps=reps)
     scen = sample_scenario(device, seed, np.arange(reps))
@@ -197,10 +203,8 @@ def verify_consistency(model: ModelSpec, device: CorrelationDevice,
             raise ValueError(f"flow class {label} has no quantile table")
         members = np.flatnonzero(np.isin(scen, entry["scenarios"]))
         if members.size == 0:
-            if entry["probability"] > 0:
-                raise ValueError(f"flow class {label} received no samples; "
-                                 "increase reps")
-            continue
+            raise ValueError(f"flow class {label} received no samples; "
+                             "increase reps")
         reports.append(ClassReport(
             label=label, probability=float(entry["probability"]),
             count=members.size, times=times, w2=np.empty(times.size),

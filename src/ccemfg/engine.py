@@ -11,6 +11,10 @@ Conventions:
   terminal Brownian value does not depend on the step count (bridge
   construction, see :mod:`ccemfg._pathgen_py`).
 
+Every player holds a constant action over the run, as the controls and
+deviations of the paper's example do: an array that broadcasts over the
+states, checked against the action box once per run.
+
 :func:`euler_step` is the one Euler kernel and :func:`stream` the one time
 loop.  The loop applies the kernel one grid point at a time, taking the
 Brownian values in time order from the bisection walk of
@@ -90,23 +94,6 @@ def check_run(model: ModelSpec, grid: TimeGrid, **counts: int) -> None:
                          f"model.horizon ({model.horizon:g})")
 
 
-@dataclass(frozen=True)
-class ConstantStrategy:
-    """Open-loop strategy holding a fixed action."""
-
-    value: float
-
-    def __call__(self, t, x, mview):
-        return np.broadcast_to(np.float64(self.value), np.shape(x))
-
-
-def as_action_fn(strategy) -> Callable:
-    """Normalize scalars / ConstantStrategy / callables to (t, x, m) -> a."""
-    if callable(strategy):
-        return strategy
-    return ConstantStrategy(float(strategy))
-
-
 def noise_keys(seed: int, rep_ids, player_ids) -> np.ndarray:
     """Per-(replication, player) noise stream keys, shape (R, N)."""
     rep_ids = np.asarray(rep_ids)
@@ -133,20 +120,7 @@ def euler_step(model: ModelSpec, step: int, t: float, dt: float,
                x: np.ndarray, mv: MeasureView, a, dw: np.ndarray) -> np.ndarray:
     """One left-point Euler step of the states ``x`` at time ``t`` under the
     actions ``a`` against the measure view ``mv``, driven by the Brownian
-    increment ``dw``.  Checks the actions and the new states; ``step``
-    labels the errors."""
-    _check_actions(model, a, step)
-    return _advance(model, step, t, dt, x, mv, a, dw)
-
-
-def _check_actions(model: ModelSpec, a, step: int) -> None:
-    if not model.actions.contains(a):
-        raise ValueError(f"action outside the admissible box at step {step}")
-
-
-def _advance(model: ModelSpec, step: int, t: float, dt: float,
-             x: np.ndarray, mv: MeasureView, a, dw: np.ndarray) -> np.ndarray:
-    """:func:`euler_step` for actions that are already checked."""
+    increment ``dw``.  Checks the new states; ``step`` labels the error."""
     drift = model.drift(t, x, mv, a)
     x_new = x + np.asarray(drift) * dt + dw
     if not np.all(np.isfinite(x_new)):
@@ -210,13 +184,6 @@ def ensemble_noise(model: ModelSpec, grid: TimeGrid, seed: int, rep_ids,
     return np.ascontiguousarray(x0), rows
 
 
-def strategy_rule(strategy, grid: TimeGrid) -> Callable:
-    """``strategy`` as the action rule ``(i, x, mv)`` of :func:`stream`:
-    the strategy at time ``times[i]``."""
-    fn, times = as_action_fn(strategy), grid.times
-    return lambda i, x, mv: fn(times[i], x, mv)
-
-
 def stream(model: ModelSpec, grid: TimeGrid, x: np.ndarray, w_rows,
            actions, measure: Callable):
     """Step players through the Euler scheme without storing their paths.
@@ -224,24 +191,21 @@ def stream(model: ModelSpec, grid: TimeGrid, x: np.ndarray, w_rows,
     ``x``: initial states, an array that the rows of ``w_rows``, the
     Brownian values at the grid points in time order, broadcast over.
     ``measure(i, x)`` gives the :class:`~ccemfg.model.MeasureView` the
-    states ``x`` at grid point ``i`` step against.  ``actions`` is either
-    an array of constant actions, checked once before the loop, or a rule
-    ``actions(i, x, mv)``, whose actions are checked at every step.
-    Yields ``(i, x, mv, a)`` before the Euler step from grid point ``i``,
-    and ``(steps, x, mv, None)`` at the horizon.
+    states ``x`` at grid point ``i`` step against.  ``actions``: the
+    players' constant actions, an array that broadcasts over ``x``, checked
+    against the action box once, before the loop.  Yields ``(i, x, mv,
+    actions)`` before the Euler step from grid point ``i``, and ``(steps, x,
+    mv, None)`` at the horizon.
     """
-    rule = callable(actions)
-    if not rule:
-        _check_actions(model, actions, 0)
-    step = euler_step if rule else _advance
+    if not model.actions.contains(actions):
+        raise ValueError("action outside the admissible box at step 0")
     steps, dt, times = grid.steps, grid.dt, grid.times
     w_prev = next(w_rows)
     for i in range(steps):
         mv = measure(i, x)
-        a = actions(i, x, mv) if rule else actions
-        yield i, x, mv, a
+        yield i, x, mv, actions
         w_next = next(w_rows)
-        x = step(model, i, times[i], dt, x, mv, a, w_next - w_prev)
+        x = euler_step(model, i, times[i], dt, x, mv, actions, w_next - w_prev)
         w_prev = w_next
     mv = measure(steps, x)      # so the suspended loop frees the last view
     yield steps, x, mv, None
@@ -250,7 +214,8 @@ def stream(model: ModelSpec, grid: TimeGrid, x: np.ndarray, w_rows,
 def simulate_representative(model: ModelSpec, grid: TimeGrid, flow,
                             strategy, reps: int, seed: int,
                             rep_offset: int = 0) -> np.ndarray:
-    """Independent replications of the single SDE against an exogenous flow.
+    """Independent replications of the single SDE against an exogenous flow
+    under the constant action ``strategy``.
 
     Returns paths of shape (reps, steps+1), not C-contiguous; replication r
     is the representative player of replication ``rep_offset + r``, player
@@ -262,7 +227,8 @@ def simulate_representative(model: ModelSpec, grid: TimeGrid, flow,
     v = flow.view(grid.times)
     x = np.empty((grid.steps + 1, reps))       # one contiguous row per step
     for i, xi, _, _ in stream(
-            model, grid, x0, rows, strategy_rule(strategy, grid),
+            model, grid, x0, rows, np.broadcast_to(np.float64(strategy),
+                                                   x0.shape),
             lambda i, _: MeasureView(v.mean[i], v.second_moment[i])):
         x[i] = xi
     return x.T
@@ -284,7 +250,8 @@ class MkvResult:
 def mckean_vlasov_fixed_point(model: ModelSpec, grid: TimeGrid, strategy,
                               particles: int, max_iters: int, tol: float,
                               seed: int) -> MkvResult:
-    """Picard iteration on particle flows for the McKean-Vlasov dynamics.
+    """Picard iteration on particle flows for the McKean-Vlasov dynamics
+    under the constant action ``strategy``.
 
     Iterate k steps the particles, with the same noise every time, against
     the moment flow (mean and second moment at each grid point) of iterate
@@ -320,7 +287,6 @@ def mckean_vlasov_fixed_point(model: ModelSpec, grid: TimeGrid, strategy,
     steps, times = grid.steps, grid.times
     ids = np.arange(particles)
     x0, rows = ensemble_noise(model, grid, seed, ids, 1)      # (1, P) rows
-    actions = strategy_rule(strategy, grid)
     x0_sorted = np.sort(x0[0])
     # the moment flow (mean, second moment) x (steps + 1) that row 0 reads
     flow = np.repeat([[x0.mean()], [np.mean(x0**2)]], steps + 1, 1)
@@ -341,7 +307,8 @@ def mckean_vlasov_fixed_point(model: ModelSpec, grid: TimeGrid, strategy,
         d2 = np.empty((K, steps + 1))
         for i, x, mv, _ in stream(
                 model, grid, np.broadcast_to(x0, (K, particles)), rows,
-                actions, measure):
+                np.broadcast_to(np.float64(strategy), (K, particles)),
+                measure):
             srt = np.sort(x, axis=1)
             mom[:-1, 0, i] = mv.mean[1:, 0]
             mom[:-1, 1, i] = mv.second_moment[1:, 0]

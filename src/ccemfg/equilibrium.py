@@ -33,8 +33,8 @@ import numpy as np
 
 from . import rng
 from .correlation import CorrelationDevice, follow_scenarios, sample_scenario
-from .engine import (ConstantStrategy, TimeGrid, check_run, empirical_measure,
-                     ensemble_noise, stream, sum_rows)
+from .engine import (TimeGrid, check_run, empirical_measure, ensemble_noise,
+                     stream, sum_rows)
 from .metrics import quantile_ranks
 from .model import (MeasureView, ModelSpec, drift_reads_measure,
                     exact_terminal)
@@ -45,9 +45,12 @@ from .model import (MeasureView, ModelSpec, drift_reads_measure,
 # of a chunk, measured with tracemalloc and rounded up.  On the grid: the
 # N-player ensembles N * (steps + 1), more than the O(N * log2(steps))
 # held, plus 7 per deviation candidate for the gap and one curve of
-# steps + 1 per N for poc; the mean-field gap 6 per row of its (1 + G, R)
-# state plus the walk.  In one step across [0, T]: the N-player gap 11 per
-# player and 8 per candidate, the mean-field gap 5 per row and 8 more.
+# steps + 1 per N for poc; the N-player gap under a drift that reads the
+# measure 4 per player and row of its (1 + G, N, R) state, 2 * log2(steps)
+# + 5 more per player and 7 per candidate; the mean-field gap 6 per row of
+# its (1 + G, R) state plus the walk.  In one step across [0, T]: the
+# N-player gap 11 per player and 8 per candidate, the mean-field gap 5 per
+# row and 8 more.
 CHUNK_ELEMS = 20_000_000
 
 
@@ -132,17 +135,6 @@ def _map_jobs(fn, jobs, workers: int):
 # recommendation sampling for the N-player game
 # ---------------------------------------------------------------------------
 
-def _is_constant(strategy) -> bool:
-    return isinstance(strategy, ConstantStrategy) or np.isscalar(strategy)
-
-
-def _constant_of(strategy) -> float:
-    if not _is_constant(strategy):
-        raise NotImplementedError("N-player recommendation sampling "
-                                  "supports constant strategies only")
-    return float(getattr(strategy, "value", strategy))
-
-
 def recommended_actions(device: CorrelationDevice, seed: int, rep_ids,
                         N: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-(replication, player) recommended constant actions.
@@ -169,8 +161,7 @@ def recommended_actions(device: CorrelationDevice, seed: int, rep_ids,
         probs = np.array([device.scenarios[s].probability for s in scens])
         probs = probs / probs.sum()
         thresholds[ci, :len(scens) - 1] = np.cumsum(probs)[:-1]
-        values[ci, :len(scens)] = [_constant_of(device.scenarios[s].strategy)
-                                   for s in scens]
+        values[ci, :len(scens)] = device.strategies[scens]
 
     cls = scen_to_class[sample_scenario(device, seed, rep_ids)]
 
@@ -304,11 +295,14 @@ def cce_gap_nplayer(model: ModelSpec, device: CorrelationDevice, N: int,
     grid = grid or TimeGrid(model.horizon, 200)
     check_run(model, grid, reps=reps)
     candidates = _candidates(model, deviations)
+    G = candidates.size
     if exact_terminal(model):
         grid = TimeGrid(grid.horizon, 1)
-        per_rep = 11 * N + 8 * candidates.size
+        per_rep = 11 * N + 8 * G
+    elif drift_reads_measure(model):
+        per_rep = N * (4 * (1 + G) + 2 * grid.steps.bit_length() + 5) + 7 * G
     else:
-        per_rep = N * (grid.steps + 1) + 7 * candidates.size
+        per_rep = N * (grid.steps + 1) + 7 * G
     jobs = [(model, device, grid, N, seed, candidates, off, cnt)
             for off, cnt in _chunks(reps, max(1, CHUNK_ELEMS // per_rep))]
     parts = list(_map_jobs(_nplayer_chunk, jobs, workers))
@@ -350,16 +344,14 @@ def mean_field_gap_mc(model: ModelSpec, device: CorrelationDevice,
     replication in the N-player engine; the recommendation and the G
     constant candidates share that noise and are stepped together, with
     their costs accumulated as they go (see :func:`_mf_chunk`).  A chunk
-    holds no paths.  When :func:`ccemfg.model.exact_terminal` holds and
-    every scenario strategy is a constant, the state takes one step across
-    [0, T], whatever ``grid``'s step count.
+    holds no paths.  When :func:`ccemfg.model.exact_terminal` holds, the
+    state takes one step across [0, T], whatever ``grid``'s step count.
     """
     grid = grid or TimeGrid(model.horizon, 200)
     check_run(model, grid, reps=reps)
     candidates = _candidates(model, deviations)
     per_rep = 6 * (1 + candidates.size) + grid.steps.bit_length() + 2
-    if exact_terminal(model) and all(_is_constant(s.strategy)
-                                     for s in device.scenarios):
+    if exact_terminal(model):
         grid = TimeGrid(grid.horizon, 1)
         per_rep = 5 * (1 + candidates.size) + 8
     jobs = [(model, device, grid, seed, candidates, off, cnt)

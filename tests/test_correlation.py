@@ -27,6 +27,24 @@ def test_device_validation():
             Scenario(0.6, -1.0, device_flow(0.0, -1, 1))))
 
 
+@pytest.mark.parametrize("strategy", [
+    lambda t, x, mv: np.ones_like(x), np.nan, np.inf, -np.inf, "1.0",
+    1j, np.array([1.0]), None])
+def test_device_refuses_a_strategy_that_is_not_a_finite_real(strategy):
+    """A strategy is a constant action: a rule or a non-finite value is
+    refused where the device is built, naming the scenario."""
+    flow = device_flow(1.0, -1, 1)
+    with pytest.raises(ValueError, match=r"scenario \(u-\): the strategy"):
+        CorrelationDevice(scenarios=(
+            Scenario(0.5, 1.0, flow, label="(u+)"),
+            Scenario(0.5, strategy, flow, label="(u-)")))
+    with pytest.raises(ValueError, match="scenario 0: the strategy"):
+        CorrelationDevice(scenarios=(Scenario(1.0, strategy, flow),))
+    for action in (1, np.int64(-1), np.float32(0.5), 0.0):
+        dev = CorrelationDevice(scenarios=(Scenario(1.0, action, flow),))
+        assert dev.strategies.tolist() == [float(action)]
+
+
 def test_build_example_device_corners():
     dev = build_example_device(DeviceProbs(1, 0, 0, 0), -1.0, 1.0)
     assert len(dev.scenarios) == 1

@@ -181,21 +181,6 @@ def test_stream_checks_constant_actions_once(monkeypatch):
         walk(np.full((3, 2), 1.5))
 
 
-def test_stream_checks_a_rule_at_every_step():
-    """A rule's actions are checked at each step, and the error names the
-    step where they leave the box."""
-    g = TimeGrid(2.0, 10)
-    x0, rows = ensemble_noise(MODEL, g, 0, np.arange(2), 3)
-
-    def leaves(i, x, mv):
-        return np.full(x.shape, 0.5 if i < 6 else 1.5)
-
-    states = stream(MODEL, g, x0, rows, leaves, empirical_measure(3))
-    with pytest.raises(ValueError, match="admissible box at step 6"):
-        for i, *_ in states:
-            assert i <= 6
-
-
 # (R, N, steps): R and N * R mostly not multiples of 8, the vector width
 # that numpy's AVX-512 float64 loops step by; the last case draws about 2.5M
 # normals, so the inverse CDF's tail branches see many lengths as well

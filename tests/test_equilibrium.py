@@ -5,13 +5,15 @@ import functools
 import numpy as np
 import pytest
 
-from ccemfg.analytic import DeviceProbs, finite_n_gap_oracle
+from ccemfg.analytic import (DeviceProbs, consistency_weights,
+                             finite_n_gap_oracle)
 from ccemfg.correlation import (CorrelationDevice, Scenario,
-                                build_example_device)
-from ccemfg.engine import ConstantStrategy, SimulationError, TimeGrid
+                                build_example_device, verify_consistency)
+from ccemfg.engine import SimulationError, TimeGrid
+from ccemfg.flows import device_flow
 from ccemfg.equilibrium import (cce_gap_nplayer, mean_field_gap_mc, poc_curve,
                                 recommended_actions)
-from ccemfg.model import PointMass, build_bang_bang_model
+from ccemfg.model import GaussianInitial, PointMass, build_bang_bang_model
 
 MODEL = build_bang_bang_model(-1.0, 1.0, 1.0, 2.0)
 # the same game with its running cost wrapped, which hides from
@@ -331,27 +333,45 @@ def test_exact_terminal_keeps_the_action_box_and_finite_checks():
         mean_field_gap_mc(blowup, dev, reps=4, grid=grid, workers=1)
 
 
-def test_mean_field_gap_steps_a_non_constant_strategy():
-    """A recommendation that is a rule, not a constant, is stepped along
-    the grid even when the model's rules are exact at the horizon."""
+def test_mean_field_gap_steps_a_hand_built_constant_once():
+    """A device built by hand, its strategy an integer rather than a float,
+    is a constant like any other: it takes one step across [0, T]."""
     dev = build_example_device(BLACK, -1.0, 1.0)
-
-    def rule(t, x, mv):
-        return np.clip(0.5 - x, -1.0, 1.0)
-
-    ruled = CorrelationDevice(scenarios=tuple(
-        dataclasses.replace(s, strategy=rule) for s in dev.scenarios))
     grid = TimeGrid(2.0, 20)
-    got = mean_field_gap_mc(MODEL, ruled, reps=64, seed=1, grid=grid)
-    ref = mean_field_gap_mc(EULER, ruled, reps=64, seed=1, grid=grid)
-    assert np.array_equal(got.improvement_means, ref.improvement_means)
-    # a ConstantStrategy is a constant: it takes one step across [0, T]
     const = CorrelationDevice(scenarios=(
-        Scenario(1.0, ConstantStrategy(1.0), dev.scenarios[0].flow),))
+        Scenario(1.0, np.int64(1), dev.scenarios[0].flow),))
     a = mean_field_gap_mc(MODEL, const, reps=64, seed=1, grid=grid)
     b = mean_field_gap_mc(MODEL, const, reps=64, seed=1,
                           grid=TimeGrid(2.0, 3))
+    c = mean_field_gap_mc(EULER, const, reps=64, seed=1, grid=grid)
     assert np.array_equal(a.improvement_means, b.improvement_means)
+    assert np.max(np.abs(a.improvement_means - c.improvement_means)) < 1e-12
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_zero_probability_flow_class_is_dropped():
+    """A scenario of probability 0 is no part of the device: every
+    estimator runs, without a warning, as on the device without it."""
+    mu_plus = device_flow(1.0, -1.0, 1.0, label="mu+")
+    mu_minus = device_flow(0.0, -1.0, 1.0, label="mu-")
+    dev = CorrelationDevice((Scenario(1.0, 1.0, mu_plus),
+                             Scenario(0.0, -1.0, mu_minus)))
+    alone = CorrelationDevice((Scenario(1.0, 1.0, mu_plus),))
+    assert dev == alone and list(dev.flow_classes()) == ["mu+"]
+    grid = TimeGrid(2.0, 10)
+    runs = [
+        lambda d: cce_gap_nplayer(MODEL, d, N=5, reps=50, seed=2,
+                                  grid=grid).improvement_means,
+        lambda d: cce_gap_nplayer(EULER, d, N=5, reps=50, seed=2,
+                                  grid=grid).improvement_means,
+        lambda d: poc_curve(MODEL, d, [5, 10], reps=50, seed=2, grid=grid,
+                            workers=1).overall,
+        lambda d: mean_field_gap_mc(MODEL, d, reps=50, seed=2,
+                                    grid=grid).improvement_means,
+        lambda d: [cl.w2 for cl in verify_consistency(
+            MODEL, d, grid, reps=50, seed=2).classes]]
+    for run in runs:
+        assert np.array_equal(run(dev), run(alone))
 
 
 def test_sense_flip_negates_improvements():
@@ -384,6 +404,33 @@ def test_mean_field_gap_black_device():
                             grid=TimeGrid(2.0, 100))
     assert abs(rep.raw_gap - 24 / 35) < 3 * rep.raw_se
     assert rep.best_deviation == 1.0       # worst-case endpoint is b
+
+
+@pytest.mark.parametrize("mu, s", [(0.0, 0.0), (1.0, 0.5), (-3.0, 1.0)])
+def test_mean_field_gap_from_a_gaussian_start(mu, s):
+    """x0 ~ N(mu, s^2) against the device's flows started at mu.  A flow
+    of mean drift m has mean mu + m T at T, and the reward c x mean reads
+    only means, so s drops out: with y = mu + T E[m], the gap is
+    max(0, c T (max(a y, b y) - mu E[m] - T E[m^2])), the expectations over
+    the lottery (consistency gives E[u m] = E[m^2] for the recommended u)."""
+    a, b, c, T = -1.0, 1.0, 1.0, 2.0
+    a1, a2 = consistency_weights(BLACK)
+    flows = {1: device_flow(a1, a, b, "mu1", x0=mu),
+             2: device_flow(a2, a, b, "mu2", x0=mu)}
+    dev = CorrelationDevice(tuple(
+        Scenario(prob, action, flows[col]) for action, col, prob in
+        ((b, 1, BLACK.p11), (b, 2, BLACK.p12), (a, 1, BLACK.p21),
+         (a, 2, BLACK.p22))))
+    m = np.array([np.dot(sc.flow.weights, sc.flow.drift_rates)
+                  for sc in dev.scenarios])
+    e_m, e_m2 = dev.probabilities @ m, dev.probabilities @ m**2
+    y = mu + T * e_m
+    oracle = max(0.0, c * T * (max(a * y, b * y) - mu * e_m - T * e_m2))
+    model = dataclasses.replace(MODEL, initial_law=GaussianInitial(mu, s))
+    rep = mean_field_gap_mc(model, dev, reps=20_000, seed=3)
+    assert abs(rep.raw_gap - oracle) <= 2 * rep.raw_se, (rep.raw_gap, oracle)
+    if mu == -3.0:
+        assert rep.best_deviation == a
 
 
 def test_mean_field_gap_white_corner():

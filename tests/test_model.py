@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccemfg.engine import euler_step
+from ccemfg.engine import TimeGrid, stream
 from ccemfg.model import (ActionBox, GaussianInitial, MeasureView, PointMass,
                           build_bang_bang_model, drift_reads_measure,
                           exact_terminal)
@@ -29,7 +29,7 @@ def test_action_box_validation():
 
 def test_action_box_checks_broadcast_arrays():
     # contains reads each value of a broadcast array once; the verdict and
-    # euler_step's ValueError are the same as on a full copy
+    # stream's ValueError are the same as on a full copy
     box = ActionBox(-1.0, 1.0)
     inside = np.broadcast_to(np.float64(0.5), (3, 1000))
     outside = np.broadcast_to(np.float64(1.5), (3, 1000))
@@ -43,11 +43,16 @@ def test_action_box_checks_broadcast_arrays():
     assert not box.contains(rows) and box.contains(rows[:-1])
     assert not box.contains(cols) and box.contains(cols[:, :-1])
     model = build_bang_bang_model(-1.0, 1.0, 1.0, 2.0)
-    x, mv = np.zeros((3, 1000)), MeasureView(mean=0.0, second_moment=0.0)
-    euler_step(model, 0, 0.0, 0.1, x, mv, inside, np.zeros(1000))
+    mv = MeasureView(mean=0.0, second_moment=0.0)
+
+    def walk(a):
+        return list(stream(model, TimeGrid(2.0, 1), np.zeros((3, 1000)),
+                           iter([np.zeros(1000)] * 2), a, lambda i, x: mv))
+
+    assert len(walk(inside)) == 2
     for a in (outside, rows):
         with pytest.raises(ValueError, match="outside the admissible box"):
-            euler_step(model, 4, 0.0, 0.1, x, mv, a, np.zeros(1000))
+            walk(a)
 
 
 def test_bang_bang_model_basics():

@@ -27,12 +27,11 @@ import pytest
 import ccemfg.equilibrium as eq
 from ccemfg import _pathgen_py
 from ccemfg.analytic import DeviceProbs
-from ccemfg.correlation import (CorrelationDevice, build_example_device,
-                                null_band, sample_scenario,
-                                verify_consistency)
-from ccemfg.engine import (SimulationError, TimeGrid, as_action_fn,
-                           initial_states, mckean_vlasov_fixed_point,
-                           noise_keys, simulate_representative)
+from ccemfg.correlation import (build_example_device, null_band,
+                                sample_scenario, verify_consistency)
+from ccemfg.engine import (SimulationError, TimeGrid, initial_states,
+                           mckean_vlasov_fixed_point, noise_keys,
+                           simulate_representative)
 from ccemfg.equilibrium import (_assemble_gap, _chunks, cce_gap_nplayer,
                                 default_deviation_grid, mean_field_gap_mc,
                                 poc_curve, recommended_actions)
@@ -87,8 +86,13 @@ def _ref_flow_views(flow, grid):
     return [flow.view(t) for t in grid.times[:-1]]
 
 
+def _ref_constant(action):
+    """The constant ``action`` at every state of the step."""
+    return lambda t, x, mv: np.broadcast_to(np.float64(action), np.shape(x))
+
+
 def _ref_step_against_flow(model, grid, x0, w, strategy, views):
-    return _ref_euler(model, grid, x0, w, as_action_fn(strategy),
+    return _ref_euler(model, grid, x0, w, _ref_constant(strategy),
                       lambda i, x: views[i])
 
 
@@ -243,20 +247,14 @@ def _ref_mf_chunk(args):
         means = np.broadcast_to(means, (x0_s.size, means.shape[0]))
         m2s = np.broadcast_to(m2s, means.shape)
 
-        fn = as_action_fn(scenario.strategy)
-        rec = []
-
-        def rec_fn(t, xx, mv, _f=fn, _rec=rec):
-            a = np.broadcast_to(_f(t, xx, mv), np.shape(xx))
-            _rec.append(np.array(a))
-            return a
-
         def flow_fn(i, x, _v=views):
             return _v[i]
 
-        x = _ref_euler(model, grid, x0_s, w_s, rec_fn, flow_fn)
-        a_rec = np.stack(rec, axis=1)                 # (Rc, steps)
-        j_rec[mask] = _ref_player_cost(model, grid, x, a_rec, means, m2s)
+        x = _ref_euler(model, grid, x0_s, w_s,
+                       _ref_constant(scenario.strategy), flow_fn)
+        j_rec[mask] = _ref_player_cost(model, grid, x,
+                                       np.full(x0_s.size, scenario.strategy),
+                                       means, m2s)
 
         for g, m in enumerate(candidates):
             xd = _ref_euler(model, grid, x0_s, w_s,
@@ -461,28 +459,11 @@ def test_poc_under_a_measure_reading_drift():
             assert res.per_class[lab][k] == vals[0]
 
 
-class _Feedback:
-    """State feedback ``clip(value - x, -1, 1)``: reads the state, so the
-    recommendation differs from one replication and step to the next."""
-
-    def __init__(self, value):
-        self.value = value
-
-    def __call__(self, t, x, mv):
-        return np.clip(self.value - x, -1.0, 1.0)
-
-
 def _mean_reverting_model(theta):
     """Drift a + theta * (mean(mu_t) - x): from the second Picard iterate
     on, successive iterates differ by one shift, which shrinks slowly."""
     return dataclasses.replace(
         MODEL, drift=lambda t, x, m, a: a + theta * (m.mean - x))
-
-
-def _with_feedback(device):
-    return CorrelationDevice(scenarios=tuple(
-        dataclasses.replace(s, strategy=_Feedback(s.strategy))
-        for s in device.scenarios))
 
 
 @pytest.mark.parametrize("variant", ["bang-bang", "running-cost-feedback"])
@@ -494,7 +475,6 @@ def test_mf_chunk_matches_path_storing_reference(p, steps, variant):
     if variant != "bang-bang":
         model = dataclasses.replace(
             MODEL, running_cost=lambda t, x, m, a: 0.5 * a**2 - x * m.mean)
-        device = _with_feedback(device)
     grid = TimeGrid(2.0, steps)
     candidates = default_deviation_grid(model)
     for R in CHUNK_REPS:
@@ -514,14 +494,11 @@ def test_consistency_matches_path_storing_reference(p, steps, variant):
     device = build_example_device(DeviceProbs(*p), -1.0, 1.0)
     if variant != "bang-bang":
         model = _measure_feedback_model()
-        device = _with_feedback(device)
     grid = TimeGrid(2.0, steps)
     for reps in (1, 7, 150):
         drawn = set(sample_scenario(device, 4, np.arange(reps)).tolist())
-        classes = device.flow_classes()
-        if any(entry["probability"] > 0
-               and not drawn.intersection(entry["scenarios"])
-               for entry in classes.values()):
+        if any(not drawn.intersection(entry["scenarios"])
+               for entry in device.flow_classes().values()):
             with pytest.raises(ValueError, match="no samples"):
                 verify_consistency(model, device, grid, reps=reps, seed=4)
             continue
@@ -541,7 +518,7 @@ def test_consistency_matches_path_storing_reference(p, steps, variant):
 def test_representative_collectors_match_stored_euler(steps, variant):
     model, strategy, max_iters, tol = MODEL, 1.0, 3, 1e-12
     if variant == "measure-feedback":
-        model, strategy = _measure_feedback_model(), _Feedback(0.5)
+        model, strategy = _measure_feedback_model(), 0.5
     elif variant == "mean-reverting":
         model, max_iters, tol = _mean_reverting_model(0.5), 40, 1e-10
     grid = TimeGrid(2.0, steps)
@@ -727,18 +704,24 @@ def test_exact_terminal_gaps_stay_inside_the_chunk_budget(monkeypatch):
 
 
 def test_euler_gaps_stay_inside_the_chunk_budget(monkeypatch):
-    """The gaps stepped along the grid, where the (G, R) deviation state
-    outweighs the N players: N = 2 with 401 candidates."""
+    """The gaps stepped along the grid: where the (G, R) deviation state
+    outweighs the N players, N = 2 with 401 candidates; and, under a drift
+    that reads the measure, the (1 + G, N, R) state of whole deviated
+    ensembles."""
     budget = 1_000_000
     device = build_example_device(DeviceProbs(0.5, 0.3, 0.2, 0), -1.0, 1.0)
     grid = TimeGrid(2.0, 200)
+    measured = dataclasses.replace(MODEL,
+                                   drift=functools.partial(MODEL.drift))
 
     def run():
         cce_gap_nplayer(EULER, device, N=2, reps=700, seed=0,
                         deviations=401, grid=grid)
         mean_field_gap_mc(EULER, device, reps=2_000, seed=0, deviations=201,
                           grid=grid)
+        cce_gap_nplayer(measured, device, N=100, reps=200, seed=0,
+                        grid=TimeGrid(2.0, 10))
 
     peaks = _chunk_peaks(monkeypatch, budget, run)
     assert max(peaks) < 8 * budget + 2**17, f"peaks {peaks}"
-    assert len(peaks) == 3 + 3
+    assert len(peaks) == 3 + 3 + 3
