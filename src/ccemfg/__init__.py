@@ -5,8 +5,8 @@ estimation, propagation-of-chaos and consistency diagnostics."""
 
 from .analytic import (AffineCoeffs, DeviceProbs, RegionGrid, cce_margin,
                        consistency_weights, diagonal_hk, finite_n_gap_oracle,
-                       hk_coefficients, mean_field_payoffs, region_sweep,
-                       worst_case_deviation)
+                       hk_coefficients, mean_field_gap_oracle,
+                       mean_field_payoffs, region_sweep, worst_case_deviation)
 from .correlation import (ConsistencyReport, CorrelationDevice, Scenario,
                           build_example_device, null_band, sample_scenario,
                           verify_consistency)

@@ -295,6 +295,14 @@ def mean_field_payoffs(p: DeviceProbs, a: float, b: float, c: float, T: float,
     return j_rec, j_dev
 
 
+def mean_field_gap_oracle(p: DeviceProbs, a: float, b: float, c: float,
+                          T: float) -> float:
+    """Exact mean field deviation gap over constant controls: the better
+    endpoint deviation's gain, c*T^2 * max(0, -cce_margin(p, a, b))."""
+    _check_game(a, b, c, T)
+    return c * T * T * max(0.0, -cce_margin(p, a, b))
+
+
 def finite_n_gap_oracle(p: DeviceProbs, a: float, b: float, c: float, T: float,
                         N: int) -> float:
     """Exact N-player deviation gap over constant controls.

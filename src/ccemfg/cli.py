@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import (DEFAULT_ALPHAS, DeviceProbs, cce_margin,
-                       finite_n_gap_oracle, region_sweep, write_csv)
+                       finite_n_gap_oracle, mean_field_gap_oracle,
+                       region_sweep, write_csv)
 from .correlation import build_example_device, null_band, verify_consistency
 from .engine import SimulationError, TimeGrid, mckean_vlasov_fixed_point
 from .equilibrium import cce_gap_nplayer, mean_field_gap_mc, poc_curve
@@ -136,6 +137,8 @@ def parse_config(data: dict) -> RunConfig:
               "entries must lie in [0, 1]")
         check("N", all(v >= 2 for v in merged["N"]),
               "entries must be at least 2")
+        check("N", all(m < n for m, n in zip(merged["N"], merged["N"][1:])),
+              "entries must be strictly increasing")
         for field in ("alpha", "N"):
             check(field, len(merged[field]) > 0, "must not be empty")
         check("out", merged["out"] != "", "must be a nonempty path")
@@ -239,7 +242,7 @@ def _run_gap(cfg: RunConfig):
 def _run_mfgap(cfg: RunConfig):
     model, probs, device, grid = _game(cfg)
     margin = cce_margin(probs, cfg.a, cfg.b)
-    oracle = cfg.c * cfg.T * cfg.T * max(0.0, -margin)
+    oracle = mean_field_gap_oracle(probs, cfg.a, cfg.b, cfg.c, cfg.T)
     rep = mean_field_gap_mc(model, device, deviations=cfg.deviations,
                             reps=cfg.reps, seed=cfg.seed, grid=grid,
                             workers=cfg.workers, oracle=oracle)

@@ -39,19 +39,11 @@ from .metrics import quantile_ranks
 from .model import (MeasureView, ModelSpec, drift_reads_measure,
                     exact_terminal)
 
-# Sets the replications per chunk: CHUNK_ELEMS // (numbers one replication
-# counts for).  No estimator stores a path; the bridge walk holds about
-# log2(steps) + 2 rows.  The counts cover the (R,) rows alive at the peak
-# of a chunk, measured with tracemalloc and rounded up.  On the grid: the
-# N-player ensembles N * (steps + 1), more than the O(N * log2(steps))
-# held, plus 7 per deviation candidate for the gap and one curve of
-# steps + 1 per N for poc; the N-player gap under a drift that reads the
-# measure 4 per player and row of its (1 + G, N, R) state, 2 * log2(steps)
-# + 5 more per player and 7 per candidate; the mean-field gap 6 per row of
-# its (1 + G, R) state plus the walk.  In one step across [0, T]: the
-# N-player gap 11 per player and 8 per candidate, the mean-field gap 5 per
-# row and 8 more.
+# The float64 numbers a chunk may hold, :func:`_rep_numbers` per replication
 CHUNK_ELEMS = 20_000_000
+# The entries per row of its walked players a chunk may hold on a grid, which
+# each step re-reads: the Euler gap and poc ran fastest near it (2 MiB L2)
+ROW_ELEMS = 2**16
 
 
 @dataclass(frozen=True)
@@ -84,28 +76,35 @@ class GapReport:
     oracle: Optional[float] = None
 
 
-def default_deviation_grid(model: ModelSpec, size: int = 21) -> np.ndarray:
-    if size < 3:
-        raise ValueError("deviation grid needs at least 3 candidates")
-    return np.linspace(model.actions.lo, model.actions.hi, size)
-
-
-def _candidates(model: ModelSpec, deviations) -> np.ndarray:
-    """The deviation candidates of an estimator: a size passed to
-    :func:`default_deviation_grid`, or the constant actions themselves."""
-    if np.isscalar(deviations):
-        return default_deviation_grid(model, deviations)
-    candidates = np.asarray(deviations, dtype=np.float64)
+def default_deviation_grid(model: ModelSpec, deviations=21) -> np.ndarray:
+    """The deviation candidates of an estimator: ``deviations`` evenly
+    spaced actions across the box, or the constant actions themselves."""
+    candidates = (np.linspace(model.actions.lo, model.actions.hi, deviations)
+                  if np.isscalar(deviations)
+                  else np.asarray(deviations, dtype=np.float64))
     if candidates.size < 3:
         raise ValueError("deviation grid needs at least 3 candidates")
     return candidates
 
 
-def _chunks(total: int, chunk: int):
-    off = 0
-    while off < total:
-        yield off, min(chunk, total - off)
-        off += chunk
+def _rep_numbers(steps, state, walked, candidates=0, curves=0) -> int:
+    """The float64 numbers one replication holds at the peak of its chunk,
+    from the shapes it streams on a grid of ``steps``: ``state`` entries,
+    ``walked`` players (a walk holds about log2(steps) + 2 rows), deviation
+    ``candidates`` and stored ``curves`` entries.  Fitted with tracemalloc
+    on every estimator path, the count is 1.05 to 2 times the peak."""
+    return (5 * state + (2 * steps.bit_length() + 6) * walked
+            + 5 * candidates + curves)
+
+
+def _jobs(reps, pieces, steps, state, walked, candidates=0, curves=0) -> list:
+    """(offset, count) of ``pieces`` chunks of ``reps`` replications, or of
+    smaller ones: at most ``CHUNK_ELEMS`` numbers (:func:`_rep_numbers` per
+    replication) and, if ``steps > 1``, ``ROW_ELEMS`` per walked player."""
+    per_rep = _rep_numbers(steps, state, walked, candidates, curves)
+    chunk = max(1, min(-(-reps // pieces), CHUNK_ELEMS // per_rep,
+                       ROW_ELEMS // walked if steps > 1 else reps))
+    return [(off, min(chunk, reps - off)) for off in range(0, reps, chunk)]
 
 
 def usable_cpus() -> int:
@@ -248,33 +247,25 @@ def _nplayer_chunk(args):
 
 
 def _assemble_gap(model, j_rec, j_dev, candidates, oracle=None) -> GapReport:
-    adj = model.sign
-    imp = adj * (j_rec[:, None] - j_dev)          # (R, G) improvements
     reps = j_rec.shape[0]
-    imp_means = imp.mean(axis=0)
-    imp_ses = imp.std(axis=0, ddof=1) / np.sqrt(reps) if reps > 1 \
-        else np.full(candidates.shape, np.nan)
-    best = int(np.argmax(imp_means))
-    raw = float(imp_means[best])
-    se = float(imp_ses[best]) if reps > 1 else float("nan")
-    half = 1.96 * se if np.isfinite(se) else float("nan")
-    flagged = reps < 2
+
+    def se(v):              # over the replications, NaN when reps < 2
+        return (v.std(axis=0, ddof=1) / np.sqrt(reps) if reps > 1
+                else np.full(v.shape[1:], np.nan))
 
     def est(v):
-        return CostEstimate(mean=float(v.mean()),
-                            std_error=float(v.std(ddof=1) / np.sqrt(reps))
-                            if reps > 1 else float("nan"),
-                            reps=reps, flagged=flagged)
+        return CostEstimate(float(v.mean()), float(se(v)), reps, reps < 2)
 
-    return GapReport(j_rec=est(j_rec),
-                     best_deviation=float(candidates[best]),
-                     j_dev_best=est(j_dev[:, best]),
-                     epsilon_hat=max(0.0, raw),
-                     epsilon_ci=(raw - half, raw + half),
-                     raw_gap=raw, raw_se=se,
-                     candidates=candidates,
-                     improvement_means=imp_means,
-                     improvement_ses=imp_ses,
+    imp = model.sign * (j_rec[:, None] - j_dev)   # (R, G) improvements
+    imp_means, imp_ses = imp.mean(axis=0), se(imp)
+    best = int(np.argmax(imp_means))
+    raw, raw_se = float(imp_means[best]), float(imp_ses[best])
+    half = 1.96 * raw_se
+    return GapReport(j_rec=est(j_rec), best_deviation=float(candidates[best]),
+                     j_dev_best=est(j_dev[:, best]), epsilon_hat=max(0.0, raw),
+                     epsilon_ci=(raw - half, raw + half), raw_gap=raw,
+                     raw_se=raw_se, candidates=candidates,
+                     improvement_means=imp_means, improvement_ses=imp_ses,
                      oracle=oracle)
 
 
@@ -286,26 +277,31 @@ def cce_gap_nplayer(model: ModelSpec, device: CorrelationDevice, N: int,
 
     By symmetry only player 1 (index 0) deviates.  The G constant-action
     candidates reuse each replication's noise; when the model's drift
-    ignores the measure only the deviator's path is re-simulated.  When
-    :func:`ccemfg.model.exact_terminal` holds, every player takes one step
-    across [0, T], whatever ``grid``'s step count.
+    ignores the measure only the deviator's path is re-simulated.  Under
+    :func:`ccemfg.model.exact_terminal` every player steps once to T.
     """
     if N < 2:
         raise ValueError("N must be at least 2")
+    candidates = default_deviation_grid(model, deviations)
+    # 1 + G whole ensembles, or one beside player 0's 1 + G rows on its walk
+    whole, G = drift_reads_measure(model), candidates.size
+    return _gap(_nplayer_chunk, model, device, (N,), candidates,
+                (1 + G) * N if whole else N + 1 + G, N if whole else N + 1,
+                reps, seed, grid, workers, oracle)
+
+
+def _gap(chunk, model, device, extra, candidates, state, walked, reps, seed,
+         grid, workers, oracle) -> GapReport:
+    """Both gaps: ``chunk`` over the jobs ``(model, device, grid, *extra,
+    seed, candidates, offset, count)``, sized by :func:`_jobs`."""
     grid = grid or TimeGrid(model.horizon, 200)
     check_run(model, grid, reps=reps)
-    candidates = _candidates(model, deviations)
-    G = candidates.size
     if exact_terminal(model):
         grid = TimeGrid(grid.horizon, 1)
-        per_rep = 11 * N + 8 * G
-    elif drift_reads_measure(model):
-        per_rep = N * (4 * (1 + G) + 2 * grid.steps.bit_length() + 5) + 7 * G
-    else:
-        per_rep = N * (grid.steps + 1) + 7 * G
-    jobs = [(model, device, grid, N, seed, candidates, off, cnt)
-            for off, cnt in _chunks(reps, max(1, CHUNK_ELEMS // per_rep))]
-    parts = list(_map_jobs(_nplayer_chunk, jobs, workers))
+    jobs = [(model, device, grid, *extra, seed, candidates, off, cnt)
+            for off, cnt in _jobs(reps, 1, grid.steps, state, walked,
+                                  candidates.size)]
+    parts = list(_map_jobs(chunk, jobs, workers))
     j_rec = np.concatenate([p[0] for p in parts])
     j_dev = np.concatenate([p[1] for p in parts])
     return _assemble_gap(model, j_rec, j_dev, candidates, oracle=oracle)
@@ -344,22 +340,13 @@ def mean_field_gap_mc(model: ModelSpec, device: CorrelationDevice,
     replication in the N-player engine; the recommendation and the G
     constant candidates share that noise and are stepped together, with
     their costs accumulated as they go (see :func:`_mf_chunk`).  A chunk
-    holds no paths.  When :func:`ccemfg.model.exact_terminal` holds, the
-    state takes one step across [0, T], whatever ``grid``'s step count.
+    holds no paths; under :func:`ccemfg.model.exact_terminal` the state
+    steps once to T.
     """
-    grid = grid or TimeGrid(model.horizon, 200)
-    check_run(model, grid, reps=reps)
-    candidates = _candidates(model, deviations)
-    per_rep = 6 * (1 + candidates.size) + grid.steps.bit_length() + 2
-    if exact_terminal(model):
-        grid = TimeGrid(grid.horizon, 1)
-        per_rep = 5 * (1 + candidates.size) + 8
-    jobs = [(model, device, grid, seed, candidates, off, cnt)
-            for off, cnt in _chunks(reps, max(1, CHUNK_ELEMS // per_rep))]
-    parts = list(_map_jobs(_mf_chunk, jobs, workers))
-    j_rec = np.concatenate([p[0] for p in parts])
-    j_dev = np.concatenate([p[1] for p in parts])
-    return _assemble_gap(model, j_rec, j_dev, candidates, oracle=oracle)
+    candidates = default_deviation_grid(model, deviations)
+    # player 0's 1 + G rows on its own walk
+    return _gap(_mf_chunk, model, device, (), candidates,
+                1 + candidates.size, 1, reps, seed, grid, workers, oracle)
 
 
 # ---------------------------------------------------------------------------
@@ -417,11 +404,11 @@ def poc_curve(model: ModelSpec, device: CorrelationDevice,
 
     When the drift does not read the measure, one ensemble of max(Ns)
     players serves every N (see :func:`_poc_chunk`); otherwise each N is
-    streamed on its own.  The jobs split the replications into chunks of
-    ``ceil(reps / w)``, smaller if ``CHUNK_ELEMS`` requires it, where ``w``
-    is ``workers`` capped at :func:`usable_cpus`.  Each replication's curve
-    is added to its class's sum in replication order, so the result does
-    not depend on the chunking or on the number of workers.
+    streamed on its own.  The jobs split the replications into ``workers``
+    chunks (at most :func:`usable_cpus`), smaller if :func:`_jobs`
+    requires it.  Each replication's curve is added to its class's sum in
+    replication order, so the result does not depend on the chunking or
+    on the number of workers.
     """
     Ns = [int(N) for N in Ns]
     if not Ns or Ns[0] < 1 or any(m >= n for m, n in zip(Ns, Ns[1:])):
@@ -439,10 +426,11 @@ def poc_curve(model: ModelSpec, device: CorrelationDevice,
     jobs, rows = [], []
     pieces = max(1, min(workers, usable_cpus()))
     for g in groups:
-        per_rep = (Ns[g][-1] + len(Ns[g])) * (grid.steps + 1)
-        chunk = min(-(-reps // pieces),
-                    max(1, CHUNK_ELEMS // per_rep))
-        for off, cnt in _chunks(reps, chunk):
+        # the ensemble of the group's largest N, a sorted copy of it and the
+        # gather at the table's points, and one curve per N of the group
+        for off, cnt in _jobs(reps, pieces, grid.steps,
+                              2 * Ns[g][-1] + table.shape[1], Ns[g][-1],
+                              curves=len(Ns[g]) * (grid.steps + 1)):
             jobs.append((model, device, grid, Ns[g], seed, table, off, cnt))
             rows.append(g)
 

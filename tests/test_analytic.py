@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from ccemfg.analytic import (DeviceProbs, cce_margin, consistency_weights,
                              diagonal_hk, finite_n_gap_oracle, hk_coefficients,
-                             mean_field_payoffs, region_sweep,
+                             mean_field_gap_oracle, mean_field_payoffs,
+                             region_sweep,
                              worst_case_deviation, write_csv, AffineCoeffs,
                              RegionGrid, _CSV_BLOCK)
 
@@ -253,6 +254,25 @@ def test_mean_field_payoff_identity(seed):
     j_rec, j_dev = mean_field_payoffs(p, a, b, c, T, m_beta)
     co = hk_coefficients(p, a, b)
     assert abs((j_rec - j_dev) - c * T * T * (co.h * m_beta + co.k)) < 1e-10
+
+
+@pytest.mark.parametrize("a, b, c, T", [(-1.0, 1.0, 1.0, 2.0),
+                                        (-0.5, 2.0, 1.5, 1.0)])
+def test_mean_field_gap_oracle_is_the_best_endpoint_deviation(a, b, c, T):
+    """Over the devices of region grids: the payoff of the better endpoint
+    deviation minus the recommendation's, clipped at 0."""
+    gaps = []
+    for alpha in (0.0, 0.5, 1.0):
+        grid = region_sweep(21, alpha, a, b)
+        f = grid.feasible
+        for cell in zip(grid.p11[f], grid.p12[f], grid.p21[f], grid.p22[f]):
+            p = DeviceProbs(*cell)
+            j_rec, j_a = mean_field_payoffs(p, a, b, c, T, a)
+            j_b = mean_field_payoffs(p, a, b, c, T, b)[1]
+            want = max(0.0, max(j_a, j_b) - j_rec)
+            gaps.append(mean_field_gap_oracle(p, a, b, c, T))
+            assert abs(gaps[-1] - want) <= 1e-12, (cell, gaps[-1], want)
+    assert min(gaps) == 0.0 and max(gaps) > 0.1
 
 
 def test_finite_n_oracle_corner_is_exactly_zero():

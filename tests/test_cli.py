@@ -164,6 +164,22 @@ def test_empty_lists_rejected(capsys, tmp_path):
     assert sorted(f for f, _ in err.value.problems) == ["N", "alpha"]
 
 
+@pytest.mark.parametrize("command", ["gap", "poc", "region"])
+def test_player_counts_must_increase(command, capsys, tmp_path):
+    """poc needs strictly increasing N; a list out of order or with a
+    repeat is a configuration error for every command, not a runtime one."""
+    out = str(tmp_path / "out")
+    for N in ("200,50", "50,50"):
+        assert run_cli([command, "--N", N, "--reps", "4", "--steps", "2",
+                        "--out", out]) == 2
+        assert "config error: N: entries must be strictly increasing" in \
+            capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(ConfigError) as err:
+        parse_config({"command": command, "N": [10, 20, 15]})
+    assert [f for f, _ in err.value.problems] == ["N"]
+
+
 def test_zero_max_iters_rejected(capsys):
     with pytest.raises(ConfigError) as err:
         parse_config({"command": "mkv", "max_iters": 0})

@@ -175,8 +175,10 @@ def test_pool_only_for_more_than_one_job(monkeypatch):
     poc_curve(MODEL, dev, [5, 12, 30], reps=23, seed=2,
               grid=TimeGrid(2.0, 10), workers=2)
     assert pools == [2]
-    # 11 numbers per player and 8 per candidate: chunks of 22 of the 64
-    monkeypatch.setattr(eq, "CHUNK_ELEMS", 22 * (11 * 10 + 8 * 21))
+    # one step across [0, T]; an ensemble of 10 beside player 0's 1 + 21
+    # rows: chunks of 22 of the 64
+    monkeypatch.setattr(eq, "CHUNK_ELEMS",
+                        22 * eq._rep_numbers(1, 10 + 22, 11, 21))
     cce_gap_nplayer(MODEL, dev, N=10, reps=64, seed=5, workers=8)
     assert pools == [2, 3]
 
@@ -208,13 +210,14 @@ def test_workers_capped_at_usable_cpus(monkeypatch):
     grid = TimeGrid(2.0, 10)
     ref_poc = poc_curve(MODEL, dev, [5, 12, 30], reps=23, seed=2, grid=grid,
                         workers=1)
-    # 11 numbers per player and 8 per candidate: 3 chunks of the 64
-    monkeypatch.setattr(eq, "CHUNK_ELEMS", 22 * (11 * 10 + 8 * 21))
     ref_gap = cce_gap_nplayer(MODEL, dev, N=10, reps=64, seed=5, workers=1)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(eq, "usable_cpus", lambda: 2)
     poc = poc_curve(MODEL, dev, [5, 12, 30], reps=23, seed=2, grid=grid,
                     workers=10_000)
+    # as in test_pool_only_for_more_than_one_job: 3 chunks of the 64
+    monkeypatch.setattr(eq, "CHUNK_ELEMS",
+                        22 * eq._rep_numbers(1, 10 + 22, 11, 21))
     gap = cce_gap_nplayer(MODEL, dev, N=10, reps=64, seed=5, workers=10_000)
     # poc makes one chunk per usable CPU; the gap's 3 chunks share 2
     assert pools == [(2, 2), (2, 3)]
@@ -306,7 +309,7 @@ def test_exact_terminal_bit_identical_across_workers_chunks_and_steps(
             assert np.array_equal(got.improvement_means,
                                   ref.improvement_means), (name, workers)
             assert np.array_equal(got.improvement_ses, ref.improvement_ses)
-        monkeypatch.setattr(eq, "CHUNK_ELEMS", 1000)   # 22 and 8 chunks
+        monkeypatch.setattr(eq, "CHUNK_ELEMS", 1000)   # 32 and 16 chunks
         for workers in (1, 2):
             got = run(workers, 200)
             assert np.array_equal(got.improvement_means,

@@ -32,11 +32,11 @@ from ccemfg.correlation import (build_example_device, null_band,
 from ccemfg.engine import (SimulationError, TimeGrid, initial_states,
                            mckean_vlasov_fixed_point, noise_keys,
                            simulate_representative)
-from ccemfg.equilibrium import (_assemble_gap, _chunks, cce_gap_nplayer,
+from ccemfg.equilibrium import (_assemble_gap, cce_gap_nplayer,
                                 default_deviation_grid, mean_field_gap_mc,
                                 poc_curve, recommended_actions)
 from ccemfg.flows import device_flow
-from ccemfg.metrics import empirical_quantiles
+from ccemfg.metrics import QUANTILE_POINTS, empirical_quantiles
 from ccemfg.model import (GaussianInitial, MeasureView, build_bang_bang_model,
                           drift_reads_measure)
 from reference_paths import brownian_paths
@@ -192,12 +192,15 @@ def _ref_poc_for_n(args):
     (model, device, grid, N, reps, seed, tables) = args
     labels = list(tables)
 
-    chunk = max(1, eq.CHUNK_ELEMS // (N * (grid.steps + 1)))
+    n_pts = tables[labels[0]].shape[1]
+    chunk = max(1, eq.CHUNK_ELEMS // eq._rep_numbers(
+        grid.steps, 2 * N + n_pts, N, curves=grid.steps + 1))
     d2_sum = np.zeros(grid.steps + 1)
     class_sum = {lab: np.zeros(grid.steps + 1) for lab in labels}
     class_cnt = {lab: 0 for lab in labels}
     total = 0
-    for off, cnt in _chunks(reps, chunk):
+    for off in range(0, reps, chunk):
+        cnt = min(chunk, reps - off)
         rep_ids = off + np.arange(cnt)
         actions, cls = recommended_actions(device, seed, rep_ids, N)
         w = brownian_paths(
@@ -206,7 +209,6 @@ def _ref_poc_for_n(args):
         x = _ref_euler(model, grid, x0, w,
                        lambda t, s, mv, _a=actions: _a, _ref_ordered_measure)
         xs = np.sort(x, axis=1)                        # (R, N, T)
-        n_pts = tables[labels[0]].shape[1]
         q_idx = np.minimum(((np.arange(n_pts) + 0.5) / n_pts * N).astype(np.int64),
                            N - 1)
         eq_ = xs[:, q_idx, :]                          # (R, 512, T)
@@ -373,8 +375,9 @@ def test_poc_matches_path_storing_reference(p, steps, monkeypatch):
                  for N in PLAYERS] for model in models]
     for model, refs in zip(models, all_refs):
         for R in CHUNK_REPS:       # 15 replications in chunks of R
-            monkeypatch.setattr(eq, "CHUNK_ELEMS",
-                                R * (PLAYERS[-1] + len(PLAYERS)) * (steps + 1))
+            monkeypatch.setattr(eq, "CHUNK_ELEMS", R * eq._rep_numbers(
+                steps, 2 * PLAYERS[-1] + QUANTILE_POINTS, PLAYERS[-1],
+                curves=len(PLAYERS) * (steps + 1)))
             res = poc_curve(model, device, PLAYERS, reps=reps, seed=seed,
                             grid=grid, workers=1)
             for k, (N, (r_time, r_class)) in enumerate(zip(PLAYERS, refs)):
@@ -411,7 +414,8 @@ def test_poc_curve_does_not_depend_on_workers_or_chunks(monkeypatch):
     base = run(1)
     results = [run(2), run(3)]
     for per_chunk in (1, 4):
-        monkeypatch.setattr(eq, "CHUNK_ELEMS", per_chunk * (30 + 3) * 11)
+        monkeypatch.setattr(eq, "CHUNK_ELEMS", per_chunk * eq._rep_numbers(
+            10, 2 * 30 + QUANTILE_POINTS, 30, curves=3 * 11))
         results += [run(1), run(2)]
     for res in results:
         assert res.Ns == base.Ns
@@ -667,25 +671,41 @@ def test_null_band_peak_memory():
 
 
 def _chunk_peaks(monkeypatch, budget, run):
-    """The traced peak of each chunk that ``run`` maps, with
-    ``CHUNK_ELEMS = budget``."""
-    peaks = []
+    """(traced peak, replications, numbers counted per replication) of each
+    chunk that ``run`` maps, with ``CHUNK_ELEMS = budget``."""
+    plan, chunks, counts = eq._jobs, [], []
+
+    def counted_jobs(reps, pieces, *shapes, **named):
+        jobs = plan(reps, pieces, *shapes, **named)
+        counts.extend(eq._rep_numbers(*shapes, **named) for _ in jobs)
+        return jobs
 
     def traced_map(fn, jobs, workers):
         out = []
         for job in jobs:
-            peaks.append(_traced_peak(lambda: out.append(fn(job))))
+            chunks.append((_traced_peak(lambda: out.append(fn(job))), job[-1]))
         return out
 
     monkeypatch.setattr(eq, "CHUNK_ELEMS", budget)
+    monkeypatch.setattr(eq, "_jobs", counted_jobs)
     monkeypatch.setattr(eq, "_map_jobs", traced_map)
     run()
-    return peaks
+    assert len(counts) == len(chunks)
+    return [chunk + (count,) for chunk, count in zip(chunks, counts)]
 
 
-# With a budget of CHUNK_ELEMS numbers, each chunk of a gap peaks below that
-# many float64 values, plus 128 KiB for numpy's ufunc buffers and the
-# chunk's few small arrays.
+def _assert_inside_the_budget(chunks, budget):
+    """With a budget of CHUNK_ELEMS numbers, each chunk peaks below that
+    many float64 values, plus 128 KiB for numpy's ufunc buffers and the
+    chunk's few small arrays.  The count of the chunk's replications
+    (``eq._rep_numbers``) is tight: the peak is below it plus the same
+    slack, and at least a third of it."""
+    peaks = [peak for peak, _, _ in chunks]
+    assert max(peaks) < 8 * budget + 2**17, f"peaks {peaks}"
+    for peak, reps, count in chunks:
+        assert peak <= 8 * count * reps + 2**17, (peak, reps, count)
+        assert 8 * count * reps <= 3 * peak, (peak, reps, count)
+
 
 def test_exact_terminal_gaps_stay_inside_the_chunk_budget(monkeypatch):
     """The gaps that take one step across [0, T]."""
@@ -698,16 +718,16 @@ def test_exact_terminal_gaps_stay_inside_the_chunk_budget(monkeypatch):
                         deviations=201)
         mean_field_gap_mc(MODEL, device, reps=5_000, seed=0, deviations=201)
 
-    peaks = _chunk_peaks(monkeypatch, budget, run)
-    assert len(peaks) == 8 + 9 + 6
-    assert max(peaks) < 8 * budget + 2**17, f"peaks {peaks}"
+    chunks = _chunk_peaks(monkeypatch, budget, run)
+    assert len(chunks) == 10 + 11 + 11
+    _assert_inside_the_budget(chunks, budget)
 
 
 def test_euler_gaps_stay_inside_the_chunk_budget(monkeypatch):
     """The gaps stepped along the grid: where the (G, R) deviation state
-    outweighs the N players, N = 2 with 401 candidates; and, under a drift
-    that reads the measure, the (1 + G, N, R) state of whole deviated
-    ensembles."""
+    outweighs the N players, N = 2 with 401 candidates; the deviator beside
+    an ensemble of N = 100; and, under a drift that reads the measure, the
+    (1 + G, N, R) state of whole deviated ensembles."""
     budget = 1_000_000
     device = build_example_device(DeviceProbs(0.5, 0.3, 0.2, 0), -1.0, 1.0)
     grid = TimeGrid(2.0, 200)
@@ -717,11 +737,35 @@ def test_euler_gaps_stay_inside_the_chunk_budget(monkeypatch):
     def run():
         cce_gap_nplayer(EULER, device, N=2, reps=700, seed=0,
                         deviations=401, grid=grid)
+        cce_gap_nplayer(EULER, device, N=100, reps=400, seed=0, grid=grid)
         mean_field_gap_mc(EULER, device, reps=2_000, seed=0, deviations=201,
                           grid=grid)
         cce_gap_nplayer(measured, device, N=100, reps=200, seed=0,
                         grid=TimeGrid(2.0, 10))
 
-    peaks = _chunk_peaks(monkeypatch, budget, run)
-    assert max(peaks) < 8 * budget + 2**17, f"peaks {peaks}"
-    assert len(peaks) == 3 + 3 + 3
+    chunks = _chunk_peaks(monkeypatch, budget, run)
+    assert len(chunks) == 3 + 2 + 5 + 3
+    _assert_inside_the_budget(chunks, budget)
+
+
+def test_poc_stays_inside_the_chunk_budget(monkeypatch):
+    """One ensemble of the largest N, sorted at every grid point for each
+    N, with one curve per N."""
+    budget = 1_000_000
+    device = build_example_device(DeviceProbs(1, 0, 0, 0), -1.0, 1.0)
+    chunks = _chunk_peaks(monkeypatch, budget, lambda: poc_curve(
+        MODEL, device, [50, 100, 200, 400], reps=150, seed=0, workers=1))
+    assert len(chunks) == 3
+    _assert_inside_the_budget(chunks, budget)
+
+
+def test_grid_chunks_cap_the_rows_of_their_walked_players():
+    """Along a grid a chunk holds at most ROW_ELEMS entries per row of its
+    walked players; one step across [0, T] is sized by memory alone, and a
+    player too wide for either bound still gets one replication a chunk."""
+    shapes = (200 + 1 + 21, 200 + 1, 21)    # the deviator beside N = 200
+    cap = eq.ROW_ELEMS // (200 + 1)
+    assert eq._jobs(2000, 1, 200, *shapes) == [
+        (off, min(cap, 2000 - off)) for off in range(0, 2000, cap)]
+    assert eq._jobs(2000, 1, 1, *shapes) == [(0, 2000)]
+    assert eq._jobs(3, 1, 200, 10**6, 10**6) == [(0, 1), (1, 1), (2, 1)]
