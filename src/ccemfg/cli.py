@@ -15,6 +15,7 @@ simulation blew up), 2 invalid configuration (with field diagnostics).
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -155,10 +156,12 @@ def parse_config(data: dict) -> RunConfig:
     return RunConfig(**merged)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """One argument per :class:`RunConfig` field, taken as a string: a
     field without a default is positional, the others are ``--`` flags.
-    Lists are written comma-separated."""
+    Lists are written comma-separated.  Built once per process: parsing
+    leaves the parser unchanged."""
     ap = argparse.ArgumentParser(
         prog="ccemfg",
         description="coarse correlated equilibria for mean field games: "

@@ -95,25 +95,26 @@ def check_run(model: ModelSpec, grid: TimeGrid, **counts: int) -> None:
 
 
 def noise_keys(seed: int, rep_ids, player_ids) -> np.ndarray:
-    """Per-(replication, player) noise stream keys, shape (R, N)."""
-    rep_ids = np.asarray(rep_ids)
-    player_ids = np.asarray(player_ids)
-    return rng.stream_keys(seed, rng.TAG_NOISE,
-                           rep_ids[:, None], player_ids[None, :])
+    """Per-(replication, player) noise stream keys, shape (R, N): the
+    transpose of a C-contiguous player-major (N, R) array."""
+    return rng.stream_keys(seed, rng.TAG_NOISE, np.asarray(rep_ids)[None, :],
+                           np.asarray(player_ids)[:, None]).T
 
 
 def initial_states(model: ModelSpec, seed: int, rep_ids, player_ids) -> np.ndarray:
-    """Initial states (R, N): the initial law applied to draw 0 of each
-    (replication, player) stream, which is drawn only if the law asks for
-    it (a point mass does not)."""
-    rep_ids = np.asarray(rep_ids)[:, None]
-    player_ids = np.asarray(player_ids)[None, :]
+    """Initial states (R, N), the transpose of a C-contiguous player-major
+    (N, R) array: the initial law applied to draw 0 of each (replication,
+    player) stream, which is drawn only if the law asks for it (a point
+    mass does not)."""
+    rep_ids = np.asarray(rep_ids)[None, :]
+    player_ids = np.asarray(player_ids)[:, None]
 
     def uniforms():
         keys = rng.stream_keys(seed, rng.TAG_INIT, rep_ids, player_ids)
         return rng.uniforms(keys, 0)
 
-    return model.initial_law.sample(uniforms, (rep_ids.size, player_ids.size))
+    return model.initial_law.sample(uniforms,
+                                    (player_ids.size, rep_ids.size)).T
 
 
 def euler_step(model: ModelSpec, step: int, t: float, dt: float,
@@ -122,7 +123,12 @@ def euler_step(model: ModelSpec, step: int, t: float, dt: float,
     actions ``a`` against the measure view ``mv``, driven by the Brownian
     increment ``dw``.  Checks the new states; ``step`` labels the error."""
     drift = model.drift(t, x, mv, a)
-    x_new = x + np.asarray(drift) * dt + dw
+    # x + drift * dt + dw in one array; the sums commute, so the bits agree
+    x_new = np.empty(np.broadcast_shapes(np.shape(x), np.shape(drift),
+                                         np.shape(dw)))
+    np.multiply(drift, dt, out=x_new)
+    x_new += x
+    x_new += dw
     if not np.all(np.isfinite(x_new)):
         raise SimulationError(step)
     return x_new
@@ -175,7 +181,8 @@ def ensemble_noise(model: ModelSpec, grid: TimeGrid, seed: int, rep_ids,
     one player-major (N, R) row per grid point, in time order (see
     :func:`ccemfg._pathgen_py.brownian_rows`).  Each (replication, player)
     has its own streams, so at ``N = 1``, the representative player, the
-    walk is row 0 of every ensemble's: common random numbers.
+    walk is row 0 of every ensemble's: common random numbers.  The keys
+    and the states are built player-major, so neither is copied here.
     """
     players = np.arange(N)
     x0 = initial_states(model, seed, rep_ids, players).T

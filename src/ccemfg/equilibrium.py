@@ -143,7 +143,8 @@ def recommended_actions(device: CorrelationDevice, seed: int, rep_ids,
     that class's strategy distribution, mirroring the construction of
     N-player recommendations from a mean field device.
 
-    Returns (actions (R, N), flow-class index per replication (R,)).
+    Returns (actions (R, N), the transpose of a C-contiguous player-major
+    (N, R) array; flow-class index per replication (R,)).
     """
     rep_ids = np.asarray(rep_ids)
     classes = list(device.flow_classes().values())
@@ -165,14 +166,14 @@ def recommended_actions(device: CorrelationDevice, seed: int, rep_ids,
     cls = scen_to_class[sample_scenario(device, seed, rep_ids)]
 
     rec_keys = rng.stream_keys(seed, rng.TAG_RECOMMEND, rep_ids)
-    u = rng.uniforms(rec_keys[:, None], np.arange(N)[None, :])
+    u = rng.uniforms(rec_keys[None, :], np.arange(N)[:, None])     # (N, R)
 
     # the pick is the number of the class's thresholds at or below u
-    pick = np.zeros(u.shape, dtype=np.intp)
+    pick = np.zeros(u.shape, dtype=np.min_scalar_type(width))
     for th in thresholds[cls].T:
-        pick += th[:, None] <= u
-    actions = values[cls[:, None], pick]
-    return actions, cls
+        pick += th <= u
+    actions = values[cls, pick]
+    return actions.T, cls
 
 
 # ---------------------------------------------------------------------------

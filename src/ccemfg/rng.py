@@ -8,13 +8,15 @@ parallelised.
 
 Layout conventions (documented, load-bearing for reproducibility):
 
-* ``stream_key(seed, purpose, *tags)`` chains one finalizer application per
-  tag: ``k = mix64(k + GOLDEN * (tag + 1))`` starting from
-  ``mix64(seed ^ SEED_SALT)``.
 * draw ``n`` of stream ``k`` is ``mix64(k + GOLDEN * (n + 1))``.
+* ``stream_key(seed, purpose, *tags)`` starts from
+  ``mix64(seed ^ SEED_SALT)`` and takes one step per tag: the new key is
+  draw ``tag`` of the stream of the current key.
 * uniforms use the top 53 bits, offset by half an ulp so the result lies
   strictly inside (0, 1); the top value, which that offset rounds up to
-  1.0, is clamped to the largest double below 1.
+  1.0, is clamped to the largest double below 1.  The conversion happens
+  in the draw's own buffer: the 53-bit integers, read as int64, are cast
+  to float64 in place, which is exact below 2**53.
 * bit fields (:func:`bit_fields`) pack ``k = 64 // bits`` fields into each
   draw, most significant first: field ``i`` of a stream is bits
   ``[64 - bits*(j+1), 64 - bits*j)`` of its draw ``i // k``, with
@@ -83,11 +85,9 @@ def stream_keys(seed: int, *tags) -> np.ndarray:
     except TypeError:
         raise ValueError(f"seed must be an integer, got {seed!r}") from None
     k = mix64((seed & _MASK) ^ SEED_SALT)
-    with np.errstate(over="ignore"):
-        for t in tags:
-            t = np.asarray(t, dtype=np.uint64)
-            k = mix64(k + _G * (t + np.uint64(1)))
-    return k
+    for t in tags:
+        k = _raw64(k, t)
+    return k if np.ndim(k) else k[()]
 
 
 def _raw64(key, index) -> np.ndarray:
@@ -123,10 +123,17 @@ def bits_to_uniform(bits) -> np.ndarray:
 
 
 def uniforms(key, index) -> np.ndarray:
-    """Uniform draws strictly inside (0, 1)."""
+    """Uniform draws strictly inside (0, 1), :func:`bits_to_uniform` of
+    the top 53 bits of the draws, converted in the draws' own buffer."""
     z = _raw64(key, index)
     z >>= np.uint64(11)
-    return bits_to_uniform(z)
+    u = z.view(np.float64)
+    # an in-place cast; a ufunc would copy z, whose views overlap u
+    np.copyto(u, z.view(np.int64), casting="unsafe")
+    u += 0.5
+    u *= 2.0**-53
+    np.minimum(u, _BELOW_ONE, out=u)
+    return u if u.ndim else u[()]
 
 
 def bit_fields(key: int, n: int, bits: int) -> np.ndarray:

@@ -8,8 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ccemfg.cli import (ConfigError, RunConfig, config_dict, main,
-                        parse_config, resolve_config)
+from ccemfg.cli import (ConfigError, RunConfig, build_parser, config_dict,
+                        main, parse_config, resolve_config)
 
 
 def run_cli(args):
@@ -288,6 +288,18 @@ def test_mfgap_poc_consistency_mkv_smoke(tmp_path):
     assert mkv[1] == "t,mean,var" and len(mkv) == 2 + 21
     trace = (tmp_path / "mkv_trace.csv").read_text().splitlines()
     assert trace[1] == "iteration,w2_to_previous"
+
+
+def test_cached_parser_gives_each_call_its_own_config(tmp_path):
+    assert build_parser() is build_parser()
+    gap, mfgap = tmp_path / "gap.csv", tmp_path / "mfgap.csv"
+    assert run_cli(["gap", "--reps", "40", "--N", "10",
+                    "--out", str(gap)]) == 0
+    assert run_cli(["mfgap", "--out", str(mfgap)]) == 0
+    first = json.loads(gap.read_text().splitlines()[0][2:])
+    second = json.loads(mfgap.read_text().splitlines()[0][2:])
+    assert (first["command"], first["reps"], first["N"]) == ("gap", 40, [10])
+    assert second == {**config_dict(RunConfig("mfgap")), "out": str(mfgap)}
 
 
 def test_default_config_matches_shipped_example():

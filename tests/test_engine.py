@@ -3,12 +3,13 @@ import dataclasses
 import numpy as np
 import pytest
 
+from ccemfg import _pathgen_py, rng
 from ccemfg.engine import (SimulationError, TimeGrid, empirical_measure,
                            ensemble_noise, initial_states,
                            mckean_vlasov_fixed_point, noise_keys,
                            simulate_ensemble, simulate_representative, stream)
 from ccemfg.flows import GaussianMixtureFlow, device_flow
-from ccemfg.model import (ActionBox, GaussianInitial, MeasureView,
+from ccemfg.model import (ActionBox, GaussianInitial, MeasureView, PointMass,
                           build_bang_bang_model)
 from reference_paths import brownian_paths
 
@@ -206,6 +207,33 @@ def test_player_0_walk_is_row_0_of_the_ensemble_walk(R, N, steps):
         assert np.array_equal(own, row[:1]), count
         count += 1
     assert count == steps + 1
+
+
+def _ref_ensemble_noise(model, grid, seed, rep_ids, N):
+    """ensemble_noise built replication-major: (R, N) keys and initial
+    states, transposed and copied."""
+    rep_ids, players = np.asarray(rep_ids)[:, None], np.arange(N)[None, :]
+    keys = rng.stream_keys(seed, rng.TAG_NOISE, rep_ids, players)
+    init = rng.stream_keys(seed, rng.TAG_INIT, rep_ids, players)
+    x0 = model.initial_law.sample(lambda: rng.uniforms(init, 0), keys.shape)
+    return (keys, np.ascontiguousarray(x0.T),
+            _pathgen_py.brownian_rows(np.ascontiguousarray(keys.T),
+                                      grid.steps, grid.horizon))
+
+
+@pytest.mark.parametrize("law", [PointMass(0.5), GaussianInitial(0.3, 1.2)])
+def test_ensemble_noise_matches_the_replication_major_build(law):
+    model = dataclasses.replace(MODEL, initial_law=law)
+    g = TimeGrid(2.0, 7)
+    ids, N = 11 + np.arange(30), 9
+    keys, ref_x0, ref_rows = _ref_ensemble_noise(model, g, 4, ids, N)
+    assert np.array_equal(noise_keys(4, ids, np.arange(N)), keys)
+    assert np.array_equal(initial_states(model, 4, ids, np.arange(N)),
+                          ref_x0.T)
+    x0, rows = ensemble_noise(model, g, 4, ids, N)
+    assert x0.flags.c_contiguous and np.array_equal(x0, ref_x0)
+    for row, ref in zip(rows, ref_rows, strict=True):
+        assert np.array_equal(row, ref)
 
 
 def test_nonfinite_state_aborts_with_step():

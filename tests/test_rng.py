@@ -227,6 +227,37 @@ def test_norm_cdf_allocates_only_abs_and_the_exponential_scratch(draw):
     assert peak <= 3.6 * x.nbytes
 
 
+def test_norm_quantile_in_place_equals_a_new_array():
+    u = rng.uniforms(rng.stream_key(13, rng.TAG_PROBE), np.arange(1 << 20))
+    edges = np.array([1e-300, 1e-20, np.nextafter(1.0, 0.0)])
+    # 2**20 is 32 whole blocks, 100,000 four equal ones
+    for p in (u, u[:100_000], edges, np.array(0.3)):
+        want = _pathgen_py.norm_quantile(p)
+        out = np.empty_like(p)
+        assert np.array_equal(_pathgen_py.norm_quantile(p, out=out), want)
+        assert np.array_equal(out, want)
+        got = p.copy()
+        res = _pathgen_py.norm_quantile(got, out=got)
+        assert res.shape == p.shape and np.shares_memory(res, got)
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", [5000, 100_000, 1 << 18])
+def test_norm_quantile_in_place_holds_q_and_its_central_argument(n):
+    # beside p, which it overwrites, a call holds q, the central argument
+    # and the tails' gathered values (about 15% of uniform draws) of one
+    # block: 2.3 arrays of a p of one block or less, 2.3 blocks of a longer
+    p = rng.uniforms(rng.stream_key(31, rng.TAG_PROBE), np.arange(n))
+    _pathgen_py.norm_quantile(p.copy())
+    tracemalloc.start()
+    try:
+        _pathgen_py.norm_quantile(p, out=p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.7 * min(n, _pathgen_py.QUANTILE_BLOCK) * 8
+
+
 def test_brownian_terminal_independent_of_steps():
     keys = rng.stream_keys(2, rng.TAG_NOISE, np.arange(20)[:, None],
                            np.arange(1)[None, :])
@@ -406,6 +437,74 @@ def test_hash_matches_reference(key, index):
     if not np.shape(want):
         assert not isinstance(got, np.ndarray)
         assert type(got) is type(want)
+
+
+def _unmix64(y):
+    """Inverse of the splitmix64 finalizer, on plain ints."""
+    mask = (1 << 64) - 1
+
+    def unshift(y, s):              # inverts y = x ^ (x >> s)
+        x = y
+        for _ in range(64 // s):
+            x = y ^ (x >> s)
+        return x
+
+    y = unshift(y, 31)
+    y = y * pow(0x94D049BB133111EB, -1, 1 << 64) & mask
+    y = unshift(y, 27)
+    y = y * pow(0xBF58476D1CE4E5B9, -1, 1 << 64) & mask
+    return unshift(y, 30)
+
+
+def test_uniforms_convert_in_place_exactly_at_the_edges_of_53_bits():
+    # keys whose draw 0 has the given top 53 bits (and all low bits set),
+    # found by inverting the finalizer: the in-place cast must give what a
+    # separate float array gives, the clamp at 2**53 - 1 included
+    bits = [0, 1, 2**52 - 1, 2**52, 2**52 + 1, 2**53 - 2, 2**53 - 1]
+    raw = [b << 11 | 0x7FF for b in bits]
+    assert [_splitmix64_oracle(_unmix64(r)) for r in raw] == raw
+    keys = np.array([(_unmix64(r) - rng.GOLDEN) & ((1 << 64) - 1)
+                     for r in raw], dtype=np.uint64)
+    assert rng._raw64(keys, 0).tolist() == raw
+    got = rng.uniforms(keys, 0)
+    want = rng.bits_to_uniform(rng._raw64(keys, 0) >> np.uint64(11))
+    assert np.array_equal(got, want)
+    assert got[-1] == np.nextafter(1.0, 0.0) and got[0] == 2.0**-54
+
+
+def _ref_stream_keys(seed, *tags):
+    """The key chain as one finalizer copy per tag."""
+    k = _ref_mix64((seed & ((1 << 64) - 1)) ^ rng.SEED_SALT)
+    with np.errstate(over="ignore"):
+        for t in tags:
+            t = np.asarray(t, dtype=np.uint64)
+            k = _ref_mix64(k + np.uint64(rng.GOLDEN) * (t + np.uint64(1)))
+    return k
+
+
+def test_stream_keys_player_major_is_the_transpose_of_replication_major():
+    reps, players = np.arange(40, 540), np.arange(200)
+    pm = rng.stream_keys(9, rng.TAG_NOISE, reps[None, :], players[:, None])
+    rm = rng.stream_keys(9, rng.TAG_NOISE, reps[:, None], players[None, :])
+    assert pm.shape == (200, 500) and pm.flags.c_contiguous
+    assert np.array_equal(pm, rm.T)
+    assert np.array_equal(rm, _ref_stream_keys(9, rng.TAG_NOISE,
+                                               reps[:, None],
+                                               players[None, :]))
+    assert rng.stream_keys(-3, 4, 5) == _ref_stream_keys(-3, 4, 5)
+    assert rng.stream_keys(7) == _ref_stream_keys(7)
+
+
+def test_stream_keys_hold_the_last_tag_and_one_scratch():
+    reps, players = np.arange(500)[:, None], np.arange(200)[None, :]
+    rng.stream_keys(3, rng.TAG_NOISE, reps, players)
+    tracemalloc.start()
+    try:
+        keys = rng.stream_keys(3, rng.TAG_NOISE, reps, players)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.1 * keys.nbytes
 
 
 def test_mix64_matches_reference_and_keeps_its_input():
