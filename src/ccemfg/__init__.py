@@ -8,8 +8,8 @@ from .analytic import (AffineCoeffs, DeviceProbs, RegionGrid, cce_margin,
                        hk_coefficients, mean_field_gap_oracle,
                        mean_field_payoffs, region_sweep, worst_case_deviation)
 from .correlation import (ConsistencyReport, CorrelationDevice, Scenario,
-                          build_example_device, null_band, sample_scenario,
-                          verify_consistency)
+                          build_example_device, null_band, null_expectation,
+                          sample_scenario, verify_consistency)
 from .engine import (MkvResult, SimulationError, TimeGrid,
                      mckean_vlasov_fixed_point, simulate_ensemble,
                      simulate_representative)

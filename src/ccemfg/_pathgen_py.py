@@ -323,8 +323,9 @@ def _interior_rows(keys, plan, node, l, h, w_l, w_h):
 
 
 def brownian_rows(keys: np.ndarray, steps: int, horizon: float):
-    """Yield W(t_0), ..., W(t_steps) in time order, each a C-contiguous
-    float64 array of ``keys``' shape; the first row is zeros.
+    """Yield W(t_0), ..., W(t_steps) in time order, each a float64 array of
+    ``keys``' shape.  The first row is a read-only broadcast of 0.0, which
+    holds no buffer; the others are C-contiguous.
 
     The bisection tree of :func:`bridge_plan` is walked in order.  A row is
     held only while a later row still interpolates from it, so at most
@@ -339,7 +340,7 @@ def brownian_rows(keys: np.ndarray, steps: int, horizon: float):
     w_T = uniforms(keys, 0)
     norm_quantile(w_T, out=w_T)
     w_T *= np.sqrt(horizon)
-    w_0 = np.zeros(keys.shape)
+    w_0 = np.broadcast_to(np.float64(0.0), keys.shape)
     interior = _interior_rows(keys, plan, node, 0, steps, w_0, w_T)
     del keys
     yield w_0

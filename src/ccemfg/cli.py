@@ -281,7 +281,7 @@ def _run_consistency(cfg: RunConfig):
     classes = device.flow_classes()
     for cl in report.classes:
         band = null_band(classes[cl.label]["flow"], grid.times, cl.count,
-                         cfg.seed, table=cl.table)
+                         table=cl.table)
         verdict = "consistent" if cl.sup_w2 <= band else "INCONSISTENT"
         print(f"class {cl.label}: sup_t W2 = {cl.sup_w2:.4g}, "
               f"null band = {band:.4g} -> {verdict}"

@@ -18,14 +18,18 @@ import numpy as np
 
 from . import rng
 from .analytic import PROB_TOL, DeviceProbs, consistency_weights
-from .engine import TimeGrid, check_run, ensemble_noise, stream
+from .engine import TimeGrid, check_count, check_run, ensemble_noise, stream
 from .flows import GaussianMixtureFlow, device_flow
 from .metrics import empirical_quantiles, quantile_ranks
 from .model import MeasureView, ModelSpec
 
-# the null band is _FACTOR times the median sup-W2 of _PILOTS null pilots
-_PILOTS = 20
-_FACTOR = 3.0
+# null_band's multiple of sqrt(max_t E[W2^2(t)]).  Exact flow samples drawn
+# anew at each time, as the pilots were (white and two-component flows,
+# counts 200 and 2000, 200 runs each), had a sup-W2 of median 1.6 to 1.7
+# and at most 2.95 such units; the pilot band read 4.4 to 5.8 (seeds 0-199).
+_BAND_FACTOR = 5.0
+# the Bin(count, p) pmf entries that one block of null_expectation holds
+_PMF_BLOCK = 2**16
 
 
 @dataclass(frozen=True)
@@ -220,54 +224,74 @@ def verify_consistency(model: ModelSpec, device: CorrelationDevice,
     return ConsistencyReport(classes=tuple(reports), reps=reps, seed=seed)
 
 
-def null_band(flow: GaussianMixtureFlow, times: np.ndarray, count: int,
-              seed: int, *, table: Optional[np.ndarray] = None) -> float:
-    """Pilot-calibrated threshold for sup-t W2 under the null (samples drawn
-    from the flow itself).  Returns ``_FACTOR`` (3) times the median over
-    ``_PILOTS`` (20) pilots of the sup-t W2 between ``count`` samples and the
-    flow's quantile table on ``times``.  ``table``: that table, if already
-    built; its shape must be ``(len(times), n_pts)`` with ``n_pts`` a power
-    of two in [2, 2**16].
+def null_expectation(table: np.ndarray, count: int) -> np.ndarray:
+    """E[W2^2(t)] for each row t of ``table`` (n_t, n), whose rows must be
+    nondecreasing: the expected squared W2 between ``count`` i.i.d. draws
+    of the row's table law (each entry of probability 1/n) and the row.
 
-    A pilot samples by inverse CDF straight from the table: sample ``c`` of
-    time row ``t`` is ``table[t, idx]``, where ``idx`` is field
-    ``t * count + c`` of :func:`ccemfg.rng.bit_fields` on pilot ``p``'s
-    stream ``(seed, TAG_PROBE, p)``, ``log2(n_pts)`` bits wide (7 indices
-    per 64-bit draw at 512 points), so every index is exactly uniform.
-    Each row of the table is nondecreasing (``mixture_quantile_table``
-    ends with a running maximum along the levels), so sorting the indices
-    of a row sorts its samples, equal indices giving equal values.  Hence
-    each row of indices is sorted in place and only the ``n_pts`` order
-    statistics that :func:`empirical_quantiles` would pick are gathered;
-    the band is the same to the last bit as gathering and sorting the
-    floats.  Raises ``ValueError`` unless ``count`` is at least 1 and
-    ``table`` has the shape above.
+    The draws' empirical quantile at level i is ``T[t, idx_(k_i)]``, the
+    ``k_i = quantile_ranks(count, n)[i]``-th of the sorted uniform indices,
+    and ``S(i, j) = P(idx_(k_i) <= j) = P(Bin(count, (j+1)/n) >= k_i + 1)``.
+    So ``n E[t] = sum_ij (S(i, j) - S(i, j-1)) (T[t, j] - T[t, i])^2``,
+    summed here by parts in j.  The binomial pmfs come from one
+    log-factorial table, in blocks of j of about ``_PMF_BLOCK`` entries, so
+    no (n, count) array is built; each block's sum over i is an ``einsum``,
+    which, unlike a matrix product, wakes no BLAS threads.
     """
-    if count < 1:
-        raise ValueError(f"count must be at least 1, got {count}")
+    count = check_count("count", count)
+    if table.ndim != 2 or table.shape[1] < 1:
+        raise ValueError(f"table must be (n_t, n), n >= 1, got {table.shape}")
+    n = table.shape[1]
+    tail = count - 1 - quantile_ranks(count, n)   # column of x >= k_i + 1
+    log_fact = np.zeros(count + 1)
+    np.cumsum(np.log(np.arange(1.0, count + 1)), out=log_fact[1:])
+    log_choose = log_fact[-1] - log_fact - log_fact[::-1]
+    x = np.arange(count + 1.0)
+    # by parts: (T[t, n-1] - T[t, i])^2 less, for each j < n - 1,
+    # S(i, j) (T[t, j+1] - T[t, j]) (T[t, j+1] + T[t, j] - 2 T[t, i])
+    out = table[:, -1:] - table
+    out = np.einsum("ti,ti->t", out, out)
+    block = max(1, _PMF_BLOCK // (count + 1 + n))
+    for j0 in range(0, n - 1, block):
+        j1 = min(j0 + block, n - 1)
+        p = np.arange(j0 + 1, j1 + 1) / n
+        # Bin(count, p) log-pmfs at x = count - y in column y.  exp is ten
+        # times slower where it underflows, and a mass below exp(-708), the
+        # smallest normal double, changes no sum.
+        pmf = np.multiply.outer(np.log1p(-p) - np.log(p), x)
+        pmf += log_choose
+        pmf += count * np.log(p)[:, None]
+        np.maximum(pmf, -708.0, out=pmf)
+        np.exp(pmf, out=pmf)
+        # summed from the top and scaled by the totals, so S is exactly 1
+        # where the rest of the pmf is below rounding
+        np.cumsum(pmf, axis=1, out=pmf)
+        s = pmf[:, tail]                            # S(i, j) in row j - j0
+        s /= pmf[:, -1:]
+        del pmf
+        # S falls in i and rises in j: every row is 1 where the first is
+        a = int(np.count_nonzero(s[0] == 1.0))
+        term = np.einsum("ti,ji->tj", table[:, a:], s[:, a:])
+        term += table[:, :a].sum(axis=1)[:, None]  # sum_i S(i, j) T[t, i]
+        lo, hi = table[:, j0:j1], table[:, j0 + 1:j1 + 1]
+        term *= 2.0
+        term -= (hi + lo) * s.sum(axis=1)
+        term *= hi - lo
+        out += term.sum(axis=1)
+    return out / n
+
+
+def null_band(flow: GaussianMixtureFlow, times: np.ndarray, count: int,
+              seed=None, *, table: Optional[np.ndarray] = None) -> float:
+    """Threshold for sup-t W2 under the null, ``count`` samples of the flow
+    itself: ``_BAND_FACTOR`` times sqrt(max_t :func:`null_expectation`) of
+    ``table``, the flow's quantile table on ``times`` (built if not given),
+    of shape ``(len(times), n_pts)``.  The band is exact, so ``seed`` is
+    ignored; it is kept for the callers that pass it.  Raises
+    ``ValueError`` on a bad ``count`` or ``table``.
+    """
     if table is None:
         table = flow.quantile_table(times)
-    n_t = len(times)
-    if table.ndim != 2 or table.shape[0] != n_t:
-        raise ValueError(f"table must have shape ({n_t}, n_pts), "
-                         f"got {table.shape}")
-    n_pts = table.shape[1]
-    if not (2 <= n_pts <= 2**16 and n_pts & (n_pts - 1) == 0):
-        raise ValueError(f"table width must be a power of two in "
-                         f"[2, 2**16], got {n_pts}")
-    bits = n_pts.bit_length() - 1
-    rows = np.arange(n_t)[:, None]
-    picks = quantile_ranks(count, n_pts)
-    sups = []
-    for p in range(_PILOTS):
-        key = rng.stream_key(seed, rng.TAG_PROBE, p)
-        idx = rng.bit_fields(key, n_t * count, bits).reshape(n_t, count)
-        idx.sort(axis=1)
-        eq = table[rows, idx[:, picks]]               # (T, n_pts)
-        # a new array, not eq's buffer: eq is in F order, which would change
-        # the order in which each row mean adds up
-        sq = eq - table
-        del eq                        # a pilot holds two (T, n_pts) arrays
-        np.square(sq, out=sq)
-        sups.append(float(np.max(np.sqrt(np.mean(sq, axis=1)))))
-    return _FACTOR * float(np.median(sups))
+    if table.shape[:1] != (len(times),):
+        raise ValueError(f"table needs {len(times)} rows, got {table.shape}")
+    return _BAND_FACTOR * float(np.sqrt(null_expectation(table, count).max()))

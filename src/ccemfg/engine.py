@@ -62,13 +62,7 @@ class TimeGrid:
     steps: int
 
     def __post_init__(self):
-        try:
-            steps = operator.index(self.steps)
-        except TypeError:
-            raise ValueError(f"steps must be an integer, got {self.steps!r}") \
-                from None
-        if steps < 1:
-            raise ValueError("steps must be positive")
+        steps = check_count("steps", self.steps)
         if not (self.horizon > 0 and math.isfinite(self.horizon)):
             raise ValueError("horizon must be positive and finite")
         object.__setattr__(self, "steps", steps)
@@ -82,13 +76,28 @@ class TimeGrid:
         return np.linspace(0.0, self.horizon, self.steps + 1)
 
 
-def check_run(model: ModelSpec, grid: TimeGrid, **counts: int) -> None:
+def check_count(name: str, value, least: int = 1) -> int:
+    """``value`` as an ``int``, or ``ValueError`` unless it is an integer,
+    a numpy one included, of at least ``least``.  A bool is refused, and
+    so is a float, even an integral one."""
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") \
+            from None
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+    return value
+
+
+def check_run(model: ModelSpec, grid: TimeGrid, **counts) -> None:
     """Reject run parameters at a library entry point instead of deep
-    inside: every named count must be at least 1, and the grid must end at
-    the model's horizon."""
+    inside: every named count must pass :func:`check_count`, and the grid
+    must end at the model's horizon."""
     for name, value in counts.items():
-        if value < 1:
-            raise ValueError(f"{name} must be at least 1, got {value}")
+        check_count(name, value)
     if not math.isclose(grid.horizon, model.horizon, rel_tol=1e-12):
         raise ValueError(f"grid.horizon ({grid.horizon:g}) must equal "
                          f"model.horizon ({model.horizon:g})")
@@ -287,8 +296,7 @@ def mckean_vlasov_fixed_point(model: ModelSpec, grid: TimeGrid, strategy,
     meets ``tol``.
     """
     check_run(model, grid, max_iters=max_iters)
-    if particles < 100:
-        raise ValueError("need at least 100 particles")
+    check_count("particles", particles, 100)
     if not tol > 0:
         raise ValueError("tol must be positive")
     steps, times = grid.steps, grid.times

@@ -33,8 +33,8 @@ import numpy as np
 
 from . import rng
 from .correlation import CorrelationDevice, follow_scenarios, sample_scenario
-from .engine import (TimeGrid, check_run, empirical_measure, ensemble_noise,
-                     stream, sum_rows)
+from .engine import (TimeGrid, check_count, check_run, empirical_measure,
+                     ensemble_noise, stream, sum_rows)
 from .metrics import quantile_ranks
 from .model import (MeasureView, ModelSpec, drift_reads_measure,
                     exact_terminal)
@@ -281,8 +281,7 @@ def cce_gap_nplayer(model: ModelSpec, device: CorrelationDevice, N: int,
     ignores the measure only the deviator's path is re-simulated.  Under
     :func:`ccemfg.model.exact_terminal` every player steps once to T.
     """
-    if N < 2:
-        raise ValueError("N must be at least 2")
+    N = check_count("N", N, 2)
     candidates = default_deviation_grid(model, deviations)
     # 1 + G whole ensembles, or one beside player 0's 1 + G rows on its walk
     whole, G = drift_reads_measure(model), candidates.size
@@ -411,8 +410,8 @@ def poc_curve(model: ModelSpec, device: CorrelationDevice,
     replication order, so the result does not depend on the chunking or
     on the number of workers.
     """
-    Ns = [int(N) for N in Ns]
-    if not Ns or Ns[0] < 1 or any(m >= n for m, n in zip(Ns, Ns[1:])):
+    Ns = [check_count("Ns", N) for N in Ns]
+    if not Ns or any(m >= n for m, n in zip(Ns, Ns[1:])):
         raise ValueError("Ns must be a nonempty, strictly increasing "
                          f"sequence of player counts >= 1, got {Ns}")
     grid = grid or TimeGrid(model.horizon, 200)

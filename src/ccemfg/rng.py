@@ -17,14 +17,6 @@ Layout conventions (documented, load-bearing for reproducibility):
   1.0, is clamped to the largest double below 1.  The conversion happens
   in the draw's own buffer: the 53-bit integers, read as int64, are cast
   to float64 in place, which is exact below 2**53.
-* bit fields (:func:`bit_fields`) pack ``k = 64 // bits`` fields into each
-  draw, most significant first: field ``i`` of a stream is bits
-  ``[64 - bits*(j+1), 64 - bits*j)`` of its draw ``i // k``, with
-  ``j = i % k``; the ``64 % bits`` lowest bits of every draw are unused.  Each field is
-  exactly uniform on ``[0, 2**bits)``.  The consistency null band
-  (``TAG_PROBE``, one stream per pilot) draws its quantile-table indices
-  this way, time-major: sample ``c`` of time row ``t`` is field
-  ``t * count + c``, so a 512-point table takes 7 indices per draw.
 """
 
 from __future__ import annotations
@@ -42,7 +34,7 @@ TAG_NOISE = 1       # Brownian increments, per (replication, player)
 TAG_SCENARIO = 2    # correlation-device lottery, per run
 TAG_RECOMMEND = 3   # per-player strategy draws, per replication
 TAG_INIT = 4        # initial-state sampling, per (replication, player)
-TAG_PROBE = 5       # diagnostic probes (consistency null band)
+TAG_PROBE = 5       # the tests' probe streams; the library draws none
 
 _G = np.uint64(GOLDEN)
 _C1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -134,28 +126,3 @@ def uniforms(key, index) -> np.ndarray:
     u *= 2.0**-53
     np.minimum(u, _BELOW_ONE, out=u)
     return u if u.ndim else u[()]
-
-
-def bit_fields(key: int, n: int, bits: int) -> np.ndarray:
-    """The first ``n`` ``bits``-wide fields of stream ``key`` as uint16.
-
-    Draw ``d`` holds fields ``k*d .. k*d + k - 1`` (``k = 64 // bits``),
-    the first in its top bits; a trailing partial draw is cut at ``n``.
-    Field ``i`` does not depend on ``n``, so a longer call starts with the
-    fields of a shorter one.
-    """
-    if not 1 <= bits <= 16:
-        raise ValueError(f"bits must be in [1, 16], got {bits}")
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    k = 64 // bits
-    z = _raw64(key, np.arange(-(-n // k), dtype=np.uint64))
-    out = np.empty((z.size, k), dtype=np.uint16)
-    s = np.empty_like(z)
-    for j in range(k):
-        np.right_shift(z, np.uint64(64 - bits * (j + 1)), out=s)
-        out[:, j] = s                   # keeps the low 16 bits
-    if bits < 16:
-        out &= np.uint16((1 << bits) - 1)
-    return out.reshape(-1)[:n]
-

@@ -1,3 +1,5 @@
+import functools
+import itertools
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,11 +10,12 @@ from ccemfg.analytic import DeviceProbs
 from ccemfg.cli import main
 from ccemfg.correlation import (CorrelationDevice, Scenario,
                                 build_example_device, null_band,
-                                sample_scenario, verify_consistency)
+                                null_expectation, sample_scenario,
+                                verify_consistency)
 from ccemfg.engine import TimeGrid
 from ccemfg.equilibrium import recommended_actions
 from ccemfg.flows import device_flow
-from ccemfg.metrics import empirical_quantiles
+from ccemfg.metrics import quantile_ranks
 from ccemfg.model import build_bang_bang_model
 
 MODEL = build_bang_bang_model(-1.0, 1.0, 1.0, 2.0)
@@ -229,16 +232,15 @@ def test_verify_consistency_rejects_a_flow_without_quantile_table():
 
 @pytest.mark.parametrize("bad, match", [
     ({"count": 0}, "count"), ({"count": -3}, "count"),
-    # the grid below has 11 times; widths must be powers of two in [2, 2**16]
+    # the grid below has 11 times
     ({"table": np.zeros((11, 512, 1))}, "table"),
     ({"table": np.zeros((12, 512))}, "table"),
     ({"table": np.zeros((0, 512))}, "table"),
     ({"table": np.zeros((11, 0))}, "table"),
     ({"table": np.zeros((10, 512))}, "table"),
     ({"table": np.zeros(512)}, "table"),
-    ({"table": np.zeros((11, 500))}, "table"),
-    ({"table": np.zeros((11, 1))}, "table"),
-    ({"table": np.broadcast_to(0.0, (11, 2**17))}, "table")])
+    # one entry per time, but not a table
+    ({"table": np.zeros(11)}, "table"), ({"table": np.zeros(())}, "table")])
 def test_null_band_rejects_bad_arguments(bad, match):
     flow = device_flow(1.0, -1.0, 1.0)
     times = TimeGrid(2.0, 10).times
@@ -256,74 +258,119 @@ def test_null_band_reuses_a_given_table():
     assert given == built
 
 
-def _ref_fields(key, n, bits):
-    """The first ``n`` ``bits``-wide fields of a stream, most significant
-    first within each draw, as int64."""
-    k = 64 // bits
-    z = rng._raw64(key, np.arange(-(-n // k)))
-    shifts = np.array([64 - bits * (j + 1) for j in range(k)], dtype=np.uint64)
-    fields = (z[:, None] >> shifts) & np.uint64((1 << bits) - 1)
-    return fields.reshape(-1)[:n].astype(np.int64)
+def _enumerated_null_expectation(table, count):
+    """E[W2^2(t)] as the mean over all n**count index tuples of the W2^2
+    between the table-law sample they pick and the table."""
+    n = table.shape[1]
+    idx = np.sort(list(itertools.product(range(n), repeat=count)), axis=1)
+    eq = table[:, idx[:, quantile_ranks(count, n)]]   # (n_t, tuples, n)
+    return np.mean((eq - table[:, None, :]) ** 2, axis=2).mean(axis=1)
 
 
-def _ref_null_band(flow, times, count, seed, pilots=20, factor=3.0,
-                   table=None):
-    """Reference copy: draws the packed time-major indices, gathers every
-    sampled float and sorts the floats."""
-    if table is None:
-        table = flow.quantile_table(times)
-    n_t, n_pts = table.shape
-    sups = []
-    for p in range(pilots):
-        key = rng.stream_key(seed, rng.TAG_PROBE, p)
-        idx = _ref_fields(key, n_t * count, int(np.log2(n_pts)))
-        samples = table[np.arange(n_t)[:, None], idx.reshape(n_t, count)]
-        eq = empirical_quantiles(np.sort(samples, axis=1))
-        sups.append(float(np.max(np.sqrt(np.mean((eq - table) ** 2, axis=1)))))
-    return factor * float(np.median(sups))
+@pytest.mark.parametrize("count", [1, 2, 3, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+def test_null_expectation_matches_full_enumeration(n, count):
+    gen = np.random.default_rng([n, count])
+    table = np.sort(gen.normal(size=(5, n)) * gen.uniform(0.1, 3, (5, 1))
+                    + gen.normal(scale=3, size=(5, 1)), axis=1)
+    table[1] = table[1, 0]                          # a single point
+    table[2, : n // 2] = table[2, 0]                # tied entries
+    want = _enumerated_null_expectation(table, count)
+    got = null_expectation(table, count)
+    assert got[1] == 0.0
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("count", [300, 2000])
+def test_null_expectation_is_the_mean_w2sq_of_table_law_pilots(count):
+    """1000 pilots draw ``count`` table indices per time, as exact uniform
+    integers; at every time their mean W2^2 is within 4 standard errors of
+    null_expectation."""
+    flow = device_flow(5 / 7, -1.0, 1.0)
+    times = TimeGrid(2.0, 20).times
+    table = flow.quantile_table(times)
+    n_t, n = table.shape
+    picks = quantile_ranks(count, n)
+    w2sq = []
+    for chunk in range(20):                         # 50 pilots each
+        u = rng.uniforms(rng.stream_key(3, rng.TAG_PROBE, chunk),
+                         np.arange(50 * n_t * count))
+        idx = (u * n).astype(np.int16).reshape(50, n_t, count)
+        idx.sort(axis=2)
+        eq = table[np.arange(n_t)[:, None], idx[..., picks]]
+        w2sq.append(np.mean((eq - table) ** 2, axis=2))
+    w2sq = np.concatenate(w2sq)                     # (1000, n_t)
+    want = null_expectation(table, count)
+    assert want[0] == 0.0 and np.all(w2sq[:, 0] == 0.0)   # a point at t = 0
+    se = w2sq[:, 1:].std(axis=0, ddof=1) / np.sqrt(w2sq.shape[0])
+    z = (w2sq[:, 1:].mean(axis=0) - want[1:]) / se
+    assert np.all(np.abs(z) <= 4.0), z
+
+
+@functools.lru_cache(maxsize=None)
+def _binomial_p(count, n):
+    """P(i, j) = S(i, j) - S(i, j - 1), S from scipy's binomial survival
+    function."""
+    from scipy.stats import binom
+
+    k = quantile_ranks(count, n)[:, None]
+    s = binom.sf(k, count, np.arange(1, n + 1) / n)       # S(i, j)
+    return np.diff(s, axis=1, prepend=0.0)
+
+
+def _dense_null_band(table, count):
+    """5 sqrt(max_t E[W2^2(t)]), E summed over the whole (n, n) matrix of
+    P(i, j), not by parts: sum_ij P(i, j) (c_j^2 - 2 c_i c_j + c_i^2), with
+    c the centred row."""
+    n = table.shape[1]
+    p = _binomial_p(count, n)
+    c = table - table.mean(axis=1, keepdims=True)
+    e = (c**2 @ p.sum(axis=0) - 2 * np.sum(c * (c @ p.T), axis=1)
+         + np.sum(c**2, axis=1)) / n
+    return 5.0 * np.sqrt(e.max())
 
 
 @pytest.mark.parametrize("steps", [1, 20, 200])
 @pytest.mark.parametrize("weight", [1.0, 5 / 7, 0.5, 0.0])
-def test_null_band_matches_float_sort_reference(weight, steps):
+def test_null_band_matches_dense_binomial_reference(weight, steps):
     flow = device_flow(weight, -1.0, 1.0)
     times = TimeGrid(2.0, steps).times
     table = flow.quantile_table(times)
-    # sorting indices is exact only because every table row is nondecreasing
-    assert np.all(np.diff(table, axis=1) >= 0.0)
-    # on the 2- and 201-point grids no n_t * count below is a multiple of
-    # 7, so the last draw of each pilot is used only in part
     for count in (1, 2, 300, 2003):
-        got = null_band(flow, times, count, seed=11, table=table)
-        assert got == _ref_null_band(flow, times, count, 11, table=table), count
+        got = null_band(flow, times, count, table=table)
+        np.testing.assert_allclose(got, _dense_null_band(table, count),
+                                   rtol=1e-9, err_msg=str(count))
 
 
-def _exact_pilot_sup_w2(times, table, count, key):
-    """One pilot of the null band drawn exactly: ``count`` samples per time
-    of the white flow Normal(t, t), by inverse CDF of counter uniforms."""
-    from scipy.special import ndtri
+def _continuous_null_expectation(z, count):
+    """(1/n) sum_i E[(Z_(k_i) - z_i)^2] for the order statistics of
+    ``count`` standard normals, integrated on a fine grid in x."""
+    from scipy.special import gammaln, log_ndtr
 
-    u = rng.uniforms(key, np.arange(times.size * count)).reshape(times.size,
-                                                                 count)
-    x = times[:, None] + np.sqrt(times)[:, None] * ndtri(u)
-    eq = empirical_quantiles(np.sort(x, axis=1))
-    return float(np.max(np.sqrt(np.mean((eq - table) ** 2, axis=1))))
+    x, h = np.linspace(-9.0, 9.0, 18001, retstep=True)
+    log_pdf = -0.5 * x * x - 0.5 * np.log(2 * np.pi)
+    log_cdf, log_sf = log_ndtr(x), log_ndtr(-x)
+    total = 0.0
+    for i, k in enumerate(quantile_ranks(count, z.size)):
+        log_f = (gammaln(count + 1) - gammaln(k + 1) - gammaln(count - k)
+                 + k * log_cdf + (count - k - 1) * log_sf + log_pdf)
+        total += np.sum(np.exp(log_f) * (x - z[i]) ** 2) * h
+    return total / z.size
 
 
-@pytest.mark.parametrize("count", [300, 2000])
-@pytest.mark.parametrize("steps", [20, 200])
-def test_null_band_matches_exact_pilots(steps, count):
-    """The table sampler's band / factor is the median sup-W2 of pilots
-    drawn exactly from the flow, up to Monte Carlo error."""
-    flow = device_flow(1.0, -1.0, 1.0)          # Normal(t, t)
-    times = TimeGrid(2.0, steps).times
-    table = flow.quantile_table(times)
-    band = null_band(flow, times, count, seed=3, table=table)
-    exact = [_exact_pilot_sup_w2(times, table, count,
-                                 rng.stream_key(3, rng.TAG_PROBE, 1000 + p))
-             for p in range(40)]
-    ratio = band / 3.0 / float(np.median(exact))
-    assert 0.85 <= ratio <= 1.15, ratio
+@pytest.mark.parametrize("count, pinned", [(200, 0.96477), (300, 0.95818),
+                                           (2000, 0.93942)])
+def test_null_expectation_of_the_table_law_against_the_continuous_law(
+        count, pinned):
+    """On the white flow Normal(t, t) both expectations are t times their
+    value at t = 1, so their ratio is one number per count: the table law,
+    512 points, spreads its samples slightly less than the flow."""
+    times = TimeGrid(2.0, 20).times
+    table = device_flow(1.0, -1.0, 1.0).quantile_table(times)
+    ratio = null_expectation(table, count)[1:] / (
+        times[1:] * _continuous_null_expectation(table[10] - 1.0, count))
+    assert np.all((0.9 <= ratio) & (ratio <= 1.0))
+    np.testing.assert_allclose(ratio, pinned, atol=5e-5)
 
 
 def test_consistency_builds_each_class_table_once(monkeypatch, tmp_path,

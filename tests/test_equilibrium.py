@@ -8,8 +8,10 @@ import pytest
 from ccemfg.analytic import (DeviceProbs, consistency_weights,
                              finite_n_gap_oracle)
 from ccemfg.correlation import (CorrelationDevice, Scenario,
-                                build_example_device, verify_consistency)
-from ccemfg.engine import SimulationError, TimeGrid
+                                build_example_device, null_band,
+                                null_expectation, verify_consistency)
+from ccemfg.engine import (SimulationError, TimeGrid,
+                           mckean_vlasov_fixed_point)
 from ccemfg.flows import device_flow
 from ccemfg.equilibrium import (cce_gap_nplayer, mean_field_gap_mc, poc_curve,
                                 recommended_actions)
@@ -485,6 +487,34 @@ def test_gap_estimators_reject_zero_reps():
         cce_gap_nplayer(MODEL, device, 5, reps=0, grid=grid)
     with pytest.raises(ValueError, match="reps"):
         mean_field_gap_mc(MODEL, device, reps=0, grid=grid)
+
+
+_GRID = TimeGrid(2.0, 10)
+_DEV = build_example_device(BLACK, -1.0, 1.0)
+_FLOW = device_flow(1.0, -1.0, 1.0)
+
+
+@pytest.mark.parametrize("call, match", [
+    # each ran: 3 players divided by 2.5, N = 2, 31 replications reported
+    # as 30.5, one replication, and a TypeError deep inside
+    (lambda: cce_gap_nplayer(MODEL, _DEV, 2.5, reps=4, grid=_GRID), "N"),
+    (lambda: cce_gap_nplayer(MODEL, _DEV, True, reps=4, grid=_GRID), "N"),
+    (lambda: poc_curve(MODEL, _DEV, [2.7, 10], reps=4, grid=_GRID), "Ns"),
+    (lambda: verify_consistency(MODEL, _DEV, _GRID, 30.5, 0), "reps"),
+    (lambda: verify_consistency(MODEL, _DEV, _GRID, True, 0), "reps"),
+    (lambda: mean_field_gap_mc(MODEL, _DEV, reps=2.5, grid=_GRID), "reps"),
+    (lambda: cce_gap_nplayer(MODEL, _DEV, 5, reps=4.0, grid=_GRID), "reps"),
+    (lambda: TimeGrid(2.0, True), "steps"),
+    (lambda: mckean_vlasov_fixed_point(MODEL, _GRID, 1.0, 200.5, 2, 0.1, 0),
+     "particles"),
+    (lambda: mckean_vlasov_fixed_point(MODEL, _GRID, 1.0, 200, 2.0, 0.1, 0),
+     "max_iters"),
+    (lambda: null_band(_FLOW, _GRID.times, 300.0), "count"),
+    (lambda: null_band(_FLOW, _GRID.times, True), "count"),
+    (lambda: null_expectation(np.zeros((3, 8)), 2.5), "count")])
+def test_counts_must_be_integers_and_not_booleans(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
 
 
 def test_poc_curve_rejects_zero_reps():

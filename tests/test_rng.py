@@ -370,7 +370,10 @@ def test_brownian_rows_in_time_order_match_row_major_fill(steps):
                            np.arange(4)[None, :])
     rows = list(_pathgen_py.brownian_rows(keys, steps, 2.0))
     assert len(rows) == steps + 1
-    assert all(r.shape == keys.shape and r.flags.c_contiguous for r in rows)
+    assert all(r.shape == keys.shape for r in rows)
+    # W(0) is a broadcast zero with no buffer; the other rows are fresh
+    assert rows[0].strides == (0, 0)
+    assert all(r.flags.c_contiguous for r in rows[1:])
     assert np.array_equal(np.stack(rows, axis=-1),
                           _ref_brownian_paths(keys, steps, 2.0))
 
@@ -519,39 +522,3 @@ def test_mix64_matches_reference_and_keeps_its_input():
     assert scalar == _ref_mix64(np.uint64(12345))
     assert rng.mix64(7) == _ref_mix64(7)
 
-
-@pytest.mark.parametrize("bits", [1, 9, 16])
-def test_bit_fields_match_integer_arithmetic(bits):
-    key = rng.stream_key(31, rng.TAG_PROBE, bits)
-    k = 64 // bits
-    n = 2 * k + k // 2 + 1                  # ends inside the third draw
-    want = []
-    for d in range(3):
-        z = int(rng._raw64(key, d))
-        want += [(z >> (64 - bits * (j + 1))) & ((1 << bits) - 1)
-                 for j in range(k)]
-    got = rng.bit_fields(key, n, bits)
-    assert got.dtype == np.uint16 and got.shape == (n,)
-    assert got.tolist() == want[:n]
-
-
-def test_bit_fields_longer_call_extends_a_shorter_one():
-    key = rng.stream_key(37, rng.TAG_PROBE, 0)
-    long = rng.bit_fields(key, 1003, 9)
-    for n in (0, 1, 6, 7, 8, 500):
-        assert np.array_equal(rng.bit_fields(key, n, 9), long[:n])
-
-
-def test_bit_fields_are_uniform():
-    from scipy.stats import chisquare
-
-    fields = rng.bit_fields(rng.stream_key(41, rng.TAG_PROBE, 0), 2**20, 9)
-    counts = np.bincount(fields, minlength=512)
-    assert counts.size == 512
-    assert chisquare(counts).pvalue > 1e-3
-
-
-@pytest.mark.parametrize("bits", [0, 17])
-def test_bit_fields_reject_widths_outside_one_to_sixteen(bits):
-    with pytest.raises(ValueError, match="bits"):
-        rng.bit_fields(1, 10, bits)
