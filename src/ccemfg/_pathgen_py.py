@@ -300,16 +300,18 @@ def bridge_plan(steps: int, dt: float):
     return lo, mid, hi, frac, sd
 
 
-def _interior_rows(keys, plan, node, l, h, w_l, w_h):
+def _interior_rows(keys, plan, node, l, h, w_l, w_h, draw):
     """The rows of :func:`brownian_rows` strictly between grid points l and
-    h, in time order.  A module function, not a closure: a closure that
-    calls itself is a reference cycle, which would keep ``keys`` alive
-    after the walk until the garbage collector runs."""
+    h, in time order.  ``draw`` is the walk's scratch: a float64 and a
+    uint64 array of the keys' shape, which every node draws its normals
+    into.  A module function, not a closure: a closure that calls itself
+    is a reference cycle, which would keep ``keys`` alive after the walk
+    until the garbage collector runs."""
     n = node.get((l, h))
     if n is None:                          # h - l < 2: no interior point
         return
     _, mid, _, frac, sd = plan
-    z = uniforms(keys, n + 1)
+    z = uniforms(keys, n + 1, *draw)
     norm_quantile(z, out=z)
     z *= sd[n]
     w_m = np.subtract(w_h, w_l)
@@ -317,32 +319,35 @@ def _interior_rows(keys, plan, node, l, h, w_l, w_h):
     w_m += w_l
     w_m += z
     m = int(mid[n])
-    yield from _interior_rows(keys, plan, node, l, m, w_l, w_m)
+    yield from _interior_rows(keys, plan, node, l, m, w_l, w_m, draw)
     yield w_m
-    yield from _interior_rows(keys, plan, node, m, h, w_m, w_h)
+    yield from _interior_rows(keys, plan, node, m, h, w_m, w_h, draw)
 
 
 def brownian_rows(keys: np.ndarray, steps: int, horizon: float):
     """Yield W(t_0), ..., W(t_steps) in time order, each a float64 array of
     ``keys``' shape.  The first row is a read-only broadcast of 0.0, which
-    holds no buffer; the others are C-contiguous.
+    holds no buffer; the others are C-contiguous, and each is a new array,
+    so a caller may keep them.
 
     The bisection tree of :func:`bridge_plan` is walked in order.  A row is
     held only while a later row still interpolates from it, so at most
-    about log2(steps) + 2 rows of the walk are alive at once.  The keys
-    are held until the last interior row is drawn; on a one-step grid they
-    are freed once W(0) has been taken.
+    about log2(steps) + 2 rows of the walk are alive at once, besides the
+    two arrays that every interior node draws into.  The keys and those
+    arrays are held until the last interior row is drawn; on a one-step
+    grid there are none, and the keys are freed once W(0) has been taken.
     """
     keys = np.ascontiguousarray(keys, dtype=np.uint64)
     plan = bridge_plan(steps, horizon / steps)
     lo, _, hi, _, _ = plan
     node = {(l, h): n for n, (l, h) in enumerate(zip(lo.tolist(), hi.tolist()))}
+    draw = (np.empty(keys.shape), np.empty_like(keys)) if lo.size else ()
     w_T = uniforms(keys, 0)
     norm_quantile(w_T, out=w_T)
     w_T *= np.sqrt(horizon)
     w_0 = np.broadcast_to(np.float64(0.0), keys.shape)
-    interior = _interior_rows(keys, plan, node, 0, steps, w_0, w_T)
-    del keys
+    interior = _interior_rows(keys, plan, node, 0, steps, w_0, w_T, draw)
+    del keys, draw
     yield w_0
     yield from interior
     yield w_T

@@ -25,7 +25,8 @@ import numpy as np
 from .analytic import (DEFAULT_ALPHAS, DeviceProbs, cce_margin,
                        finite_n_gap_oracle, mean_field_gap_oracle,
                        region_sweep, write_csv)
-from .correlation import build_example_device, null_band, verify_consistency
+from .correlation import (BAND_FACTOR, build_example_device, null_band,
+                          verify_consistency)
 from .engine import SimulationError, TimeGrid, mckean_vlasov_fixed_point
 from .equilibrium import cce_gap_nplayer, mean_field_gap_mc, poc_curve
 from .model import build_bang_bang_model
@@ -283,8 +284,11 @@ def _run_consistency(cfg: RunConfig):
         band = null_band(classes[cl.label]["flow"], grid.times, cl.count,
                          table=cl.table)
         verdict = "consistent" if cl.sup_w2 <= band else "INCONSISTENT"
+        # the band's unit sqrt(max_t E[W2^2]) on the band's own line, so
+        # each class still prints one "null band" line
         print(f"class {cl.label}: sup_t W2 = {cl.sup_w2:.4g}, "
-              f"null band = {band:.4g} -> {verdict}"
+              f"null band = {band:.4g} (sqrt(max_t E[W2^2]) = "
+              f"{band / BAND_FACTOR:.4g}) -> {verdict}"
               + (" (low sample count)" if cl.flagged else ""))
 
 

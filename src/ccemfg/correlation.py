@@ -27,7 +27,7 @@ from .model import MeasureView, ModelSpec
 # anew at each time, as the pilots were (white and two-component flows,
 # counts 200 and 2000, 200 runs each), had a sup-W2 of median 1.6 to 1.7
 # and at most 2.95 such units; the pilot band read 4.4 to 5.8 (seeds 0-199).
-_BAND_FACTOR = 5.0
+BAND_FACTOR = 5.0
 # the Bin(count, p) pmf entries that one block of null_expectation holds
 _PMF_BLOCK = 2**16
 
@@ -284,7 +284,7 @@ def null_expectation(table: np.ndarray, count: int) -> np.ndarray:
 def null_band(flow: GaussianMixtureFlow, times: np.ndarray, count: int,
               seed=None, *, table: Optional[np.ndarray] = None) -> float:
     """Threshold for sup-t W2 under the null, ``count`` samples of the flow
-    itself: ``_BAND_FACTOR`` times sqrt(max_t :func:`null_expectation`) of
+    itself: ``BAND_FACTOR`` times sqrt(max_t :func:`null_expectation`) of
     ``table``, the flow's quantile table on ``times`` (built if not given),
     of shape ``(len(times), n_pts)``.  The band is exact, so ``seed`` is
     ignored; it is kept for the callers that pass it.  Raises
@@ -294,4 +294,4 @@ def null_band(flow: GaussianMixtureFlow, times: np.ndarray, count: int,
         table = flow.quantile_table(times)
     if table.shape[:1] != (len(times),):
         raise ValueError(f"table needs {len(times)} rows, got {table.shape}")
-    return _BAND_FACTOR * float(np.sqrt(null_expectation(table, count).max()))
+    return BAND_FACTOR * float(np.sqrt(null_expectation(table, count).max()))

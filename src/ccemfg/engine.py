@@ -127,20 +127,26 @@ def initial_states(model: ModelSpec, seed: int, rep_ids, player_ids) -> np.ndarr
 
 
 def euler_step(model: ModelSpec, step: int, t: float, dt: float,
-               x: np.ndarray, mv: MeasureView, a, dw: np.ndarray) -> np.ndarray:
+               x: np.ndarray, mv: MeasureView, a, dw: np.ndarray,
+               out=None, scratch=None) -> np.ndarray:
     """One left-point Euler step of the states ``x`` at time ``t`` under the
     actions ``a`` against the measure view ``mv``, driven by the Brownian
-    increment ``dw``.  Checks the new states; ``step`` labels the error."""
+    increment ``dw``.  Checks the new states; ``step`` labels the error.
+
+    The new states, ``x + drift * dt``, then ``+ dw``, are written into
+    ``out``, an array of the broadcast shape that may be ``x`` itself, with
+    ``drift * dt`` in ``scratch``, another array of that shape; the two
+    are given together.  Without them both are one new array.
+    """
     drift = model.drift(t, x, mv, a)
-    # x + drift * dt + dw in one array; the sums commute, so the bits agree
-    x_new = np.empty(np.broadcast_shapes(np.shape(x), np.shape(drift),
-                                         np.shape(dw)))
-    np.multiply(drift, dt, out=x_new)
-    x_new += x
-    x_new += dw
-    if not np.all(np.isfinite(x_new)):
+    if out is None:
+        out = scratch = np.empty(np.broadcast_shapes(
+            np.shape(x), np.shape(drift), np.shape(dw)))
+    np.add(x, np.multiply(drift, dt, out=scratch), out=out)
+    out += dw
+    if not np.all(np.isfinite(out)):
         raise SimulationError(step)
-    return x_new
+    return out
 
 
 def sum_rows(x: np.ndarray) -> np.ndarray:
@@ -212,16 +218,28 @@ def stream(model: ModelSpec, grid: TimeGrid, x: np.ndarray, w_rows,
     against the action box once, before the loop.  Yields ``(i, x, mv,
     actions)`` before the Euler step from grid point ``i``, and ``(steps, x,
     mv, None)`` at the horizon.
+
+    The first step makes the states and the Brownian increment new
+    arrays, and the later steps write into them, with ``drift * dt`` in
+    one more array made at the second step; so a one-step grid makes no
+    more arrays than a step that copies.  A yielded ``x`` holds its values
+    only until the stream is resumed: a caller that keeps states copies
+    them.
     """
     if not model.actions.contains(actions):
         raise ValueError("action outside the admissible box at step 0")
     steps, dt, times = grid.steps, grid.dt, grid.times
     w_prev = next(w_rows)
+    dw = scratch = None
     for i in range(steps):
         mv = measure(i, x)
         yield i, x, mv, actions
         w_next = next(w_rows)
-        x = euler_step(model, i, times[i], dt, x, mv, actions, w_next - w_prev)
+        dw = np.subtract(w_next, w_prev, out=dw)
+        if i == 1:              # x is the first step's new array
+            scratch = np.empty_like(x)
+        x = euler_step(model, i, times[i], dt, x, mv, actions, dw,
+                       x if i else None, scratch)
         w_prev = w_next
     mv = measure(steps, x)      # so the suspended loop frees the last view
     yield steps, x, mv, None

@@ -369,12 +369,17 @@ def _poc_chunk(args):
 
     Every random input of player j in replication r is keyed by (seed, r,
     j), so the ensemble at N is the first N players of the ensemble at
-    max(Ns) whenever the drift does not read the measure.  One ensemble of
-    max(Ns) players is streamed; at each grid point each prefix
-    ``x[:N]`` is sorted over the players, and its quantiles are compared
-    with that time's row of the class table.  ``table`` is (steps + 1,
-    points, classes).  Returns the curves, (len(Ns), R, steps + 1), and
-    the class of each replication; no paths are kept.
+    max(Ns) whenever the drift does not read the measure, and then no
+    measure is computed.  One ensemble of max(Ns) players is streamed; at
+    each grid point each prefix ``x[:N]`` is sorted over the players, and
+    its quantiles are compared with that time's row of the class table.
+    ``table`` is (steps + 1, points, classes).  Returns the curves,
+    (len(Ns), R, steps + 1), and the class of each replication; no paths
+    are kept.
+
+    A step works in arrays made once: each prefix is sorted in a (max(Ns),
+    R) one, its rows at the quantile ranks are gathered into a (points, R)
+    one, and the drawn classes' table entries are gathered into another.
     """
     (model, device, grid, Ns, seed, table, off, count) = args
     rep_ids = off + np.arange(count)
@@ -383,12 +388,19 @@ def _poc_chunk(args):
     n_pts = table.shape[1]
     q_idx = [quantile_ranks(N, n_pts) for N in Ns]
     d2 = np.empty((len(Ns), count, grid.steps + 1))
+    measure = (empirical_measure(Ns[-1]) if drift_reads_measure(model)
+               else lambda i, x: None)
+    srt = np.empty((Ns[-1], count))
+    ref, diff2 = np.empty((2, n_pts, count))
     for i, x, _, _ in stream(model, grid, x0, rows,
-                             np.ascontiguousarray(actions.T),
-                             empirical_measure(Ns[-1])):
-        ref = table[i][:, cls]                              # (points, R)
+                             np.ascontiguousarray(actions.T), measure):
+        # every index is in range; with mode="raise" take would fill a
+        # temporary and copy it into out
+        np.take(table[i], cls, axis=1, out=ref, mode="clip")
         for k, N in enumerate(Ns):
-            diff2 = np.sort(x[:N], axis=0)[q_idx[k]]        # (points, R)
+            np.copyto(srt[:N], x[:N])
+            srt[:N].sort(axis=0)
+            np.take(srt[:N], q_idx[k], axis=0, out=diff2, mode="clip")
             diff2 -= ref
             np.square(diff2, out=diff2)
             d2[k, :, i] = sum_rows(diff2)[0] / n_pts

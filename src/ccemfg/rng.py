@@ -13,10 +13,12 @@ Layout conventions (documented, load-bearing for reproducibility):
   ``mix64(seed ^ SEED_SALT)`` and takes one step per tag: the new key is
   draw ``tag`` of the stream of the current key.
 * uniforms use the top 53 bits, offset by half an ulp so the result lies
-  strictly inside (0, 1); the top value, which that offset rounds up to
-  1.0, is clamped to the largest double below 1.  The conversion happens
-  in the draw's own buffer: the 53-bit integers, read as int64, are cast
-  to float64 in place, which is exact below 2**53.
+  strictly inside (0, 1): ``(bits + 0.5) * 2**-53``.  The top value,
+  which that offset rounds up to 1.0 (the half ulp is lost once
+  ``bits >= 2**52``), is clamped to the largest double below 1; every
+  other value is unchanged.  The conversion happens in the draw's own
+  buffer: the 53-bit integers, read as int64, are cast to float64 in
+  place, which is exact below 2**53.
 """
 
 from __future__ import annotations
@@ -42,10 +44,10 @@ _C2 = np.uint64(0x94D049BB133111EB)
 _BELOW_ONE = np.nextafter(1.0, 0.0)
 
 
-def _finalize(z: np.ndarray) -> np.ndarray:
+def _finalize(z: np.ndarray, s=None) -> np.ndarray:
     """The splitmix64 finalizer applied to the uint64 array ``z`` in place,
-    with one scratch array."""
-    s = np.empty_like(z)
+    with one scratch array ``s`` of its shape, made if not given."""
+    s = np.empty_like(z) if s is None else s
     with np.errstate(over="ignore"):    # modular wraparound is intended
         for shift, mult in ((30, _C1), (27, _C2)):
             np.right_shift(z, np.uint64(shift), out=s)
@@ -82,44 +84,38 @@ def stream_keys(seed: int, *tags) -> np.ndarray:
     return k if np.ndim(k) else k[()]
 
 
-def _raw64(key, index) -> np.ndarray:
+def _raw64(key, index, out=None, scratch=None) -> np.ndarray:
     """Draws ``index`` of streams ``key`` as raw uint64 (both broadcast),
     an array of the broadcast shape (0-d for scalars).
 
-    ``(index + 1) * GOLDEN + key`` is built in one buffer and finalized in
-    place; the arithmetic is modulo 2**64, so the order of the terms does
-    not change the bits.
+    ``key + (index + 1) * GOLDEN`` is built in one buffer, ``out`` when
+    given, and finalized in place with the uint64 ``scratch`` when given.
+    The arithmetic is modulo 2**64, so the order of the terms does not
+    change the bits; the offsets have the index's shape, so a scalar index
+    costs one add over the keys.
     """
     key = np.asarray(key, dtype=np.uint64)
     index = np.asarray(index, dtype=np.uint64)
-    z = np.empty(np.broadcast_shapes(key.shape, index.shape), dtype=np.uint64)
+    z = (np.empty(np.broadcast_shapes(key.shape, index.shape),
+                  dtype=np.uint64) if out is None else out)
     with np.errstate(over="ignore"):
-        np.add(index, np.uint64(1), out=z)
-        z *= _G
-        z += key
-    return _finalize(z)
+        np.add(key, (index + np.uint64(1)) * _G, out=z)
+    return _finalize(z, scratch)
 
 
-def bits_to_uniform(bits) -> np.ndarray:
-    """Map 53-bit integers to uniforms strictly inside (0, 1).
+def uniforms(key, index, out=None, scratch=None) -> np.ndarray:
+    """Uniform draws strictly inside (0, 1), from the top 53 bits of the
+    draws (see the layout above), converted in the draws' own buffer.
 
-    ``(bits + 0.5) * 2**-53`` rounds to exactly 1.0 for ``bits = 2**53 - 1``
-    (the half ulp is lost once ``bits >= 2**52``), so that one value is
-    clamped to the largest double below 1.  Every other value is unchanged.
+    ``out``, a C-contiguous float64 array of the broadcast shape, receives
+    the draws when given, and ``scratch``, a uint64 array of that shape,
+    serves the finalizer; a caller that draws many times into the same
+    buffers then allocates nothing.
     """
-    u = np.asarray(bits, dtype=np.uint64).astype(np.float64)
-    u += 0.5
-    u *= 2.0**-53
-    np.minimum(u, _BELOW_ONE, out=u)
-    return u if u.ndim else u[()]
-
-
-def uniforms(key, index) -> np.ndarray:
-    """Uniform draws strictly inside (0, 1), :func:`bits_to_uniform` of
-    the top 53 bits of the draws, converted in the draws' own buffer."""
-    z = _raw64(key, index)
+    z = _raw64(key, index, None if out is None else out.view(np.uint64),
+               scratch)
     z >>= np.uint64(11)
-    u = z.view(np.float64)
+    u = z.view(np.float64) if out is None else out
     # an in-place cast; a ufunc would copy z, whose views overlap u
     np.copyto(u, z.view(np.int64), casting="unsafe")
     u += 0.5

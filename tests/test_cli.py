@@ -8,8 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ccemfg.analytic import DeviceProbs
 from ccemfg.cli import (ConfigError, RunConfig, build_parser, config_dict,
                         main, parse_config, resolve_config)
+from ccemfg.correlation import (BAND_FACTOR, build_example_device,
+                                null_expectation)
+from ccemfg.engine import TimeGrid
 
 
 def run_cli(args):
@@ -288,6 +292,32 @@ def test_mfgap_poc_consistency_mkv_smoke(tmp_path):
     assert mkv[1] == "t,mean,var" and len(mkv) == 2 + 21
     trace = (tmp_path / "mkv_trace.csv").read_text().splitlines()
     assert trace[1] == "iteration,w2_to_previous"
+
+
+def test_consistency_prints_each_band_beside_its_unit(tmp_path, capsys):
+    """One line per class: the null band and, on the same line, the
+    sqrt(max_t E[W2^2]) that it is BAND_FACTOR times."""
+    out = tmp_path / "cons.csv"
+    assert run_cli(["consistency", "--p", "0.5,0.3,0.2,0", "--reps", "200",
+                    "--steps", "20", "--out", str(out)]) == 0
+    lines = [ln for ln in capsys.readouterr().out.splitlines()
+             if "null band" in ln]
+    counts = {}
+    for row in out.read_text().splitlines()[2:]:
+        label, _, count = row.split(",")[:3]
+        counts[label] = int(count)
+    flows = build_example_device(DeviceProbs(0.5, 0.3, 0.2, 0), -1.0,
+                                 1.0).flow_classes()
+    times = TimeGrid(2.0, 20).times
+    assert len(lines) == len(flows) == 2
+    for line, label in zip(lines, flows):
+        assert line.startswith(f"class {label}:")
+        band = float(line.split("null band = ")[1].split()[0])
+        unit = float(line.split("sqrt(max_t E[W2^2]) = ")[1].split(")")[0])
+        want = np.sqrt(null_expectation(
+            flows[label]["flow"].quantile_table(times), counts[label]).max())
+        assert unit == pytest.approx(want, rel=1e-3)
+        assert band == pytest.approx(BAND_FACTOR * want, rel=1e-3)
 
 
 def test_cached_parser_gives_each_call_its_own_config(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 
 from ccemfg import _pathgen_py, rng
 from ccemfg.engine import (SimulationError, TimeGrid, empirical_measure,
-                           ensemble_noise, initial_states,
+                           ensemble_noise, euler_step, initial_states,
                            mckean_vlasov_fixed_point, noise_keys,
                            simulate_ensemble, simulate_representative, stream)
 from ccemfg.flows import GaussianMixtureFlow, device_flow
@@ -234,6 +234,33 @@ def test_ensemble_noise_matches_the_replication_major_build(law):
     assert x0.flags.c_contiguous and np.array_equal(x0, ref_x0)
     for row, ref in zip(rows, ref_rows, strict=True):
         assert np.array_equal(row, ref)
+
+
+_DRIFTS = {"action": MODEL.drift,
+           "measure": lambda t, x, m, a: a + 0.7 * m.mean - 0.3 * m.second_moment,
+           "state": lambda t, x, m, a: x}
+
+
+@pytest.mark.parametrize("drift", list(_DRIFTS))
+def test_euler_step_in_place_equals_the_copying_step(drift):
+    """``x += drift * dt; x += dw`` in the states' own buffer adds the terms
+    of the copying step, ``drift * dt + x``, then ``+ dw``: the sums
+    commute, so the bits agree.  The "state" drift is ``x`` itself, which
+    the step overwrites."""
+    model = dataclasses.replace(MODEL, drift=_DRIFTS[drift])
+    gen = np.random.default_rng(8)
+    x = 3.0 * gen.standard_normal((13, 37))
+    a = gen.uniform(-1.0, 1.0, x.shape)
+    dw = 0.4 * gen.standard_normal(x.shape)
+    mv = empirical_measure(13)(0, x)
+    want = euler_step(model, 4, 0.3, 2.0 / 7, x, mv, a, dw)
+    y, scratch = x.copy(), np.empty_like(x)
+    got = euler_step(model, 4, 0.3, 2.0 / 7, y, mv, a, dw, y, scratch)
+    assert got is y and np.array_equal(got, want)
+    y = x.copy()
+    y[2, 5] = np.inf
+    with pytest.raises(SimulationError, match="step 4"):
+        euler_step(model, 4, 0.3, 2.0 / 7, y, mv, a, dw, y, scratch)
 
 
 def test_nonfinite_state_aborts_with_step():

@@ -70,16 +70,38 @@ def test_uniforms_open_interval_and_deterministic():
     assert np.array_equal(part, u[50:80])
 
 
+def _bits_to_uniform(bits):
+    """The uniform of 53-bit integers (the layout in ccemfg.rng), one
+    temporary per operation: ``(bits + 0.5) * 2**-53``, which rounds to
+    exactly 1.0 for ``bits = 2**53 - 1``, clamped to the largest double
+    below 1."""
+    u = (np.asarray(bits, dtype=np.uint64).astype(np.float64) + 0.5) * 2.0**-53
+    u = np.minimum(u, np.nextafter(1.0, 0.0))
+    return u if u.ndim else u[()]
+
+
+def _keys_drawing(bits):
+    """Keys whose draw 0 has the given top 53 bits (and all low bits set),
+    found by inverting the finalizer."""
+    raw = [b << 11 | 0x7FF for b in bits]
+    assert [_splitmix64_oracle(_unmix64(r)) for r in raw] == raw
+    return np.array([(_unmix64(r) - rng.GOLDEN) & ((1 << 64) - 1)
+                     for r in raw], dtype=np.uint64)
+
+
 def test_bits_to_uniform_stays_inside_open_interval():
+    """The reference rule, and the draws of rng.uniforms with those top
+    bits."""
     top = np.array([2**53 - 1, 2**53 - 2, 2**52, 2**52 + 1, 0],
                    dtype=np.uint64)
-    u = rng.bits_to_uniform(top)
+    u = _bits_to_uniform(top)
     assert np.all(u > 0.0) and np.all(u < 1.0)
     assert u[0] == np.nextafter(1.0, 0.0)
     assert np.all(np.isfinite(_pathgen_py.norm_quantile(u)))
     # only the top value is clamped; all others keep (bits + 0.5) * 2**-53
     assert np.array_equal(u[1:], (top[1:].astype(np.float64) + 0.5) * 2.0**-53)
-    assert rng.bits_to_uniform(2**53 - 1) == np.nextafter(1.0, 0.0)
+    assert _bits_to_uniform(2**53 - 1) == np.nextafter(1.0, 0.0)
+    assert np.array_equal(rng.uniforms(_keys_drawing(top.tolist()), 0), u)
 
 
 def test_uniforms_pass_moment_checks():
@@ -414,7 +436,7 @@ def _ref_raw64(key, index):
 
 
 def _ref_uniforms(key, index):
-    return rng.bits_to_uniform(_ref_raw64(key, index) >> np.uint64(11))
+    return _bits_to_uniform(_ref_raw64(key, index) >> np.uint64(11))
 
 
 _KEYS = rng.stream_keys(23, rng.TAG_NOISE, np.arange(6))
@@ -459,20 +481,37 @@ def _unmix64(y):
     return unshift(y, 30)
 
 
+_EDGE_BITS = [0, 1, 2**52 - 1, 2**52, 2**52 + 1, 2**53 - 2, 2**53 - 1]
+
+
 def test_uniforms_convert_in_place_exactly_at_the_edges_of_53_bits():
-    # keys whose draw 0 has the given top 53 bits (and all low bits set),
-    # found by inverting the finalizer: the in-place cast must give what a
-    # separate float array gives, the clamp at 2**53 - 1 included
-    bits = [0, 1, 2**52 - 1, 2**52, 2**52 + 1, 2**53 - 2, 2**53 - 1]
-    raw = [b << 11 | 0x7FF for b in bits]
-    assert [_splitmix64_oracle(_unmix64(r)) for r in raw] == raw
-    keys = np.array([(_unmix64(r) - rng.GOLDEN) & ((1 << 64) - 1)
-                     for r in raw], dtype=np.uint64)
-    assert rng._raw64(keys, 0).tolist() == raw
+    # the in-place cast must give what a separate float array gives, the
+    # clamp at 2**53 - 1 included
+    keys = _keys_drawing(_EDGE_BITS)
+    assert rng._raw64(keys, 0).tolist() == [b << 11 | 0x7FF
+                                            for b in _EDGE_BITS]
     got = rng.uniforms(keys, 0)
-    want = rng.bits_to_uniform(rng._raw64(keys, 0) >> np.uint64(11))
+    want = _bits_to_uniform(rng._raw64(keys, 0) >> np.uint64(11))
     assert np.array_equal(got, want)
     assert got[-1] == np.nextafter(1.0, 0.0) and got[0] == 2.0**-54
+
+
+def test_uniforms_into_given_buffers_equal_new_arrays():
+    """A walk's draws, into a given float64 ``out`` and uint64 ``scratch``
+    again and again, are bit for bit the draws of new arrays: at the edges
+    of 53 bits (draw 0 of the first keys), at a scalar index that wraps and
+    at an array index."""
+    keys = np.concatenate([_keys_drawing(_EDGE_BITS),
+                           rng.stream_keys(41, rng.TAG_PROBE,
+                                           np.arange(993))]).reshape(40, 25)
+    out, scratch = np.full(keys.shape, np.nan), np.empty_like(keys)
+    for index in (0, 5, (1 << 64) - 1, np.arange(25, dtype=np.uint64)):
+        want = _ref_uniforms(keys, index)
+        assert np.array_equal(rng.uniforms(keys, index), want)
+        got = rng.uniforms(keys, index, out, scratch)
+        assert got is out and np.array_equal(got, want)
+    assert np.array_equal(rng.uniforms(keys, 3, out=out),
+                          _ref_uniforms(keys, 3))
 
 
 def _ref_stream_keys(seed, *tags):

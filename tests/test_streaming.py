@@ -387,21 +387,25 @@ def test_poc_matches_path_storing_reference(p, steps, monkeypatch):
                     assert res.per_class[lab][k] == np.max(r_class[lab])
 
         # the per-replication curves of the chunks, added per class in
-        # replication order, are the reference's class curves
+        # replication order, are the reference's class curves: in chunks of
+        # four, and of one replication, where each step's squared differences
+        # are one column that sum_rows adds in order
         table = np.stack(list(tables.values()), axis=-1)
         groups = ([[N] for N in PLAYERS] if drift_reads_measure(model)
                   else [PLAYERS])
-        d2 = np.concatenate([
-            np.concatenate([eq._poc_chunk((model, device, grid, g, seed,
-                                           table, off, min(4, reps - off)))[0]
-                            for off in range(0, reps, 4)], axis=1)
-            for g in groups])                     # (len(PLAYERS), reps, T)
-        for k, (_, r_class) in enumerate(refs):
-            for ci, lab in enumerate(tables):
-                acc = np.zeros(steps + 1)
-                for row in d2[k, cls == ci]:
-                    acc = acc + row
-                assert np.array_equal(acc / np.sum(cls == ci), r_class[lab])
+        for size in (1, 4):
+            d2 = np.concatenate([np.concatenate([
+                eq._poc_chunk((model, device, grid, g, seed, table, off,
+                               min(size, reps - off)))[0]
+                for off in range(0, reps, size)], axis=1)
+                for g in groups])                 # (len(PLAYERS), reps, T)
+            for k, (_, r_class) in enumerate(refs):
+                for ci, lab in enumerate(tables):
+                    acc = np.zeros(steps + 1)
+                    for row in d2[k, cls == ci]:
+                        acc = acc + row
+                    assert np.array_equal(acc / np.sum(cls == ci),
+                                          r_class[lab]), (size, k, lab)
 
 
 def test_poc_curve_does_not_depend_on_workers_or_chunks(monkeypatch):
@@ -675,6 +679,22 @@ def test_exact_terminal_nplayer_chunk_peak_memory():
     eq._nplayer_chunk(args)
     peak = _traced_peak(lambda: eq._nplayer_chunk(args))
     assert peak <= 6 * N * R * 8, f"{peak / (N * R * 8):.2f} arrays"
+
+
+@pytest.mark.parametrize("p", [(1, 0, 0, 0), (0.5, 0.3, 0.2, 0)])
+def test_poc_chunk_peak_memory(p):
+    # one worker's chunk of the benchmark's poc: the walk, the state, the
+    # Euler step's two arrays, the sort's and the gathers' arrays, all made
+    # once, about 24.2 (max(Ns), R) arrays with one class drawn or two
+    # (28.2 when each step made new ones)
+    device = build_example_device(DeviceProbs(*p), -1.0, 1.0)
+    grid, Ns, R = TimeGrid(2.0, 200), [50, 100, 200, 400], 50
+    table = np.stack([entry["flow"].quantile_table(grid.times)
+                      for entry in device.flow_classes().values()], axis=-1)
+    args = (MODEL, device, grid, Ns, 0, table, 0, R)
+    eq._poc_chunk(args)
+    peak = _traced_peak(lambda: eq._poc_chunk(args))
+    assert peak <= 25 * Ns[-1] * R * 8, f"{peak / (Ns[-1] * R * 8):.2f} arrays"
 
 
 def test_null_band_peak_memory():
