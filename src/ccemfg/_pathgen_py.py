@@ -28,7 +28,12 @@ of the keys' shape per grid point.  Each node uses its breadth-first
 draw and the same four in-place operations on its endpoints, so every row
 is bit-identical to the matching time slice of a breadth-first fill, while
 only the rows on the current root-to-leaf path (about log2(steps) + 2) are
-alive.
+alive.  A node takes its draw on entry, before it recurses, so the walk
+consumes the draws in pre-order of the tree; it draws the next
+:func:`_walk_batch` nodes of that order at once, by one uniforms call and
+one inverse CDF call over a (batch,) + keys.shape array.  Both are
+elementwise, so batching changes no bits, and the draw layout of
+:mod:`ccemfg.rng` is unchanged: node ``n`` still takes draw ``n + 1``.
 """
 
 from __future__ import annotations
@@ -155,7 +160,7 @@ def _quantile_block(p, out):
     q = p - 0.5
     r = np.abs(q)
     tail = np.flatnonzero(r > 0.425)
-    lower = q[tail] < 0.0
+    qt = q[tail]
     pt = p[tail]
 
     np.multiply(q, q, out=r)
@@ -165,17 +170,18 @@ def _quantile_block(p, out):
     out /= _poly(_B, r, out=q)
     del q, r                    # freed before the tails' temporaries
 
-    # tails: r = sqrt(-log(min(p, 1 - p)))
+    # tails: r = sqrt(-log(min(p, 1 - p))), where 1 - p is exact for
+    # p > 1/2; z > 0 on both branches, so copysign gives it q's sign
     if tail.size:
-        pt = np.where(lower, pt, 1.0 - pt)
-        r = np.sqrt(-np.log(pt))
-        z = _poly(_C, r - 1.6)
-        z /= _poly(_D, r - 1.6)
+        r = np.sqrt(-np.log(np.minimum(pt, 1.0 - pt, out=pt)))
+        r16 = r - 1.6
+        z = _poly(_C, r16)
+        z /= _poly(_D, r16, out=pt)
         far = np.flatnonzero(r > 5.0)
         if far.size:
             rf = r[far] - 5.0
             z[far] = _poly(_E, rf) / _poly(_F, rf)
-        out[tail] = np.where(lower, -z, z)
+        out[tail] = np.copysign(z, qt, out=z)
 
 
 def exp_sum(hi, lo, out=None) -> np.ndarray:
@@ -300,28 +306,51 @@ def bridge_plan(steps: int, dt: float):
     return lo, mid, hi, frac, sd
 
 
-def _interior_rows(keys, plan, node, l, h, w_l, w_h, draw):
+def _node_normals(keys, order, batch):
+    """The standard normals of the bisection nodes ``order``, one array of
+    the keys' shape per node: ``batch`` nodes a call of
+    :func:`~ccemfg.rng.uniforms` and of :func:`norm_quantile`, into two
+    arrays made once, so that a narrow walk does not pay their fixed cost
+    at every node.  A node's array is a view, valid until the next batch."""
+    z = np.empty((min(batch, order.size),) + keys.shape)
+    bits = np.empty_like(z, dtype=np.uint64)
+    ids = order.astype(np.uint64).reshape((-1,) + (1,) * keys.ndim)
+    for b in range(0, order.size, batch):
+        n = ids[b:b + batch]
+        u = uniforms(keys, n + np.uint64(1), z[:len(n)], bits[:len(n)])
+        yield from norm_quantile(u, out=u)
+
+
+def _walk_batch(width: int, steps: int) -> int:
+    """The nodes :func:`brownian_rows` draws at a time for keys of
+    ``width`` elements: one :func:`norm_quantile` block's worth, and no
+    more than fit, at the 4.3 rows of the keys' shape that a node's draws
+    hold, in the ``steps.bit_length() + 4`` rows beyond its own that
+    :func:`ccemfg.equilibrium._rep_numbers` counts for a walk."""
+    return max(1, min(QUANTILE_BLOCK // max(1, width),
+                      int((steps.bit_length() + 4) / 4.3)))
+
+
+def _interior_rows(plan, node, l, h, w_l, w_h, normals):
     """The rows of :func:`brownian_rows` strictly between grid points l and
-    h, in time order.  ``draw`` is the walk's scratch: a float64 and a
-    uint64 array of the keys' shape, which every node draws its normals
-    into.  A module function, not a closure: a closure that calls itself
-    is a reference cycle, which would keep ``keys`` alive after the walk
-    until the garbage collector runs."""
+    h, in time order.  ``normals`` gives each node its draw on entry,
+    before it recurses: in pre-order.  A module function, not a closure:
+    a closure that calls itself is a reference cycle, which would keep the
+    walk's keys alive after it until the garbage collector runs."""
     n = node.get((l, h))
     if n is None:                          # h - l < 2: no interior point
         return
     _, mid, _, frac, sd = plan
-    z = uniforms(keys, n + 1, *draw)
-    norm_quantile(z, out=z)
+    z = next(normals)
     z *= sd[n]
     w_m = np.subtract(w_h, w_l)
     w_m *= frac[n]
     w_m += w_l
     w_m += z
     m = int(mid[n])
-    yield from _interior_rows(keys, plan, node, l, m, w_l, w_m, draw)
+    yield from _interior_rows(plan, node, l, m, w_l, w_m, normals)
     yield w_m
-    yield from _interior_rows(keys, plan, node, m, h, w_m, w_h, draw)
+    yield from _interior_rows(plan, node, m, h, w_m, w_h, normals)
 
 
 def brownian_rows(keys: np.ndarray, steps: int, horizon: float):
@@ -333,22 +362,26 @@ def brownian_rows(keys: np.ndarray, steps: int, horizon: float):
     The bisection tree of :func:`bridge_plan` is walked in order.  A row is
     held only while a later row still interpolates from it, so at most
     about log2(steps) + 2 rows of the walk are alive at once, besides the
-    two arrays that every interior node draws into.  The keys and those
-    arrays are held until the last interior row is drawn; on a one-step
-    grid there are none, and the keys are freed once W(0) has been taken.
+    draws of :func:`_node_normals`, :func:`_walk_batch` nodes in pre-order
+    at a time.  The keys and the draws' arrays are held until the last
+    interior row is drawn; on a one-step grid there are none, no draws are
+    set up, and the keys are freed once W(0) has been taken.
     """
     keys = np.ascontiguousarray(keys, dtype=np.uint64)
     plan = bridge_plan(steps, horizon / steps)
     lo, _, hi, _, _ = plan
     node = {(l, h): n for n, (l, h) in enumerate(zip(lo.tolist(), hi.tolist()))}
-    draw = (np.empty(keys.shape), np.empty_like(keys)) if lo.size else ()
     w_T = uniforms(keys, 0)
     norm_quantile(w_T, out=w_T)
     w_T *= np.sqrt(horizon)
     w_0 = np.broadcast_to(np.float64(0.0), keys.shape)
-    interior = _interior_rows(keys, plan, node, 0, steps, w_0, w_T, draw)
-    del keys, draw
+    # pre-order: an interval comes before those inside it and those to its
+    # right, so the nodes sorted by lo, then by hi downwards
+    normals = (_node_normals(keys, np.lexsort((-hi, lo)),
+                             _walk_batch(keys.size, steps))
+               if lo.size else None)
+    interior = _interior_rows(plan, node, 0, steps, w_0, w_T, normals)
+    del keys, normals
     yield w_0
     yield from interior
     yield w_T
-

@@ -309,9 +309,9 @@ def finite_n_gap_oracle(p: DeviceProbs, a: float, b: float, c: float, T: float,
 
     Closed-form Gaussian integration of the terminal payoff under the
     recommendation (players conditionally i.i.d. given the flow) and under
-    a constant deviation m of player 1; the supremum of the convex
-    quadratic in m is attained on {a, b} but the interior vertex is checked
-    as well.
+    a constant deviation m of player 1.  The deviation's payoff is a
+    quadratic in m with leading coefficient c T**2 / N > 0, so its vertex
+    is the minimum and the supremum over [a, b] is attained at a or b.
     """
     _check_game(a, b, c, T)
     if N < 2:
@@ -329,9 +329,4 @@ def finite_n_gap_oracle(p: DeviceProbs, a: float, b: float, c: float, T: float,
     def j_dev(m):
         return c * ((T * T * m * m + T) / N + frac * T * T * m * u_bar)
 
-    candidates = [a, b]
-    vertex = -(N - 1) * u_bar / 2.0
-    if a < vertex < b:
-        candidates.append(vertex)
-    best = max(j_dev(m) for m in candidates)
-    return max(0.0, best - j_rec)
+    return max(0.0, max(j_dev(a), j_dev(b)) - j_rec)

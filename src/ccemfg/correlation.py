@@ -20,7 +20,7 @@ from . import rng
 from .analytic import PROB_TOL, DeviceProbs, consistency_weights
 from .engine import TimeGrid, check_count, check_run, ensemble_noise, stream
 from .flows import GaussianMixtureFlow, device_flow
-from .metrics import empirical_quantiles, quantile_ranks
+from .metrics import quantile_ranks
 from .model import MeasureView, ModelSpec
 
 # null_band's multiple of sqrt(max_t E[W2^2(t)]).  Exact flow samples drawn
@@ -28,8 +28,8 @@ from .model import MeasureView, ModelSpec
 # counts 200 and 2000, 200 runs each), had a sup-W2 of median 1.6 to 1.7
 # and at most 2.95 such units; the pilot band read 4.4 to 5.8 (seeds 0-199).
 BAND_FACTOR = 5.0
-# the Bin(count, p) pmf entries that one block of null_expectation holds
-_PMF_BLOCK = 2**16
+# the values of j (the binomial laws) in one block of null_expectation
+_NULL_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -193,7 +193,8 @@ def verify_consistency(model: ModelSpec, device: CorrelationDevice,
     representative state against the declared flow (1-d W2).
 
     Each replication follows its drawn scenario (:func:`follow_scenarios`);
-    at each grid point a class's states are sorted and compared with that
+    at each grid point a class's states are sorted in a buffer made once,
+    and their empirical quantiles (at ranks found once) compared with that
     time's row of its flow's quantile table.  A flow without one raises, so
     does a class with no samples; classes with fewer than 100 samples are
     flagged.
@@ -201,7 +202,7 @@ def verify_consistency(model: ModelSpec, device: CorrelationDevice,
     check_run(model, grid, reps=reps)
     scen = sample_scenario(device, seed, np.arange(reps))
     times = grid.times
-    reports, members_of = [], []
+    reports, scored = [], []
     for label, entry in device.flow_classes().items():
         if not hasattr(entry["flow"], "quantile_table"):
             raise ValueError(f"flow class {label} has no quantile table")
@@ -209,18 +210,23 @@ def verify_consistency(model: ModelSpec, device: CorrelationDevice,
         if members.size == 0:
             raise ValueError(f"flow class {label} received no samples; "
                              "increase reps")
+        table = entry["flow"].quantile_table(times)
         reports.append(ClassReport(
             label=label, probability=float(entry["probability"]),
             count=members.size, times=times, w2=np.empty(times.size),
-            flagged=members.size < 100,
-            table=entry["flow"].quantile_table(times)))
-        members_of.append(members)
+            flagged=members.size < 100, table=table))
+        scored.append((reports[-1], members, np.empty(members.size),
+                       quantile_ranks(members.size, table.shape[1])))
 
     x0, rows = ensemble_noise(model, grid, seed, np.arange(reps), 1)
     for i, x, _, _ in follow_scenarios(model, grid, device, scen, x0, rows):
-        for cl, members in zip(reports, members_of):
-            eq = empirical_quantiles(np.sort(x[0, members]))
-            cl.w2[i] = np.sqrt(np.mean((eq - cl.table[i]) ** 2))
+        for cl, members, srt, ranks in scored:
+            np.take(x[0], members, out=srt)
+            srt.sort()
+            d = srt[ranks]                  # the empirical quantiles
+            d -= cl.table[i]
+            d *= d
+            cl.w2[i] = np.sqrt(np.mean(d))
     return ConsistencyReport(classes=tuple(reports), reps=reps, seed=seed)
 
 
@@ -233,49 +239,58 @@ def null_expectation(table: np.ndarray, count: int) -> np.ndarray:
     ``k_i = quantile_ranks(count, n)[i]``-th of the sorted uniform indices,
     and ``S(i, j) = P(idx_(k_i) <= j) = P(Bin(count, (j+1)/n) >= k_i + 1)``.
     So ``n E[t] = sum_ij (S(i, j) - S(i, j-1)) (T[t, j] - T[t, i])^2``,
-    summed here by parts in j.  The binomial pmfs come from one
-    log-factorial table, in blocks of j of about ``_PMF_BLOCK`` entries, so
-    no (n, count) array is built; each block's sum over i is an ``einsum``,
-    which, unlike a matrix product, wakes no BLAS threads.
+    summed here by parts in j, ``_NULL_ROWS`` values of j at a time.  A
+    block's binomial pmfs come from one log-factorial table, on the window
+    of x that holds all but 2**-64 of each of its laws' mass.  S is 1 for
+    the columns i with k_i + 1 at most the window's lowest x and 0 above
+    its highest, so each block's sum over i is an ``einsum`` (which, unlike
+    a matrix product, wakes no BLAS threads) over the columns in between
+    alone: about 10 n / sqrt(count) of them where p = 1/2, not n.
     """
     count = check_count("count", count)
     if table.ndim != 2 or table.shape[1] < 1:
         raise ValueError(f"table must be (n_t, n), n >= 1, got {table.shape}")
     n = table.shape[1]
-    tail = count - 1 - quantile_ranks(count, n)   # column of x >= k_i + 1
+    k = quantile_ranks(count, n) + 1            # S(i, j) = P(X_j >= k[i])
     log_fact = np.zeros(count + 1)
     np.cumsum(np.log(np.arange(1.0, count + 1)), out=log_fact[1:])
     log_choose = log_fact[-1] - log_fact - log_fact[::-1]
-    x = np.arange(count + 1.0)
+    # Bernstein's inequality, a Chernoff bound: each tail of X_j beyond t
+    # from its mean holds at most exp(-t^2 / (2 (var + t / 3))), which is
+    # exp(-L) = 2**-65 at this t, also where p = 1/n makes it Poisson-like
+    p = np.arange(1, n) / n                     # X_j ~ Bin(count, p[j])
+    L = 65.0 * math.log(2.0)
+    t = L / 3.0 + np.sqrt(L * L / 9.0 + 2.0 * L * count * p * (1.0 - p))
+    x_lo = np.maximum(np.ceil(count * p - t), 0.0).astype(np.int64)
+    x_hi = np.minimum(np.floor(count * p + t), count).astype(np.int64)
     # by parts: (T[t, n-1] - T[t, i])^2 less, for each j < n - 1,
     # S(i, j) (T[t, j+1] - T[t, j]) (T[t, j+1] + T[t, j] - 2 T[t, i])
     out = table[:, -1:] - table
     out = np.einsum("ti,ti->t", out, out)
-    block = max(1, _PMF_BLOCK // (count + 1 + n))
-    for j0 in range(0, n - 1, block):
-        j1 = min(j0 + block, n - 1)
-        p = np.arange(j0 + 1, j1 + 1) / n
-        # Bin(count, p) log-pmfs at x = count - y in column y.  exp is ten
-        # times slower where it underflows, and a mass below exp(-708), the
-        # smallest normal double, changes no sum.
-        pmf = np.multiply.outer(np.log1p(-p) - np.log(p), x)
-        pmf += log_choose
-        pmf += count * np.log(p)[:, None]
+    for j0 in range(0, n - 1, _NULL_ROWS):
+        j1 = min(j0 + _NULL_ROWS, n - 1)
+        lo_x, hi_x = int(x_lo[j0:j1].min()), int(x_hi[j0:j1].max())
+        pj = p[j0:j1, None]
+        # Bin(count, p) log-pmfs at x = hi_x, hi_x - 1, ..., lo_x.  exp is
+        # ten times slower where it underflows, and a mass below
+        # exp(-708), the smallest normal double, changes no sum.
+        pmf = (np.log(pj) - np.log1p(-pj)) * np.arange(hi_x, lo_x - 1, -1.0)
+        pmf += log_choose[lo_x:hi_x + 1][::-1]
+        pmf += count * np.log1p(-pj)
         np.maximum(pmf, -708.0, out=pmf)
         np.exp(pmf, out=pmf)
         # summed from the top and scaled by the totals, so S is exactly 1
         # where the rest of the pmf is below rounding
         np.cumsum(pmf, axis=1, out=pmf)
-        s = pmf[:, tail]                            # S(i, j) in row j - j0
+        a, b = np.searchsorted(k, [lo_x, hi_x], side="right")
+        s = pmf[:, hi_x - k[a:b]]                   # S(i, j) in row j - j0
         s /= pmf[:, -1:]
         del pmf
-        # S falls in i and rises in j: every row is 1 where the first is
-        a = int(np.count_nonzero(s[0] == 1.0))
-        term = np.einsum("ti,ji->tj", table[:, a:], s[:, a:])
+        term = np.einsum("ti,ji->tj", table[:, a:b], s)
         term += table[:, :a].sum(axis=1)[:, None]  # sum_i S(i, j) T[t, i]
         lo, hi = table[:, j0:j1], table[:, j0 + 1:j1 + 1]
         term *= 2.0
-        term -= (hi + lo) * s.sum(axis=1)
+        term -= (hi + lo) * (a + s.sum(axis=1))
         term *= hi - lo
         out += term.sum(axis=1)
     return out / n

@@ -305,7 +305,8 @@ def mckean_vlasov_fixed_point(model: ModelSpec, grid: TimeGrid, strategy,
     may have only one new iterate to step.  The measure callback computes
     the moments of every row but the last, and the pass records them from
     the view it yields.  At each grid point the state is sorted once for
-    the W2 step of each new row from the row above (iterate 1's from x0).
+    the W2 step of each new row from the row above (iterate 1's from x0),
+    in a (K, P) array made once per pass.
     The pass appends its distances in order and the iteration stops at the
     first one below ``tol``; otherwise the next pass starts from the last
     finished iterate.  Two new iterates per pass, not more: a walk costs
@@ -338,21 +339,23 @@ def mckean_vlasov_fixed_point(model: ModelSpec, grid: TimeGrid, strategy,
         K = old + min(2, max_iters - len(distances))
         mom = np.empty((K, 3, steps + 1))      # mean, second moment, var
         d2 = np.empty((K, steps + 1))
+        srt, sq = np.empty((K, particles)), np.empty(particles)
         for i, x, mv, _ in stream(
                 model, grid, np.broadcast_to(x0, (K, particles)), rows,
                 np.broadcast_to(np.float64(strategy), (K, particles)),
                 measure):
-            srt = np.sort(x, axis=1)
+            np.copyto(srt, x)
+            srt.sort(axis=1)
             mom[:-1, 0, i] = mv.mean[1:, 0]
             mom[:-1, 1, i] = mv.second_moment[1:, 0]
             mom[-1, :2, i] = x[-1].mean(), np.mean(x[-1] ** 2)
             for r in range(old, K):
                 mom[r, 2, i] = x[r].var()
-                prev = srt[r - 1] if r else x0_sorted
+                np.subtract(srt[r], srt[r - 1] if r else x0_sorted, out=sq)
+                sq *= sq
                 # the particles added in order, as an axis-0 mean of stored
                 # paths adds them; a pairwise mean moves the trace by ulps
-                d2[r, i] = (np.add.accumulate((srt[r] - prev) ** 2)[-1]
-                            / particles)
+                d2[r, i] = np.add.accumulate(sq, out=sq)[-1] / particles
         for r in range(old, K):
             distances.append(float(np.max(np.sqrt(d2[r]))))
             if distances[-1] < tol or len(distances) == max_iters:

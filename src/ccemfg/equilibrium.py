@@ -90,9 +90,10 @@ def default_deviation_grid(model: ModelSpec, deviations=21) -> np.ndarray:
 def _rep_numbers(steps, state, walked, candidates=0, curves=0) -> int:
     """The float64 numbers one replication holds at the peak of its chunk,
     from the shapes it streams on a grid of ``steps``: ``state`` entries,
-    ``walked`` players (a walk holds about log2(steps) + 2 rows), deviation
-    ``candidates`` and stored ``curves`` entries.  Fitted with tracemalloc
-    on every estimator path, the count is 1.05 to 2 times the peak."""
+    ``walked`` players (a walk holds about log2(steps) + 2 rows, and its
+    batched draws about as many again), deviation ``candidates`` and
+    stored ``curves`` entries.  Fitted with tracemalloc on every estimator
+    path, the count is 1.2 to 2.5 times the peak."""
     return (5 * state + (2 * steps.bit_length() + 6) * walked
             + 5 * candidates + curves)
 

@@ -299,6 +299,37 @@ def test_finite_n_oracle_approaches_limit_monotonically():
                                    -1, 1, 1, 2, N) == 0.0
 
 
+def test_finite_n_oracle_is_the_better_endpoint_gain():
+    """A deviation beta gains c T^2 [(beta^2 - E[u^2]) / N + (N - 1) / N
+    (beta u_bar - E[m^2])], a quadratic in beta with leading coefficient
+    c T^2 / N > 0: on random devices, asymmetric boxes and N from 2 to
+    1000, no beta inside [a, b], its vertex included, beats both
+    endpoints, and the oracle is the larger endpoint gain, clipped at 0."""
+    rng = np.random.default_rng(11)
+    c, T = 1.5, 2.0
+    for _ in range(30):
+        p = random_device(rng)
+        for a, b in ((-1.0, 1.0), (-1.0, 2.0), (-3.0, 0.5)):
+            u_bar = (p.p11 + p.p12) * b + (p.p21 + p.p22) * a
+            e_u2 = (p.p11 + p.p12) * b * b + (p.p21 + p.p22) * a * a
+            # each column's flow moves at its conditional mean action
+            e_m2 = sum((hi * b + lo * a) ** 2 / (hi + lo)
+                       for hi, lo in ((p.p11, p.p21), (p.p12, p.p22))
+                       if hi + lo > 0)
+            for N in (2, 3, 5, 50, 1000):
+                def gain(beta):
+                    return c * T * T * ((beta * beta - e_u2) / N + (N - 1)
+                                        / N * (beta * u_bar - e_m2))
+
+                vertex = -(N - 1) * u_bar / 2
+                betas = np.append(np.linspace(a, b, 201),
+                                  min(max(vertex, a), b))
+                ends = max(gain(a), gain(b))
+                assert gain(betas).max() <= ends + 1e-12, (p, a, b, N)
+                got = finite_n_gap_oracle(p, a, b, c, T, N)
+                assert abs(got - max(0.0, ends)) <= 1e-12, (p, a, b, N)
+
+
 def test_finite_n_oracle_black_limit():
     p = DeviceProbs(0.5, 0.3, 0.2, 0.0)
     e = finite_n_gap_oracle(p, -1, 1, 1, 2, 10**7)

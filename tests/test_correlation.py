@@ -333,10 +333,12 @@ def _dense_null_band(table, count):
 @pytest.mark.parametrize("steps", [1, 20, 200])
 @pytest.mark.parametrize("weight", [1.0, 5 / 7, 0.5, 0.0])
 def test_null_band_matches_dense_binomial_reference(weight, steps):
+    """Counts up to 5, whose binomial windows cover every column, and
+    10,000 and 40,000, whose windows are narrow, among others."""
     flow = device_flow(weight, -1.0, 1.0)
     times = TimeGrid(2.0, steps).times
     table = flow.quantile_table(times)
-    for count in (1, 2, 300, 2003):
+    for count in (1, 2, 3, 5, 300, 2003, 10_000, 40_000):
         got = null_band(flow, times, count, table=table)
         np.testing.assert_allclose(got, _dense_null_band(table, count),
                                    rtol=1e-9, err_msg=str(count))

@@ -400,6 +400,33 @@ def test_brownian_rows_in_time_order_match_row_major_fill(steps):
                           _ref_brownian_paths(keys, steps, 2.0))
 
 
+@pytest.mark.parametrize("batch", [1, 2, 5, 64])
+@pytest.mark.parametrize("steps", [1, 2, 3, 7, 64, 200])
+@pytest.mark.parametrize("shape", [(5,), (4, 3)])
+def test_batched_walk_bit_identical_to_row_major_fill(monkeypatch, shape,
+                                                      steps, batch):
+    """The walk draws ``batch`` nodes per call, in pre-order: one node a
+    call, two, five (a ragged last batch at 64 and 200 steps) and 64 (every
+    node of the 64-step grid in one call); the draws are elementwise, so
+    every row equals the row-major fill's."""
+    keys = rng.stream_keys(23, rng.TAG_NOISE,
+                           np.arange(np.prod(shape)).reshape(shape))
+    monkeypatch.setattr(_pathgen_py, "_walk_batch", lambda *_: batch)
+    rows = list(_pathgen_py.brownian_rows(keys, steps, 2.0))
+    assert np.array_equal(np.stack(rows, axis=-1),
+                          _ref_brownian_paths(keys, steps, 2.0))
+
+
+def test_walk_batches_fill_a_quantile_block_within_the_walk_depth():
+    assert _pathgen_py._walk_batch(4000, 200) == 2
+    assert _pathgen_py._walk_batch(20_000, 200) == 1
+    assert _pathgen_py._walk_batch(100, 20) == 2
+    assert _pathgen_py._walk_batch(100, 2**12) == 3
+    assert _pathgen_py._walk_batch(10_000, 2**12) == 3
+    assert _pathgen_py._walk_batch(20_000, 2**12) == 1
+    assert _pathgen_py._walk_batch(100, 1) == 1
+
+
 @pytest.mark.parametrize("taken", [1, 2, 9])
 def test_brownian_rows_frees_its_walk_without_the_garbage_collector(taken):
     """A walk dropped part way or at its end leaves no reference cycle,

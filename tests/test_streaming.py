@@ -704,6 +704,13 @@ def test_null_band_peak_memory():
     assert peak < PEAK_BOUND, f"peak {peak / 2**20:.1f} MiB"
 
 
+def test_null_band_peak_memory_at_count_40000():
+    flow = device_flow(0.5, -1.0, 1.0)
+    times = TimeGrid(2.0, 200).times
+    peak = _traced_peak(lambda: null_band(flow, times, 40_000))
+    assert peak < PEAK_BOUND, f"peak {peak / 2**20:.1f} MiB"
+
+
 def _chunk_peaks(monkeypatch, budget, run):
     """(traced peak, replications, numbers counted per replication) of each
     chunk that ``run`` maps, with ``CHUNK_ELEMS = budget``."""
