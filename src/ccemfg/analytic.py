@@ -15,8 +15,10 @@ probability simplex.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
+import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -145,20 +147,26 @@ DEFAULT_ALPHAS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
 _CSV_BLOCK = 2048                # rows per write in write_csv
+_SHORT_COLUMN = 24               # columns shorter than this skip np.unique
 _SHADES = np.array(["0", "255", "128"], dtype=object)   # not, cce, infeasible
 
 
 def _format_column(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The strings of the distinct values of an array, each formatted
-    once, and the index of each value's string among them: ``.17g`` for
-    float64, whose values are told apart by bit pattern, not by ``==``
-    (-0.0 and 0.0 compare equal but print as "-0" and "0"), else ``str``."""
+    """Strings for the values of an array and the index of each value's
+    string among them: ``.17g`` for float64, else ``str``.  A column of at
+    least ``_SHORT_COLUMN`` values formats each distinct value once, told
+    apart by bit pattern, not by ``==`` (-0.0 and 0.0 compare equal but
+    print as "-0" and "0"); a shorter one formats value by value, where
+    ``np.unique`` would cost more than it saves."""
     floats = values.dtype == np.float64
-    keys, inverse = np.unique(values.view(np.int64) if floats else values,
-                              return_inverse=True)
-    strings = (map(float.__format__, keys.view(np.float64).tolist(),
-                   itertools.repeat(".17g")) if floats
-               else map(str, keys.tolist()))
+    if values.size < _SHORT_COLUMN:
+        keys, inverse = values, np.arange(values.size)
+    else:
+        keys, inverse = np.unique(values.view(np.int64) if floats else values,
+                                  return_inverse=True)
+        keys = keys.view(np.float64) if floats else keys
+    strings = (map(float.__format__, keys.tolist(), itertools.repeat(".17g"))
+               if floats else map(str, keys.tolist()))
     return np.array(list(strings), dtype=object), inverse.astype(np.int32)
 
 
@@ -168,15 +176,40 @@ def _header_line(header: Optional[dict]) -> str:
         "# " + json.dumps(header, sort_keys=True) + "\n")
 
 
+@contextlib.contextmanager
+def _rewrite(path):
+    """Open ``path`` for writing text as ``open(path, "w")`` does, but cut
+    the file at the final position on exit, also when the body raises,
+    instead of truncating it to zero at the open.
+
+    The file keeps its inode, mode and links, and a symlink is followed.
+    On ext4 (``auto_da_alloc``) a truncate to zero makes the close flush
+    the file's data, and the next truncate of the file waits for that
+    write: a rerun into the same ``--out`` can stall for tens of ms per
+    file.  A file cut at a nonzero size is not flushed, and neither a
+    temporary file renamed over the output (flushed too) nor an unlink
+    (which would replace a symlink) is used.  A process killed before the
+    cut leaves the new bytes followed by the old file's tail.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w") as fh:
+        try:
+            yield fh
+        finally:
+            fh.truncate()
+
+
 def write_csv(path, header: Optional[dict], names, columns) -> None:
     """The header line (unless ``header`` is None), the column ``names``,
     then a row per entry of the ``columns``, ``_CSV_BLOCK`` rows a write.
     :func:`_format_column` prints a value ``f"{v:.17g}" if isinstance(v,
-    float) else str(v)``, so a float reads back exactly."""
+    float) else str(v)``, so a float reads back exactly.  The columns are
+    formatted before ``path`` is opened, so one that fails to format leaves
+    the file as it was."""
     cols = [_format_column(np.asarray(c)) for c in columns]
     n = cols[0][1].size if cols else 0
     width = 2 * len(cols)                   # cells and separators per row
-    with open(path, "w") as fh:
+    with _rewrite(path) as fh:
         fh.write(_header_line(header) + ",".join(names) + "\n")
         for s in range(0, n, _CSV_BLOCK):
             rows = min(_CSV_BLOCK, n - s)
@@ -231,7 +264,7 @@ class RegionGrid:
         """
         n = self.resolution
         shade = np.where(self.feasible, self.is_cce.view(np.uint8), 2)
-        with open(path, "w") as fh:
+        with _rewrite(path) as fh:
             fh.write(f"P2\n{_header_line(header)}{n} {n}\n255\n")
             fh.writelines(" ".join(row) + "\n"
                           for row in _SHADES[shade.T[::-1]].tolist())

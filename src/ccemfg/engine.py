@@ -41,7 +41,7 @@ from typing import Callable
 import numpy as np
 
 from . import _pathgen_py, rng
-from .model import MeasureView, ModelSpec
+from .model import MeasureView, ModelSpec, drift_reads_measure
 
 
 class SimulationError(RuntimeError):
@@ -313,6 +313,12 @@ def mckean_vlasov_fixed_point(model: ModelSpec, grid: TimeGrid, strategy,
     about as much as stepping and sorting four or five rows, so two halve
     the walks, and a longer stack would step iterates past the one that
     meets ``tol``.
+
+    A drift that ignores the measure (``drift_reads_measure(model)`` is
+    False) makes every iterate equal iterate 1, bit for bit.  Then the one
+    pass steps iterate 1 alone, and iterate 2, if ``max_iters`` and
+    ``tol`` reach it, is iterate 1 with a W2 step of exactly 0.0: the
+    result the full stack gives.
     """
     check_run(model, grid, max_iters=max_iters)
     check_count("particles", particles, 100)
@@ -333,10 +339,11 @@ def mckean_vlasov_fixed_point(model: ModelSpec, grid: TimeGrid, strategy,
             mean[r], m2[r] = x[r - 1].mean(), np.mean(x[r - 1] ** 2)
         return MeasureView(mean=mean, second_moment=m2)
 
+    frozen = not drift_reads_measure(model)   # every iterate is iterate 1
     distances = []
     while True:
         old = 1 if distances else 0            # rows that redo an iterate
-        K = old + min(2, max_iters - len(distances))
+        K = old + min(1 if frozen else 2, max_iters - len(distances))
         mom = np.empty((K, 3, steps + 1))      # mean, second moment, var
         d2 = np.empty((K, steps + 1))
         srt, sq = np.empty((K, particles)), np.empty(particles)
@@ -358,6 +365,8 @@ def mckean_vlasov_fixed_point(model: ModelSpec, grid: TimeGrid, strategy,
                 d2[r, i] = np.add.accumulate(sq, out=sq)[-1] / particles
         for r in range(old, K):
             distances.append(float(np.max(np.sqrt(d2[r]))))
+            if frozen and distances[-1] >= tol and len(distances) < max_iters:
+                distances.append(0.0)          # iterate 2, iterate 1 again
             if distances[-1] < tol or len(distances) == max_iters:
                 return MkvResult(times=times, mean=mom[r, 0], var=mom[r, 2],
                                  distances=distances,

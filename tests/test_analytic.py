@@ -2,19 +2,22 @@
 rational-arithmetic evaluation of the raw slope/intercept formulas."""
 
 import json
+import os
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ccemfg import analytic
 from ccemfg.analytic import (DeviceProbs, cce_margin, consistency_weights,
                              diagonal_hk, finite_n_gap_oracle, hk_coefficients,
                              mean_field_gap_oracle, mean_field_payoffs,
                              region_sweep,
                              worst_case_deviation, write_csv, AffineCoeffs,
-                             RegionGrid, _CSV_BLOCK)
+                             RegionGrid, _CSV_BLOCK, _SHORT_COLUMN)
 
 
 def hk_rational(p11, p12, p21, p22, a, b):
@@ -485,12 +488,14 @@ _AWKWARD_FLOATS = [-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324,
                    -5e-324, 0.1, float(np.nextafter(0.1, 1.0)), 1.0 / 3.0]
 
 
-@pytest.mark.parametrize("n", [0, 1, 2 * _CSV_BLOCK + 5])
+@pytest.mark.parametrize("n", [0, 1, _SHORT_COLUMN - 1, _SHORT_COLUMN,
+                               2 * _CSV_BLOCK + 5])
 def test_write_csv_matches_the_per_value_rule(n, tmp_path):
     """Each column holds one kind of value: numpy floats, Python floats,
     Python ints, numpy ints, bools and labels, with -0.0 next to 0.0, both
     signs of nan and inf, the smallest subnormal and two floats one ulp
-    apart."""
+    apart.  Columns shorter than ``_SHORT_COLUMN`` are formatted value by
+    value, longer ones by their distinct values."""
     rng = np.random.default_rng(5)
     floats = rng.choice(np.array(_AWKWARD_FLOATS), n)
     columns = [floats,
@@ -518,3 +523,76 @@ def test_write_csv_without_header(tmp_path):
     path = tmp_path / "t.csv"
     write_csv(path, None, ["t", "n"], [np.array([0.5, -0.0]), [1, 2]])
     assert path.read_text() == "t,n\n0.5,1\n-0,2\n"
+
+
+def _region_outputs(resolution, base):
+    grid = region_sweep(resolution, 0.5, -1.0, 1.0)
+    header = {"resolution": resolution}
+    grid.to_csv(f"{base}.csv", header=header)
+    grid.to_pgm(f"{base}.pgm", header=header)
+    write_csv(f"{base}_t.csv", header, ["t", "n"],
+              [np.linspace(0.0, 1.0, resolution), range(resolution)])
+    return [Path(f"{base}{ext}") for ext in (".csv", ".pgm", "_t.csv")]
+
+
+def test_outputs_rewritten_over_longer_files_hold_exactly_the_new_bytes(
+        tmp_path):
+    """A rerun into the same paths cuts the longer files of a larger run
+    at the end of the new output."""
+    old_sizes = [os.path.getsize(p)
+                 for p in _region_outputs(21, tmp_path / "out")]
+    got = _region_outputs(11, tmp_path / "out")
+    want = _region_outputs(11, tmp_path / "fresh")
+    for g, w, old in zip(got, want, old_sizes):
+        assert g.read_bytes() == w.read_bytes()
+        assert os.path.getsize(g) < old
+
+
+def test_outputs_rewrite_the_file_in_place_through_links(tmp_path):
+    """The file keeps its inode, mode and hard links, and a symlink at the
+    path has its target rewritten, as ``open(path, "w")`` would."""
+    paths = _region_outputs(21, tmp_path / "out")
+    for p in paths:
+        os.chmod(p, 0o640)
+        os.link(p, f"{p}.link")
+    target = _region_outputs(21, tmp_path / "target")
+    syms = [tmp_path / t.name.replace("target", "sym") for t in target]
+    for t, sym in zip(target, syms):
+        sym.symlink_to(t)
+    before = [os.stat(p) for p in paths]
+    got = _region_outputs(11, tmp_path / "out")
+    _region_outputs(11, tmp_path / "sym")
+    want = _region_outputs(11, tmp_path / "fresh")
+    for g, b, w, t, sym in zip(got, before, want, target, syms):
+        after = os.stat(g)
+        assert (after.st_ino, after.st_mode, after.st_nlink) == (
+            b.st_ino, b.st_mode, 2)
+        body = w.read_bytes()
+        assert Path(f"{g}.link").read_bytes() == body
+        assert sym.is_symlink() and t.read_bytes() == body
+
+
+def test_write_csv_leaves_the_file_alone_when_a_column_fails_to_format(
+        tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("old contents\n")
+    with pytest.raises(ValueError):
+        write_csv(path, {"seed": 0}, ["t", "ragged"],
+                  [[0.5, 1.0], [[1, 2], [3]]])
+    assert path.read_text() == "old contents\n"
+
+
+def test_write_csv_that_fails_in_a_later_block_leaves_no_old_bytes(
+        tmp_path, monkeypatch):
+    """A label that the file's encoding refuses makes the second block's
+    write raise: the file holds the header and the first block, and none
+    of the longer old file after them."""
+    monkeypatch.setattr(analytic, "_CSV_BLOCK", 2)
+    path, first = tmp_path / "t.csv", tmp_path / "first.csv"
+    path.write_text("x" * 10_000)
+    header = {"seed": 0}
+    labels = ["a", "b", "c\ud800", "d", "e"]
+    with pytest.raises(UnicodeEncodeError):
+        write_csv(path, header, ["n", "label"], [range(5), labels])
+    write_csv(first, header, ["n", "label"], [range(2), labels[:2]])
+    assert path.read_bytes() == first.read_bytes()

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -334,6 +335,30 @@ def test_mckean_vlasov_constant_strategies():
                                       max_iters=10, tol=0.02, seed=0)
     assert res_a.converged
     assert abs(res_a.mean[-1] + 2.0) < 0.1
+
+
+@pytest.mark.parametrize("max_iters, tol", [(1, 1e-3), (2, 1e-3), (3, 1e-3),
+                                            (3, 1e3)])
+def test_mckean_vlasov_measure_free_drift_skips_the_second_iterate(max_iters,
+                                                                    tol):
+    """The shipped drift steps iterate 1 alone and records iterate 2 as
+    iterate 1 with a W2 step of 0.0; an opaque copy of the same drift runs
+    the full Picard stack.  The results agree bit for bit, and a ``tol``
+    that iterate 1 meets stops both at one iterate."""
+    opaque = dataclasses.replace(MODEL, drift=functools.partial(MODEL.drift))
+    g = TimeGrid(2.0, 20)
+    got, want = (mckean_vlasov_fixed_point(m, g, 1.0, particles=300,
+                                           max_iters=max_iters, tol=tol,
+                                           seed=4)
+                 for m in (MODEL, opaque))
+    for name in ("times", "mean", "var"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    assert got.distances == want.distances
+    assert (got.converged, got.iterations) == (want.converged,
+                                               want.iterations)
+    if tol < 1.0 and max_iters > 1:
+        assert got.distances[1] == 0.0 and got.iterations == 2
+    assert got.iterations == min(max_iters, 1 if tol > 1.0 else 2)
 
 
 def test_mckean_vlasov_zero_drift():
