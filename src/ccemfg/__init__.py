@@ -3,10 +3,9 @@ games and their mean field limit, with a fully explicit bang-bang
 instance: closed-form equilibrium-region tests, Monte Carlo gap
 estimation, propagation-of-chaos and consistency diagnostics."""
 
-from .analytic import (AffineCoeffs, DeviceProbs, RegionGrid, cce_margin,
-                       consistency_weights, diagonal_hk, finite_n_gap_oracle,
-                       hk_coefficients, mean_field_gap_oracle,
-                       mean_field_payoffs, region_sweep, worst_case_deviation)
+from .analytic import (DeviceProbs, RegionGrid, cce_margin, consistency_weights,
+                       finite_n_gap_oracle, mean_field_gap_oracle,
+                       region_sweep)
 from .correlation import (ConsistencyReport, CorrelationDevice, Scenario,
                           build_example_device, null_band, null_expectation,
                           sample_scenario, verify_consistency)

@@ -5,8 +5,8 @@ control b (rows i=1) or a (rows i=2) together with one of two mixture
 flows (columns j).  After imposing consistency of the flows, the no-gain
 condition for unilateral deviations reduces to nonnegativity of an affine
 function h*m + k over the action interval [a, b]; this module computes h,
-k, margins, payoffs, the equilibrium-region sweep and an exact finite-N
-gap oracle.
+k and that margin, the equilibrium-region sweep and the exact mean field
+and finite-N gap oracles.
 
 Zero-mass columns: every fraction with a vanishing denominator contributes
 0, the continuity limit, which makes all formulas total on the closed
@@ -24,8 +24,24 @@ from typing import Optional
 
 import numpy as np
 
+from .engine import check_count
+
 PROB_TOL = 1e-12
 MARGIN_TOL = 1e-12
+
+
+def _check_probabilities(probs) -> None:
+    """The rule of a lottery's probabilities, here and in
+    :class:`ccemfg.correlation.CorrelationDevice`: ``ValueError`` unless
+    each is finite and at least -PROB_TOL and they sum to 1 within
+    PROB_TOL."""
+    probs = np.asarray(probs, dtype=np.float64)
+    if not np.all(np.isfinite(probs)):
+        raise ValueError("probabilities must be finite")
+    if np.any(probs < -PROB_TOL):
+        raise ValueError("probabilities must be nonnegative")
+    if abs(probs.sum() - 1.0) > PROB_TOL:
+        raise ValueError("probabilities must sum to 1")
 
 
 @dataclass(frozen=True)
@@ -38,11 +54,7 @@ class DeviceProbs:
     p22: float
 
     def __post_init__(self):
-        vals = self.as_tuple()
-        if any(v < -PROB_TOL for v in vals):
-            raise ValueError("probabilities must be nonnegative")
-        if abs(sum(vals) - 1.0) > PROB_TOL:
-            raise ValueError("probabilities must sum to 1")
+        _check_probabilities(self.as_tuple())
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.p11, self.p12, self.p21, self.p22)
@@ -54,18 +66,6 @@ class DeviceProbs:
     @property
     def row_masses(self) -> tuple[float, float]:
         return (self.p11 + self.p12, self.p21 + self.p22)
-
-    def swapped(self) -> "DeviceProbs":
-        """(p11,p12,p21,p22) -> (p22,p21,p12,p11)."""
-        return DeviceProbs(self.p22, self.p21, self.p12, self.p11)
-
-
-@dataclass(frozen=True)
-class AffineCoeffs:
-    """Slope and intercept of the deviation-gain condition h*m + k >= 0."""
-
-    h: float
-    k: float
 
 
 def consistency_weights(p: DeviceProbs) -> tuple[Optional[float], Optional[float]]:
@@ -102,6 +102,12 @@ def _hk_arrays(p11, p12, p21, p22, a: float, b: float):
     return h, k
 
 
+def _margin(h, k, a: float, b: float):
+    """min over [a, b] of h*m + k, at an endpoint since it is affine in m:
+    the device is an equilibrium iff it is >= 0."""
+    return np.minimum(h * a + k, h * b + k)
+
+
 def _check_interval(a: float, b: float) -> None:
     if not (-np.inf < a < 0.0 < b < np.inf):
         raise ValueError("action interval must satisfy -inf < a < 0 < b < inf")
@@ -114,33 +120,10 @@ def _check_game(a: float, b: float, c: float, T: float) -> None:
         raise ValueError("need 0 < c < inf and 0 < T < inf")
 
 
-def hk_coefficients(p: DeviceProbs, a: float, b: float) -> AffineCoeffs:
-    """Affine coefficients from the raw (pre-simplification) formulas."""
-    _check_interval(a, b)
-    h, k = _hk_arrays(p.p11, p.p12, p.p21, p.p22, a, b)
-    return AffineCoeffs(h=float(h), k=float(k))
-
-
-def diagonal_hk(p11: float, a: float, b: float) -> AffineCoeffs:
-    """Simplified coefficients for diagonal devices (p12 = p21 = 0)."""
-    _check_interval(a, b)
-    if not 0.0 <= p11 <= 1.0:
-        raise ValueError("p11 must lie in [0, 1]")
-    return AffineCoeffs(h=-b * p11 - a * (1.0 - p11),
-                        k=b * b * p11 + a * a * (1.0 - p11))
-
-
 def cce_margin(p: DeviceProbs, a: float, b: float) -> float:
     """min over [a, b] of h*m + k; the device is an equilibrium iff >= 0."""
-    co = hk_coefficients(p, a, b)
-    return min(co.h * a + co.k, co.h * b + co.k)
-
-
-def worst_case_deviation(coeffs: AffineCoeffs, a: float, b: float) -> float:
-    """Endpoint minimizing h*m + k; ties at h = 0 return a by convention."""
-    if not a < b:
-        raise ValueError("need a < b")
-    return b if coeffs.h < 0.0 else a
+    _check_interval(a, b)
+    return float(_margin(*_hk_arrays(p.p11, p.p12, p.p21, p.p22, a, b), a, b))
 
 
 DEFAULT_ALPHAS = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -278,8 +261,7 @@ def region_sweep(resolution: int, alpha: float, a: float, b: float) -> RegionGri
     swap below it, so the sweep is transpose-symmetric for b = -a.
     """
     _check_interval(a, b)
-    if resolution < 2:
-        raise ValueError("resolution must be at least 2")
+    resolution = check_count("resolution", resolution, 2)
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
     n = resolution - 1
@@ -294,10 +276,9 @@ def region_sweep(resolution: int, alpha: float, a: float, b: float) -> RegionGri
     p12 = np.where(above, alpha * r, (1.0 - alpha) * r)
     p21 = np.where(above, (1.0 - alpha) * r, alpha * r)
     h, k = _hk_arrays(p11, p12, p21, p22, a, b)
-    margin = np.minimum(h * a + k, h * b + k)
     return RegionGrid(resolution=resolution, alpha=float(alpha),
                       a=float(a), b=float(b), p11=p11, p22=p22,
-                      p12=p12, p21=p21, h=h, k=k, margin=margin,
+                      p12=p12, p21=p21, h=h, k=k, margin=_margin(h, k, a, b),
                       feasible=feasible)
 
 
@@ -307,25 +288,6 @@ def _flow_means(p: DeviceProbs, a: float, b: float) -> tuple[float, float]:
     m1 = a1 * b + (1.0 - a1) * a if a1 is not None else 0.0
     m2 = a2 * b + (1.0 - a2) * a if a2 is not None else 0.0
     return m1, m2
-
-
-def mean_field_payoffs(p: DeviceProbs, a: float, b: float, c: float, T: float,
-                       m_beta: float) -> tuple[float, float]:
-    """Expected payoff of the recommendation and of a deviation with mean
-    action m_beta, both at the mean field level.
-
-    Satisfies J_rec - J_dev = c*T^2*(h*m_beta + k) up to roundoff.
-    """
-    _check_game(a, b, c, T)
-    if not (min(a, b) - 1e-12 <= m_beta <= max(a, b) + 1e-12):
-        raise ValueError("m_beta must lie in the action interval")
-    m1, m2 = _flow_means(p, a, b)
-    c1, c2 = p.column_masses
-    scale = c * T * T
-    j_rec = scale * (p.p11 * b * m1 + p.p12 * b * m2
-                     + p.p21 * a * m1 + p.p22 * a * m2)
-    j_dev = scale * m_beta * (c1 * m1 + c2 * m2)
-    return j_rec, j_dev
 
 
 def mean_field_gap_oracle(p: DeviceProbs, a: float, b: float, c: float,
@@ -347,8 +309,7 @@ def finite_n_gap_oracle(p: DeviceProbs, a: float, b: float, c: float, T: float,
     is the minimum and the supremum over [a, b] is attained at a or b.
     """
     _check_game(a, b, c, T)
-    if N < 2:
-        raise ValueError("N must be at least 2")
+    N = check_count("N", N, 2)
     q_plus, q_minus = p.row_masses
     u_bar = q_plus * b + q_minus * a
     e_u2 = q_plus * b * b + q_minus * a * a

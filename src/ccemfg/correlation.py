@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from . import rng
-from .analytic import PROB_TOL, DeviceProbs, consistency_weights
+from .analytic import DeviceProbs, _check_probabilities, consistency_weights
 from .engine import TimeGrid, check_count, check_run, ensemble_noise, stream
 from .flows import GaussianMixtureFlow, device_flow
 from .metrics import quantile_ranks
@@ -43,8 +43,9 @@ class Scenario:
 @dataclass(frozen=True)
 class CorrelationDevice:
     """The mediator's lottery over scenarios.  Raises ``ValueError`` unless
-    the probabilities are nonnegative and sum to 1 and every strategy is a
-    finite real (a constant action).  Keeps only the scenarios of positive
+    the probabilities are finite and nonnegative and sum to 1 (the rule of
+    :class:`ccemfg.analytic.DeviceProbs`) and every strategy is a finite
+    real (a constant action).  Keeps only the scenarios of positive
     probability, so every scenario and every flow class can be drawn."""
 
     scenarios: tuple
@@ -52,11 +53,7 @@ class CorrelationDevice:
     def __post_init__(self):
         if len(self.scenarios) == 0:
             raise ValueError("device needs at least one scenario")
-        probs = np.array([s.probability for s in self.scenarios])
-        if np.any(probs < -PROB_TOL):
-            raise ValueError("scenario probabilities must be nonnegative")
-        if abs(probs.sum() - 1.0) > PROB_TOL:
-            raise ValueError("scenario probabilities must sum to 1")
+        _check_probabilities([s.probability for s in self.scenarios])
         for k, s in enumerate(self.scenarios):
             if not (isinstance(s.strategy, numbers.Real)
                     and math.isfinite(s.strategy)):

@@ -51,7 +51,6 @@ class CostEstimate:
     mean: float
     std_error: float
     reps: int
-    flagged: bool = False     # True when reps < 2 (no standard error)
 
 
 @dataclass(frozen=True)
@@ -65,7 +64,6 @@ class GapReport:
 
     j_rec: CostEstimate
     best_deviation: float
-    j_dev_best: CostEstimate
     epsilon_hat: float
     epsilon_ci: tuple
     raw_gap: float
@@ -255,16 +253,15 @@ def _assemble_gap(model, j_rec, j_dev, candidates, oracle=None) -> GapReport:
         return (v.std(axis=0, ddof=1) / np.sqrt(reps) if reps > 1
                 else np.full(v.shape[1:], np.nan))
 
-    def est(v):
-        return CostEstimate(float(v.mean()), float(se(v)), reps, reps < 2)
-
     imp = model.sign * (j_rec[:, None] - j_dev)   # (R, G) improvements
     imp_means, imp_ses = imp.mean(axis=0), se(imp)
     best = int(np.argmax(imp_means))
     raw, raw_se = float(imp_means[best]), float(imp_ses[best])
     half = 1.96 * raw_se
-    return GapReport(j_rec=est(j_rec), best_deviation=float(candidates[best]),
-                     j_dev_best=est(j_dev[:, best]), epsilon_hat=max(0.0, raw),
+    return GapReport(j_rec=CostEstimate(float(j_rec.mean()), float(se(j_rec)),
+                                        reps),
+                     best_deviation=float(candidates[best]),
+                     epsilon_hat=max(0.0, raw),
                      epsilon_ci=(raw - half, raw + half), raw_gap=raw,
                      raw_se=raw_se, candidates=candidates,
                      improvement_means=imp_means, improvement_ses=imp_ses,

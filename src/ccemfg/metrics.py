@@ -2,7 +2,7 @@
 
 In one dimension the optimal coupling matches quantiles, so samples are
 compared with a flow at the midpoint levels of :func:`quantile_levels`:
-the samples through their order statistics (:func:`empirical_quantiles`),
+the samples through the order statistics that :func:`quantile_ranks` picks,
 the flow through its exact quantiles (:func:`mixture_quantile_table`),
 with no sampling on the analytic side.  A quantile starts from the bracket
 its components' quantiles give, which is already exact for a single
@@ -207,9 +207,3 @@ def _halley(state, w) -> np.ndarray:
                     row[:keep.size] = row[keep]
                 state, idx = state[:, :keep.size], idx[keep]
     return res
-
-
-def empirical_quantiles(sorted_x: np.ndarray,
-                        n_points: int = QUANTILE_POINTS) -> np.ndarray:
-    """Empirical quantiles at the midpoint grid; input sorted along axis -1."""
-    return sorted_x[..., quantile_ranks(sorted_x.shape[-1], n_points)]

@@ -13,7 +13,7 @@ import itertools
 import numpy as np
 
 from ccemfg.analytic import (DeviceProbs, cce_margin, finite_n_gap_oracle,
-                             hk_coefficients, region_sweep)
+                             region_sweep)
 from ccemfg.correlation import (CorrelationDevice, Scenario,
                                 build_example_device, verify_consistency)
 from ccemfg.engine import TimeGrid, mckean_vlasov_fixed_point

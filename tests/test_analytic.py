@@ -1,5 +1,6 @@
 """Closed-form example machinery, cross-checked against an independent
-rational-arithmetic evaluation of the raw slope/intercept formulas."""
+rational-arithmetic evaluation of the raw slope/intercept formulas and
+against reference copies of the payoffs and the diagonal forms."""
 
 import json
 import os
@@ -13,11 +14,34 @@ from hypothesis import strategies as st
 
 from ccemfg import analytic
 from ccemfg.analytic import (DeviceProbs, cce_margin, consistency_weights,
-                             diagonal_hk, finite_n_gap_oracle, hk_coefficients,
-                             mean_field_gap_oracle, mean_field_payoffs,
-                             region_sweep,
-                             worst_case_deviation, write_csv, AffineCoeffs,
-                             RegionGrid, _CSV_BLOCK, _SHORT_COLUMN)
+                             finite_n_gap_oracle, mean_field_gap_oracle,
+                             region_sweep, write_csv, RegionGrid, _CSV_BLOCK,
+                             _SHORT_COLUMN, _hk_arrays)
+
+
+def hk(p, a, b):
+    """(h, k) of a device from the raw formulas the margin is built on."""
+    return tuple(float(v) for v in _hk_arrays(*p.as_tuple(), a, b))
+
+
+def diagonal_hk(p11, a, b):
+    """(h, k) of a diagonal device (p12 = p21 = 0), simplified by hand
+    (reference)."""
+    return -b * p11 - a * (1.0 - p11), b * b * p11 + a * a * (1.0 - p11)
+
+
+def mean_field_payoffs(p, a, b, c, T, m_beta):
+    """Mean field payoffs of the recommendation and of a deviation with mean
+    action m_beta, from the consistent flows' means (reference).  They
+    satisfy J_rec - J_dev = c*T^2*(h*m_beta + k) up to roundoff."""
+    means = [w * b + (1.0 - w) * a if w is not None else 0.0
+             for w in consistency_weights(p)]
+    c1, c2 = p.column_masses
+    scale = c * T * T
+    j_rec = scale * (p.p11 * b * means[0] + p.p12 * b * means[1]
+                     + p.p21 * a * means[0] + p.p22 * a * means[1])
+    j_dev = scale * m_beta * (c1 * means[0] + c2 * means[1])
+    return j_rec, j_dev
 
 
 def hk_rational(p11, p12, p21, p22, a, b):
@@ -56,6 +80,17 @@ def test_device_probs_validation():
         DeviceProbs(0.5, 0.3, 0.2, 0.1)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_device_probs_refuse_non_finite_values(bad):
+    # DeviceProbs(nan, 0, 0, 1) was accepted, and its margin read 0.0, an
+    # equilibrium
+    for pos in range(4):
+        vals = [0.0, 0.0, 0.0, 1.0]
+        vals[pos] = bad
+        with pytest.raises(ValueError, match="probabilities must be finite"):
+            DeviceProbs(*vals)
+
+
 def test_consistency_weights_examples():
     assert consistency_weights(DeviceProbs(0.25, 0.25, 0.25, 0.25)) == (0.5, 0.5)
     assert consistency_weights(DeviceProbs(1, 0, 0, 0)) == (1.0, None)
@@ -68,25 +103,23 @@ def test_hk_against_rational_oracle():
     for _ in range(1000):
         frac = random_rational_device(rng)
         p = DeviceProbs(*(float(v) for v in frac))
-        co = hk_coefficients(p, -1.0, 1.0)
+        h, k = hk(p, -1.0, 1.0)
         h_ref, k_ref = hk_rational(*frac, Fraction(-1), Fraction(1))
-        assert abs(co.h - float(h_ref)) < 1e-13
-        assert abs(co.k - float(k_ref)) < 1e-13
+        assert abs(h - float(h_ref)) < 1e-13
+        assert abs(k - float(k_ref)) < 1e-13
 
 
 def test_hk_corner_values():
-    co = hk_coefficients(DeviceProbs(1, 0, 0, 0), -1.5, 2.5)
-    assert (co.h, co.k) == (-2.5, 2.5**2)
-    co = hk_coefficients(DeviceProbs(0, 0, 0, 1), -1.5, 2.5)
-    assert (co.h, co.k) == (1.5, 1.5**2)
+    assert hk(DeviceProbs(1, 0, 0, 0), -1.5, 2.5) == (-2.5, 2.5**2)
+    assert hk(DeviceProbs(0, 0, 0, 1), -1.5, 2.5) == (1.5, 1.5**2)
 
 
 def test_hk_black_witness_value():
-    co = hk_coefficients(DeviceProbs(0.5, 0.3, 0.2, 0.0), -1.0, 1.0)
+    h, k = hk(DeviceProbs(0.5, 0.3, 0.2, 0.0), -1.0, 1.0)
     h_ref, k_ref = hk_rational(Fraction(1, 2), Fraction(3, 10),
                                Fraction(1, 5), Fraction(0), -1, 1)
     assert (h_ref, k_ref) == (Fraction(-3, 5), Fraction(3, 7))
-    assert abs(co.h + 3 / 5) < 1e-15 and abs(co.k - 3 / 7) < 1e-15
+    assert abs(h + 3 / 5) < 1e-15 and abs(k - 3 / 7) < 1e-15
 
 
 def test_hk_simplified_forms_agree():
@@ -95,7 +128,7 @@ def test_hk_simplified_forms_agree():
     for _ in range(10000):
         p = random_device(rng)
         a, b = -1.3, 0.7
-        co = hk_coefficients(p, a, b)
+        h, k = hk(p, a, b)
         qp, qm = p.row_masses
         h_simpl = -b * qp - a * qm
         a1, a2 = consistency_weights(p)
@@ -104,21 +137,21 @@ def test_hk_simplified_forms_agree():
         for cj, aj in ((c1, a1), (c2, a2)):
             if aj is not None:
                 k_simpl += cj * (aj * b + (1 - aj) * a) ** 2
-        assert abs(co.h - h_simpl) < 1e-12
-        assert abs(co.k - k_simpl) < 1e-12
+        assert abs(h - h_simpl) < 1e-12
+        assert abs(k - k_simpl) < 1e-12
 
 
 def test_diagonal_hk_matches_full_formula_exactly():
     # the raw formulas divide p11^2 by p11, which costs one rounding; the
     # two forms agree to a couple of ulps, not bitwise
     for p11 in np.linspace(0, 1, 101):
-        full = hk_coefficients(DeviceProbs(p11, 0.0, 0.0, 1.0 - p11), -2.0, 3.0)
+        full = hk(DeviceProbs(p11, 0.0, 0.0, 1.0 - p11), -2.0, 3.0)
         diag = diagonal_hk(p11, -2.0, 3.0)
-        assert abs(full.h - diag.h) < 1e-14
-        assert abs(full.k - diag.k) < 1e-13
-    assert diagonal_hk(1.0, -2.0, 3.0) == AffineCoeffs(-3.0, 9.0)
-    assert diagonal_hk(0.0, -2.0, 3.0) == AffineCoeffs(2.0, 4.0)
-    assert diagonal_hk(0.5, -1.0, 1.0) == AffineCoeffs(0.0, 1.0)
+        assert abs(full[0] - diag[0]) < 1e-14
+        assert abs(full[1] - diag[1]) < 1e-13
+    assert diagonal_hk(1.0, -2.0, 3.0) == (-3.0, 9.0)
+    assert diagonal_hk(0.0, -2.0, 3.0) == (2.0, 4.0)
+    assert diagonal_hk(0.5, -1.0, 1.0) == (0.0, 1.0)
 
 
 def test_margin_corner_devices_zero():
@@ -158,18 +191,20 @@ def test_oracles_reject_bad_scale_and_horizon(arg, value):
     # finite_n_gap_oracle at c = -1, T = inf read 0.0, an equilibrium
     p = DeviceProbs(0.5, 0.3, 0.2, 0.0)
     game = {"c": 1.0, "T": 2.0, arg: value}
-    for call in (lambda: mean_field_payoffs(p, -1, 1, m_beta=1.0, **game),
+    for call in (lambda: mean_field_gap_oracle(p, -1, 1, **game),
                  lambda: finite_n_gap_oracle(p, -1, 1, N=10, **game)):
         with pytest.raises(ValueError, match="0 < c < inf and 0 < T < inf"):
             call()
 
 
 def test_margin_swap_invariance_for_symmetric_interval():
+    # the swap (p11, p12, p21, p22) -> (p22, p21, p12, p11) trades the roles
+    # of b and a = -b
     rng = np.random.default_rng(3)
     for _ in range(100):
         p = random_device(rng)
         m1 = cce_margin(p, -1.0, 1.0)
-        m2 = cce_margin(p.swapped(), -1.0, 1.0)
+        m2 = cce_margin(DeviceProbs(*p.as_tuple()[::-1]), -1.0, 1.0)
         assert abs(m1 - m2) < 1e-12
 
 
@@ -188,15 +223,6 @@ def test_margin_continuity_in_p():
         c1, c2 = p.column_masses
         if min(c1, c2) > 0.05:
             assert abs(moved - base) < 1e3 * 2 * delta
-
-
-def test_worst_case_deviation_rule():
-    assert worst_case_deviation(AffineCoeffs(-1.0, 0.5), -1.0, 1.0) == 1.0
-    assert worst_case_deviation(AffineCoeffs(2.0, 0.5), -1.0, 1.0) == -1.0
-    # tie convention, both endpoints equal value
-    co = AffineCoeffs(0.0, 0.3)
-    assert worst_case_deviation(co, -1.0, 1.0) == -1.0
-    assert co.h * -1.0 + co.k == co.h * 1.0 + co.k
 
 
 def test_region_sweep_diagonal_identity():
@@ -229,6 +255,16 @@ def test_region_sweep_transpose_symmetry_exact():
         assert np.array_equal(grid.feasible, grid.feasible.T)
 
 
+@pytest.mark.parametrize("a, b", [(-1.0, 1.0), (-1.0, 2.0)])
+def test_region_sweep_margin_is_cce_margin_bitwise(a, b):
+    # both take the one margin rule on the same h and k
+    grid = region_sweep(51, 0.3, a, b)
+    f = grid.feasible
+    want = np.array([cce_margin(DeviceProbs(*cell), a, b) for cell in
+                     zip(grid.p11[f], grid.p12[f], grid.p21[f], grid.p22[f])])
+    assert np.array_equal(grid.margin[f].view(np.int64), want.view(np.int64))
+
+
 def test_region_sweep_infeasible_cells():
     grid = region_sweep(11, 0.5, -1.0, 1.0)
     i, j = np.meshgrid(np.arange(11), np.arange(11), indexing="ij")
@@ -255,8 +291,8 @@ def test_mean_field_payoff_identity(seed):
     c, T = rng.uniform(0.1, 4), rng.uniform(0.1, 4)
     m_beta = rng.uniform(a, b)
     j_rec, j_dev = mean_field_payoffs(p, a, b, c, T, m_beta)
-    co = hk_coefficients(p, a, b)
-    assert abs((j_rec - j_dev) - c * T * T * (co.h * m_beta + co.k)) < 1e-10
+    h, k = hk(p, a, b)
+    assert abs((j_rec - j_dev) - c * T * T * (h * m_beta + k)) < 1e-10
 
 
 @pytest.mark.parametrize("a, b, c, T", [(-1.0, 1.0, 1.0, 2.0),
@@ -331,6 +367,59 @@ def test_finite_n_oracle_is_the_better_endpoint_gain():
                 assert gain(betas).max() <= ends + 1e-12, (p, a, b, N)
                 got = finite_n_gap_oracle(p, a, b, c, T, N)
                 assert abs(got - max(0.0, ends)) <= 1e-12, (p, a, b, N)
+
+
+def test_finite_n_oracle_is_exact_and_not_monotone_on_an_asymmetric_game():
+    """At a = -1, b = 2 the 1/N term (beta^2 - E[u^2]) / N does not vanish
+    at the endpoints, as it does at a = -b: on the cell (0.15, 0, 0.7, 0.15)
+    the best endpoint switches from b to a and eps_N is not monotone in N.
+    The reference is exact, in rationals, from the device's moments."""
+    p11, p12, p21, p22 = (Fraction(v, 100) for v in (15, 0, 70, 15))
+    a, b, c, T = Fraction(-1), Fraction(2), 1, 2
+    u_bar = (p11 + p12) * b + (p21 + p22) * a
+    e_u2 = (p11 + p12) * b * b + (p21 + p22) * a * a
+    e_m2 = sum((hi * b + lo * a) ** 2 / (hi + lo)
+               for hi, lo in ((p11, p21), (p12, p22)) if hi + lo > 0)
+
+    def eps(N):
+        return max(0, *(c * T * T * ((beta * beta - e_u2) / N + Fraction(
+            N - 1, N) * (beta * u_bar - e_m2)) for beta in (a, b)))
+
+    want = {2: Fraction(189, 85), 3: 0, 5: Fraction(27, 85),
+            50: Fraction(27, 34)}
+    p = DeviceProbs(0.15, 0.0, 0.7, 0.15)
+    for N, e in want.items():
+        assert eps(N) == e
+        got = finite_n_gap_oracle(p, -1.0, 2.0, 1.0, 2.0, N)
+        assert abs(got - float(e)) <= 1e-12, (N, got, e)
+    e_inf = max(0, *(c * T * T * (beta * u_bar - e_m2) for beta in (a, b)))
+    assert e_inf == Fraction(72, 85)
+    assert abs(mean_field_gap_oracle(p, -1.0, 2.0, 1.0, 2.0)
+               - float(e_inf)) <= 1e-12
+
+
+@pytest.mark.parametrize("count", [2.5, 10.0, True, np.float64(10.0)])
+def test_region_and_finite_n_oracle_refuse_non_integer_counts(count):
+    # region_sweep(2.5, ...) swept cells outside the simplex, and
+    # finite_n_gap_oracle(..., N=10.5) returned a gap
+    p = DeviceProbs(0.5, 0.3, 0.2, 0.0)
+    with pytest.raises(ValueError, match="resolution must be an integer"):
+        region_sweep(count, 0.5, -1.0, 1.0)
+    with pytest.raises(ValueError, match="N must be an integer"):
+        finite_n_gap_oracle(p, -1.0, 1.0, 1.0, 2.0, count)
+    with pytest.raises(ValueError, match="at least 2"):
+        region_sweep(1, 0.5, -1.0, 1.0)
+    with pytest.raises(ValueError, match="at least 2"):
+        finite_n_gap_oracle(p, -1.0, 1.0, 1.0, 2.0, 1)
+
+
+def test_region_and_finite_n_oracle_take_numpy_integers():
+    p = DeviceProbs(0.5, 0.3, 0.2, 0.0)
+    got = region_sweep(np.int64(11), 0.5, -1.0, 1.0)
+    assert got.resolution == 11
+    assert np.array_equal(got.margin, region_sweep(11, 0.5, -1.0, 1.0).margin)
+    assert (finite_n_gap_oracle(p, -1.0, 1.0, 1.0, 2.0, np.int32(10))
+            == finite_n_gap_oracle(p, -1.0, 1.0, 1.0, 2.0, 10))
 
 
 def test_finite_n_oracle_black_limit():

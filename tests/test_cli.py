@@ -108,6 +108,15 @@ def test_invalid_config_exits_2(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("p", ["nan,0,0,1", "inf,0,0,1", "1,0,-inf,0"])
+def test_non_finite_device_probabilities_exit_2(p, tmp_path, capsys):
+    # --p nan,0,0,1 passed the config check, and building the device then
+    # raised a KeyError: the run exited 1 with a traceback
+    assert run_cli(["mfgap", "--p", p, "--out", str(tmp_path / "x")]) == 2
+    assert "config error: p: probabilities must be finite" in \
+        capsys.readouterr().err
+
+
 def test_wrongly_typed_value_exits_2_from_flag_and_json(tmp_path, capsys):
     assert run_cli(["gap", "--reps", "many"]) == 2
     assert "config error: reps" in capsys.readouterr().err

@@ -30,6 +30,15 @@ def test_device_validation():
             Scenario(0.6, -1.0, device_flow(0.0, -1, 1))))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_device_refuses_non_finite_probabilities(bad):
+    # a scenario of probability nan was accepted and dropped without a word
+    flow = device_flow(1.0, -1, 1)
+    with pytest.raises(ValueError, match="probabilities must be finite"):
+        CorrelationDevice(scenarios=(Scenario(bad, 1.0, flow),
+                                     Scenario(1.0, -1.0, flow)))
+
+
 @pytest.mark.parametrize("strategy", [
     lambda t, x, mv: np.ones_like(x), np.nan, np.inf, -np.inf, "1.0",
     1j, np.array([1.0]), None])

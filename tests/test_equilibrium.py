@@ -403,6 +403,28 @@ def test_crn_deviation_payoff_is_quadratic():
     assert np.max(np.abs(resid)) < 1e-10
 
 
+def test_nplayer_gap_candidates_match_the_exact_gain_on_an_asymmetric_game():
+    """At a = -1, b = 2 the 1/N term of a deviation's gain,
+    c T^2 [(beta^2 - E[u^2]) / N + (N - 1) / N (beta u_bar - E[m^2])],
+    does not vanish at the endpoints: every candidate's mean improvement
+    on the exact-terminal path matches it at N = 2, 3, 5 and 50."""
+    a, b, c, T = -1.0, 2.0, 1.0, 2.0
+    p = DeviceProbs(0.15, 0.0, 0.7, 0.15)
+    model = build_bang_bang_model(a, b, c, T)
+    dev = build_example_device(p, a, b)
+    q_plus, q_minus = p.row_masses
+    u_bar, e_u2 = q_plus * b + q_minus * a, q_plus * b * b + q_minus * a * a
+    e_m2 = sum(cj * (w * b + (1.0 - w) * a) ** 2 for cj, w in
+               zip(p.column_masses, consistency_weights(p)) if w is not None)
+    for N in (2, 3, 5, 50):
+        rep = cce_gap_nplayer(model, dev, N=N, reps=20000, seed=0)
+        beta = rep.candidates
+        gain = c * T * T * ((beta * beta - e_u2) / N
+                            + (N - 1) / N * (beta * u_bar - e_m2))
+        z = (rep.improvement_means - gain) / rep.improvement_ses
+        assert np.max(np.abs(z)) <= 3.0, (N, z)
+
+
 def test_mean_field_gap_black_device():
     dev = build_example_device(BLACK, -1.0, 1.0)
     rep = mean_field_gap_mc(MODEL, dev, reps=2000, seed=6,

@@ -14,10 +14,16 @@ from scipy.special import ndtr
 from ccemfg.analytic import DeviceProbs
 from ccemfg.correlation import build_example_device
 from ccemfg.engine import TimeGrid
-from ccemfg.metrics import (BISECT_TOL, QUANTILE_POINTS, empirical_quantiles,
-                            mixture_quantile_table)
+from ccemfg.metrics import (BISECT_TOL, QUANTILE_POINTS,
+                            mixture_quantile_table, quantile_ranks)
 from ccemfg import rng
 from ccemfg._pathgen_py import norm_quantile
+
+
+def empirical_quantiles(sorted_x, n_points=QUANTILE_POINTS):
+    """The order statistics that ``quantile_ranks`` picks at the midpoint
+    levels, of samples sorted along the last axis."""
+    return sorted_x[..., quantile_ranks(sorted_x.shape[-1], n_points)]
 
 
 def w2_equal_counts(x, y):

@@ -36,7 +36,7 @@ from ccemfg.equilibrium import (_assemble_gap, cce_gap_nplayer,
                                 default_deviation_grid, mean_field_gap_mc,
                                 poc_curve, recommended_actions)
 from ccemfg.flows import device_flow
-from ccemfg.metrics import QUANTILE_POINTS, empirical_quantiles
+from ccemfg.metrics import QUANTILE_POINTS, quantile_ranks
 from ccemfg.model import (GaussianInitial, MeasureView, build_bang_bang_model,
                           drift_reads_measure)
 from reference_paths import brownian_paths
@@ -289,7 +289,7 @@ def _ref_verify_consistency(model, device, grid, reps, seed):
         pool = np.concatenate(pooled, axis=0)
         table = entry["flow"].quantile_table(times)
         sorted_pool = np.sort(pool, axis=0)           # (R, T)
-        eq_ = empirical_quantiles(sorted_pool.T)      # (T, 512)
+        eq_ = sorted_pool[quantile_ranks(pool.shape[0])].T   # (T, 512)
         w2 = np.sqrt(np.mean((eq_ - table) ** 2, axis=1))
         out[label] = (w2, pool.shape[0], table)
     return out
