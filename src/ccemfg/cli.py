@@ -9,14 +9,20 @@ alike.  Every output file starts with a single ``#``-prefixed JSON line
 holding the fully resolved configuration (including the seed), so any
 artifact can be regenerated bit-exactly from its own header.
 
+:func:`main` first makes glibc's malloc keep freed array memory in the
+process (:func:`_keep_freed_memory`); library callers keep their own
+allocator policy.
+
 Exit codes: 0 success, 1 runtime failure (with step context when the
 simulation blew up), 2 invalid configuration (with field diagnostics).
 """
 
 import argparse
+import ctypes
 import dataclasses
 import functools
 import json
+import os
 import sys
 from dataclasses import dataclass
 
@@ -144,6 +150,9 @@ def parse_config(data: dict) -> RunConfig:
         for field in ("alpha", "N"):
             check(field, len(merged[field]) > 0, "must not be empty")
         check("out", merged["out"] != "", "must be a nonempty path")
+        out_dir = os.path.dirname(merged["out"]) or os.curdir
+        check("out", os.path.isdir(out_dir),
+              f"directory {out_dir} does not exist")
     if "p" not in untyped:
         try:
             if len(merged["p"]) != 4:
@@ -308,11 +317,39 @@ def _run_mkv(cfg: RunConfig):
           f"terminal mean {res.mean[-1]:.4g}, var {res.var[-1]:.4g}")
 
 
+# glibc's mallopt parameters, and the largest mmap threshold it takes on a
+# 64-bit machine
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD_MAX = 32 << 20
+
+
+@functools.cache
+def _keep_freed_memory() -> bool:
+    """Make glibc's malloc keep freed array memory in this process: arrays
+    below 32 MiB come from the heap, not from a fresh mmap each, and freed
+    heap is not trimmed below 1 GiB (several times the 160 MB of
+    ``CHUNK_ELEMS`` float64 numbers), so the next array reuses pages that
+    are already mapped instead of faulting them in again.  Forked pool
+    workers inherit the setting.  The values are not touched, only where
+    they live.  Returns whether the policy was set: not where ``mallopt``
+    is missing (macOS, Windows) or refuses it (musl).  Set once a process.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return bool(mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_MAX)
+                and mallopt(_M_TRIM_THRESHOLD, 1 << 30))
+
+
 _RUNNERS = {"region": _run_region, "gap": _run_gap, "mfgap": _run_mfgap,
             "poc": _run_poc, "consistency": _run_consistency, "mkv": _run_mkv}
 
 
 def main(argv=None) -> int:
+    _keep_freed_memory()
     try:
         cfg = resolve_config(sys.argv[1:] if argv is None else argv)
     except ConfigError as exc:

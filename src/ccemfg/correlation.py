@@ -21,7 +21,7 @@ from .analytic import DeviceProbs, _check_probabilities, consistency_weights
 from .engine import TimeGrid, check_count, check_run, ensemble_noise, stream
 from .flows import GaussianMixtureFlow, device_flow
 from .metrics import quantile_ranks
-from .model import MeasureView, ModelSpec
+from .model import MeasureView, ModelSpec, drift_reads_measure
 
 # null_band's multiple of sqrt(max_t E[W2^2(t)]).  Exact flow samples drawn
 # anew at each time, as the pilots were (white and two-component flows,
@@ -155,7 +155,7 @@ class ConsistencyReport:
 
 def follow_scenarios(model: ModelSpec, grid: TimeGrid,
                      device: CorrelationDevice, scen: np.ndarray,
-                     x0: np.ndarray, w_rows, candidates=()):
+                     x0: np.ndarray, w_rows, candidates=(), views=True):
     """Step the representative player of every replication, in one
     (1 + G, R) state, through the scenario the lottery drew for it.
 
@@ -165,23 +165,26 @@ def follow_scenarios(model: ModelSpec, grid: TimeGrid,
     action and rows 1..G the ``candidates``, on the same noise.  Each drawn
     flow is viewed once at all grid points, into (steps + 1, S) tables of
     means and second moments; the measure at a step gathers each
-    replication's column.  Yields as :func:`ccemfg.engine.stream`.
+    replication's column.  With ``views`` False, for a caller whose model
+    reads no measure, no flow is viewed and the measure is None.  Yields
+    as :func:`ccemfg.engine.stream`.
     """
     candidates = np.asarray(candidates, dtype=np.float64)
-    # np.unique would import numpy.ma on its first call, 1 MiB
-    drawn = np.flatnonzero(np.bincount(scen))
-    col = np.searchsorted(drawn, scen)              # table column per rep
-    views = [device.scenarios[s].flow.view(grid.times) for s in drawn]
-    means = np.stack([v.mean for v in views], axis=1)
-    seconds = np.stack([v.second_moment for v in views], axis=1)
     a = np.empty((1 + candidates.size, scen.size))
     a[0], a[1:] = device.strategies[scen], candidates[:, None]
+    if views:
+        # np.unique would import numpy.ma on its first call, 1 MiB
+        drawn = np.flatnonzero(np.bincount(scen))
+        col = np.searchsorted(drawn, scen)          # table column per rep
+        flows = [device.scenarios[s].flow.view(grid.times) for s in drawn]
+        means = np.stack([v.mean for v in flows], axis=1)
+        seconds = np.stack([v.second_moment for v in flows], axis=1)
 
     def measure(i, x):
         return MeasureView(mean=means[i, col], second_moment=seconds[i, col])
 
     return stream(model, grid, np.broadcast_to(x0, a.shape), w_rows, a,
-                  measure)
+                  measure if views else lambda i, x: None)
 
 
 def verify_consistency(model: ModelSpec, device: CorrelationDevice,
@@ -216,7 +219,9 @@ def verify_consistency(model: ModelSpec, device: CorrelationDevice,
                        quantile_ranks(members.size, table.shape[1])))
 
     x0, rows = ensemble_noise(model, grid, seed, np.arange(reps), 1)
-    for i, x, _, _ in follow_scenarios(model, grid, device, scen, x0, rows):
+    # the scoring reads no measure, and an action drift none either
+    for i, x, _, _ in follow_scenarios(model, grid, device, scen, x0, rows,
+                                       views=drift_reads_measure(model)):
         for cl, members, srt, ranks in scored:
             np.take(x[0], members, out=srt)
             srt.sort()

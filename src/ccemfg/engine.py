@@ -355,7 +355,9 @@ def mckean_vlasov_fixed_point(model: ModelSpec, grid: TimeGrid, strategy,
             srt.sort(axis=1)
             mom[:-1, 0, i] = mv.mean[1:, 0]
             mom[:-1, 1, i] = mv.second_moment[1:, 0]
-            mom[-1, :2, i] = x[-1].mean(), np.mean(x[-1] ** 2)
+            # the next pass's flow is the row above the last, so no pass
+            # reads the last row's second moment
+            mom[-1, 0, i] = x[-1].mean()
             for r in range(old, K):
                 mom[r, 2, i] = x[r].var()
                 np.subtract(srt[r], srt[r - 1] if r else x0_sorted, out=sq)

@@ -1,6 +1,9 @@
+import ctypes
 import dataclasses
 import json
 import os
+import platform
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -9,8 +12,9 @@ import numpy as np
 import pytest
 
 from ccemfg.analytic import DeviceProbs
-from ccemfg.cli import (ConfigError, RunConfig, build_parser, config_dict,
-                        main, parse_config, resolve_config)
+from ccemfg.cli import (ConfigError, RunConfig, _keep_freed_memory,
+                        build_parser, config_dict, main, parse_config,
+                        resolve_config)
 from ccemfg.correlation import (BAND_FACTOR, build_example_device,
                                 null_expectation)
 from ccemfg.engine import TimeGrid
@@ -218,10 +222,26 @@ def test_bad_mkv_settings_exit_2(capsys):
 
 
 def test_runtime_failure_exits_1(tmp_path, capsys):
-    rc = run_cli(["region", "--resolution", "5",
-                  "--out", str(tmp_path / "no_such_dir" / "x")])
+    # a directory where the CSV goes: the configuration is valid, the
+    # write fails
+    (tmp_path / "x_alpha0.5.csv").mkdir()
+    rc = run_cli(["region", "--resolution", "5", "--alpha", "0.5",
+                  "--out", str(tmp_path / "x")])
     assert rc == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [["gap", "--N", "10", "--reps", "20"],
+                                  ["region", "--resolution", "5"]])
+def test_out_in_a_missing_directory_exits_2_before_any_work(args, tmp_path,
+                                                            capsys):
+    missing = tmp_path / "no_such_dir"
+    assert run_cli([*args, "--out", str(missing / "x")]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""                    # nothing was simulated or swept
+    assert err == (f"config error: out: directory {missing} "
+                   "does not exist\n")
+    assert not missing.exists()
 
 
 def test_region_output(tmp_path):
@@ -376,3 +396,34 @@ def test_package_imports_without_process_pool():
     modules = _modules_after_cli_import()
     assert "multiprocessing" not in modules
     assert "concurrent.futures.process" not in modules
+
+
+@pytest.mark.skipif(sys.platform != "linux"
+                    or platform.libc_ver()[0] != "glibc",
+                    reason="the allocator policy is set through glibc")
+def test_repeated_cli_calls_reuse_freed_array_memory(tmp_path, capsys):
+    # each (N, R) temporary of the gap reuses heap pages that an earlier
+    # call freed instead of faulting fresh ones in (about 1,160 faults a
+    # call without the policy)
+    args = ["gap", "--p", "0.5,0.3,0.2,0", "--N", "200", "--reps", "500",
+            "--workers", "1", "--out", str(tmp_path / "gap")]
+    for _ in range(2):
+        assert run_cli(args) == 0
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    assert run_cli(args) == 0
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 200
+
+
+def test_cli_runs_where_malloc_has_no_mallopt(monkeypatch, tmp_path):
+    class NoMallopt:                    # a C library without mallopt
+        def __init__(self, name):
+            pass
+
+    monkeypatch.setattr(ctypes, "CDLL", NoMallopt)
+    _keep_freed_memory.cache_clear()
+    try:
+        assert _keep_freed_memory() is False
+        assert run_cli(["gap", "--N", "10", "--reps", "20",
+                        "--out", str(tmp_path / "gap")]) == 0
+    finally:
+        _keep_freed_memory.cache_clear()
