@@ -25,6 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .engine import check_count
+from .model import check_game, check_interval
 
 PROB_TOL = 1e-12
 MARGIN_TOL = 1e-12
@@ -108,21 +109,9 @@ def _margin(h, k, a: float, b: float):
     return np.minimum(h * a + k, h * b + k)
 
 
-def _check_interval(a: float, b: float) -> None:
-    if not (-np.inf < a < 0.0 < b < np.inf):
-        raise ValueError("action interval must satisfy -inf < a < 0 < b < inf")
-
-
-def _check_game(a: float, b: float, c: float, T: float) -> None:
-    """The rule of :func:`ccemfg.model.build_bang_bang_model`."""
-    _check_interval(a, b)
-    if not (0.0 < c < np.inf and 0.0 < T < np.inf):
-        raise ValueError("need 0 < c < inf and 0 < T < inf")
-
-
 def cce_margin(p: DeviceProbs, a: float, b: float) -> float:
     """min over [a, b] of h*m + k; the device is an equilibrium iff >= 0."""
-    _check_interval(a, b)
+    check_interval(a, b)
     return float(_margin(*_hk_arrays(p.p11, p.p12, p.p21, p.p22, a, b), a, b))
 
 
@@ -260,7 +249,7 @@ def region_sweep(resolution: int, alpha: float, a: float, b: float) -> RegionGri
     outcomes: p12 = alpha*r above the p11 = p22 diagonal and the symmetric
     swap below it, so the sweep is transpose-symmetric for b = -a.
     """
-    _check_interval(a, b)
+    check_interval(a, b)
     resolution = check_count("resolution", resolution, 2)
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
@@ -294,7 +283,7 @@ def mean_field_gap_oracle(p: DeviceProbs, a: float, b: float, c: float,
                           T: float) -> float:
     """Exact mean field deviation gap over constant controls: the better
     endpoint deviation's gain, c*T^2 * max(0, -cce_margin(p, a, b))."""
-    _check_game(a, b, c, T)
+    check_game(a, b, c, T)
     return c * T * T * max(0.0, -cce_margin(p, a, b))
 
 
@@ -308,7 +297,7 @@ def finite_n_gap_oracle(p: DeviceProbs, a: float, b: float, c: float, T: float,
     quadratic in m with leading coefficient c T**2 / N > 0, so its vertex
     is the minimum and the supremum over [a, b] is attained at a or b.
     """
-    _check_game(a, b, c, T)
+    check_game(a, b, c, T)
     N = check_count("N", N, 2)
     q_plus, q_minus = p.row_masses
     u_bar = q_plus * b + q_minus * a

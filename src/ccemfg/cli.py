@@ -37,8 +37,6 @@ from .engine import SimulationError, TimeGrid, mckean_vlasov_fixed_point
 from .equilibrium import cce_gap_nplayer, mean_field_gap_mc, poc_curve
 from .model import build_bang_bang_model
 
-COMMANDS = ("region", "gap", "mfgap", "poc", "consistency", "mkv")
-
 
 class ConfigError(ValueError):
     """Invalid configuration; carries per-field diagnostics."""
@@ -150,6 +148,8 @@ def parse_config(data: dict) -> RunConfig:
         for field in ("alpha", "N"):
             check(field, len(merged[field]) > 0, "must not be empty")
         check("out", merged["out"] != "", "must be a nonempty path")
+        check("out", merged["out"] == "" or os.path.basename(merged["out"])
+              not in ("", ".", ".."), "must name a file, not a directory")
         out_dir = os.path.dirname(merged["out"]) or os.curdir
         check("out", os.path.isdir(out_dir),
               f"directory {out_dir} does not exist")
@@ -346,6 +346,7 @@ def _keep_freed_memory() -> bool:
 
 _RUNNERS = {"region": _run_region, "gap": _run_gap, "mfgap": _run_mfgap,
             "poc": _run_poc, "consistency": _run_consistency, "mkv": _run_mkv}
+COMMANDS = tuple(_RUNNERS)
 
 
 def main(argv=None) -> int:

@@ -21,7 +21,8 @@ from .analytic import DeviceProbs, _check_probabilities, consistency_weights
 from .engine import TimeGrid, check_count, check_run, ensemble_noise, stream
 from .flows import GaussianMixtureFlow, device_flow
 from .metrics import quantile_ranks
-from .model import MeasureView, ModelSpec, drift_reads_measure
+from .model import (MeasureView, ModelSpec, check_interval,
+                    drift_reads_measure)
 
 # null_band's multiple of sqrt(max_t E[W2^2(t)]).  Exact flow samples drawn
 # anew at each time, as the pilots were (white and two-component flows,
@@ -92,8 +93,7 @@ def build_example_device(p: DeviceProbs, a: float, b: float) -> CorrelationDevic
     flows; outcomes with zero probability are dropped, so corner devices
     degenerate to a single scenario.
     """
-    if not a < 0.0 < b:
-        raise ValueError("need a < 0 < b")
+    check_interval(a, b)
     a1, a2 = consistency_weights(p)
     flows = {}
     if a1 is not None:

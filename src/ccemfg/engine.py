@@ -104,17 +104,16 @@ def check_run(model: ModelSpec, grid: TimeGrid, **counts) -> None:
 
 
 def noise_keys(seed: int, rep_ids, player_ids) -> np.ndarray:
-    """Per-(replication, player) noise stream keys, shape (R, N): the
-    transpose of a C-contiguous player-major (N, R) array."""
+    """Per-(player, replication) noise stream keys, a C-contiguous
+    player-major (N, R) array."""
     return rng.stream_keys(seed, rng.TAG_NOISE, np.asarray(rep_ids)[None, :],
-                           np.asarray(player_ids)[:, None]).T
+                           np.asarray(player_ids)[:, None])
 
 
 def initial_states(model: ModelSpec, seed: int, rep_ids, player_ids) -> np.ndarray:
-    """Initial states (R, N), the transpose of a C-contiguous player-major
-    (N, R) array: the initial law applied to draw 0 of each (replication,
-    player) stream, which is drawn only if the law asks for it (a point
-    mass does not)."""
+    """Initial states, a C-contiguous player-major (N, R) array: the
+    initial law applied to draw 0 of each (replication, player) stream,
+    which is drawn only if the law asks for it (a point mass does not)."""
     rep_ids = np.asarray(rep_ids)[None, :]
     player_ids = np.asarray(player_ids)[:, None]
 
@@ -123,7 +122,7 @@ def initial_states(model: ModelSpec, seed: int, rep_ids, player_ids) -> np.ndarr
         return rng.uniforms(keys, 0)
 
     return model.initial_law.sample(uniforms,
-                                    (player_ids.size, rep_ids.size)).T
+                                    (player_ids.size, rep_ids.size))
 
 
 def euler_step(model: ModelSpec, step: int, t: float, dt: float,
@@ -200,10 +199,9 @@ def ensemble_noise(model: ModelSpec, grid: TimeGrid, seed: int, rep_ids,
     and the states are built player-major, so neither is copied here.
     """
     players = np.arange(N)
-    x0 = initial_states(model, seed, rep_ids, players).T
-    rows = _pathgen_py.brownian_rows(noise_keys(seed, rep_ids, players).T,
+    rows = _pathgen_py.brownian_rows(noise_keys(seed, rep_ids, players),
                                      grid.steps, grid.horizon)
-    return np.ascontiguousarray(x0), rows
+    return initial_states(model, seed, rep_ids, players), rows
 
 
 def stream(model: ModelSpec, grid: TimeGrid, x: np.ndarray, w_rows,

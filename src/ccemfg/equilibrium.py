@@ -75,10 +75,11 @@ class GapReport:
 
 
 def default_deviation_grid(model: ModelSpec, deviations=21) -> np.ndarray:
-    """The deviation candidates of an estimator: ``deviations`` evenly
-    spaced actions across the box, or the constant actions themselves."""
-    candidates = (np.linspace(model.actions.lo, model.actions.hi, deviations)
-                  if np.isscalar(deviations)
+    """The deviation candidates of an estimator, at least 3: ``deviations``
+    evenly spaced actions across the box, or the constant actions."""
+    candidates = (np.linspace(model.actions.lo, model.actions.hi,
+                              check_count("deviations", deviations, 0))
+                  if np.ndim(deviations) == 0
                   else np.asarray(deviations, dtype=np.float64))
     if candidates.size < 3:
         raise ValueError("deviation grid needs at least 3 candidates")
@@ -135,15 +136,15 @@ def _map_jobs(fn, jobs, workers: int):
 
 def recommended_actions(device: CorrelationDevice, seed: int, rep_ids,
                         N: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-(replication, player) recommended constant actions.
+    """Per-(player, replication) recommended constant actions.
 
     Each replication draws a scenario from the lottery, which fixes the
     flow class; the players' strategies are then conditionally i.i.d. from
     that class's strategy distribution, mirroring the construction of
     N-player recommendations from a mean field device.
 
-    Returns (actions (R, N), the transpose of a C-contiguous player-major
-    (N, R) array; flow-class index per replication (R,)).
+    Returns (actions, a C-contiguous player-major (N, R) array; flow-class
+    index per replication (R,)).
     """
     rep_ids = np.asarray(rep_ids)
     classes = list(device.flow_classes().values())
@@ -171,8 +172,7 @@ def recommended_actions(device: CorrelationDevice, seed: int, rep_ids,
     pick = np.zeros(u.shape, dtype=np.min_scalar_type(width))
     for th in thresholds[cls].T:
         pick += th <= u
-    actions = values[cls, pick]
-    return actions.T, cls
+    return values[cls, pick], cls
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +209,6 @@ def _nplayer_chunk(args):
     (model, device, grid, N, seed, candidates, off, count) = args
     rep_ids = off + np.arange(count)
     actions, cls = recommended_actions(device, seed, rep_ids, N)
-    actions = np.ascontiguousarray(actions.T)             # (N, R)
     x0, rows = ensemble_noise(model, grid, seed, rep_ids, N)
     own = np.empty((1 + candidates.size, count))          # player 0's actions
     own[0], own[1:] = actions[0], candidates[:, None]
@@ -292,6 +291,7 @@ def _gap(chunk, model, device, extra, candidates, state, walked, reps, seed,
          grid, workers, oracle) -> GapReport:
     """Both gaps: ``chunk`` over the jobs ``(model, device, grid, *extra,
     seed, candidates, offset, count)``, sized by :func:`_jobs`."""
+    workers = check_count("workers", workers, 0)
     grid = grid or TimeGrid(model.horizon, 200)
     check_run(model, grid, reps=reps)
     if exact_terminal(model):
@@ -390,8 +390,7 @@ def _poc_chunk(args):
                else lambda i, x: None)
     srt = np.empty((Ns[-1], count))
     ref, diff2 = np.empty((2, n_pts, count))
-    for i, x, _, _ in stream(model, grid, x0, rows,
-                             np.ascontiguousarray(actions.T), measure):
+    for i, x, _, _ in stream(model, grid, x0, rows, actions, measure):
         # every index is in range; with mode="raise" take would fill a
         # temporary and copy it into out
         np.take(table[i], cls, axis=1, out=ref, mode="clip")
@@ -420,6 +419,7 @@ def poc_curve(model: ModelSpec, device: CorrelationDevice,
     replication order, so the result does not depend on the chunking or
     on the number of workers.
     """
+    workers = check_count("workers", workers, 0)
     Ns = [check_count("Ns", N) for N in Ns]
     if not Ns or any(m >= n for m, n in zip(Ns, Ns[1:])):
         raise ValueError("Ns must be a nonempty, strictly increasing "

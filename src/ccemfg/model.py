@@ -157,20 +157,28 @@ class _BilinearTerminalReward:
         return self.c * np.asarray(x, dtype=np.float64) * np.asarray(m.mean)
 
 
+def check_interval(a: float, b: float) -> None:
+    """``ValueError`` unless the action interval [a, b] of the bang-bang
+    game is finite and straddles zero."""
+    if not -np.inf < a < 0.0 < b < np.inf:
+        raise ValueError("need finite a < 0 < b: -inf < a < 0 < b < inf")
+
+
+def check_game(a: float, b: float, c: float, T: float) -> None:
+    """The rule of the bang-bang game: :func:`check_interval`, then
+    ``ValueError`` unless ``c, T > 0``, both finite."""
+    check_interval(a, b)
+    if not (0.0 < c < np.inf and 0.0 < T < np.inf):
+        raise ValueError("need finite c, T > 0: 0 < c < inf and 0 < T < inf")
+
+
 def build_bang_bang_model(a_lo: float, b_hi: float, c: float, T: float) -> ModelSpec:
     """The fully explicit 1-d instance: drift = action, reward c*x*mean.
 
-    Requires ``a_lo < 0 < b_hi`` (the equilibrium-region analysis needs the
-    action interval to straddle zero) and ``c, T > 0``, all finite.
+    Requires ``a_lo < 0 < b_hi`` and ``c, T > 0``, all finite
+    (:func:`check_game`).
     """
-    if not -np.inf < a_lo < 0.0:
-        raise ValueError("a_lo must be negative and finite")
-    if not 0.0 < b_hi < np.inf:
-        raise ValueError("b_hi must be positive and finite")
-    if not 0.0 < c < np.inf:
-        raise ValueError("c must be positive and finite")
-    if not 0.0 < T < np.inf:
-        raise ValueError("T must be positive and finite")
+    check_game(a_lo, b_hi, c, T)
     return ModelSpec(
         horizon=float(T),
         actions=ActionBox(lo=a_lo, hi=b_hi),

@@ -231,8 +231,11 @@ def test_runtime_failure_exits_1(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("args", [["gap", "--N", "10", "--reps", "20"],
-                                  ["region", "--resolution", "5"]])
+_SMALL_RUNS = [["gap", "--N", "10", "--reps", "20"],
+               ["region", "--resolution", "5"]]
+
+
+@pytest.mark.parametrize("args", _SMALL_RUNS)
 def test_out_in_a_missing_directory_exits_2_before_any_work(args, tmp_path,
                                                             capsys):
     missing = tmp_path / "no_such_dir"
@@ -242,6 +245,19 @@ def test_out_in_a_missing_directory_exits_2_before_any_work(args, tmp_path,
     assert err == (f"config error: out: directory {missing} "
                    "does not exist\n")
     assert not missing.exists()
+
+
+@pytest.mark.parametrize("last", ["", ".", ".."])
+@pytest.mark.parametrize("args", _SMALL_RUNS)
+def test_out_that_names_a_directory_exits_2_before_any_work(args, last,
+                                                            tmp_path, capsys):
+    # gap wrote the hidden file .csv (or ..csv) in it, region _alpha0.5.csv
+    # and .pgm
+    assert run_cli([*args, "--out", f"{tmp_path}{os.sep}{last}"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "config error: out: must name a file, not a directory\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_region_output(tmp_path):

@@ -276,6 +276,7 @@ def _enumerated_null_expectation(table, count):
     return np.mean((eq - table[:, None, :]) ** 2, axis=2).mean(axis=1)
 
 
+@pytest.mark.bit_identity
 @pytest.mark.parametrize("count", [1, 2, 3, 5])
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
 def test_null_expectation_matches_full_enumeration(n, count):

@@ -53,10 +53,10 @@ def _ref_ensemble(model, grid, actions, N, R, seed, offset):
     """Row-major Euler paths (R, N, steps+1) from stored Brownian paths,
     against the empirical measure with the players added in order."""
     rep_ids, players = offset + np.arange(R), np.arange(N)
-    w = brownian_paths(noise_keys(seed, rep_ids, players),
+    w = brownian_paths(noise_keys(seed, rep_ids, players).T,
                        grid.steps, grid.horizon)
     x = np.empty((R, N, grid.steps + 1))
-    x[..., 0] = initial_states(model, seed, rep_ids, players)
+    x[..., 0] = initial_states(model, seed, rep_ids, players).T
     for i, t in enumerate(grid.times[:-1]):
         xi = x[..., i]
         mv = MeasureView(
@@ -94,13 +94,13 @@ def test_initial_states_draw_only_for_a_law_that_reads_them(monkeypatch):
                         lambda *args: calls.append(1) or uniforms(*args))
     rep_ids, players = np.arange(3, 9), np.arange(5)
     point = dataclasses.replace(MODEL, initial_law=PointMass(0.5))
-    x = initial_states(point, 7, rep_ids, players)
+    x = initial_states(point, 7, rep_ids, players).T
     assert x.shape == (6, 5) and np.all(x == 0.5)
     assert calls == []
     # a Gaussian start maps draw 0 of each (replication, player) stream
     law = GaussianInitial(1.0, 2.0)
     x = initial_states(dataclasses.replace(MODEL, initial_law=law), 7,
-                       rep_ids, players)
+                       rep_ids, players).T
     keys = rng.stream_keys(7, rng.TAG_INIT, rep_ids[:, None], players[None, :])
     assert np.array_equal(x, law.from_uniform(uniforms(keys, 0)))
     assert len(calls) == 1
@@ -190,6 +190,7 @@ SHARED_NOISE_SHAPES = [(1, 2, 1), (5, 3, 7), (13, 11, 64), (8, 50, 200),
                        (37, 7, 20), (1001, 39, 64)]
 
 
+@pytest.mark.bit_identity
 @pytest.mark.parametrize("R, N, steps", SHARED_NOISE_SHAPES)
 def test_player_0_walk_is_row_0_of_the_ensemble_walk(R, N, steps):
     """The N-player gap steps player 0's (1 + G, R) state on player 0's own
@@ -222,19 +223,36 @@ def _ref_ensemble_noise(model, grid, seed, rep_ids, N):
                                       grid.steps, grid.horizon))
 
 
+@pytest.mark.bit_identity
 @pytest.mark.parametrize("law", [PointMass(0.5), GaussianInitial(0.3, 1.2)])
 def test_ensemble_noise_matches_the_replication_major_build(law):
     model = dataclasses.replace(MODEL, initial_law=law)
     g = TimeGrid(2.0, 7)
     ids, N = 11 + np.arange(30), 9
     keys, ref_x0, ref_rows = _ref_ensemble_noise(model, g, 4, ids, N)
-    assert np.array_equal(noise_keys(4, ids, np.arange(N)), keys)
+    assert np.array_equal(noise_keys(4, ids, np.arange(N)).T, keys)
     assert np.array_equal(initial_states(model, 4, ids, np.arange(N)),
-                          ref_x0.T)
+                          ref_x0)
     x0, rows = ensemble_noise(model, g, 4, ids, N)
     assert x0.flags.c_contiguous and np.array_equal(x0, ref_x0)
     for row, ref in zip(rows, ref_rows, strict=True):
         assert np.array_equal(row, ref)
+
+
+@pytest.mark.parametrize("law", [PointMass(0.5), GaussianInitial(0.3, 1.2)])
+def test_draws_come_back_player_major_and_uncopied(law, monkeypatch):
+    import ccemfg.engine as engine
+
+    model = dataclasses.replace(MODEL, initial_law=law)
+    ids, N = 11 + np.arange(30), 9
+    for draws in (noise_keys(4, ids, np.arange(N)),
+                  initial_states(model, 4, ids, np.arange(N))):
+        assert draws.shape == (N, ids.size) and draws.flags.c_contiguous
+    built = []
+    monkeypatch.setattr(engine, "initial_states", lambda *args: built.append(
+        initial_states(*args)) or built[-1])
+    x0, _ = ensemble_noise(model, TimeGrid(2.0, 7), 4, ids, N)
+    assert len(built) == 1 and x0 is built[0]
 
 
 _DRIFTS = {"action": MODEL.drift,
@@ -242,6 +260,7 @@ _DRIFTS = {"action": MODEL.drift,
            "state": lambda t, x, m, a: x}
 
 
+@pytest.mark.bit_identity
 @pytest.mark.parametrize("drift", list(_DRIFTS))
 def test_euler_step_in_place_equals_the_copying_step(drift):
     """``x += drift * dt; x += dw`` in the states' own buffer adds the terms

@@ -11,7 +11,7 @@ from ccemfg.correlation import (CorrelationDevice, Scenario,
                                 build_example_device, null_band,
                                 null_expectation, verify_consistency)
 from ccemfg.engine import (SimulationError, TimeGrid,
-                           mckean_vlasov_fixed_point)
+                           mckean_vlasov_fixed_point, stream)
 from ccemfg.flows import device_flow
 from ccemfg.equilibrium import (cce_gap_nplayer, mean_field_gap_mc, poc_curve,
                                 recommended_actions)
@@ -32,6 +32,7 @@ BLACK = DeviceProbs(0.5, 0.3, 0.2, 0.0)
 def test_recommended_actions_distribution():
     dev = build_example_device(BLACK, -1.0, 1.0)
     actions, cls = recommended_actions(dev, 0, np.arange(20000), 10)
+    actions = actions.T                               # (R, N)
     assert set(np.unique(actions)) <= {-1.0, 1.0}
     # flow-class frequencies ~ column masses (0.7, 0.3)
     freq = np.bincount(cls, minlength=2) / cls.size
@@ -42,7 +43,7 @@ def test_recommended_actions_distribution():
     assert np.all(actions[cls == 1] == 1.0)          # a2 = 1
     # chunk invariance
     a2, c2 = recommended_actions(dev, 0, np.arange(100, 200), 10)
-    assert np.array_equal(a2, actions[100:200])
+    assert np.array_equal(a2.T, actions[100:200])
     assert np.array_equal(c2, cls[100:200])
 
 
@@ -96,7 +97,7 @@ def test_recommended_actions_match_the_masked_searchsorted(device):
                        (np.arange(2000), 40)]:
         got = recommended_actions(device, 7, rep_ids, N)
         ref = _ref_recommended_actions(device, 7, rep_ids, N)
-        assert np.array_equal(got[0], ref[0])
+        assert np.array_equal(got[0].T, ref[0])
         assert np.array_equal(got[1], ref[1])
 
 
@@ -480,6 +481,64 @@ def test_gap_input_validation():
         with pytest.raises(ValueError, match="3 candidates"):
             mean_field_gap_mc(MODEL, dev, deviations=deviations, reps=10,
                               grid=grid)
+
+
+@pytest.mark.parametrize("value", [21.0, np.float64(21), True, None, "2"],
+                         ids=["float", "numpy_float", "bool", "None", "str"])
+def test_deviations_and_workers_must_be_integers(value):
+    # each of these raised TypeError, from np.linspace or from min
+    dev = build_example_device(BLACK, -1.0, 1.0)
+    grid = TimeGrid(2.0, 10)
+    calls = {
+        "deviations": [
+            lambda: cce_gap_nplayer(MODEL, dev, N=10, deviations=value,
+                                    reps=10, grid=grid),
+            lambda: mean_field_gap_mc(MODEL, dev, deviations=value, reps=10,
+                                      grid=grid)],
+        "workers": [
+            lambda: cce_gap_nplayer(MODEL, dev, N=10, reps=10, grid=grid,
+                                    workers=value),
+            lambda: mean_field_gap_mc(MODEL, dev, reps=10, grid=grid,
+                                      workers=value),
+            lambda: poc_curve(MODEL, dev, [5, 10], reps=10, grid=grid,
+                              workers=value)]}
+    for name, fns in calls.items():
+        for call in fns:
+            with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+                call()
+
+
+def test_deviations_and_workers_take_numpy_integers():
+    dev = build_example_device(BLACK, -1.0, 1.0)
+    grid = TimeGrid(2.0, 10)
+    for estimator in (functools.partial(cce_gap_nplayer, N=10),
+                      mean_field_gap_mc):
+        ref = estimator(MODEL, dev, deviations=5, reps=10, grid=grid)
+        rep = estimator(MODEL, dev, deviations=np.int64(5), reps=10,
+                        grid=grid, workers=np.int32(1))
+        assert np.array_equal(rep.improvement_means, ref.improvement_means)
+    ref = poc_curve(MODEL, dev, [5, 10], reps=20, grid=grid)
+    rep = poc_curve(MODEL, dev, [5, 10], reps=20, grid=grid,
+                    workers=np.int64(1))
+    assert np.array_equal(rep.overall, ref.overall)
+
+
+def test_chunks_pass_the_recommended_actions_to_stream_unchanged(monkeypatch):
+    import ccemfg.equilibrium as eq
+
+    recommended, streamed = [], []
+    monkeypatch.setattr(eq, "recommended_actions", lambda *args: (
+        recommended.append(recommended_actions(*args)) or recommended[-1]))
+    monkeypatch.setattr(eq, "stream", lambda *args: (
+        streamed.append(args[4]) or stream(*args)))
+    dev = build_example_device(BLACK, -1.0, 1.0)
+    grid = TimeGrid(2.0, 10)
+    cce_gap_nplayer(EULER, dev, N=10, reps=20, grid=grid)
+    poc_curve(MODEL, dev, [5, 10], reps=20, grid=grid)
+    assert len(recommended) == 2
+    for actions, _ in recommended:                # N = 10 players, 20 reps
+        assert actions.shape == (10, 20) and actions.flags.c_contiguous
+        assert any(a is actions for a in streamed)
 
 
 def test_poc_curve_decay_and_classes():

@@ -6,10 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ccemfg.analytic import (DeviceProbs, cce_margin, finite_n_gap_oracle,
+                             mean_field_gap_oracle, region_sweep)
+from ccemfg.correlation import build_example_device
 from ccemfg.engine import TimeGrid, stream
 from ccemfg.model import (ActionBox, GaussianInitial, MeasureView, PointMass,
-                          build_bang_bang_model, drift_reads_measure,
-                          exact_terminal)
+                          build_bang_bang_model, check_game, check_interval,
+                          drift_reads_measure, exact_terminal)
 
 
 def test_action_box_validation():
@@ -80,6 +83,50 @@ def test_bang_bang_model_rejects_non_finite_params(args):
     # c = inf ran mfgap to a NaN gap
     with pytest.raises(ValueError, match="finite"):
         build_bang_bang_model(*args)
+
+
+def _game_entry_points(a, b, c, T):
+    """Every library call that takes the bang-bang game, by name; the
+    first three take only its action interval."""
+    p = DeviceProbs(0.5, 0.3, 0.2, 0.0)
+    return {"cce_margin": lambda: cce_margin(p, a, b),
+            "region_sweep": lambda: region_sweep(5, 0.5, a, b),
+            "build_example_device": lambda: build_example_device(p, a, b),
+            "build_bang_bang_model": lambda: build_bang_bang_model(a, b, c, T),
+            "mean_field_gap_oracle": lambda: mean_field_gap_oracle(p, a, b,
+                                                                   c, T),
+            "finite_n_gap_oracle": lambda: finite_n_gap_oracle(p, a, b, c, T,
+                                                               10)}
+
+
+@pytest.mark.parametrize("a, b", [(-np.inf, 1.0), (-1.0, np.inf),
+                                  (np.nan, 1.0), (0.0, 1.0), (-1.0, 0.0)])
+def test_every_entry_point_applies_the_one_interval_rule(a, b):
+    # build_example_device(p, -inf, 1) failed later, in the flow constructor
+    with pytest.raises(ValueError) as rule:
+        check_interval(a, b)
+    message = str(rule.value)
+    assert "finite" in message and "< inf" in message
+    for name, call in _game_entry_points(a, b, 1.0, 2.0).items():
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == message, name
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, np.inf, np.nan])
+@pytest.mark.parametrize("arg", ["c", "T"])
+def test_every_entry_point_applies_the_one_scale_and_horizon_rule(arg, value):
+    game = {"a": -1.0, "b": 1.0, "c": 1.0, "T": 2.0, arg: value}
+    with pytest.raises(ValueError) as rule:
+        check_game(**game)
+    message = str(rule.value)
+    assert "finite" in message and "0 < c < inf and 0 < T < inf" in message
+    calls = _game_entry_points(**game)
+    for name in ("build_bang_bang_model", "mean_field_gap_oracle",
+                 "finite_n_gap_oracle"):
+        with pytest.raises(ValueError) as exc:
+            calls[name]()
+        assert str(exc.value) == message, name
 
 
 def test_drift_is_measure_free():

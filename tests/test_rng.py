@@ -249,6 +249,7 @@ def test_norm_cdf_allocates_only_abs_and_the_exponential_scratch(draw):
     assert peak <= 3.6 * x.nbytes
 
 
+@pytest.mark.bit_identity
 def test_norm_quantile_in_place_equals_a_new_array():
     u = rng.uniforms(rng.stream_key(13, rng.TAG_PROBE), np.arange(1 << 20))
     edges = np.array([1e-300, 1e-20, np.nextafter(1.0, 0.0)])
@@ -400,6 +401,7 @@ def test_brownian_rows_in_time_order_match_row_major_fill(steps):
                           _ref_brownian_paths(keys, steps, 2.0))
 
 
+@pytest.mark.bit_identity
 @pytest.mark.parametrize("batch", [1, 2, 5, 64])
 @pytest.mark.parametrize("steps", [1, 2, 3, 7, 64, 200])
 @pytest.mark.parametrize("shape", [(5,), (4, 3)])
@@ -511,6 +513,7 @@ def _unmix64(y):
 _EDGE_BITS = [0, 1, 2**52 - 1, 2**52, 2**52 + 1, 2**53 - 2, 2**53 - 1]
 
 
+@pytest.mark.bit_identity
 def test_uniforms_convert_in_place_exactly_at_the_edges_of_53_bits():
     # the in-place cast must give what a separate float array gives, the
     # clamp at 2**53 - 1 included
@@ -523,6 +526,7 @@ def test_uniforms_convert_in_place_exactly_at_the_edges_of_53_bits():
     assert got[-1] == np.nextafter(1.0, 0.0) and got[0] == 2.0**-54
 
 
+@pytest.mark.bit_identity
 def test_uniforms_into_given_buffers_equal_new_arrays():
     """A walk's draws, into a given float64 ``out`` and uint64 ``scratch``
     again and again, are bit for bit the draws of new arrays: at the edges
@@ -551,6 +555,7 @@ def _ref_stream_keys(seed, *tags):
     return k
 
 
+@pytest.mark.bit_identity
 def test_stream_keys_player_major_is_the_transpose_of_replication_major():
     reps, players = np.arange(40, 540), np.arange(200)
     pm = rng.stream_keys(9, rng.TAG_NOISE, reps[None, :], players[:, None])

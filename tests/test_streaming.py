@@ -77,9 +77,9 @@ def _ref_euler(model, grid, x0, w, action_fn, measure_fn):
 
 
 def _ref_representative_noise(model, grid, seed, rep_ids):
-    w = brownian_paths(noise_keys(seed, rep_ids, [0]),
+    w = brownian_paths(noise_keys(seed, rep_ids, [0]).T,
                        grid.steps, grid.horizon)[:, 0, :]
-    return initial_states(model, seed, rep_ids, [0])[:, 0], w
+    return initial_states(model, seed, rep_ids, [0]).T[:, 0], w
 
 
 def _ref_flow_views(flow, grid):
@@ -124,10 +124,11 @@ def _ref_nplayer_chunk(args, fast=None):
     (model, device, grid, N, seed, candidates, off, count) = args
     rep_ids = off + np.arange(count)
     actions, cls = recommended_actions(device, seed, rep_ids, N)
+    actions = actions.T                               # (R, N)
 
-    w = brownian_paths(noise_keys(seed, rep_ids, np.arange(N)),
+    w = brownian_paths(noise_keys(seed, rep_ids, np.arange(N)).T,
                        grid.steps, grid.horizon)
-    x0 = initial_states(model, seed, rep_ids, np.arange(N))
+    x0 = initial_states(model, seed, rep_ids, np.arange(N)).T
 
     def const_fn(t, x, mv, _a=actions):
         return _a
@@ -203,9 +204,11 @@ def _ref_poc_for_n(args):
         cnt = min(chunk, reps - off)
         rep_ids = off + np.arange(cnt)
         actions, cls = recommended_actions(device, seed, rep_ids, N)
+        actions = actions.T                           # (R, N)
         w = brownian_paths(
-            noise_keys(seed, rep_ids, np.arange(N)), grid.steps, grid.horizon)
-        x0 = initial_states(model, seed, rep_ids, np.arange(N))
+            noise_keys(seed, rep_ids, np.arange(N)).T, grid.steps,
+            grid.horizon)
+        x0 = initial_states(model, seed, rep_ids, np.arange(N)).T
         x = _ref_euler(model, grid, x0, w,
                        lambda t, s, mv, _a=actions: _a, _ref_ordered_measure)
         xs = np.sort(x, axis=1)                        # (R, N, T)
